@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import os
 import sys
 
 from ._version import __version__
@@ -31,7 +30,7 @@ from .pdc import (
 )
 from .pipeline import read_config_json, run_pipeline, write_report
 from .signals import MultichannelSegment, read_markers_csv, read_recording_csv, write_recording_csv
-from .stats import compare_conditions, write_test_table_csv
+from .stats import compare_conditions, format_pair, write_test_table_csv
 from .synth import generate, read_generator_spec_json
 from .var import fit_var, read_model_json, select_order, write_model_json
 
@@ -42,8 +41,6 @@ EXIT_IO = 3
 EXIT_ESTIMATION = 4
 EXIT_DEGENERATE = 5
 EXIT_PIPELINE = 6
-
-_THREADS_ENV = "PDC_TOOLKIT_THREADS"
 
 
 def _positive_int(text: str) -> int:
@@ -135,35 +132,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--markers", required=True, help="epoch onsets CSV (ms, one per line)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--threads", type=_positive_int, default=None,
-                   help=f"worker threads (default: ${_THREADS_ENV} or 1)")
+                   help="deprecated and ignored; subjects are processed sequentially")
 
     return parser
 
 
-def _resolve_threads(flag_value):
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(_THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{_THREADS_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{_THREADS_ENV} must be >= 1, got {value}")
-    return value
-
-
 def _recording_as_segment(recording, mean_center: bool) -> MultichannelSegment:
-    samples = recording.samples
-    if mean_center:
-        samples = samples - samples.mean(axis=0)
-    return MultichannelSegment(
-        samples=samples,
+    segment = MultichannelSegment(
+        samples=recording.samples,
         sampling_rate_hz=recording.sampling_rate_hz,
         channel_labels=recording.channel_labels,
     )
+    return segment.centered() if mean_center else segment
 
 
 def _cmd_simulate(args) -> int:
@@ -251,7 +231,7 @@ def _cmd_compare(args) -> int:
         subjects_a = table_a[key]
         subjects_b = table_b[key]
         if set(subjects_a) != set(subjects_b):
-            raise ValueError(f"subject sets differ for {key[0][0]}->{key[0][1]}/{key[1]}")
+            raise ValueError(f"subject sets differ for {format_pair(key[0])}/{key[1]}")
         ordered = sorted(subjects_a)
         values_a[key] = [subjects_a[s] for s in ordered]
         values_b[key] = [subjects_b[s] for s in ordered]
@@ -262,7 +242,6 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    threads = _resolve_threads(args.threads)
     config = read_config_json(args.config)
     starts = read_markers_csv(args.markers)
 
@@ -270,8 +249,7 @@ def _cmd_pipeline(args) -> int:
         return [(read_recording_csv(p, sampling_rate_hz=config.sampling_rate_hz), starts)
                 for p in paths]
 
-    report = run_pipeline(config, load(args.condition_a), load(args.condition_b),
-                          threads=threads)
+    report = run_pipeline(config, load(args.condition_a), load(args.condition_b))
     paths = write_report(report, args.out)
     n_significant = sum(1 for r in report.test_results.values() if r.significant)
     print(f"wrote {paths['report']}")

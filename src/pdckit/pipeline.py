@@ -14,11 +14,12 @@ identical report apart from its timestamp field.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,9 +32,9 @@ from .pdc import (
     band_average,
     compute_pdc,
 )
-from .signals import MultichannelSegment, Recording, extract_segments, screen_stationarity
-from .stats import DEFAULT_ALPHA, compare_conditions, write_test_table_csv
-from .var import check_stability, fit_var, select_order
+from .signals import Recording, extract_segments, screen_stationarity
+from .stats import DEFAULT_ALPHA, compare_conditions, format_pair, write_test_table_csv
+from .var import check_stability, fit_var, max_order_bound, select_order
 
 __all__ = [
     "ORDER_MODE_FIXED",
@@ -171,6 +172,11 @@ class ConditionSummary:
             raise ValueError("attrition counts do not add up")
 
 
+# the per-condition counters of ConditionSummary, summed over subjects
+_COUNTS = ("segments_in", "screened_out", "failed_fit", "used",
+           "unstable_models", "degenerate_columns")
+
+
 @dataclass(frozen=True)
 class AnalysisReport:
     """Everything a run produced: config echo, per-condition band values and
@@ -193,15 +199,6 @@ class AnalysisReport:
             raise ValueError("test table does not cover the (pair, band) family exactly once")
 
 
-def _center(segment):
-    return MultichannelSegment(
-        samples=segment.samples - segment.samples.mean(axis=0),
-        sampling_rate_hz=segment.sampling_rate_hz,
-        channel_labels=segment.channel_labels,
-        source_offset=segment.source_offset,
-    )
-
-
 def _fit_order(config: PipelineConfig, segment) -> int:
     if config.order_mode == ORDER_MODE_FIXED:
         return config.fixed_order
@@ -215,8 +212,7 @@ def _process_subject(config: PipelineConfig, recording: Recording, starts_ms,
     Band values map (pair, band) -> float; None when no segment survived, in
     which case the subject cannot contribute a paired observation.
     """
-    counts = {"segments_in": 0, "screened_out": 0, "failed_fit": 0, "used": 0,
-              "unstable_models": 0, "degenerate_columns": 0}
+    counts = dict.fromkeys(_COUNTS, 0)
     segments = extract_segments(recording, config.epoch_length_ms, starts_ms)
     counts["segments_in"] = len(segments)
 
@@ -227,7 +223,7 @@ def _process_subject(config: PipelineConfig, recording: Recording, starts_ms,
             counts["screened_out"] += 1
             continue
         if config.mean_center:
-            seg = _center(seg)
+            seg = seg.centered()
         report = screen_stationarity(
             seg,
             n_windows=config.stationarity_n_windows,
@@ -300,35 +296,34 @@ def _fit_groups(config: PipelineConfig, pairs) -> tuple:
     return tuple(groups)
 
 
-def _process_condition(config, subjects, pairs, groups, grid, threads, label):
-    def work(item):
-        index, (recording, starts) = item
+def _check_feasible(config: PipelineConfig, n_channels: int) -> None:
+    """Reject an order setting no epoch can be fitted with, before any work."""
+    n = round(config.epoch_length_ms * config.sampling_rate_hz / 1000.0)
+    m = n_channels if config.model_scope == SCOPE_JOINT else 2
+    if config.order_mode == ORDER_MODE_FIXED:
+        p = config.fixed_order
+        if n - p < m * p + 1:
+            raise ValueError(
+                f"fixed_order={p} breaks N - p >= M*p + 1 for N={n}-sample epochs "
+                f"and M={m}-channel models"
+            )
+    elif config.p_scan_max > (bound := max_order_bound(n, m)):
+        raise ValueError(
+            f"p_scan_max={config.p_scan_max} exceeds the order bound {bound} "
+            f"(p < 3*sqrt(N)/M) for N={n}-sample epochs and M={m}-channel models"
+        )
+
+
+def _process_condition(config, subjects, pairs, groups, grid, label):
+    def work(index, recording, starts):
         try:
             return _process_subject(config, recording, starts, pairs, groups, grid)
         except (ValueError, EstimationError) as exc:
             raise PipelineError(f"condition {label}, subject {index}: {exc}") from exc
 
-    items = list(enumerate(subjects))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(work, items))
-    else:
-        outcomes = [work(item) for item in items]
-
-    totals = {"segments_in": 0, "screened_out": 0, "failed_fit": 0, "used": 0,
-              "unstable_models": 0, "degenerate_columns": 0}
-    per_subject_values = []
-    for counts, values in outcomes:
-        for key in totals:
-            totals[key] += counts[key]
-        per_subject_values.append(values)
-    return totals, per_subject_values
-
-
-def _config_echo(config: PipelineConfig, resolved_pairs) -> dict:
-    echo = _config_payload(config)
-    echo["channel_pairs"] = [list(p) for p in resolved_pairs]
-    return echo
+    outcomes = [work(index, *subject) for index, subject in enumerate(subjects)]
+    totals = {key: sum(counts[key] for counts, _ in outcomes) for key in _COUNTS}
+    return totals, [values for _, values in outcomes]
 
 
 def run_pipeline(config: PipelineConfig, condition_a_inputs, condition_b_inputs,
@@ -342,8 +337,8 @@ def run_pipeline(config: PipelineConfig, condition_a_inputs, condition_b_inputs,
         One entry per subject, index-aligned between conditions (the test is
         paired); ``starts`` are epoch onsets in ms for that recording.
     threads : int
-        Worker threads for per-subject processing. Output is identical for
-        any thread count.
+        Deprecated and ignored: subjects are processed sequentially. Any
+        value other than 1 emits a DeprecationWarning.
 
     Raises
     ------
@@ -351,8 +346,13 @@ def run_pipeline(config: PipelineConfig, condition_a_inputs, condition_b_inputs,
         If no subject retains a usable segment in both conditions; the
         message carries the per-stage attrition counts.
     ValueError
-        On mismatched subject counts, channel sets, or sampling rates.
+        On mismatched subject counts, channel sets, or sampling rates, or an
+        order setting the epoch length cannot support.
     """
+    if threads != 1:
+        warnings.warn("run_pipeline(threads=...) is deprecated and ignored; "
+                      "subjects are processed sequentially",
+                      DeprecationWarning, stacklevel=2)
     a_inputs = list(condition_a_inputs)
     b_inputs = list(condition_b_inputs)
     if len(a_inputs) != len(b_inputs):
@@ -374,12 +374,10 @@ def run_pipeline(config: PipelineConfig, condition_a_inputs, condition_b_inputs,
     pairs = _resolve_pairs(config, labels)
     groups = _fit_groups(config, pairs)
     grid = config.frequency_grid()
-    threads = max(1, int(threads))
+    _check_feasible(config, len(labels))
 
-    totals_a, values_a = _process_condition(config, a_inputs, pairs, groups, grid,
-                                            threads, "a")
-    totals_b, values_b = _process_condition(config, b_inputs, pairs, groups, grid,
-                                            threads, "b")
+    totals_a, values_a = _process_condition(config, a_inputs, pairs, groups, grid, "a")
+    totals_b, values_b = _process_condition(config, b_inputs, pairs, groups, grid, "b")
 
     subjects_used = tuple(i for i in range(len(a_inputs))
                           if values_a[i] is not None and values_b[i] is not None)
@@ -398,18 +396,15 @@ def run_pipeline(config: PipelineConfig, condition_a_inputs, condition_b_inputs,
     def summary(totals, values):
         return ConditionSummary(
             n_subjects=len(values),
-            segments_in=totals["segments_in"],
-            screened_out=totals["screened_out"],
-            failed_fit=totals["failed_fit"],
-            used=totals["used"],
-            unstable_models=totals["unstable_models"],
-            degenerate_columns=totals["degenerate_columns"],
             band_values={k: tuple(values[i][k] for i in subjects_used) for k in keys},
+            **totals,
         )
 
     return AnalysisReport(
         toolkit_version=__version__,
-        config_echo=_config_echo(config, pairs),
+        # the echo is the config as its JSON file holds it, with pairs resolved
+        config_echo={**json.loads(json.dumps(_config_payload(config))),
+                     "channel_pairs": [list(p) for p in pairs]},
         channel_pairs=pairs,
         band_names=band_names,
         subjects_used=subjects_used,
@@ -420,14 +415,10 @@ def run_pipeline(config: PipelineConfig, condition_a_inputs, condition_b_inputs,
     )
 
 
-def _pair_key(pair) -> str:
-    return f"{pair[0]}->{pair[1]}"
-
-
 def _condition_dict(summary: ConditionSummary, pairs, band_names) -> dict:
     values = {}
     for pair in pairs:
-        values[_pair_key(pair)] = {
+        values[format_pair(pair)] = {
             band: list(summary.band_values[(pair, band)]) for band in band_names
         }
     return {
@@ -449,7 +440,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
     tests = []
     for (pair, band), res in report.test_results.items():
         tests.append({
-            "pair": _pair_key(pair),
+            "pair": format_pair(pair),
             "direction": res.direction,
             "band": band,
             "n": res.n_effective,
@@ -506,31 +497,27 @@ def write_report(report: AnalysisReport, out_dir) -> dict:
     return {"report": report_path, "test_table": table_path}
 
 
+# PipelineConfig fields with these prefixes sit in a nested JSON object,
+# e.g. freq_low_hz is freq_grid.low_hz; every other field is a top-level key
+_JSON_GROUPS = {"freq_": "freq_grid", "stationarity_": "stationarity"}
+
+
+def _json_path(name: str) -> str:
+    for prefix, group in _JSON_GROUPS.items():
+        if name.startswith(prefix):
+            return f"{group}.{name[len(prefix):]}"
+    return name
+
+
 def _config_payload(config: PipelineConfig) -> dict:
-    return {
-        "sampling_rate_hz": config.sampling_rate_hz,
-        "epoch_length_ms": config.epoch_length_ms,
-        "channel_pairs": None if config.channel_pairs is None
-        else [list(p) for p in config.channel_pairs],
-        "bands": {name: list(edges) for name, edges in config.bands.items()},
-        "freq_grid": {
-            "low_hz": config.freq_low_hz,
-            "high_hz": config.freq_high_hz,
-            "step_hz": config.freq_step_hz,
-        },
-        "order_mode": config.order_mode,
-        "fixed_order": config.fixed_order,
-        "p_scan_max": config.p_scan_max,
-        "stationarity": {
-            "n_windows": config.stationarity_n_windows,
-            "mean_drift_tol": config.stationarity_mean_drift_tol,
-            "variance_ratio_tol": config.stationarity_variance_ratio_tol,
-        },
-        "alpha": config.alpha,
-        "amplitude_reject_threshold": config.amplitude_reject_threshold,
-        "model_scope": config.model_scope,
-        "mean_center": config.mean_center,
-    }
+    payload = {}
+    for f in fields(PipelineConfig):
+        node, key = payload, _json_path(f.name)
+        if "." in key:
+            group, key = key.split(".")
+            node = payload.setdefault(group, {})
+        node[key] = getattr(config, f.name)
+    return payload
 
 
 def write_config_json(config: PipelineConfig, path) -> None:
@@ -539,57 +526,75 @@ def write_config_json(config: PipelineConfig, path) -> None:
         fh.write("\n")
 
 
-_CONFIG_KEYS = {
-    "sampling_rate_hz", "epoch_length_ms", "channel_pairs", "bands", "freq_grid",
-    "order_mode", "fixed_order", "p_scan_max", "stationarity", "alpha",
-    "amplitude_reject_threshold", "model_scope", "mean_center",
+def _is_number(value) -> bool:
+    # the decoder also yields NaN, Infinity and integers beyond float range;
+    # type() rather than isinstance() because JSON true/false decode as bool
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _is_pair(value, item_ok) -> bool:
+    return type(value) is list and len(value) == 2 and all(map(item_ok, value))
+
+
+# field annotation -> (check on the decoded JSON value, what the check wants)
+_JSON_TYPES = {
+    "float": (_is_number, "a finite number"),
+    "int": (lambda v: type(v) is int, "an integer"),
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "str": (lambda v: type(v) is str, "a string"),
+    "tuple": (lambda v: type(v) is list
+              and all(_is_pair(p, lambda s: type(s) is str) for p in v),
+              "a list of [source, target] string pairs"),
+    "dict": (lambda v: type(v) is dict
+             and all(_is_pair(edges, _is_number) for edges in v.values()),
+             "an object mapping names to [low, high] numbers"),
 }
 
 
-def read_config_json(path) -> PipelineConfig:
-    """Load a config; missing optional keys take the protocol defaults.
+def _field_value(value, annotation: str, where: str):
+    kind, _, optional = annotation.partition(" | ")
+    if value is None and optional:
+        return None
+    check, wanted = _JSON_TYPES[kind]
+    if not check(value):
+        wanted += " or null" if optional else ""
+        raise ValueError(f"{where} must be {wanted}, got {json.dumps(value)}")
+    return float(value) if kind == "float" else value
 
-    Unknown keys are rejected so typos cannot silently change a run.
+
+def read_config_json(path) -> PipelineConfig:
+    """Load a config; missing keys, nested ones included, take the protocol
+    defaults.
+
+    Every value must have its field's JSON type (no strings for numbers, no
+    numbers for booleans, no fractions for integers), and unknown keys are
+    rejected at every level so typos cannot silently change a run. Errors
+    name the offending JSON path.
     """
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    unknown = set(payload) - _CONFIG_KEYS
+    flat = {}
+    for key, value in payload.items():
+        if key in _JSON_GROUPS.values():
+            if not isinstance(value, dict):
+                raise ValueError(f"{path}: {key} must be a JSON object")
+            flat.update((f"{key}.{inner}", v) for inner, v in value.items())
+        else:
+            flat[key] = value
+    schema = {_json_path(f.name): f for f in fields(PipelineConfig)}
+    unknown = set(flat) - set(schema)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-    if "sampling_rate_hz" not in payload:
+    if "sampling_rate_hz" not in flat:
         raise ValueError(f"{path}: sampling_rate_hz is required")
-
-    kwargs = {"sampling_rate_hz": float(payload["sampling_rate_hz"])}
-    if "epoch_length_ms" in payload:
-        kwargs["epoch_length_ms"] = float(payload["epoch_length_ms"])
-    if payload.get("channel_pairs") is not None:
-        kwargs["channel_pairs"] = tuple((s, t) for s, t in payload["channel_pairs"])
-    if "bands" in payload:
-        kwargs["bands"] = {name: (lo, hi) for name, (lo, hi) in payload["bands"].items()}
-    if "freq_grid" in payload:
-        grid = payload["freq_grid"]
-        kwargs["freq_low_hz"] = float(grid["low_hz"])
-        kwargs["freq_high_hz"] = float(grid["high_hz"])
-        kwargs["freq_step_hz"] = float(grid["step_hz"])
-    if "order_mode" in payload:
-        kwargs["order_mode"] = payload["order_mode"]
-    if "fixed_order" in payload:
-        kwargs["fixed_order"] = int(payload["fixed_order"])
-    if "p_scan_max" in payload:
-        kwargs["p_scan_max"] = int(payload["p_scan_max"])
-    if "stationarity" in payload:
-        st = payload["stationarity"]
-        kwargs["stationarity_n_windows"] = int(st["n_windows"])
-        kwargs["stationarity_mean_drift_tol"] = float(st["mean_drift_tol"])
-        kwargs["stationarity_variance_ratio_tol"] = float(st["variance_ratio_tol"])
-    if "alpha" in payload:
-        kwargs["alpha"] = float(payload["alpha"])
-    if payload.get("amplitude_reject_threshold") is not None:
-        kwargs["amplitude_reject_threshold"] = float(payload["amplitude_reject_threshold"])
-    if "model_scope" in payload:
-        kwargs["model_scope"] = payload["model_scope"]
-    if "mean_center" in payload:
-        kwargs["mean_center"] = bool(payload["mean_center"])
+    try:
+        kwargs = {f.name: _field_value(flat[where], f.type, where)
+                  for where, f in schema.items() if where in flat}
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return PipelineConfig(**kwargs)

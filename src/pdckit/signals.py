@@ -130,6 +130,15 @@ class MultichannelSegment:
             source_offset=self.source_offset,
         )
 
+    def centered(self) -> "MultichannelSegment":
+        """Return the segment with each channel's mean subtracted."""
+        return MultichannelSegment(
+            samples=self.samples - self.samples.mean(axis=0),
+            sampling_rate_hz=self.sampling_rate_hz,
+            channel_labels=self.channel_labels,
+            source_offset=self.source_offset,
+        )
+
 
 @dataclass(frozen=True)
 class StationarityReport:

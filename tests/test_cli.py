@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -167,22 +168,21 @@ def test_compare_rejects_mismatched_subjects(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_pipeline_command_end_to_end(tmp_path, capsys):
+def _pipeline_argv(tmp_path, config, coupled, quiet, n_subjects=10):
+    """Write a config, markers and two cohorts; return the argv minus --out."""
     from pdckit import generate, write_recording_csv
 
     config_path = tmp_path / "config.json"
-    write_config_json(default_config(250.0), config_path)
+    write_config_json(config, config_path)
     markers = tmp_path / "markers.csv"
     markers.write_text("".join(f"{900 * k}\n" for k in range(6)))
 
-    coupled = np.array([[[0.3, 0.0], [0.4, 0.3]]])
-    quiet = np.array([[[0.3, 0.0], [0.0, 0.3]]])
     paths = {"a": [], "b": []}
     for cond, coeffs, base in (("a", quiet, 0), ("b", coupled, 100)):
-        for s in range(10):
+        for s in range(n_subjects):
             rec = generate(GeneratorSpec(
                 coeff_matrices=coeffs,
-                innovation_covariance=np.eye(2),
+                innovation_covariance=np.eye(coeffs.shape[1]),
                 n_samples=225 * 6,
                 seed=55_000 + base + s,
                 sampling_rate_hz=250.0,
@@ -190,11 +190,18 @@ def test_pipeline_command_end_to_end(tmp_path, capsys):
             p = tmp_path / f"{cond}{s}.csv"
             write_recording_csv(rec, p)
             paths[cond].append(str(p))
+    return ["pipeline", "--config", str(config_path),
+            "--condition-a", *paths["a"], "--condition-b", *paths["b"],
+            "--markers", str(markers)]
+
+
+def test_pipeline_command_end_to_end(tmp_path, capsys):
+    coupled = np.array([[[0.3, 0.0], [0.4, 0.3]]])
+    quiet = np.array([[[0.3, 0.0], [0.0, 0.3]]])
+    argv = _pipeline_argv(tmp_path, default_config(250.0), coupled, quiet)
 
     out_dir = tmp_path / "out"
-    code = main(["pipeline", "--config", str(config_path),
-                 "--condition-a", *paths["a"], "--condition-b", *paths["b"],
-                 "--markers", str(markers), "--out", str(out_dir)])
+    code = main([*argv, "--out", str(out_dir)])
     assert code == 0
     report = json.loads((out_dir / "report.json").read_text())
     assert len(report["tests"]) == 8
@@ -203,9 +210,31 @@ def test_pipeline_command_end_to_end(tmp_path, capsys):
     assert "hypotheses 8" in out
 
 
-def test_pipeline_thread_env_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PDC_TOOLKIT_THREADS", "2")
-    test_pipeline_command_end_to_end(tmp_path, capsys)
+def test_pipeline_threads_flag_is_accepted_and_ignored(tmp_path, capsys, monkeypatch):
+    # the thread-count variable is no longer read, so a malformed value is harmless
+    monkeypatch.setenv("PDC_TOOLKIT_THREADS", "abc")
+    coupled = np.array([[[0.3, 0.0], [0.4, 0.3]]])
+    quiet = np.array([[[0.3, 0.0], [0.0, 0.3]]])
+    argv = _pipeline_argv(tmp_path, default_config(250.0), coupled, quiet, n_subjects=4)
+    assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "threads"), "--threads", "2"]) == 0
+    plain = (tmp_path / "plain" / "test_table.csv").read_bytes()
+    assert (tmp_path / "threads" / "test_table.csv").read_bytes() == plain
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("changes, bound", [
+    ({"order_mode": "auto_aic", "p_scan_max": 20}, "order bound 11"),
+    ({"fixed_order": 60}, "N - p >= M*p + 1"),
+])
+def test_pipeline_infeasible_protocol_is_argument_error(tmp_path, capsys, changes, bound):
+    config = dataclasses.replace(default_config(250.0), model_scope="joint", **changes)
+    coeffs = np.diag([0.3] * 4)[None]
+    argv = _pipeline_argv(tmp_path, config, coeffs, coeffs, n_subjects=2)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pdckit: argument-error:")
+    assert bound in err
 
 
 # -------------------------------------------------------------------- errors

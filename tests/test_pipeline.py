@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,87 @@ def test_config_json_defaults_and_unknown_keys(tmp_path):
         read_config_json(path)
 
 
+def test_config_json_default_text(tmp_path):
+    path = tmp_path / "config.json"
+    write_config_json(default_config(250.0), path)
+    assert path.read_text() == """\
+{
+  "sampling_rate_hz": 250.0,
+  "epoch_length_ms": 900.0,
+  "channel_pairs": null,
+  "bands": {
+    "theta": [
+      4.0,
+      7.5
+    ],
+    "alpha": [
+      8.0,
+      12.5
+    ],
+    "beta1": [
+      13.0,
+      20.5
+    ],
+    "beta2": [
+      21.0,
+      30.0
+    ]
+  },
+  "freq_grid": {
+    "low_hz": 4.0,
+    "high_hz": 30.0,
+    "step_hz": 0.5
+  },
+  "order_mode": "fixed",
+  "fixed_order": 15,
+  "p_scan_max": 20,
+  "stationarity": {
+    "n_windows": 3,
+    "mean_drift_tol": 0.5,
+    "variance_ratio_tol": 2.0
+  },
+  "alpha": 0.05,
+  "amplitude_reject_threshold": null,
+  "model_scope": "per_pair",
+  "mean_center": true
+}
+"""
+
+
+@pytest.mark.parametrize("extra, where", [
+    ({"freq_grid": {"low_hz": 4.0, "high_hz": 30.0, "step_hz": 0.5, "extra": 1}},
+     "freq_grid.extra"),
+    ({"stationarity": {"n_windows": 3, "typo_tol": 1.0}}, "stationarity.typo_tol"),
+    ({"mean_center": "false"}, "mean_center"),
+    ({"mean_center": 0}, "mean_center"),
+    ({"fixed_order": 15.7}, "fixed_order"),
+    ({"fixed_order": True}, "fixed_order"),
+    ({"alpha": "0.05"}, "alpha"),
+    ({"epoch_length_ms": True}, "epoch_length_ms"),
+    ({"stationarity": {"n_windows": 2.5}}, "stationarity.n_windows"),
+    ({"freq_grid": {"step_hz": "0.5"}}, "freq_grid.step_hz"),
+    ({"freq_grid": {"step_hz": float("nan")}}, "freq_grid.step_hz"),
+    ({"epoch_length_ms": 10**400}, "epoch_length_ms"),
+    ({"channel_pairs": [["ch1", 2]]}, "channel_pairs"),
+    ({"bands": {"theta": [4.0, "7.5"]}}, "bands"),
+])
+def test_config_json_is_validated_by_the_schema(tmp_path, extra, where):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"sampling_rate_hz": 250.0, **extra}))
+    with pytest.raises(ValueError, match=re.escape(where)):
+        read_config_json(path)
+
+
+def test_config_json_missing_nested_keys_take_defaults(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"sampling_rate_hz": 250.0,
+                                "freq_grid": {"low_hz": 8.0},
+                                "stationarity": {"n_windows": 4}}))
+    cfg = read_config_json(path)
+    assert cfg == dataclasses.replace(default_config(250.0), freq_low_hz=8.0,
+                                      stationarity_n_windows=4)
+
+
 # ----------------------------------------------------------------- execution
 
 
@@ -157,7 +239,8 @@ def test_pipeline_flags_injected_coupling():
 def test_pipeline_threads_do_not_change_results():
     cond_a, cond_b = _cohorts(n_subjects=4, base=881_000)
     serial = run_pipeline(default_config(FS), cond_a, cond_b, threads=1)
-    threaded = run_pipeline(default_config(FS), cond_a, cond_b, threads=3)
+    with pytest.warns(DeprecationWarning):
+        threaded = run_pipeline(default_config(FS), cond_a, cond_b, threads=3)
     assert serial.test_results == threaded.test_results
     assert serial.condition_a.band_values == threaded.condition_a.band_values
 
@@ -174,6 +257,25 @@ def test_pipeline_auto_order_and_joint_scope():
     assert report.config_echo["order_mode"] == "auto_aic"
     assert report.config_echo["model_scope"] == "joint"
     assert set(report.test_results)  # completes and covers the family
+
+
+def _montage_cohorts(n_subjects=2):
+    labels = ("F3", "F4", "T5", "T6")
+    coeffs = np.diag([0.3] * 4)[None]
+    return [[_subject(coeffs, 890_000 + 100 * c + s, m=4, labels=labels)
+             for s in range(n_subjects)] for c in (0, 1)]
+
+
+@pytest.mark.parametrize("changes, bound", [
+    ({"order_mode": ORDER_MODE_AUTO_AIC, "p_scan_max": 20}, "order bound 11"),
+    ({"fixed_order": 60}, "N - p >= M*p + 1"),
+])
+def test_pipeline_rejects_infeasible_protocol_before_fitting(changes, bound):
+    # 900 ms at 250 Hz is 225 rows; a joint model over 4 channels caps the order
+    cfg = dataclasses.replace(default_config(FS), model_scope=SCOPE_JOINT, **changes)
+    cond_a, cond_b = _montage_cohorts()
+    with pytest.raises(ValueError, match=re.escape(bound)):
+        run_pipeline(cfg, cond_a, cond_b)
 
 
 def test_pipeline_explicit_pair_subset():
