@@ -130,6 +130,16 @@ class BandAverages:
         object.__setattr__(self, "channel_labels", tuple(str(c) for c in self.channel_labels))
 
 
+def _transfer(coeff_matrices: np.ndarray, freqs_hz, sampling_rate_hz: float) -> np.ndarray:
+    """Transform matrices at every frequency in one contraction, shape (F, M, M)."""
+    g = np.asarray(freqs_hz, dtype=float)[:, None] / sampling_rate_hz
+    phases = np.exp(-2j * np.pi * g * np.arange(1, coeff_matrices.shape[0] + 1))
+    out = np.tensordot(phases, coeff_matrices, axes=(1, 0))
+    idx = np.arange(coeff_matrices.shape[1])
+    out[:, idx, idx] = 1.0 - out[:, idx, idx]
+    return out
+
+
 def evaluate_transfer(model: VarModel, f_hz: float, sampling_rate_hz: float) -> np.ndarray:
     """Transform the lag matrices to one complex M x M matrix at a frequency.
 
@@ -146,14 +156,7 @@ def evaluate_transfer(model: VarModel, f_hz: float, sampling_rate_hz: float) -> 
         raise ValueError(
             f"frequency {f_hz} Hz outside [0, {sampling_rate_hz / 2.0}] Hz"
         )
-    g = f_hz / sampling_rate_hz
-    lags = np.arange(1, model.order_p + 1)
-    phases = np.exp(-2j * np.pi * g * lags)
-    lag_sum = np.tensordot(phases, model.coeff_matrices, axes=(0, 0))
-    out = lag_sum.astype(complex)
-    idx = np.arange(model.n_channels)
-    out[idx, idx] = 1.0 - lag_sum[idx, idx]
-    return out
+    return _transfer(model.coeff_matrices, [f_hz], sampling_rate_hz)[0]
 
 
 def compute_pdc(model: VarModel, grid: FrequencyGrid) -> PdcSpectrum:
@@ -166,25 +169,17 @@ def compute_pdc(model: VarModel, grid: FrequencyGrid) -> PdcSpectrum:
 
     A stable model (`check_stability`) is recommended but not enforced.
     """
-    n_freqs = grid.n_freqs
-    m = model.n_channels
-    values = np.empty((n_freqs, m, m))
-    degenerate = []
-    for fi, f_hz in enumerate(grid.freqs_hz):
-        transfer = evaluate_transfer(model, float(f_hz), grid.sampling_rate_hz)
-        mags = np.abs(transfer)
-        col_norms = np.sqrt((mags * mags).sum(axis=0))
-        for j in np.nonzero(col_norms < _DEGENERATE_COLUMN_NORM)[0]:
-            degenerate.append((fi, int(j)))
-            col_norms[j] = 1.0  # column is zeroed below; avoid 0/0
-            mags[:, j] = 0.0
-        values[fi] = mags / col_norms
+    mags = np.abs(_transfer(model.coeff_matrices, grid.freqs_hz, grid.sampling_rate_hz))
+    col_norms = np.sqrt((mags * mags).sum(axis=1))
+    degenerate = col_norms < _DEGENERATE_COLUMN_NORM
+    safe_norms = np.where(degenerate, 1.0, col_norms)  # degenerate columns are zeroed, not 0/0
+    values = np.where(degenerate[:, None, :], 0.0, mags / safe_norms[:, None, :])
     np.clip(values, 0.0, 1.0, out=values)
     return PdcSpectrum(
         values=values,
         grid=grid,
         channel_labels=model.channel_labels,
-        degenerate_columns=tuple(degenerate),
+        degenerate_columns=tuple(zip(*np.nonzero(degenerate))),
     )
 
 

@@ -310,7 +310,10 @@ def read_recording_csv(path, sampling_rate_hz: float) -> Recording:
 
 
 def write_recording_csv(recording: Recording, path) -> None:
-    """Write a recording in the CSV layout `read_recording_csv` expects."""
+    """Write a recording as `read_recording_csv` reads it; edge whitespace in a label raises."""
+    for label in recording.channel_labels:
+        if label != label.strip():
+            raise ValueError(f"channel label {label!r} has edge whitespace the reader would strip")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(recording.channel_labels)

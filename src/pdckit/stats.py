@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import norm, rankdata
+from scipy.special import ndtr
 
 from .errors import DegenerateSampleError
 
@@ -149,23 +149,22 @@ def wilcoxon_signed_rank(sample: PairedSample,
         raise DegenerateSampleError(
             "all paired differences are zero; signed-rank test undefined"
         )
-    abs_d = np.abs(diffs)
-    ranks = rankdata(abs_d, method="average")
+    # a tie group of c values ending at sorted position k has mid-rank k - (c - 1) / 2
+    _, inverse, tie_counts = np.unique(np.abs(diffs), return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(tie_counts) - (tie_counts - 1) / 2.0)[inverse]
     w_pos = float(ranks[diffs > 0].sum())
     w_neg = float(ranks[diffs < 0].sum())
     w = min(w_pos, w_neg)
 
-    has_ties = np.unique(abs_d).size < n_eff
-    if n_eff <= exact_threshold and not has_ties:
+    if n_eff <= exact_threshold and tie_counts.size == n_eff:
         cumulative = _signed_rank_cumulative_counts(n_eff)
         p = min(1.0, 2.0 * cumulative[int(round(w))] / 2.0 ** n_eff)
     else:
         mean = n_eff * (n_eff + 1) / 4.0
         variance = n_eff * (n_eff + 1) * (2 * n_eff + 1) / 24.0
-        _, tie_counts = np.unique(abs_d, return_counts=True)
         variance -= float((tie_counts.astype(float) ** 3 - tie_counts).sum()) / 48.0
         z = (w - mean + 0.5) / math.sqrt(variance)
-        p = min(1.0, 2.0 * float(norm.cdf(z)))
+        p = min(1.0, 2.0 * float(ndtr(z)))
     return WilcoxonOutcome(statistic_w=w, n_effective=n_eff, p_raw=p)
 
 

@@ -294,3 +294,16 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("pdckit ")
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs most of the CLI's start-up; only scipy.special is needed
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pdckit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -125,6 +125,58 @@ def test_pdc_degenerate_column_is_zeroed_and_reported():
     assert spec.values[1, 1, 1] > 0.0  # fine away from the degenerate point
 
 
+def _pdc_per_frequency(model, grid):
+    """Reference: |T[i, j]| / ||T[:, j]|| from `evaluate_transfer`, one frequency at a time."""
+    m = model.n_channels
+    values = np.zeros((grid.n_freqs, m, m))
+    degenerate = []
+    for fi, f_hz in enumerate(grid.freqs_hz):
+        mags = np.abs(evaluate_transfer(model, float(f_hz), grid.sampling_rate_hz))
+        for j in range(m):
+            norm = math.sqrt(float((mags[:, j] ** 2).sum()))
+            if norm < 1e-12:
+                degenerate.append((fi, j))
+            else:
+                values[fi, :, j] = mags[:, j] / norm
+    return values, tuple(degenerate)
+
+
+def _assert_matches_per_frequency(model, grid):
+    spec = compute_pdc(model, grid)
+    values, degenerate = _pdc_per_frequency(model, grid)
+    assert_allclose(spec.values, values, rtol=0, atol=1e-12)
+    assert spec.degenerate_columns == degenerate
+
+
+def test_pdc_matches_per_frequency_reference_on_random_models():
+    rng = np.random.default_rng(2001)
+    grid = FrequencyGrid.regular(4.0, 30.0, 0.5, sampling_rate_hz=250.0)
+    for _ in range(60):
+        m, p = int(rng.integers(2, 5)), int(rng.integers(1, 21))
+        coeffs = rng.normal(scale=0.5 / math.sqrt(p), size=(p, m, m))
+        _assert_matches_per_frequency(_model(coeffs, ("a", "b", "c", "d")), grid)
+
+
+def test_pdc_matches_per_frequency_reference_with_a_vanishing_column():
+    # channel 2 has lag-2 coefficient -1 only: T[1, 1] = 1 + exp(-4j*pi*f/fs)
+    # vanishes at f = fs/4 (62.5 Hz), an interior point of the grid
+    coeffs = np.zeros((2, 3, 3))
+    coeffs[0] = [[0.4, 0.0, 0.2], [0.0, 0.0, 0.0], [0.3, 0.0, -0.2]]
+    coeffs[1, 1, 1] = -1.0
+    model = _model(coeffs, ("a", "b", "c"))
+    grid = FrequencyGrid.regular(0.0, 125.0, 12.5, sampling_rate_hz=250.0)
+    _assert_matches_per_frequency(model, grid)
+    assert compute_pdc(model, grid).degenerate_columns == ((5, 1),)
+
+
+def test_pdc_matches_per_frequency_reference_on_one_frequency():
+    grid = FrequencyGrid(freqs_hz=np.array([10.0]), sampling_rate_hz=250.0)
+    rng = np.random.default_rng(7)
+    _assert_matches_per_frequency(_model(rng.normal(scale=0.3, size=(5, 3, 3)),
+                                         ("a", "b", "c")), grid)
+    _assert_matches_per_frequency(LOWER_VAR1, grid)
+
+
 def test_pdc_rejects_grid_channel_mismatch():
     grid = FrequencyGrid.regular(4.0, 30.0, 0.5, sampling_rate_hz=250.0)
     spec = compute_pdc(LOWER_VAR1, grid)

@@ -1,10 +1,14 @@
 """Property-based round trips for every file format the toolkit writes.
 
 Each writer/reader pair must give back an equal object, and writing the
-read-back object again must reproduce the file byte for byte.
+read-back object again must reproduce the file byte for byte. The recording
+writer instead refuses a label that the reader would not give back as written.
 """
 
+import re
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -35,8 +39,8 @@ def finite(lo, hi, **kw):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
 
 
-def labels(min_size=1, max_size=4, text=TEXT):
-    return st.lists(text, min_size=min_size, max_size=max_size, unique=True)
+def labels(min_size=1, max_size=4):
+    return st.lists(TEXT, min_size=min_size, max_size=max_size, unique=True)
 
 
 @st.composite
@@ -149,13 +153,9 @@ def test_spectrum_csv_round_trip_property(tmp_path, spectrum):
     assert second.read_bytes() == first.read_bytes()
 
 
-# the recording reader trims header labels, so stored labels are trimmed text
-TRIMMED = TEXT.filter(lambda s: s == s.strip())
-
-
 @st.composite
 def recordings(draw):
-    names = draw(labels(text=TRIMMED))
+    names = draw(labels())
     n = draw(st.integers(1, 20))
     values = draw(st.lists(finite(-1e12, 1e12), min_size=n * len(names),
                            max_size=n * len(names)))
@@ -170,6 +170,12 @@ def recordings(draw):
 @given(recording=recordings())
 def test_recording_csv_round_trip_property(tmp_path, recording):
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    padded = [lab for lab in recording.channel_labels if lab != lab.strip()]
+    if padded:
+        # the reader strips header labels, so the writer refuses them up front
+        with pytest.raises(ValueError, match=re.escape(repr(padded[0]))):
+            write_recording_csv(recording, first)
+        return
     write_recording_csv(recording, first)
     back = read_recording_csv(first, sampling_rate_hz=recording.sampling_rate_hz)
     assert back.channel_labels == recording.channel_labels

@@ -185,6 +185,18 @@ def test_recording_csv_round_trip(tmp_path):
     assert_array_equal(back.samples, rec.samples)
 
 
+@pytest.mark.parametrize("labels", [(" F3", "F4 "), ("F3", "F3 ")])
+def test_recording_csv_writer_refuses_padded_labels(tmp_path, labels):
+    # the reader strips header labels: the first pair would read back as
+    # ('F3', 'F4'), the second as a duplicate
+    rec = _recording(np.zeros((3, 2)), labels=labels)
+    path = tmp_path / "rec.csv"
+    padded = next(lab for lab in labels if lab != lab.strip())
+    with pytest.raises(ValueError, match=repr(padded)):
+        write_recording_csv(rec, path)
+    assert not path.exists()
+
+
 def test_recording_csv_rejects_malformed_files(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1.0\n")

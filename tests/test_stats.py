@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.stats import rankdata
+from scipy.stats import norm, rankdata
 
 from pdckit import (
     DIRECTION_A_GREATER,
@@ -18,7 +18,7 @@ from pdckit import (
     holm_bonferroni,
     wilcoxon_signed_rank,
 )
-from pdckit.stats import write_test_table_csv
+from pdckit.stats import _signed_rank_cumulative_counts, write_test_table_csv
 
 
 def _sample(a, b):
@@ -101,6 +101,21 @@ def test_exact_path_matches_enumeration_for_small_n():
         )
 
 
+def _reference_outcome(diffs, exact_threshold):
+    """The test spelled out with scipy's mid-ranks and normal cdf."""
+    diffs = diffs[diffs != 0.0]
+    n = diffs.size
+    ranks = rankdata(np.abs(diffs), method="average")
+    w = min(float(ranks[diffs > 0].sum()), float(ranks[diffs < 0].sum()))
+    _, ties = np.unique(np.abs(diffs), return_counts=True)
+    if n <= exact_threshold and ties.size == n:
+        return w, n, min(1.0, 2.0 * _signed_rank_cumulative_counts(n)[int(round(w))] / 2.0**n)
+    variance = n * (n + 1) * (2 * n + 1) / 24.0
+    variance -= float((ties.astype(float) ** 3 - ties).sum()) / 48.0
+    z = (w - n * (n + 1) / 4.0 + 0.5) / math.sqrt(variance)
+    return w, n, min(1.0, 2.0 * float(norm.cdf(z)))
+
+
 def test_ties_in_absolute_differences_use_midranks():
     # |d| = 1, 1, 2, 3: the tied pair shares rank 1.5 in the approx path
     diffs = np.array([1.0, -1.0, 2.0, 3.0, 4.0, -5.0, 6.0, 7.0, -8.0, 9.0])
@@ -109,6 +124,18 @@ def test_ties_in_absolute_differences_use_midranks():
     w_plus = ranks[diffs > 0].sum()
     w = min(w_plus, ranks.sum() - w_plus)
     assert out.statistic_w == w
+    # seeded property: ties, zeros and n on both sides of the threshold
+    rng = np.random.default_rng(1945)
+    for trial in range(2000):
+        n = int(rng.integers(1, 41))
+        if trial % 2:
+            diffs = rng.integers(-4, 5, size=n) * 0.25  # heavy ties and zeros
+        else:
+            diffs = np.where(rng.random(n) < 0.2, 0.0, rng.normal(size=n))
+        if not diffs.any():
+            continue
+        out = wilcoxon_signed_rank(_sample(diffs, np.zeros(n)), exact_threshold=20)
+        assert tuple(out) == _reference_outcome(diffs, 20), f"trial {trial}: {diffs!r}"
 
 
 def test_normal_approximation_formula():
@@ -122,8 +149,6 @@ def test_normal_approximation_formula():
     w = min(w_plus, n * (n + 1) / 2 - w_plus)
     sigma = math.sqrt(n * (n + 1) * (2 * n + 1) / 24.0)
     z = (w - n * (n + 1) / 4.0 + 0.5) / sigma
-    from scipy.stats import norm
-
     assert out.p_raw == pytest.approx(min(1.0, 2.0 * norm.cdf(z)), rel=1e-12)
 
 
