@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,13 @@ DEFAULT_BANDS: dict[str, tuple[float, float]] = {
 _DEGENERATE_COLUMN_NORM = 1e-12
 
 
+def _check_range(low_hz: float, high_hz: float, sampling_rate_hz: float) -> None:
+    """The range rule of a grid: 0 <= low <= high <= Nyquist."""
+    nyquist = sampling_rate_hz / 2.0
+    if not 0 <= low_hz <= high_hz <= nyquist:
+        raise ValueError(f"frequencies must lie in [0, {nyquist}] Hz, got [{low_hz}, {high_hz}]")
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """A strictly increasing set of physical frequencies below Nyquist."""
@@ -58,24 +66,20 @@ class FrequencyGrid:
             raise ValueError(f"sampling_rate_hz must be positive, got {self.sampling_rate_hz}")
         if np.any(np.diff(freqs) <= 0):
             raise ValueError("freqs_hz must be strictly increasing")
-        nyquist = self.sampling_rate_hz / 2.0
-        if freqs[0] < 0 or freqs[-1] > nyquist:
-            raise ValueError(
-                f"frequencies must lie in [0, {nyquist}] Hz, got [{freqs[0]}, {freqs[-1]}]"
-            )
+        _check_range(freqs[0], freqs[-1], self.sampling_rate_hz)
         object.__setattr__(self, "freqs_hz", freqs)
         object.__setattr__(self, "sampling_rate_hz", float(self.sampling_rate_hz))
 
     @classmethod
     def regular(cls, low_hz: float, high_hz: float, step_hz: float,
                 sampling_rate_hz: float) -> "FrequencyGrid":
-        """Evenly spaced grid from low to high inclusive."""
+        """Evenly spaced grid from low_hz to the last step not past high_hz; a step
+        past it by rounding only (< 1e-9 step) ends the grid at high_hz exactly."""
         if step_hz <= 0:
             raise ValueError(f"step_hz must be positive, got {step_hz}")
-        if high_hz < low_hz:
-            raise ValueError(f"high_hz {high_hz} below low_hz {low_hz}")
-        count = int(round((high_hz - low_hz) / step_hz)) + 1
-        freqs = low_hz + step_hz * np.arange(count)
+        _check_range(low_hz, high_hz, sampling_rate_hz)
+        count = math.floor((high_hz - low_hz) / step_hz + 1e-9) + 1
+        freqs = np.minimum(low_hz + step_hz * np.arange(count), high_hz)
         return cls(freqs_hz=freqs, sampling_rate_hz=sampling_rate_hz)
 
     @property
@@ -152,10 +156,7 @@ def evaluate_transfer(model: VarModel, f_hz: float, sampling_rate_hz: float) -> 
     ValueError
         If ``f_hz`` lies outside [0, Nyquist].
     """
-    if not 0.0 <= f_hz <= sampling_rate_hz / 2.0:
-        raise ValueError(
-            f"frequency {f_hz} Hz outside [0, {sampling_rate_hz / 2.0}] Hz"
-        )
+    _check_range(f_hz, f_hz, sampling_rate_hz)
     return _transfer(model.coeff_matrices, [f_hz], sampling_rate_hz)[0]
 
 
@@ -208,6 +209,21 @@ def average_over_segments(spectra) -> PdcSpectrum:
                        degenerate_columns=tuple(degenerate))
 
 
+def _band_masks(bands, freqs_hz: np.ndarray) -> dict:
+    """Grid mask of each band, edges inclusive. The band rule: at least one band,
+    edges ordered and non-negative, and a grid frequency in every band."""
+    if not bands:
+        raise ValueError("bands must be non-empty")
+    masks = {}
+    for name, (low, high) in bands.items():
+        if not 0 <= low <= high:
+            raise ValueError(f"band {name!r} has invalid edges ({low}, {high})")
+        masks[name] = (freqs_hz >= low) & (freqs_hz <= high)
+        if not masks[name].any():
+            raise ValueError(f"band {name!r} ({low}-{high} Hz) contains no grid frequency")
+    return masks
+
+
 def band_average(spectrum: PdcSpectrum, bands=None) -> BandAverages:
     """Average a spectrum within named bands (edges inclusive on both ends).
 
@@ -220,21 +236,17 @@ def band_average(spectrum: PdcSpectrum, bands=None) -> BandAverages:
     Raises
     ------
     ValueError
-        If a band contains no grid frequency, naming the band.
+        If ``bands`` is empty, or a band has unordered or negative edges or
+        contains no grid frequency, naming the band.
     """
     if bands is None:
         bands = DEFAULT_BANDS
-    freqs = spectrum.grid.freqs_hz
-    matrices = {}
-    edges = {}
-    for name, (low, high) in bands.items():
-        mask = (freqs >= low) & (freqs <= high)
-        if not mask.any():
-            raise ValueError(f"band {name!r} ({low}-{high} Hz) contains no grid frequency")
-        matrices[name] = spectrum.values[mask].mean(axis=0)
-        edges[name] = (float(low), float(high))
-    return BandAverages(bands=matrices, band_edges_hz=edges,
-                        channel_labels=spectrum.channel_labels)
+    masks = _band_masks(bands, spectrum.grid.freqs_hz)
+    return BandAverages(
+        bands={name: spectrum.values[mask].mean(axis=0) for name, mask in masks.items()},
+        band_edges_hz={name: (float(lo), float(hi)) for name, (lo, hi) in bands.items()},
+        channel_labels=spectrum.channel_labels,
+    )
 
 
 def write_spectrum_csv(spectrum: PdcSpectrum, path) -> None:
@@ -257,8 +269,7 @@ def read_spectrum_csv(path, sampling_rate_hz: float | None = None) -> PdcSpectru
     frequency present (the minimal rate for which the grid is valid).
     """
     cells: dict[tuple[float, str, str], float] = {}
-    labels: list[str] = []
-    freqs: list[float] = []
+    seen: dict[str, None] = {}  # channel labels in first-seen order
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"freq_hz", "source", "target", "pdc"}
@@ -267,15 +278,13 @@ def read_spectrum_csv(path, sampling_rate_hz: float | None = None) -> PdcSpectru
         for row in reader:
             f_hz = float(row["freq_hz"])
             source, target = row["source"], row["target"]
-            if f_hz not in freqs:
-                freqs.append(f_hz)
-            for lab in (source, target):
-                if lab not in labels:
-                    labels.append(lab)
+            seen.setdefault(source)
+            seen.setdefault(target)
             cells[(f_hz, source, target)] = float(row["pdc"])
     if not cells:
         raise ValueError(f"{path}: no spectrum rows")
-    freqs.sort()
+    freqs = sorted({f_hz for f_hz, _, _ in cells})
+    labels = tuple(seen)
     m = len(labels)
     values = np.empty((len(freqs), m, m))
     try:
@@ -288,7 +297,7 @@ def read_spectrum_csv(path, sampling_rate_hz: float | None = None) -> PdcSpectru
     if sampling_rate_hz is None:
         sampling_rate_hz = 2.0 * max(freqs)
     grid = FrequencyGrid(freqs_hz=np.array(freqs), sampling_rate_hz=sampling_rate_hz)
-    return PdcSpectrum(values=values, grid=grid, channel_labels=tuple(labels))
+    return PdcSpectrum(values=values, grid=grid, channel_labels=labels)
 
 
 def write_band_averages_json(averages: BandAverages, path) -> None:

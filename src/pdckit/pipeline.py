@@ -28,13 +28,14 @@ from .errors import EstimationError, PipelineError
 from .pdc import (
     DEFAULT_BANDS,
     FrequencyGrid,
+    _band_masks,
     average_over_segments,
     band_average,
     compute_pdc,
 )
-from .signals import Recording, extract_segments, screen_stationarity
+from .signals import _window_length, extract_segments, screen_stationarity
 from .stats import DEFAULT_ALPHA, compare_conditions, format_pair, write_test_table_csv
-from .var import check_stability, fit_var, max_order_bound, select_order
+from .var import _check_rows, _check_scan_bound, check_stability, fit_var, select_order
 
 __all__ = [
     "ORDER_MODE_FIXED",
@@ -103,23 +104,8 @@ class PipelineConfig:
                 raise ValueError("channel_pairs contains duplicates")
             object.__setattr__(self, "channel_pairs", pairs)
         bands = {str(name): (float(lo), float(hi)) for name, (lo, hi) in self.bands.items()}
-        if not bands:
-            raise ValueError("bands must be non-empty")
-        for name, (lo, hi) in bands.items():
-            if not 0 <= lo <= hi:
-                raise ValueError(f"band {name!r} has invalid edges ({lo}, {hi})")
+        _band_masks(bands, self.frequency_grid().freqs_hz)
         object.__setattr__(self, "bands", bands)
-        if not 0 <= self.freq_low_hz <= self.freq_high_hz:
-            raise ValueError(
-                f"invalid frequency range [{self.freq_low_hz}, {self.freq_high_hz}]"
-            )
-        if self.freq_high_hz > self.sampling_rate_hz / 2.0:
-            raise ValueError(
-                f"freq_high_hz {self.freq_high_hz} exceeds Nyquist "
-                f"{self.sampling_rate_hz / 2.0}"
-            )
-        if self.freq_step_hz <= 0:
-            raise ValueError(f"freq_step_hz must be positive, got {self.freq_step_hz}")
         if self.order_mode not in (ORDER_MODE_FIXED, ORDER_MODE_AUTO_AIC):
             raise ValueError(f"unknown order_mode {self.order_mode!r}")
         if self.fixed_order < 1:
@@ -205,15 +191,13 @@ def _fit_order(config: PipelineConfig, segment) -> int:
     return select_order(segment, config.p_scan_max).chosen_p
 
 
-def _process_subject(config: PipelineConfig, recording: Recording, starts_ms,
-                     pairs, groups, grid: FrequencyGrid):
-    """One subject, one condition: returns (counts dict, band values or None).
+def _process_subject(config: PipelineConfig, segments, pairs, groups, grid: FrequencyGrid):
+    """One subject's epochs in one condition: returns (counts dict, band values or None).
 
     Band values map (pair, band) -> float; None when no segment survived, in
     which case the subject cannot contribute a paired observation.
     """
     counts = dict.fromkeys(_COUNTS, 0)
-    segments = extract_segments(recording, config.epoch_length_ms, starts_ms)
     counts["segments_in"] = len(segments)
 
     survivors = []
@@ -296,32 +280,32 @@ def _fit_groups(config: PipelineConfig, pairs) -> tuple:
     return tuple(groups)
 
 
-def _check_feasible(config: PipelineConfig, n_channels: int) -> None:
-    """Reject an order setting no epoch can be fitted with, before any work."""
-    n = round(config.epoch_length_ms * config.sampling_rate_hz / 1000.0)
+def _check_feasible(config: PipelineConfig, n: int, n_channels: int) -> None:
+    """Reject a protocol no N-sample epoch can be screened and fitted with."""
     m = n_channels if config.model_scope == SCOPE_JOINT else 2
+    _window_length(n, config.stationarity_n_windows)
     if config.order_mode == ORDER_MODE_FIXED:
-        p = config.fixed_order
-        if n - p < m * p + 1:
-            raise ValueError(
-                f"fixed_order={p} breaks N - p >= M*p + 1 for N={n}-sample epochs "
-                f"and M={m}-channel models"
-            )
-    elif config.p_scan_max > (bound := max_order_bound(n, m)):
+        _check_rows(n, m, config.fixed_order)
+    else:
+        # every scanned order is fitted on the rows after the first p_scan_max
+        _check_scan_bound(n, m, config.p_scan_max)
+        _check_rows(n, m, config.p_scan_max)
+
+
+def _cut(config: PipelineConfig, labels: tuple, recording, starts) -> list:
+    """One subject's epochs, after checking the recording matches the cohort."""
+    if recording.channel_labels != labels:
+        raise ValueError("all recordings must share one channel set")
+    if recording.sampling_rate_hz != config.sampling_rate_hz:
         raise ValueError(
-            f"p_scan_max={config.p_scan_max} exceeds the order bound {bound} "
-            f"(p < 3*sqrt(N)/M) for N={n}-sample epochs and M={m}-channel models"
+            f"recording sampled at {recording.sampling_rate_hz} Hz but config "
+            f"says {config.sampling_rate_hz} Hz"
         )
+    return extract_segments(recording, config.epoch_length_ms, starts)
 
 
-def _process_condition(config, subjects, pairs, groups, grid, label):
-    def work(index, recording, starts):
-        try:
-            return _process_subject(config, recording, starts, pairs, groups, grid)
-        except (ValueError, EstimationError) as exc:
-            raise PipelineError(f"condition {label}, subject {index}: {exc}") from exc
-
-    outcomes = [work(index, *subject) for index, subject in enumerate(subjects)]
+def _process_condition(config, subjects, pairs, groups, grid):
+    outcomes = [_process_subject(config, segments, pairs, groups, grid) for segments in subjects]
     totals = {key: sum(counts[key] for counts, _ in outcomes) for key in _COUNTS}
     return totals, [values for _, values in outcomes]
 
@@ -346,8 +330,11 @@ def run_pipeline(config: PipelineConfig, condition_a_inputs, condition_b_inputs,
         If no subject retains a usable segment in both conditions; the
         message carries the per-stage attrition counts.
     ValueError
-        On mismatched subject counts, channel sets, or sampling rates, or an
-        order setting the epoch length cannot support.
+        Before any fitting: on mismatched subject counts, channel sets or
+        sampling rates, an epoch onset that is not finite or whose epoch
+        does not fit its recording (naming the condition and subject), no
+        onset at all, or epochs too short for the stationarity windows or
+        the order setting.
     """
     if threads != 1:
         warnings.warn("run_pipeline(threads=...) is deprecated and ignored; "
@@ -362,22 +349,24 @@ def run_pipeline(config: PipelineConfig, condition_a_inputs, condition_b_inputs,
     if not a_inputs:
         raise ValueError("no subjects given")
     labels = a_inputs[0][0].channel_labels
-    for recording, _ in a_inputs + b_inputs:
-        if recording.channel_labels != labels:
-            raise ValueError("all recordings must share one channel set")
-        if recording.sampling_rate_hz != config.sampling_rate_hz:
-            raise ValueError(
-                f"recording sampled at {recording.sampling_rate_hz} Hz but config "
-                f"says {config.sampling_rate_hz} Hz"
-            )
+    epochs = {"a": [], "b": []}
+    for cond, inputs in (("a", a_inputs), ("b", b_inputs)):
+        for index, (recording, starts) in enumerate(inputs):
+            try:
+                epochs[cond].append(_cut(config, labels, recording, starts))
+            except ValueError as exc:
+                raise ValueError(f"condition {cond}, subject {index}: {exc}") from None
 
     pairs = _resolve_pairs(config, labels)
     groups = _fit_groups(config, pairs)
     grid = config.frequency_grid()
-    _check_feasible(config, len(labels))
+    first = next((subject[0] for subject in epochs["a"] + epochs["b"] if subject), None)
+    if first is None:
+        raise ValueError("no subject has an epoch onset")
+    _check_feasible(config, first.n_samples, len(labels))  # every epoch has its length
 
-    totals_a, values_a = _process_condition(config, a_inputs, pairs, groups, grid, "a")
-    totals_b, values_b = _process_condition(config, b_inputs, pairs, groups, grid, "b")
+    totals_a, values_a = _process_condition(config, epochs["a"], pairs, groups, grid)
+    totals_b, values_b = _process_condition(config, epochs["b"], pairs, groups, grid)
 
     subjects_used = tuple(i for i in range(len(a_inputs))
                           if values_a[i] is not None and values_b[i] is not None)
@@ -423,14 +412,8 @@ def _condition_dict(summary: ConditionSummary, pairs, band_names) -> dict:
         }
     return {
         "n_subjects": summary.n_subjects,
-        "attrition": {
-            "segments_in": summary.segments_in,
-            "screened_out": summary.screened_out,
-            "failed_fit": summary.failed_fit,
-            "used": summary.used,
-        },
-        "unstable_models": summary.unstable_models,
-        "degenerate_columns": summary.degenerate_columns,
+        "attrition": {key: getattr(summary, key) for key in _COUNTS[:4]},
+        **{key: getattr(summary, key) for key in _COUNTS[4:]},
         "band_values": values,
     }
 

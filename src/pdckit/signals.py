@@ -26,17 +26,14 @@ __all__ = [
 ]
 
 
-def _as_sample_matrix(samples) -> np.ndarray:
-    arr = np.asarray(samples, dtype=float)
+def _set_samples(obj) -> None:
+    """Validate and normalize the samples, rate and labels of a recording or segment."""
+    arr = np.asarray(obj.samples, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"samples must be a 2-D matrix, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("samples contain non-finite values")
-    return arr
-
-
-def _check_channels(arr: np.ndarray, channel_labels) -> tuple[str, ...]:
-    labels = tuple(str(c) for c in channel_labels)
+    labels = tuple(str(c) for c in obj.channel_labels)
     if arr.shape[1] != len(labels):
         raise ValueError(
             f"sample matrix has {arr.shape[1]} columns but "
@@ -44,7 +41,11 @@ def _check_channels(arr: np.ndarray, channel_labels) -> tuple[str, ...]:
         )
     if len(set(labels)) != len(labels):
         raise ValueError("channel labels must be unique")
-    return labels
+    if not obj.sampling_rate_hz > 0:
+        raise ValueError(f"sampling_rate_hz must be positive, got {obj.sampling_rate_hz}")
+    object.__setattr__(obj, "samples", arr)
+    object.__setattr__(obj, "sampling_rate_hz", float(obj.sampling_rate_hz))
+    object.__setattr__(obj, "channel_labels", labels)
 
 
 @dataclass(frozen=True)
@@ -66,13 +67,7 @@ class Recording:
     channel_labels: tuple[str, ...]
 
     def __post_init__(self):
-        arr = _as_sample_matrix(self.samples)
-        labels = _check_channels(arr, self.channel_labels)
-        if not self.sampling_rate_hz > 0:
-            raise ValueError(f"sampling_rate_hz must be positive, got {self.sampling_rate_hz}")
-        object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "sampling_rate_hz", float(self.sampling_rate_hz))
-        object.__setattr__(self, "channel_labels", labels)
+        _set_samples(self)
 
     @property
     def n_samples(self) -> int:
@@ -97,15 +92,9 @@ class MultichannelSegment:
     source_offset: int = 0
 
     def __post_init__(self):
-        arr = _as_sample_matrix(self.samples)
-        labels = _check_channels(arr, self.channel_labels)
-        if arr.shape[0] < 2:
-            raise ValueError(f"segment needs at least 2 rows, got {arr.shape[0]}")
-        if not self.sampling_rate_hz > 0:
-            raise ValueError(f"sampling_rate_hz must be positive, got {self.sampling_rate_hz}")
-        object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "sampling_rate_hz", float(self.sampling_rate_hz))
-        object.__setattr__(self, "channel_labels", labels)
+        _set_samples(self)
+        if self.n_samples < 2:
+            raise ValueError(f"segment needs at least 2 rows, got {self.n_samples}")
         object.__setattr__(self, "source_offset", int(self.source_offset))
 
     @property
@@ -178,8 +167,8 @@ def extract_segments(recording: Recording, epoch_length_ms: float, epoch_starts_
     Raises
     ------
     ValueError
-        If the length is non-positive or too short, or an epoch does not lie
-        fully inside the recording.
+        If the length is non-positive or too short, or an onset is not
+        finite or its epoch does not lie fully inside the recording.
     """
     if not epoch_length_ms > 0:
         raise ValueError(f"epoch_length_ms must be positive, got {epoch_length_ms}")
@@ -191,6 +180,8 @@ def extract_segments(recording: Recording, epoch_length_ms: float, epoch_starts_
         )
     segments = []
     for start_ms in epoch_starts_ms:
+        if not math.isfinite(start_ms):
+            raise ValueError(f"epoch start {start_ms} ms is not a finite number")
         start = round(float(start_ms) * fs / 1000.0)
         if start < 0 or start + n_rows > recording.n_samples:
             raise ValueError(
@@ -206,6 +197,16 @@ def extract_segments(recording: Recording, epoch_length_ms: float, epoch_starts_
             )
         )
     return segments
+
+
+def _window_length(n_samples: int, n_windows: int) -> int:
+    """Samples per screening window; the screen needs >= 2 windows of >= 2 samples."""
+    if n_windows < 2:
+        raise ValueError(f"n_windows must be at least 2, got {n_windows}")
+    if n_samples // n_windows < 2:
+        raise ValueError(f"segment of {n_samples} samples is too short for {n_windows} "
+                         "windows of >= 2 samples")
+    return n_samples // n_windows
 
 
 def screen_stationarity(
@@ -238,14 +239,7 @@ def screen_stationarity(
     -------
     StationarityReport
     """
-    if n_windows < 2:
-        raise ValueError(f"n_windows must be at least 2, got {n_windows}")
-    n = segment.n_samples
-    win_len = n // n_windows
-    if win_len < 2:
-        raise ValueError(
-            f"segment of {n} samples is too short for {n_windows} windows of >= 2 samples"
-        )
+    win_len = _window_length(segment.n_samples, n_windows)
     # drop the remainder from the tail so every window has equal length
     used = segment.samples[: win_len * n_windows]
     windows = used.reshape(n_windows, win_len, segment.n_channels)
@@ -330,7 +324,10 @@ def read_markers_csv(path) -> list[float]:
             if not text:
                 continue
             try:
-                starts.append(float(text))
+                start = float(text)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: expected one epoch start (ms), got {text!r}") from None
+                start = math.nan
+            if not math.isfinite(start):
+                raise ValueError(f"{path}:{lineno}: expected one finite epoch start (ms), got {text!r}")
+            starts.append(start)
     return starts

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import Recording
-from .var import spectral_radius
+from .var import _json_int, spectral_radius
 
 __all__ = [
     "DEFAULT_BURN_IN",
@@ -167,10 +167,10 @@ def read_generator_spec_json(path) -> GeneratorSpec:
         return GeneratorSpec(
             coeff_matrices=np.asarray(payload["coeff_matrices"], dtype=float),
             innovation_covariance=np.asarray(payload["innovation_covariance"], dtype=float),
-            n_samples=int(payload["n_samples"]),
-            seed=int(payload["seed"]),
+            n_samples=_json_int(payload["n_samples"], f"{path}: n_samples"),
+            seed=_json_int(payload["seed"], f"{path}: seed"),
             sampling_rate_hz=float(payload["sampling_rate_hz"]),
-            burn_in=int(payload.get("burn_in", DEFAULT_BURN_IN)),
+            burn_in=_json_int(payload.get("burn_in", DEFAULT_BURN_IN), f"{path}: burn_in"),
             channel_labels=payload.get("channel_labels"),
         )
     except KeyError as exc:

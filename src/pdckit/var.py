@@ -68,6 +68,8 @@ class VarModel:
         cov = np.asarray(self.residual_covariance, dtype=float)
         if self.order_p < 1:
             raise ValueError(f"order_p must be positive, got {self.order_p}")
+        if self.n_samples_used < 1:
+            raise ValueError(f"n_samples_used must be positive, got {self.n_samples_used}")
         m = len(self.channel_labels)
         if coeffs.shape != (self.order_p, m, m):
             raise ValueError(
@@ -113,6 +115,22 @@ def build_design(samples: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return design, target
 
 
+def _check_rows(n: int, m: int, p: int) -> None:
+    """The row rule of a least-squares VAR(p) fit to N samples of M channels."""
+    if p < 1:
+        raise ValueError(f"order p must be positive, got {p}")
+    if n - p < m * p + 1:
+        raise ValueError(f"order {p} breaks N - p >= M*p + 1 for N={n} samples and M={m} channels")
+
+
+def _check_scan_bound(n: int, m: int, p_scan_max: int) -> None:
+    """The AIC scan's cap: p_scan_max <= max_order_bound(N, M)."""
+    bound = max_order_bound(n, m)
+    if p_scan_max > bound:
+        raise ValueError(f"p_scan_max={p_scan_max} exceeds the order bound {bound} "
+                         f"(p < 3*sqrt(N)/M) for N={n} samples and M={m} channels")
+
+
 def fit_var(segment: MultichannelSegment, p: int) -> tuple[VarModel, np.ndarray]:
     """Fit a VAR(p) model to a segment by least squares.
 
@@ -136,15 +154,10 @@ def fit_var(segment: MultichannelSegment, p: int) -> tuple[VarModel, np.ndarray]
         If the regressor matrix is numerically rank deficient (collinear
         channels or constant data).
     """
-    if p < 1:
-        raise ValueError(f"order p must be positive, got {p}")
     x = segment.samples
     n, m = x.shape
+    _check_rows(n, m, p)
     rows = n - p
-    if rows < m * p + 1:
-        raise ValueError(
-            f"fitting VAR({p}) on {m} channels needs at least {p + m * p + 1} samples, got {n}"
-        )
     design, target = build_design(x, p)
     coeffs_flat, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank < m * p:
@@ -270,12 +283,8 @@ def select_order(
         raise ValueError(f"p_scan_max must be positive, got {p_scan_max}")
     n = segment.n_samples
     m = segment.n_channels
-    bound = max_order_bound(n, m)
-    if p_scan_max > bound and not allow_exceed_bound:
-        raise ValueError(
-            f"p_scan_max={p_scan_max} exceeds the order bound {bound} for "
-            f"N={n}, M={m}; pass allow_exceed_bound=True to override"
-        )
+    if not allow_exceed_bound:
+        _check_scan_bound(n, m, p_scan_max)
     scanned = []
     for p in range(1, p_scan_max + 1):
         # drop the leading rows a lower order would otherwise use as extra
@@ -327,16 +336,23 @@ def write_model_json(model: VarModel, path) -> None:
         fh.write("\n")
 
 
+def _json_int(value, where: str) -> int:
+    # type() rather than isinstance() because JSON true/false decode as bool
+    if type(value) is not int:
+        raise ValueError(f"{where} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def read_model_json(path) -> VarModel:
     """Load a model written by `write_model_json`."""
     with open(path) as fh:
         payload = json.load(fh)
     try:
         return VarModel(
-            order_p=int(payload["order"]),
+            order_p=_json_int(payload["order"], f"{path}: order"),
             coeff_matrices=np.asarray(payload["coeff_matrices"], dtype=float),
             residual_covariance=np.asarray(payload["residual_covariance"], dtype=float),
-            n_samples_used=int(payload["n_samples_used"]),
+            n_samples_used=_json_int(payload["n_samples_used"], f"{path}: n_samples_used"),
             channel_labels=tuple(payload["channel_labels"]),
         )
     except KeyError as exc:

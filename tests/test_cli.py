@@ -66,6 +66,16 @@ def test_simulate_seed_override_changes_output(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_simulate_rejects_seed_outside_64_bits(tmp_path, capsys, seed):
+    code = main(["simulate", "--spec", str(_gen_spec_file(tmp_path)),
+                 "--out", str(tmp_path / "r.csv"), "--seed", seed])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("pdckit: argument-error:") and err.count("\n") == 1
+    assert seed in err
+
+
 def test_fit_fixed_and_auto_order(tmp_path, capsys):
     rec = _simulate(tmp_path, n=1500)
     model_path = tmp_path / "model.json"

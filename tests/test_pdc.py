@@ -51,6 +51,20 @@ def test_regular_grid_counts_and_endpoints():
     assert theta.size == 8
 
 
+def test_regular_grid_never_passes_high_hz():
+    # 26.3 / 0.5 rounds up to 53 steps; the last one would end at 30.5 Hz
+    grid = FrequencyGrid.regular(4.0, 30.3, 0.5, sampling_rate_hz=250.0)
+    assert grid.n_freqs == 53
+    assert grid.freqs_hz[-1] == 30.0
+    # 28.9 / 0.1 is 288.99999999999994 in floating point: the grid still
+    # reaches 30 Hz, and ends on it exactly rather than 4e-15 Hz above it
+    fine = FrequencyGrid.regular(1.1, 30.0, 0.1, sampling_rate_hz=250.0)
+    assert fine.n_freqs == 290
+    assert fine.freqs_hz[-1] == 30.0
+    default = FrequencyGrid.regular(4.0, 30.0, 0.5, sampling_rate_hz=250.0)
+    assert np.array_equal(default.freqs_hz, 4.0 + 0.5 * np.arange(53))
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         FrequencyGrid(freqs_hz=np.array([4.0, 4.0]), sampling_rate_hz=250.0)

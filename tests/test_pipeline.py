@@ -5,6 +5,8 @@ import re
 import numpy as np
 import pytest
 
+import pdckit.pipeline
+import pdckit.var
 from pdckit import (
     GeneratorSpec,
     PipelineError,
@@ -15,8 +17,10 @@ from pdckit import (
     run_pipeline,
     report_to_dict,
     write_config_json,
+    write_recording_csv,
     write_report,
 )
+from pdckit.cli import main
 from pdckit.pipeline import (
     ORDER_MODE_AUTO_AIC,
     SCOPE_JOINT,
@@ -86,6 +90,11 @@ def test_config_validation():
         PipelineConfig(sampling_rate_hz=FS, bands={"x": (9.0, 7.0)})
     with pytest.raises(ValueError):
         PipelineConfig(sampling_rate_hz=FS, freq_high_hz=126.0)  # above Nyquist
+    with pytest.raises(ValueError, match="30.2"):
+        # above Nyquist even though the grid's last step, 30 Hz, is not
+        PipelineConfig(sampling_rate_hz=60.0, freq_high_hz=30.2)
+    with pytest.raises(ValueError, match="'gamma'"):
+        PipelineConfig(sampling_rate_hz=FS, bands={"gamma": (35.0, 45.0)})  # grid ends at 30
     with pytest.raises(ValueError):
         PipelineConfig(sampling_rate_hz=FS, order_mode="guess")
     with pytest.raises(ValueError):
@@ -199,11 +208,12 @@ def test_config_json_is_validated_by_the_schema(tmp_path, extra, where):
 
 def test_config_json_missing_nested_keys_take_defaults(tmp_path):
     path = tmp_path / "config.json"
+    # a grid that starts below every band, so each band keeps grid frequencies
     path.write_text(json.dumps({"sampling_rate_hz": 250.0,
-                                "freq_grid": {"low_hz": 8.0},
+                                "freq_grid": {"low_hz": 2.0},
                                 "stationarity": {"n_windows": 4}}))
     cfg = read_config_json(path)
-    assert cfg == dataclasses.replace(default_config(250.0), freq_low_hz=8.0,
+    assert cfg == dataclasses.replace(default_config(250.0), freq_low_hz=2.0,
                                       stationarity_n_windows=4)
 
 
@@ -276,6 +286,69 @@ def test_pipeline_rejects_infeasible_protocol_before_fitting(changes, bound):
     cond_a, cond_b = _montage_cohorts()
     with pytest.raises(ValueError, match=re.escape(bound)):
         run_pipeline(cfg, cond_a, cond_b)
+
+
+# Protocols that cannot run, each known before any fitting: config changes
+# (PipelineConfig fields and top-level JSON keys alike), epoch onsets (ms, as
+# the markers file spells them), the condition-a subject whose recording is
+# one epoch short, and what the error must name.
+ONSETS = [f"{900 * k}" for k in range(EPOCHS)]
+UNWORKABLE = {
+    "empty-band": ({"bands": {"theta": [4.0, 7.5], "gamma": [35.0, 45.0]}}, ONSETS, None,
+                   "band 'gamma'"),
+    "onset-past-end": ({}, ONSETS, 1, "subject 1"),
+    "nan-onset": ({}, ["0", "nan"], None, "nan"),
+    "inf-onset": ({}, ["0", "inf"], None, "inf"),
+    "no-onsets": ({}, [], None, "no subject has an epoch onset"),
+    "20ms-epoch": ({"epoch_length_ms": 20.0, "fixed_order": 1}, ONSETS, None, "5 samples"),
+    "scan-bound": ({"order_mode": "auto_aic", "p_scan_max": 20, "model_scope": "joint"},
+                   ONSETS, None, "order bound 11"),
+    "fixed-order-rows": ({"fixed_order": 60, "model_scope": "joint"}, ONSETS, None,
+                         "N - p >= M*p + 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNWORKABLE))
+def test_unworkable_protocol_is_rejected_before_fitting(tmp_path, capsys, monkeypatch, case):
+    changes, onsets, short, named = UNWORKABLE[case]
+    fits = []
+
+    def counted(fit):
+        def wrapper(*args, **kwargs):
+            fits.append(args)
+            return fit(*args, **kwargs)
+        return wrapper
+
+    # the pipeline's own fits and the order scan's
+    for module in (pdckit.pipeline, pdckit.var):
+        monkeypatch.setattr(module, "fit_var", counted(module.fit_var))
+
+    cohorts = _montage_cohorts()
+    if short is not None:
+        rec, _ = cohorts[0][short]
+        cohorts[0][short] = (Recording(samples=rec.samples[:-225], sampling_rate_hz=FS,
+                                       channel_labels=rec.channel_labels), None)
+    starts = [float(text) for text in onsets]
+    with pytest.raises(ValueError, match=re.escape(named)):
+        config = PipelineConfig(sampling_rate_hz=FS, **changes)
+        run_pipeline(config, *[[(rec, starts) for rec, _ in c] for c in cohorts])
+
+    config_path, markers = tmp_path / "config.json", tmp_path / "markers.csv"
+    config_path.write_text(json.dumps({"sampling_rate_hz": FS, **changes}))
+    markers.write_text("".join(f"{text}\n" for text in onsets))
+    paths = {}
+    for cond, cohort in zip("ab", cohorts):
+        paths[cond] = [str(tmp_path / f"{cond}{s}.csv") for s in range(len(cohort))]
+        for (rec, _), path in zip(cohort, paths[cond]):
+            write_recording_csv(rec, path)
+    code = main(["pipeline", "--config", str(config_path), "--markers", str(markers),
+                 "--condition-a", *paths["a"], "--condition-b", *paths["b"],
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("pdckit: argument-error:") and err.count("\n") == 1
+    assert named in err
+    assert fits == []
 
 
 def test_pipeline_explicit_pair_subset():

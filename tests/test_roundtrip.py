@@ -48,11 +48,14 @@ def configs(draw):
     fs = draw(finite(1.0, 5000.0))
     low = draw(finite(0.0, fs / 2))
     high = draw(finite(low, fs / 2))
-    names = draw(labels(max_size=5))
+    step = draw(finite(1e-3, 50.0))
+    # a config's every band must hold a grid frequency: draw one, then edges around it
+    grid = FrequencyGrid.regular(low, high, step, fs).freqs_hz
     bands = {}
-    for name in names:
-        lo = draw(finite(0.0, 100.0))
-        bands[name] = (lo, draw(finite(lo, 200.0)))
+    for name in draw(labels(max_size=5)):
+        f = float(grid[draw(st.integers(0, grid.size - 1))])
+        lo = draw(finite(0.0, f))
+        bands[name] = (lo, draw(finite(f, f + 100.0)))
     pairs = None
     if draw(st.booleans()):
         chans = draw(labels(min_size=2, max_size=4))
@@ -65,7 +68,7 @@ def configs(draw):
         bands=bands,
         freq_low_hz=low,
         freq_high_hz=high,
-        freq_step_hz=draw(finite(1e-3, 50.0)),
+        freq_step_hz=step,
         order_mode=draw(st.sampled_from(["fixed", "auto_aic"])),
         fixed_order=draw(st.integers(1, 200)),
         p_scan_max=draw(st.integers(1, 200)),

@@ -217,3 +217,18 @@ def test_markers_csv_reads_one_start_per_line(tmp_path):
     path.write_text("0\nabc\n")
     with pytest.raises(ValueError):
         read_markers_csv(path)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN"])
+def test_markers_csv_rejects_non_finite_starts(tmp_path, text):
+    path = tmp_path / "markers.csv"
+    path.write_text(f"0\n900\n{text}\n")
+    with pytest.raises(ValueError, match=f"markers.csv:3: .*{text!r}"):
+        read_markers_csv(path)
+
+
+@pytest.mark.parametrize("start", [float("nan"), float("inf"), -float("inf")])
+def test_extract_rejects_non_finite_starts(start):
+    rec = _recording(np.zeros((1000, 2)))
+    with pytest.raises(ValueError, match="not a finite number"):
+        extract_segments(rec, 900.0, [0.0, start])

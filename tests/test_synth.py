@@ -176,3 +176,19 @@ def test_generator_spec_json_defaults_optional_fields(tmp_path):
     spec = read_generator_spec_json(path)
     assert spec.burn_in == 500
     assert spec.channel_labels == ("ch1",)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 7.9),
+    ("seed", True),
+    ("n_samples", 100.5),
+    ("burn_in", "10"),
+])
+def test_generator_spec_json_requires_integers(tmp_path, field, value):
+    import json
+
+    path = tmp_path / "gen.json"
+    write_generator_spec_json(_spec(WHITE, n=100, seed=7), path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        read_generator_spec_json(path)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -319,3 +320,26 @@ def test_model_json_round_trip(tmp_path):
     assert back.n_samples_used == model.n_samples_used
     assert_allclose(back.coeff_matrices, model.coeff_matrices, rtol=0, atol=0)
     assert_allclose(back.residual_covariance, model.residual_covariance, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_samples_used", 99.9),
+    ("n_samples_used", "99"),
+    ("order", True),
+    ("order", 3.0),
+])
+def test_model_json_requires_integers(tmp_path, field, value):
+    path = tmp_path / "model.json"
+    write_model_json(random_stable_var(np.random.default_rng(2), m=2, p=3), path)
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps({**payload, field: value}))
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        read_model_json(path)
+
+
+def test_model_rejects_non_positive_sample_count(tmp_path):
+    path = tmp_path / "model.json"
+    write_model_json(random_stable_var(np.random.default_rng(2), m=2, p=3), path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), "n_samples_used": -5}))
+    with pytest.raises(ValueError, match="n_samples_used must be positive"):
+        read_model_json(path)
