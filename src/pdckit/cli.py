@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 
 from ._version import __version__
@@ -30,7 +31,7 @@ from .pdc import (
 )
 from .pipeline import read_config_json, run_pipeline, write_report
 from .signals import MultichannelSegment, read_markers_csv, read_recording_csv, write_recording_csv
-from .stats import compare_conditions, format_pair, write_test_table_csv
+from .stats import _key_label, compare_conditions, write_test_table_csv
 from .synth import generate, read_generator_spec_json
 from .var import fit_var, read_model_json, select_order, write_model_json
 
@@ -198,16 +199,23 @@ def _read_band_values_csv(path) -> dict:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(f"{path}: expected columns {sorted(required)}")
         for row in reader:
+            where = f"{path}:{reader.line_num}"
             pair_text = row["pair"]
             if "->" not in pair_text:
-                raise ValueError(f"{path}: pair must look like 'src->tgt', got {pair_text!r}")
+                raise ValueError(f"{where}: pair must look like 'src->tgt', got {pair_text!r}")
             source, target = pair_text.split("->", 1)
             key = ((source, target), row["band"])
             per_subject = table.setdefault(key, {})
             subject = row["subject"]
             if subject in per_subject:
-                raise ValueError(f"{path}: duplicate subject {subject!r} for {pair_text}/{row['band']}")
-            per_subject[subject] = float(row["value"])
+                raise ValueError(f"{where}: duplicate subject {subject!r} for {_key_label(key)}")
+            try:
+                value = float(row["value"])
+            except (TypeError, ValueError):  # TypeError: a short row has no value cell
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{where}: value must be a finite number, got {row['value']!r}")
+            per_subject[subject] = value
     if not table:
         raise ValueError(f"{path}: no data rows")
     return table
@@ -224,7 +232,7 @@ def _cmd_compare(args) -> int:
         subjects_a = table_a[key]
         subjects_b = table_b[key]
         if set(subjects_a) != set(subjects_b):
-            raise ValueError(f"subject sets differ for {format_pair(key[0])}/{key[1]}")
+            raise ValueError(f"subject sets differ for {_key_label(key)}")
         ordered = sorted(subjects_a)
         values_a[key] = [subjects_a[s] for s in ordered]
         values_b[key] = [subjects_b[s] for s in ordered]

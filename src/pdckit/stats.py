@@ -105,13 +105,26 @@ class PairedTestResult:
             raise ValueError("untestable result must have n_effective = 0")
 
 
+# The exact null counts are int64; the total count 2**n overflows above here.
+_MAX_EXACT_THRESHOLD = 62
+
+
+def _check_exact_threshold(exact_threshold) -> None:
+    if exact_threshold > _MAX_EXACT_THRESHOLD:
+        raise ValueError(
+            f"exact_threshold must be at most {_MAX_EXACT_THRESHOLD} (the exact null "
+            f"counts overflow int64 above n = {_MAX_EXACT_THRESHOLD}), got {exact_threshold}"
+        )
+
+
 @lru_cache(maxsize=64)
 def _signed_rank_cumulative_counts(n: int) -> np.ndarray:
     """Cumulative counts of sign assignments by positive-rank sum.
 
     Entry w is the number of the 2**n assignments whose positive-rank sum is
     <= w, for distinct ranks 1..n. Built by the usual convolution recurrence;
-    fits int64 comfortably for n <= 25. Treat as read-only (cached).
+    the last entry is 2**n, so int64 holds every entry for
+    n <= _MAX_EXACT_THRESHOLD. Treat as read-only (cached).
     """
     total = n * (n + 1) // 2
     counts = np.zeros(total + 1, dtype=np.int64)
@@ -141,7 +154,10 @@ def wilcoxon_signed_rank(sample: PairedSample,
     ------
     DegenerateSampleError
         If every difference is zero (no information in the sample).
+    ValueError
+        If `exact_threshold` exceeds 62, where the exact counts overflow.
     """
+    _check_exact_threshold(exact_threshold)
     diffs = sample.condition_a - sample.condition_b
     diffs = diffs[diffs != 0.0]
     n_eff = diffs.size
@@ -149,20 +165,36 @@ def wilcoxon_signed_rank(sample: PairedSample,
         raise DegenerateSampleError(
             "all paired differences are zero; signed-rank test undefined"
         )
-    # a tie group of c values ending at sorted position k has mid-rank k - (c - 1) / 2
-    _, inverse, tie_counts = np.unique(np.abs(diffs), return_inverse=True, return_counts=True)
-    ranks = (np.cumsum(tie_counts) - (tie_counts - 1) / 2.0)[inverse]
-    w_pos = float(ranks[diffs > 0].sum())
-    w_neg = float(ranks[diffs < 0].sum())
-    w = min(w_pos, w_neg)
+    magnitudes = np.abs(diffs)
+    order = magnitudes.argsort()
+    magnitudes = magnitudes[order]
+    positive = diffs[order] > 0.0
+    # edges[i]: sorted position i starts a tie group (edges[n] closes the last one)
+    edges = np.ones(n_eff + 1, dtype=bool)
+    np.not_equal(magnitudes[1:], magnitudes[:-1], out=edges[1:-1])
+    tied = not edges.all()
+    if tied:
+        # a group of c tied magnitudes from 0-based position s has mid-rank s + (c + 1) / 2
+        bounds = np.flatnonzero(edges)
+        starts = bounds[:-1]
+        tie_counts = bounds[1:] - starts
+        ranks = np.repeat(starts + (tie_counts + 1) / 2.0, tie_counts)
+        w_pos = float(ranks[positive].sum())
+    else:
+        # ranks are 1..n: the positive ranks are their 0-based positions plus one
+        positions = np.flatnonzero(positive)
+        w_pos = float(positions.sum() + positions.size)
+    # rank sums are half-integers, exact in float64, so W- = n(n+1)/2 - W+ exactly
+    w = min(w_pos, n_eff * (n_eff + 1) / 2.0 - w_pos)
 
-    if n_eff <= exact_threshold and tie_counts.size == n_eff:
+    if n_eff <= exact_threshold and not tied:
         cumulative = _signed_rank_cumulative_counts(n_eff)
-        p = min(1.0, 2.0 * cumulative[int(round(w))] / 2.0 ** n_eff)
+        p = min(1.0, 2.0 * float(cumulative[int(w)]) / 2.0 ** n_eff)
     else:
         mean = n_eff * (n_eff + 1) / 4.0
         variance = n_eff * (n_eff + 1) * (2 * n_eff + 1) / 24.0
-        variance -= float((tie_counts.astype(float) ** 3 - tie_counts).sum()) / 48.0
+        if tied:
+            variance -= float((tie_counts ** 3 - tie_counts).sum()) / 48.0
         z = (w - mean + 0.5) / math.sqrt(variance)
         p = min(1.0, 2.0 * float(ndtr(z)))
     return WilcoxonOutcome(statistic_w=w, n_effective=n_eff, p_raw=p)
@@ -198,7 +230,10 @@ def holm_bonferroni(p_values, alpha: float = DEFAULT_ALPHA) -> list:
 
 
 def _direction_from_median(diffs: np.ndarray) -> str:
-    med = float(np.median(diffs))
+    # np.median's arithmetic: the mean of the middle pair (the middle value twice for odd n)
+    ordered = np.sort(diffs)
+    n = ordered.size
+    med = (ordered.item((n - 1) // 2) + ordered.item(n // 2)) / 2.0
     if med > 0.0:
         return DIRECTION_A_GREATER
     if med < 0.0:
@@ -229,8 +264,12 @@ def compare_conditions(band_values_a: dict, band_values_b: dict,
     Raises
     ------
     ValueError
-        If the two maps have different key sets or misaligned lengths.
+        If the two maps have different key sets, if a key's values are
+        misaligned or not finite (the message starts with the key, written
+        ``source->target/band`` for ``((source, target), band)`` keys), or if
+        `exact_threshold` exceeds 62.
     """
+    _check_exact_threshold(exact_threshold)
     if set(band_values_a) != set(band_values_b):
         missing = set(band_values_a) ^ set(band_values_b)
         raise ValueError(f"condition maps differ in keys: {sorted(missing)!r}")
@@ -242,8 +281,10 @@ def compare_conditions(band_values_a: dict, band_values_b: dict,
     outcomes = {}
     directions = {}
     for key in keys:
-        sample = PairedSample(condition_a=np.asarray(band_values_a[key], dtype=float),
-                              condition_b=np.asarray(band_values_b[key], dtype=float))
+        try:
+            sample = PairedSample(condition_a=band_values_a[key], condition_b=band_values_b[key])
+        except ValueError as exc:
+            raise ValueError(f"{_key_label(key)}: {exc}") from exc
         directions[key] = _direction_from_median(sample.condition_a - sample.condition_b)
         try:
             outcome = wilcoxon_signed_rank(sample, exact_threshold=exact_threshold)
@@ -275,6 +316,13 @@ def format_pair(pair) -> str:
     """(source, target) -> 'source->target'."""
     source, target = pair
     return f"{source}->{target}"
+
+
+def _key_label(key) -> str:
+    """((source, target), band) -> 'source->target/band'; any other key -> repr(key)."""
+    if isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], tuple) and len(key[0]) == 2:
+        return f"{format_pair(key[0])}/{key[1]}"
+    return repr(key)
 
 
 def write_test_table_csv(results: dict, path) -> None:

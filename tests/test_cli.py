@@ -178,6 +178,23 @@ def test_compare_rejects_mismatched_subjects(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("cell", ["abc", "nan", "inf", "-inf", ""])
+def test_compare_names_the_line_of_a_bad_value(tmp_path, capsys, cell):
+    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+    _band_table_csv(a_path, 0.0, ["s1", "s2", "s3"])
+    _band_table_csv(b_path, 0.1, ["s1", "s2", "s3"])
+    lines = a_path.read_text().splitlines()
+    lines[4] = f"f->t,alpha,s2,{cell}"
+    a_path.write_text("\n".join(lines) + "\n")
+    code = main(["compare", "--condition-a", str(a_path),
+                 "--condition-b", str(b_path), "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"pdckit: argument-error: {a_path}:5: ")
+    assert repr(cell) in err
+    assert err.count("\n") == 1
+
+
 def _pipeline_argv(tmp_path, config, coupled, quiet, n_subjects=10):
     """Write a config, markers and two cohorts; return the argv minus --out."""
     from pdckit import generate, write_recording_csv

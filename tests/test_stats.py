@@ -1,11 +1,13 @@
 import csv
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import norm, rankdata
+from scipy.stats import wilcoxon as scipy_wilcoxon
 
 from pdckit import (
     DIRECTION_A_GREATER,
@@ -69,6 +71,7 @@ def test_all_positive_five_pair_sample():
     assert out.statistic_w == 0.0
     assert out.n_effective == 5
     assert out.p_raw == 0.0625
+    assert type(out.p_raw) is float  # as WilcoxonOutcome declares, not np.float64
 
 
 def test_single_flipped_pair_at_n5():
@@ -124,18 +127,50 @@ def test_ties_in_absolute_differences_use_midranks():
     w_plus = ranks[diffs > 0].sum()
     w = min(w_plus, ranks.sum() - w_plus)
     assert out.statistic_w == w
-    # seeded property: ties, zeros and n on both sides of the threshold
+    # seeded property: ties, zeros, n on both sides of thresholds 0-30
     rng = np.random.default_rng(1945)
-    for trial in range(2000):
-        n = int(rng.integers(1, 41))
+    branches = set()
+    for trial in range(3000):
+        n = int(rng.integers(1, 45))
+        threshold = int(rng.integers(0, 31))
         if trial % 2:
             diffs = rng.integers(-4, 5, size=n) * 0.25  # heavy ties and zeros
         else:
             diffs = np.where(rng.random(n) < 0.2, 0.0, rng.normal(size=n))
         if not diffs.any():
             continue
-        out = wilcoxon_signed_rank(_sample(diffs, np.zeros(n)), exact_threshold=20)
-        assert tuple(out) == _reference_outcome(diffs, 20), f"trial {trial}: {diffs!r}"
+        out = wilcoxon_signed_rank(_sample(diffs, np.zeros(n)), exact_threshold=threshold)
+        assert tuple(out) == _reference_outcome(diffs, threshold), f"trial {trial}: {diffs!r}"
+        nonzero = np.abs(diffs[diffs != 0.0])
+        tied = np.unique(nonzero).size < nonzero.size
+        branches.add(("approx" if tied or nonzero.size > threshold else "exact", tied))
+    assert branches == {("exact", False), ("approx", False), ("approx", True)}
+
+
+def test_exact_threshold_above_62_is_rejected():
+    # 2**n no longer fits the int64 exact counts above n = 62
+    rng = np.random.default_rng(70)
+    diffs = rng.permutation(np.arange(1.0, 71.0)) * rng.choice([-1.0, 1.0], size=70)
+    sample = _sample(diffs, np.zeros(70))
+    with pytest.raises(ValueError, match="at most 62"):
+        wilcoxon_signed_rank(sample, exact_threshold=100)
+    # 62 untied pairs is the largest exact case and matches scipy's exact null
+    out = wilcoxon_signed_rank(_sample(diffs[:62], np.zeros(62)), exact_threshold=62)
+    assert out.p_raw == pytest.approx(
+        scipy_wilcoxon(diffs[:62], method="exact").pvalue, rel=1e-9)
+
+
+def test_compare_conditions_rejects_large_exact_threshold_before_testing(monkeypatch):
+    import pdckit.stats
+
+    calls = []
+    monkeypatch.setattr(pdckit.stats, "wilcoxon_signed_rank",
+                        lambda *a, **k: calls.append(a))
+    keys = [(("f", "t"), "theta")]
+    a, b = _band_tables(np.random.default_rng(2), keys, n=70)
+    with pytest.raises(ValueError, match="at most 62"):
+        compare_conditions(a, b, exact_threshold=63)
+    assert calls == []
 
 
 def test_normal_approximation_formula():
@@ -279,6 +314,69 @@ def test_compare_conditions_direction_follows_median():
     a, b = _band_tables(rng, keys, n=10, shift={keys[0]: -0.2})
     results = compare_conditions(a, b)
     assert results[keys[0]].direction == DIRECTION_A_GREATER
+
+
+def test_compare_conditions_direction_is_the_sign_of_the_median():
+    rng = np.random.default_rng(1946)
+    keys = [(("x", "y"), f"b{i}") for i in range(20)]
+    for _ in range(100):
+        a, b, expected = {}, {}, {}
+        for key in keys:
+            n = int(rng.integers(1, 25))  # odd and even
+            kind = int(rng.integers(0, 4))
+            if kind == 0:
+                diffs = rng.normal(size=n)
+            elif kind == 1:
+                diffs = rng.integers(-2, 3, size=n) * 0.5  # ties and zeros
+            elif kind == 2:
+                diffs = rng.choice([-0.0, 0.0, 1.0, -1.0], size=n)
+            else:
+                diffs = np.where(rng.random(n) < 0.5, 0.0, rng.normal(size=n))
+            base = np.zeros(n) if kind == 2 else rng.uniform(0.2, 0.6, size=n)
+            a[key], b[key] = tuple(base + diffs), tuple(base)
+            median = np.median(np.asarray(a[key]) - np.asarray(b[key]))
+            expected[key] = (DIRECTION_A_GREATER if median > 0 else
+                             DIRECTION_B_GREATER if median < 0 else DIRECTION_NONE)
+        results = compare_conditions(a, b)
+        assert {k: r.direction for k, r in results.items()} == expected
+
+
+def test_compare_conditions_tests_ragged_keys_on_their_own_pairs():
+    rng = np.random.default_rng(12)
+    sizes = {(("f", "t"), "theta"): 6, (("f", "t"), "alpha"): 11,
+             (("t", "f"), "theta"): 30, (("t", "f"), "alpha"): 3}
+    a = {k: tuple(rng.normal(size=n)) for k, n in sizes.items()}
+    b = {k: tuple(rng.normal(size=n)) for k, n in sizes.items()}
+    b[(("t", "f"), "alpha")] = a[(("t", "f"), "alpha")]  # untestable
+    results = compare_conditions(a, b, alpha=0.05)
+    raw = []
+    for key, n in sizes.items():
+        res = results[key]
+        if key == (("t", "f"), "alpha"):
+            assert res.untestable and res.n_effective == 0
+            raw.append(1.0)
+            continue
+        alone = wilcoxon_signed_rank(_sample(a[key], b[key]))
+        assert (res.statistic_w, res.n_effective, res.p_raw) == tuple(alone)
+        assert res.n_effective == n
+        raw.append(alone.p_raw)
+    adjusted = [p for p, _ in holm_bonferroni(raw)]
+    assert [results[k].p_adjusted for k in sizes] == adjusted
+
+
+@pytest.mark.parametrize("key, label", [
+    ((("F3", "F4"), "alpha"), "F3->F4/alpha"),
+    ("k1", "'k1'"),
+])
+def test_compare_conditions_errors_name_the_key(key, label):
+    good = (("F3", "T5"), "theta")
+    a = {good: (1.0, 2.0, 3.0), key: (1.0, 2.0)}
+    b = {good: (0.0, 0.0, 0.0), key: (1.0, 2.0, 3.0)}
+    with pytest.raises(ValueError, match=f"^{re.escape(label)}: paired lengths differ: 2 vs 3$"):
+        compare_conditions(a, b)
+    b[key] = (1.0, float("nan"))
+    with pytest.raises(ValueError, match=f"^{re.escape(label)}: paired values must be finite$"):
+        compare_conditions(a, b)
 
 
 # ----------------------------------------------------------------------- io
