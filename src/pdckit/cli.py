@@ -31,7 +31,7 @@ from .pdc import (
 )
 from .pipeline import read_config_json, run_pipeline, write_report
 from .signals import MultichannelSegment, read_markers_csv, read_recording_csv, write_recording_csv
-from .stats import _key_label, compare_conditions, write_test_table_csv
+from .stats import _key_label, compare_conditions, format_pair, write_test_table_csv
 from .synth import generate, read_generator_spec_json
 from .var import fit_var, read_model_json, select_order, write_model_json
 
@@ -190,6 +190,11 @@ def _cmd_bands(args) -> int:
     return EXIT_OK
 
 
+def _is_label(text) -> bool:
+    """A channel or band label: non-empty and without edge whitespace."""
+    return bool(text) and text == text.strip()
+
+
 def _read_band_values_csv(path) -> dict:
     """pair,band,subject,value rows -> {(pair, band): {subject: value}}."""
     table: dict = {}
@@ -201,10 +206,18 @@ def _read_band_values_csv(path) -> dict:
         for row in reader:
             where = f"{path}:{reader.line_num}"
             pair_text = row["pair"]
-            if "->" not in pair_text:
-                raise ValueError(f"{where}: pair must look like 'src->tgt', got {pair_text!r}")
-            source, target = pair_text.split("->", 1)
-            key = ((source, target), row["band"])
+            source, _, target = pair_text.partition("->")
+            # format_pair must give the cell back, and a '->' in the target
+            # would let the cell split two ways
+            if not (_is_label(source) and _is_label(target) and "->" not in target
+                    and format_pair((source, target)) == pair_text):
+                raise ValueError(f"{where}: pair must look like 'src->tgt' with two non-empty "
+                                 f"labels without edge whitespace, got {pair_text!r}")
+            band = row["band"]
+            if not _is_label(band):
+                raise ValueError(f"{where}: band must be a non-empty label without edge "
+                                 f"whitespace, got {band!r}")
+            key = ((source, target), band)
             per_subject = table.setdefault(key, {})
             subject = row["subject"]
             if subject in per_subject:

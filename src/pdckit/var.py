@@ -2,10 +2,22 @@
 
 The model is ``X(t) = sum_{i=1..p} A(i) X(t-i) + E(t)`` with no intercept.
 Coefficients are estimated by ordinary least squares on the lagged-regressor
-design matrix, solved through an orthogonal factorization (LAPACK least
-squares) rather than explicit normal equations. Element ``A(i)[k, m]``
-quantifies the contribution of channel ``m`` at lag ``i`` to the current
-value of channel ``k``.
+design matrix, solved through an orthogonal factorization rather than explicit
+normal equations. Element ``A(i)[k, m]`` quantifies the contribution of
+channel ``m`` at lag ``i`` to the current value of channel ``k``.
+
+Both the fit and the stability check take a cheap path when a certificate
+shows that it reaches the reference computation's verdict, and run that
+computation otherwise (Golub & Van Loan, *Matrix Computations*, 5.2-5.3;
+Lütkepohl 2005, 2.1):
+
+- The fit solves through one Householder QR when the condition estimate
+  ``||R||_F * ||R^-1||_F`` is at most 1e4, which is far inside the rank
+  threshold of LAPACK's SVD least squares; otherwise it runs that SVD
+  least squares, whose rank verdict raises `EstimationError`.
+- The stability check squares the companion matrix C and stops as soon as
+  ``||C^(2^k)||_F`` plus a bound on its rounding error proves
+  ``rho(C) < 1 - 1e-9 - 1e-6``; otherwise it computes the eigenvalues.
 """
 
 from __future__ import annotations
@@ -38,6 +50,14 @@ RULE_CAPPED_BY_BOUND = "capped_by_bound"
 
 _SYMMETRY_TOL = 1e-8
 _STABILITY_MARGIN = 1e-9
+# largest ||R||_F * ||R^-1||_F the QR fit accepts; LAPACK's rank threshold
+# eps * max(rows, cols) is ~1e-13, about 1e9 times below 1 / 1e4
+_CONDITION_CAP = 1e4
+# squarings of the companion matrix before the eigenvalue fallback, and the
+# radius they must prove: 1e-6 below the stability threshold
+_SQUARINGS = 10
+_CERTIFIED_RADIUS = 1.0 - _STABILITY_MARGIN - 1e-6
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -77,10 +97,12 @@ class VarModel:
             )
         if cov.shape != (m, m):
             raise ValueError(f"residual_covariance must be {m}x{m}, got {cov.shape}")
+        # relative above unit scale: a covariance of 1e10 carries rounding of 1e-6
+        tol = _SYMMETRY_TOL * max(1.0, float(np.abs(cov).max())) if m else _SYMMETRY_TOL
         asym = np.abs(cov - cov.T).max() if m else 0.0
-        if asym > _SYMMETRY_TOL:
-            raise ValueError(f"residual_covariance asymmetry {asym:g} exceeds {_SYMMETRY_TOL:g}")
-        if m and np.linalg.eigvalsh(cov).min() < -_SYMMETRY_TOL:
+        if asym > tol:
+            raise ValueError(f"residual_covariance asymmetry {asym:g} exceeds {tol:g}")
+        if m and np.linalg.eigvalsh(cov).min() < -tol:
             raise ValueError("residual_covariance is not positive semidefinite")
         object.__setattr__(self, "coeff_matrices", coeffs)
         object.__setattr__(self, "residual_covariance", cov)
@@ -134,6 +156,14 @@ def _check_scan_bound(n: int, m: int, p_scan_max: int) -> None:
 def fit_var(segment: MultichannelSegment, p: int) -> tuple[VarModel, np.ndarray]:
     """Fit a VAR(p) model to a segment by least squares.
 
+    The coefficients come from one Householder QR of ``[design | target]``
+    when its triangle R certifies ``||R||_F * ||R^-1||_F <= 1e4``. That bound
+    keeps the design's smallest singular value far above the rank threshold
+    of LAPACK's SVD least squares (``numpy.linalg.lstsq``), so both give the
+    same full-rank verdict and coefficients that agree to rounding. Any
+    other design, including one whose R cannot be inverted, is solved by
+    ``lstsq`` itself, which alone decides rank deficiency.
+
     Parameters
     ----------
     segment : MultichannelSegment
@@ -159,17 +189,19 @@ def fit_var(segment: MultichannelSegment, p: int) -> tuple[VarModel, np.ndarray]
     _check_rows(n, m, p)
     rows = n - p
     design, target = build_design(x, p)
-    coeffs_flat, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < m * p:
-        raise EstimationError(
-            f"regressor matrix is rank deficient ({rank} < {m * p}); "
-            "channels may be collinear or constant"
-        )
+    coeffs_flat = _certified_qr_solve(design, target)
+    if coeffs_flat is None:
+        coeffs_flat, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+        if rank < m * p:
+            raise EstimationError(
+                f"regressor matrix is rank deficient ({rank} < {m * p}); "
+                "channels may be collinear or constant"
+            )
     residuals = target - design @ coeffs_flat
     cov = residuals.T @ residuals / rows
     # coeffs_flat rows are per-lag blocks of regressor weights; transpose each
     # block so that coeff[i][k, m] multiplies channel m at lag i+1 in channel k's equation
-    coeffs = np.stack([coeffs_flat[i * m : (i + 1) * m].T for i in range(p)])
+    coeffs = coeffs_flat.reshape(p, m, m).transpose(0, 2, 1).copy()
     model = VarModel(
         order_p=p,
         coeff_matrices=coeffs,
@@ -178,6 +210,25 @@ def fit_var(segment: MultichannelSegment, p: int) -> tuple[VarModel, np.ndarray]
         channel_labels=segment.channel_labels,
     )
     return model, residuals
+
+
+def _certified_qr_solve(design: np.ndarray, target: np.ndarray):
+    """Least-squares solution through one QR, or None without a certificate.
+
+    R's top-left block is the design's triangle and the block to its right
+    is ``Q^T target``, so the solution is ``R^-1 (Q^T target)``.
+    """
+    k = design.shape[1]
+    r = np.linalg.qr(np.hstack([design, target]), mode="r")
+    r_design = r[:k, :k]
+    try:
+        r_inv = np.linalg.inv(r_design)
+    except np.linalg.LinAlgError:
+        return None
+    # not (<=) so that a non-finite estimate also falls back
+    if not np.linalg.norm(r_design) * np.linalg.norm(r_inv) <= _CONDITION_CAP:
+        return None
+    return r_inv @ r[:k, k:]
 
 
 def aic(model: VarModel, n: int) -> float:
@@ -312,8 +363,52 @@ def companion_matrix(coeff_matrices: np.ndarray) -> np.ndarray:
 
 
 def check_stability(model: VarModel) -> bool:
-    """True iff every companion-matrix eigenvalue modulus is below 1 - 1e-9."""
+    """True iff every companion-matrix eigenvalue modulus is below 1 - 1e-9.
+
+    The companion matrix C is squared up to 10 times. Since
+    ``rho(C)^(2^k) <= ||C^(2^k)||_F``, the model is stable as soon as the
+    computed power's norm plus a bound on its accumulated rounding error
+    falls below ``(1 - 1e-9 - 1e-6)^(2^k)``. A model that no squaring
+    certifies, including one whose powers grow too large to bound, gets the
+    eigenvalue verdict ``spectral_radius(...) < 1 - 1e-9``.
+    """
+    if _certified_stable(companion_matrix(model.coeff_matrices)):
+        return True
     return spectral_radius(model.coeff_matrices) < 1.0 - _STABILITY_MARGIN
+
+
+def _certified_stable(comp: np.ndarray) -> bool:
+    """True if repeated squaring proves ``rho(comp) < _CERTIFIED_RADIUS``.
+
+    A product of two n x n matrices is off by at most ``gamma ||A||_F ||B||_F``
+    in Frobenius norm, with ``gamma = n eps / (1 - n eps)``. If the computed
+    power P is within E of the exact one, its computed square is within
+    ``gamma ||P||^2 + 2 ||P|| E + E^2`` of the exact square.
+    """
+    unit = comp.shape[0] * _EPS
+    gamma = unit / (1.0 - unit)
+    power = comp
+    with np.errstate(over="ignore"):  # an overflowing norm fails the first check
+        norm = _frobenius(power)
+    error = 0.0
+    bound = _CERTIFIED_RADIUS
+    for _ in range(_SQUARINGS):
+        error = gamma * norm * norm + 2.0 * norm * error + error * error
+        if not error < 1.0:
+            # E >= 1 stays >= 1 while the bound stays < 1; stopping here
+            # also keeps the product below overflow
+            return False
+        power = power @ power
+        norm = _frobenius(power)
+        bound *= bound
+        if norm + error < bound:
+            return True
+    return False
+
+
+def _frobenius(a: np.ndarray) -> float:
+    flat = a.ravel()
+    return math.sqrt(float(flat @ flat))
 
 
 def spectral_radius(coeff_matrices: np.ndarray) -> float:

@@ -1,9 +1,18 @@
 """Shared helpers for the test suite."""
 
+import os
+
 import numpy as np
+from hypothesis import settings
 
 from pdckit import VarModel
 from pdckit.var import spectral_radius
+
+# HYPOTHESIS_PROFILE=ci makes property tests draw the same examples on every
+# run and print the blob that replays a failure
+settings.register_profile("ci", derandomize=True, print_blob=True, deadline=None)
+if os.environ.get("HYPOTHESIS_PROFILE"):
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
 def random_stable_var(rng, m, p, radius=0.7, sigma=None):

@@ -195,6 +195,38 @@ def test_compare_names_the_line_of_a_bad_value(tmp_path, capsys, cell):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("pair, band, bad", [
+    ("->t", "", "->t"),
+    ("f->", "alpha", "f->"),
+    ("->", "alpha", "->"),
+    ("ft", "alpha", "ft"),
+    (" f->t", "alpha", " f->t"),
+    ("f ->t", "alpha", "f ->t"),
+    ("f-> t", "alpha", "f-> t"),
+    ("a->b->c", "alpha", "a->b->c"),
+    (" a -> b->c ", "alpha", " a -> b->c "),
+    ("f->t", "", ""),
+    ("f->t", " alpha", " alpha"),
+    ("f->t", "alpha ", "alpha "),
+])
+def test_compare_rejects_a_pair_or_band_that_does_not_round_trip(tmp_path, capsys, pair, band, bad):
+    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+    _band_table_csv(a_path, 0.0, ["s1", "s2", "s3"])
+    _band_table_csv(b_path, 0.1, ["s1", "s2", "s3"])
+    lines = a_path.read_text().splitlines()
+    lines[4] = f"{pair},{band},s2,0.3"
+    a_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "t.csv"
+    code = main(["compare", "--condition-a", str(a_path),
+                 "--condition-b", str(b_path), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"pdckit: argument-error: {a_path}:5: ")
+    assert repr(bad) in err
+    assert err.count("\n") == 1
+
+
 def _pipeline_argv(tmp_path, config, coupled, quiet, n_subjects=10):
     """Write a config, markers and two cohorts; return the argv minus --out."""
     from pdckit import generate, write_recording_csv
@@ -324,10 +356,12 @@ def test_module_entry_point_runs():
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs most of the CLI's start-up; only scipy.special is needed
+    # scipy.stats costs most of the CLI's start-up and scipy.linalg adds more;
+    # only scipy.special is needed
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, pdckit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"],
+         "import sys, pdckit.cli; print(sorted(m for m in sys.modules "
+         "if m.startswith(('scipy.stats', 'scipy.linalg'))))"],
         capture_output=True,
         text=True,
         timeout=60,

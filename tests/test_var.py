@@ -1,11 +1,17 @@
 import json
 import math
+import warnings
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pdckit import (
+    EstimationError,
     GeneratorSpec,
     MultichannelSegment,
     VarModel,
@@ -20,6 +26,7 @@ from pdckit import (
 from pdckit.var import (
     RULE_CAPPED_BY_BOUND,
     RULE_FIRST_LOCAL_MINIMUM,
+    build_design,
     companion_matrix,
     read_model_json,
     spectral_radius,
@@ -75,6 +82,22 @@ def test_fit_residual_covariance_uses_row_count_denominator():
     assert_allclose(model.residual_covariance, resid.T @ resid / 97.0, rtol=1e-12)
 
 
+def test_fit_with_one_spare_row_accepts_a_large_singular_covariance():
+    # 5 rows, 4 coefficients per equation: the 4x4 covariance has rank 1,
+    # and its rounding scales with the data (about -1e-6 here)
+    samples = 1e5 * np.random.default_rng(3).normal(size=(6, 4))
+    model, _ = fit_var(_segment(samples), 1)
+    assert np.linalg.matrix_rank(model.residual_covariance) == 1
+
+
+@pytest.mark.parametrize("cov", [[[1.0, 2.0], [2.0, 1.0]], [[1e10, 0.0], [0.0, -1e3]],
+                                 [[1.0, 1e-7], [0.0, 1.0]]])
+def test_model_rejects_a_covariance_that_is_not_symmetric_psd(cov):
+    with pytest.raises(ValueError, match="residual_covariance"):
+        VarModel(order_p=1, coeff_matrices=np.zeros((1, 2, 2)), residual_covariance=cov,
+                 n_samples_used=10, channel_labels=("a", "b"))
+
+
 def test_fit_rejects_orders_without_enough_rows():
     seg = _segment(np.random.default_rng(0).normal(size=(10, 2)))
     with pytest.raises(ValueError):
@@ -85,8 +108,6 @@ def test_fit_rejects_orders_without_enough_rows():
 
 def test_fit_recovers_var2_coefficients_within_standard_errors():
     # 3-sigma elementwise coverage should hold for nearly all seeds
-    from pdckit.var import build_design
-
     a1 = np.array([[0.5, 0.1], [0.2, 0.4]])
     a2 = np.array([[-0.2, 0.05], [0.0, -0.15]])
     truth = np.stack([a1, a2])
@@ -110,6 +131,147 @@ def test_fit_white_noise_coefficients_shrink_with_sample_size():
         model, _ = fit_var(_segment(rng.normal(size=(5000, 2))), 1)
         ok += bool(np.abs(model.coeff_matrices).max() < 0.05)
     assert ok >= 990
+
+
+# ------------------------------------- the QR fit against its lstsq fallback
+
+_LSTSQ = np.linalg.lstsq
+_EPS = np.finfo(float).eps
+
+
+def _lstsq_fit(samples, p):
+    """The SVD least-squares fit that fit_var falls back to, kept as the reference."""
+    m = samples.shape[1]
+    design, target = build_design(samples, p)
+    coeffs_flat, _, rank, _ = _LSTSQ(design, target, rcond=None)
+    if rank < m * p:
+        raise EstimationError(f"regressor matrix is rank deficient ({rank} < {m * p})")
+    residuals = target - design @ coeffs_flat
+    cov = residuals.T @ residuals / design.shape[0]
+    coeffs = np.stack([coeffs_flat[i * m : (i + 1) * m].T for i in range(p)])
+    model = VarModel(order_p=p, coeff_matrices=coeffs, residual_covariance=cov,
+                     n_samples_used=design.shape[0], channel_labels=_segment(samples).channel_labels)
+    return model, residuals
+
+
+def _condition(samples, p):
+    """||A||_F * ||A^+||_F of the design: the quantity the QR path certifies."""
+    s = np.linalg.svd(build_design(samples, p)[0], compute_uv=False)
+    return float(np.sqrt(np.sum(s**2) * np.sum(s**-2.0)))
+
+
+def _near_duplicate(delta, n=120, seed=5):
+    x = np.random.default_rng(seed).normal(size=(n, 2))
+    x[:, 1] = x[:, 0] + delta * x[:, 1]
+    return x
+
+
+_WHITE = np.random.default_rng(11).normal(size=(120, 2))
+_CONSTANT = np.column_stack([_WHITE[:, 0], np.full(120, 2.0)])
+_ZERO = np.column_stack([_WHITE[:, 0], np.zeros(120)])
+_DUPLICATE = np.column_stack([_WHITE[:, 0], _WHITE[:, 0]])
+_PAST_CAP = _near_duplicate(1.5e-4)  # condition 1.3e4 at p = 1
+_BELOW_CAP = _near_duplicate(3e-4)   # condition 6.4e3 at p = 1
+
+
+@st.composite
+def fit_inputs(draw):
+    """AR(1) channels pulled toward their common mean, at any feasible order."""
+    m = draw(st.sampled_from([1, 2, 4]))
+    n = draw(st.integers(m + 2, 260))
+    p = draw(st.integers(1, (n - 1) // (m + 1)))  # the row rule N - p >= M*p + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phi = draw(st.floats(-0.999, 0.999))
+    x = rng.standard_normal((n, m))
+    for t in range(1, n):
+        x[t] += phi * x[t - 1]
+    # a pull of 1 - 1e-8 puts the design far past the 1e4 cap, and one of
+    # 1 - 1e-16 leaves channels equal up to rounding
+    pull = 1.0 - 10.0 ** -draw(st.floats(0.0, 16.0))
+    x = (1.0 - pull) * x + pull * x.mean(axis=1, keepdims=True)
+    return x * 10.0 ** draw(st.integers(-6, 6)), p
+
+
+def test_fit_matches_lstsq_fallback_on_every_input():
+    """fit_var equals the lstsq fit: the same errors, and the same numbers to rounding.
+
+    Where fit_var runs lstsq itself, the results must be identical. Where
+    the QR path runs, any two backward-stable least-squares solvers may
+    differ by a small multiple of eps * kappa times the forward-error scale
+    of each output (Golub & Van Loan, 5.3): ``||x|| + kappa ||r|| / ||A||``
+    for the coefficients, ``||b||`` for the residuals, and
+    ``2 ||r|| ||b|| / rows`` for the covariance.
+    """
+    seen = Counter()
+
+    @settings(max_examples=150, deadline=None)
+    @given(fit_inputs())
+    @example((_CONSTANT, 1))
+    @example((_CONSTANT, 2))
+    @example((_ZERO, 1))
+    @example((_DUPLICATE, 1))
+    @example((_PAST_CAP, 1))
+    @example((_BELOW_CAP, 1))
+    def check(case):
+        samples, p = case
+        try:
+            expected = _lstsq_fit(samples, p)
+        except EstimationError:
+            expected = None
+        with mock.patch.object(np.linalg, "lstsq", wraps=_LSTSQ) as lstsq:
+            if expected is None:
+                with pytest.raises(EstimationError, match="rank deficient"):
+                    fit_var(_segment(samples), p)
+                assert lstsq.call_count == 1
+                seen["rank deficient"] += 1
+                return
+            model, residuals = fit_var(_segment(samples), p)
+        ref_model, ref_residuals = expected
+        coeffs, cov = ref_model.coeff_matrices, ref_model.residual_covariance
+        if lstsq.call_count:
+            seen["lstsq"] += 1
+            assert np.array_equal(model.coeff_matrices, coeffs)
+            assert np.array_equal(residuals, ref_residuals)
+            assert np.array_equal(model.residual_covariance, cov)
+            return
+        seen["qr"] += 1
+        design, target = build_design(samples, p)
+        kappa = _condition(samples, p)
+        tol = 64 * _EPS * kappa
+        norm = np.linalg.norm
+        r, b = norm(ref_residuals), norm(target)
+        assert norm(model.coeff_matrices - coeffs) <= tol * (norm(coeffs) + kappa * r / norm(design))
+        assert norm(residuals - ref_residuals) <= tol * b
+        assert norm(model.residual_covariance - cov) <= tol * 2 * r * b / design.shape[0]
+
+    check()
+    assert seen["qr"] and seen["lstsq"] and seen["rank deficient"], seen
+
+
+def test_fit_takes_qr_up_to_the_cap_and_lstsq_past_it():
+    assert 1e4 < _condition(_PAST_CAP, 1) < 2e4
+    assert 5e3 < _condition(_BELOW_CAP, 1) < 1e4
+    for samples, lstsq_calls in ((_PAST_CAP, 1), (_BELOW_CAP, 0)):
+        with mock.patch.object(np.linalg, "lstsq", wraps=_LSTSQ) as lstsq:
+            fit_var(_segment(samples), 1)
+        assert lstsq.call_count == lstsq_calls
+
+
+@pytest.mark.parametrize("m, p", [(2, 15), (4, 15), (3, 5)])
+def test_fit_matches_lstsq_to_1e12_on_bench_shaped_models(m, p):
+    # 225-sample epochs of a stable VAR, as the reference protocol fits them
+    rng = np.random.default_rng(40 + m)
+    for seed in range(10):
+        truth = random_stable_var(rng, m, 2, radius=0.9).coeff_matrices
+        samples = _simulate(truth, 225, 50_000 + seed).samples
+        with mock.patch.object(np.linalg, "lstsq", wraps=_LSTSQ) as lstsq:
+            model, residuals = fit_var(_segment(samples), p)
+        assert lstsq.call_count == 0
+        ref_model, ref_residuals = _lstsq_fit(samples, p)
+        coeffs, cov = ref_model.coeff_matrices, ref_model.residual_covariance
+        assert_allclose(model.coeff_matrices, coeffs, rtol=0, atol=1e-12 * np.abs(coeffs).max())
+        assert_allclose(residuals, ref_residuals, rtol=0, atol=1e-12 * np.abs(ref_residuals).max())
+        assert_allclose(model.residual_covariance, cov, rtol=0, atol=1e-12 * np.abs(cov).max())
 
 
 # ----------------------------------------------------------------------- aic
@@ -304,6 +466,55 @@ def test_random_rescaled_models_hit_target_radius():
     for _ in range(20):
         model = random_stable_var(rng, m=3, p=4, radius=0.8)
         assert spectral_radius(model.coeff_matrices) == pytest.approx(0.8, rel=1e-9)
+
+
+_RADII = (0.5, 0.9, 0.99, 0.999999, 1 - 2e-9, 1 - 1e-9, 1.0, 1.01)
+
+
+def test_check_stability_matches_the_eigenvalue_verdict(monkeypatch):
+    import pdckit.var as var_module
+
+    fallback = mock.Mock(wraps=spectral_radius)
+    monkeypatch.setattr(var_module, "spectral_radius", fallback)
+    rng = np.random.default_rng(29)
+    certified = models = 0
+    for m in (1, 2, 4):
+        for p in (1, 5, 15):
+            for radius in _RADII:
+                for _ in range(3):
+                    model = random_stable_var(rng, m, p, radius=radius)
+                    calls = fallback.call_count
+                    verdict = check_stability(model)
+                    assert verdict == (spectral_radius(model.coeff_matrices) < 1 - 1e-9), (m, p, radius)
+                    certified += fallback.call_count == calls
+                    models += 1
+    assert 0 < certified < models
+
+
+def test_check_stability_leaves_a_large_transient_to_the_eigenvalues(monkeypatch):
+    # ||C^(2^k)|| falls below the bound by k = 6, but squaring a norm of 1e6
+    # can round by more than 1, so the squarings prove nothing
+    import pdckit.var as var_module
+
+    fallback = mock.Mock(wraps=spectral_radius)
+    monkeypatch.setattr(var_module, "spectral_radius", fallback)
+    model = VarModel(order_p=1, coeff_matrices=np.array([[[0.5, 1e6], [0.0, 0.5]]]),
+                     residual_covariance=np.eye(2), n_samples_used=10, channel_labels=("a", "b"))
+    assert check_stability(model)
+    assert fallback.call_count == 1
+
+
+@pytest.mark.parametrize("coeffs, stable", [
+    ([[[1e200]]], False),
+    ([[[1e160, -1e160], [1e160, 1e160]]], False),
+    ([[[0.0, 1e10], [0.0, 0.0]]], True),
+])
+def test_check_stability_of_extreme_coefficients_warns_nothing(coeffs, stable):
+    model = VarModel(order_p=1, coeff_matrices=np.array(coeffs), residual_covariance=np.eye(len(coeffs[0])),
+                     n_samples_used=10, channel_labels=tuple("ab"[: len(coeffs[0])]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_stability(model) is stable
 
 
 # ----------------------------------------------------------------------- io
