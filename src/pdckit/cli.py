@@ -191,7 +191,7 @@ def _cmd_bands(args) -> int:
 
 
 def _is_label(text) -> bool:
-    """A channel or band label: non-empty and without edge whitespace."""
+    """A channel, band or subject label: non-empty and without edge whitespace."""
     return bool(text) and text == text.strip()
 
 
@@ -217,9 +217,12 @@ def _read_band_values_csv(path) -> dict:
             if not _is_label(band):
                 raise ValueError(f"{where}: band must be a non-empty label without edge "
                                  f"whitespace, got {band!r}")
+            subject = row["subject"]
+            if not _is_label(subject):
+                raise ValueError(f"{where}: subject must be a non-empty label without edge "
+                                 f"whitespace, got {subject!r}")
             key = ((source, target), band)
             per_subject = table.setdefault(key, {})
-            subject = row["subject"]
             if subject in per_subject:
                 raise ValueError(f"{where}: duplicate subject {subject!r} for {_key_label(key)}")
             try:

@@ -108,7 +108,8 @@ class PdcSpectrum:
         expected = (self.grid.n_freqs, m, m)
         if vals.shape != expected:
             raise ValueError(f"values must have shape {expected}, got {vals.shape}")
-        if vals.size and (vals.min() < 0.0 or vals.max() > 1.0):
+        # written so that NaN, which fails every comparison, fails the check
+        if vals.size and not (vals.min() >= 0.0 and vals.max() <= 1.0):
             raise ValueError("PDC values must lie in [0, 1]")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "channel_labels", tuple(str(c) for c in self.channel_labels))
@@ -129,7 +130,7 @@ class BandAverages:
             raise ValueError("bands and band_edges_hz must share the same names")
         for name, mat in self.bands.items():
             arr = np.asarray(mat, dtype=float)
-            if arr.min() < 0.0 or arr.max() > 1.0:
+            if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails too
                 raise ValueError(f"band {name!r} has values outside [0, 1]")
         object.__setattr__(self, "channel_labels", tuple(str(c) for c in self.channel_labels))
 

@@ -14,7 +14,6 @@ identical report apart from its timestamp field.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 import time
@@ -35,7 +34,14 @@ from .pdc import (
 )
 from .signals import _window_length, extract_segments, screen_stationarity
 from .stats import DEFAULT_ALPHA, compare_conditions, format_pair, write_test_table_csv
-from .var import _check_rows, _check_scan_bound, check_stability, fit_var, select_order
+from .var import (
+    _check_rows,
+    _check_scan_bound,
+    _json_fields,
+    check_stability,
+    fit_var,
+    select_order,
+)
 
 __all__ = [
     "ORDER_MODE_FIXED",
@@ -158,9 +164,11 @@ class ConditionSummary:
             raise ValueError("attrition counts do not add up")
 
 
-# the per-condition counters of ConditionSummary, summed over subjects
-_COUNTS = ("segments_in", "screened_out", "failed_fit", "used",
-           "unstable_models", "degenerate_columns")
+# the per-condition counters of ConditionSummary, summed over subjects: the
+# attrition of the segments, which adds up, and counts over the fitted models
+_ATTRITION = ("segments_in", "screened_out", "failed_fit", "used")
+_MODEL_COUNTS = ("unstable_models", "degenerate_columns")
+_COUNTS = _ATTRITION + _MODEL_COUNTS
 
 
 @dataclass(frozen=True)
@@ -191,16 +199,18 @@ def _fit_order(config: PipelineConfig, segment) -> int:
     return select_order(segment, config.p_scan_max).chosen_p
 
 
-def _process_subject(config: PipelineConfig, segments, pairs, groups, grid: FrequencyGrid):
+def _process_subject(config: PipelineConfig, segments, groups, lookups, grid: FrequencyGrid):
     """One subject's epochs in one condition: returns (counts dict, band values or None).
 
-    Band values map (pair, band) -> float; None when no segment survived, in
-    which case the subject cannot contribute a paired observation.
+    Each epoch is screened and then fitted once per channel group. Band values
+    map (pair, band) -> float; None when no segment survived, in which case
+    the subject cannot contribute a paired observation.
     """
     counts = dict.fromkeys(_COUNTS, 0)
     counts["segments_in"] = len(segments)
-
-    survivors = []
+    # per group, the spectra of the used epochs; an epoch enters every group
+    # or none, so every group averages over the same epochs
+    group_spectra = [[] for _ in groups]
     for seg in segments:
         if (config.amplitude_reject_threshold is not None
                 and np.abs(seg.samples).max() > config.amplitude_reject_threshold):
@@ -217,45 +227,29 @@ def _process_subject(config: PipelineConfig, segments, pairs, groups, grid: Freq
         if not report.passed:
             counts["screened_out"] += 1
             continue
-        survivors.append(seg)
-
-    # group -> list of per-segment spectra; a segment enters either all
-    # groups or none, so every group averages over the same segment set
-    group_spectra = {g: [] for g in groups}
-    for seg in survivors:
         try:
-            fitted = {}
+            spectra = []
             unstable = 0
-            for g in groups:
-                sub = seg if g == "joint" else seg.select_channels(g)
+            for group in groups:
+                sub = seg.select_channels(group)
                 model, _ = fit_var(sub, _fit_order(config, sub))
-                if not check_stability(model):
-                    unstable += 1
-                fitted[g] = compute_pdc(model, grid)
+                unstable += not check_stability(model)
+                spectra.append(compute_pdc(model, grid))
         except (ValueError, EstimationError):
             counts["failed_fit"] += 1
             continue
         counts["used"] += 1
         counts["unstable_models"] += unstable
-        for g, spectrum in fitted.items():
+        for spectrum, kept in zip(spectra, group_spectra):
             counts["degenerate_columns"] += len(spectrum.degenerate_columns)
-            group_spectra[g].append(spectrum)
+            kept.append(spectrum)
 
     if counts["used"] == 0:
         return counts, None
-
-    band_values = {}
-    for g, spectra in group_spectra.items():
-        averaged = band_average(average_over_segments(spectra), config.bands)
-        labels = averaged.channel_labels
-        for source, target in pairs:
-            if g != "joint" and (source not in labels or target not in labels):
-                continue
-            i = labels.index(target)
-            j = labels.index(source)
-            for band_name, matrix in averaged.bands.items():
-                band_values[((source, target), band_name)] = float(matrix[i, j])
-    return counts, band_values
+    averaged = [band_average(average_over_segments(spectra), config.bands).bands
+                for spectra in group_spectra]
+    return counts, {(pair, band): float(averaged[g][band][row, col])
+                    for pair, (g, row, col) in lookups.items() for band in config.bands}
 
 
 def _resolve_pairs(config: PipelineConfig, labels: tuple) -> tuple:
@@ -269,15 +263,23 @@ def _resolve_pairs(config: PipelineConfig, labels: tuple) -> tuple:
     return tuple((s, t) for s in labels for t in labels if s != t)
 
 
-def _fit_groups(config: PipelineConfig, pairs) -> tuple:
+def _plan(config: PipelineConfig, labels: tuple) -> tuple:
+    """A run's fits: (channel groups, lookups).
+
+    The groups are the label tuples fitted on every epoch: all labels in
+    joint scope, each pair's sorted labels in per-pair scope. The lookups map
+    each resolved pair, in order, to (group index, target row, source column)
+    of its entry in that group's PDC matrices.
+    """
+    pairs = _resolve_pairs(config, labels)
     if config.model_scope == SCOPE_JOINT:
-        return ("joint",)
-    groups = []
-    for s, t in pairs:
-        g = tuple(sorted((s, t)))
-        if g not in groups:
-            groups.append(g)
-    return tuple(groups)
+        groups = (labels,)
+    else:
+        groups = tuple(dict.fromkeys(tuple(sorted(pair)) for pair in pairs))
+    # each pair lies in exactly one group
+    lookups = {(s, t): (g, group.index(t), group.index(s))
+               for s, t in pairs for g, group in enumerate(groups) if s in group and t in group}
+    return groups, lookups
 
 
 def _check_feasible(config: PipelineConfig, n: int, n_channels: int) -> None:
@@ -302,12 +304,6 @@ def _cut(config: PipelineConfig, labels: tuple, recording, starts) -> list:
             f"says {config.sampling_rate_hz} Hz"
         )
     return extract_segments(recording, config.epoch_length_ms, starts)
-
-
-def _process_condition(config, subjects, pairs, groups, grid):
-    outcomes = [_process_subject(config, segments, pairs, groups, grid) for segments in subjects]
-    totals = {key: sum(counts[key] for counts, _ in outcomes) for key in _COUNTS}
-    return totals, [values for _, values in outcomes]
 
 
 def run_pipeline(config: PipelineConfig, condition_a_inputs, condition_b_inputs,
@@ -357,37 +353,39 @@ def run_pipeline(config: PipelineConfig, condition_a_inputs, condition_b_inputs,
             except ValueError as exc:
                 raise ValueError(f"condition {cond}, subject {index}: {exc}") from None
 
-    pairs = _resolve_pairs(config, labels)
-    groups = _fit_groups(config, pairs)
+    groups, lookups = _plan(config, labels)
+    pairs = tuple(lookups)
     grid = config.frequency_grid()
     first = next((subject[0] for subject in epochs["a"] + epochs["b"] if subject), None)
     if first is None:
         raise ValueError("no subject has an epoch onset")
     _check_feasible(config, first.n_samples, len(labels))  # every epoch has its length
 
-    totals_a, values_a = _process_condition(config, epochs["a"], pairs, groups, grid)
-    totals_b, values_b = _process_condition(config, epochs["b"], pairs, groups, grid)
-
-    subjects_used = tuple(i for i in range(len(a_inputs))
-                          if values_a[i] is not None and values_b[i] is not None)
+    outcomes = {cond: [_process_subject(config, segments, groups, lookups, grid)
+                       for segments in subjects]
+                for cond, subjects in epochs.items()}
+    totals = {cond: {key: sum(counts[key] for counts, _ in outcome) for key in _COUNTS}
+              for cond, outcome in outcomes.items()}
+    subjects_used = tuple(i for i, ((_, a), (_, b)) in enumerate(zip(*outcomes.values()))
+                          if a is not None and b is not None)
     if not subjects_used:
         raise PipelineError(
             "no subject kept a usable segment in both conditions; attrition "
-            f"a={totals_a} b={totals_b}"
+            f"a={totals['a']} b={totals['b']}"
         )
 
     band_names = tuple(config.bands)
-    keys = [(pair, band) for pair in pairs for band in band_names]
-    bv_a = {k: [values_a[i][k] for i in subjects_used] for k in keys}
-    bv_b = {k: [values_b[i][k] for i in subjects_used] for k in keys}
-    test_results = compare_conditions(bv_a, bv_b, alpha=config.alpha)
-
-    def summary(totals, values):
-        return ConditionSummary(
-            n_subjects=len(values),
-            band_values={k: tuple(values[i][k] for i in subjects_used) for k in keys},
-            **totals,
+    summaries = {
+        cond: ConditionSummary(
+            n_subjects=len(outcome),
+            band_values={(pair, band): tuple(outcome[i][1][(pair, band)] for i in subjects_used)
+                         for pair in pairs for band in band_names},
+            **totals[cond],
         )
+        for cond, outcome in outcomes.items()
+    }
+    test_results = compare_conditions(summaries["a"].band_values, summaries["b"].band_values,
+                                      alpha=config.alpha)
 
     return AnalysisReport(
         toolkit_version=__version__,
@@ -397,8 +395,8 @@ def run_pipeline(config: PipelineConfig, condition_a_inputs, condition_b_inputs,
         channel_pairs=pairs,
         band_names=band_names,
         subjects_used=subjects_used,
-        condition_a=summary(totals_a, values_a),
-        condition_b=summary(totals_b, values_b),
+        condition_a=summaries["a"],
+        condition_b=summaries["b"],
         test_results=test_results,
         timestamp_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     )
@@ -412,8 +410,8 @@ def _condition_dict(summary: ConditionSummary, pairs, band_names) -> dict:
         }
     return {
         "n_subjects": summary.n_subjects,
-        "attrition": {key: getattr(summary, key) for key in _COUNTS[:4]},
-        **{key: getattr(summary, key) for key in _COUNTS[4:]},
+        "attrition": {key: getattr(summary, key) for key in _ATTRITION},
+        **{key: getattr(summary, key) for key in _MODEL_COUNTS},
         "band_values": values,
     }
 
@@ -509,45 +507,6 @@ def write_config_json(config: PipelineConfig, path) -> None:
         fh.write("\n")
 
 
-def _is_number(value) -> bool:
-    # the decoder also yields NaN, Infinity and integers beyond float range;
-    # type() rather than isinstance() because JSON true/false decode as bool
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _is_pair(value, item_ok) -> bool:
-    return type(value) is list and len(value) == 2 and all(map(item_ok, value))
-
-
-# field annotation -> (check on the decoded JSON value, what the check wants)
-_JSON_TYPES = {
-    "float": (_is_number, "a finite number"),
-    "int": (lambda v: type(v) is int, "an integer"),
-    "bool": (lambda v: type(v) is bool, "true or false"),
-    "str": (lambda v: type(v) is str, "a string"),
-    "tuple": (lambda v: type(v) is list
-              and all(_is_pair(p, lambda s: type(s) is str) for p in v),
-              "a list of [source, target] string pairs"),
-    "dict": (lambda v: type(v) is dict
-             and all(_is_pair(edges, _is_number) for edges in v.values()),
-             "an object mapping names to [low, high] numbers"),
-}
-
-
-def _field_value(value, annotation: str, where: str):
-    kind, _, optional = annotation.partition(" | ")
-    if value is None and optional:
-        return None
-    check, wanted = _JSON_TYPES[kind]
-    if not check(value):
-        wanted += " or null" if optional else ""
-        raise ValueError(f"{where} must be {wanted}, got {json.dumps(value)}")
-    return float(value) if kind == "float" else value
-
-
 def read_config_json(path) -> PipelineConfig:
     """Load a config; missing keys, nested ones included, take the protocol
     defaults.
@@ -570,14 +529,6 @@ def read_config_json(path) -> PipelineConfig:
         else:
             flat[key] = value
     schema = {_json_path(f.name): f for f in fields(PipelineConfig)}
-    unknown = set(flat) - set(schema)
-    if unknown:
-        raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-    if "sampling_rate_hz" not in flat:
-        raise ValueError(f"{path}: sampling_rate_hz is required")
-    try:
-        kwargs = {f.name: _field_value(flat[where], f.type, where)
-                  for where, f in schema.items() if where in flat}
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return PipelineConfig(**kwargs)
+    kinds = {where: f.type for where, f in schema.items()}
+    values = _json_fields(path, flat, kinds, ("sampling_rate_hz",), "config")
+    return PipelineConfig(**{schema[where].name: value for where, value in values.items()})

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import Recording
-from .var import _json_int, spectral_radius
+from .var import _json_fields, spectral_radius
 
 __all__ = [
     "DEFAULT_BURN_IN",
@@ -155,23 +155,29 @@ def write_generator_spec_json(spec: GeneratorSpec, path) -> None:
         fh.write("\n")
 
 
+# generator spec JSON key -> kind; the keys of GeneratorSpec's fields
+_SPEC_KINDS = {
+    "coeff_matrices": "array",
+    "innovation_covariance": "array",
+    "n_samples": "int",
+    "burn_in": "int",
+    "seed": "int",
+    "sampling_rate_hz": "float",
+    "channel_labels": "labels | None",
+}
+
+
 def read_generator_spec_json(path) -> GeneratorSpec:
     """Load a spec written by `write_generator_spec_json`.
 
     burn_in and channel_labels may be omitted from the file; seed may be
-    overridden at the call site (CLI --seed flag).
+    overridden at the call site (CLI --seed flag). Every value must have its
+    JSON kind (integers for counts and the seed, a number for the rate, a
+    list of strings for the labels, nested lists of finite numbers for the
+    matrices), and unknown keys are rejected.
     """
     with open(path) as fh:
         payload = json.load(fh)
-    try:
-        return GeneratorSpec(
-            coeff_matrices=np.asarray(payload["coeff_matrices"], dtype=float),
-            innovation_covariance=np.asarray(payload["innovation_covariance"], dtype=float),
-            n_samples=_json_int(payload["n_samples"], f"{path}: n_samples"),
-            seed=_json_int(payload["seed"], f"{path}: seed"),
-            sampling_rate_hz=float(payload["sampling_rate_hz"]),
-            burn_in=_json_int(payload.get("burn_in", DEFAULT_BURN_IN), f"{path}: burn_in"),
-            channel_labels=payload.get("channel_labels"),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing generator field {exc}") from None
+    required = ("coeff_matrices", "innovation_covariance", "n_samples", "seed",
+                "sampling_rate_hz")
+    return GeneratorSpec(**_json_fields(path, payload, _SPEC_KINDS, required, "generator spec"))

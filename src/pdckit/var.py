@@ -69,9 +69,9 @@ class VarModel:
     order_p : int
         Model order.
     coeff_matrices : np.ndarray
-        Shape (p, M, M); ``coeff_matrices[i-1]`` is the lag-i matrix A(i).
+        Shape (p, M, M), finite; ``coeff_matrices[i-1]`` is the lag-i matrix A(i).
     residual_covariance : np.ndarray
-        Shape (M, M), symmetric positive semidefinite.
+        Shape (M, M), finite, symmetric positive semidefinite.
     n_samples_used : int
         Number of regression rows (N - p).
     channel_labels : tuple of str
@@ -86,6 +86,8 @@ class VarModel:
     def __post_init__(self):
         coeffs = np.asarray(self.coeff_matrices, dtype=float)
         cov = np.asarray(self.residual_covariance, dtype=float)
+        if not (np.isfinite(coeffs).all() and np.isfinite(cov).all()):
+            raise ValueError("coeff_matrices and residual_covariance must be finite")
         if self.order_p < 1:
             raise ValueError(f"order_p must be positive, got {self.order_p}")
         if self.n_samples_used < 1:
@@ -431,24 +433,109 @@ def write_model_json(model: VarModel, path) -> None:
         fh.write("\n")
 
 
-def _json_int(value, where: str) -> int:
+def _is_number(value) -> bool:
+    # the decoder also yields NaN, Infinity and integers beyond float range;
     # type() rather than isinstance() because JSON true/false decode as bool
-    if type(value) is not int:
-        raise ValueError(f"{where} must be an integer, got {json.dumps(value)}")
-    return value
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _is_str(value) -> bool:
+    return type(value) is str
+
+
+def _is_pair(value, item_ok) -> bool:
+    return type(value) is list and len(value) == 2 and all(map(item_ok, value))
+
+
+def _array_shape(value):
+    """Shape of nested lists of finite numbers, or None unless they form an array."""
+    if _is_number(value):
+        return ()
+    if type(value) is not list:
+        return None
+    shapes = {_array_shape(v) for v in value}
+    if None in shapes or len(shapes) > 1:
+        return None
+    return (len(value), *shapes.pop()) if shapes else (0,)
+
+
+# the kinds of value the toolkit's JSON files hold, named as the annotations
+# of the fields they load into -> (check on the decoded value, what it wants)
+_JSON_TYPES = {
+    "float": (_is_number, "a finite number"),
+    "int": (lambda v: type(v) is int, "an integer"),
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "str": (_is_str, "a string"),
+    "labels": (lambda v: type(v) is list and all(map(_is_str, v)), "a list of strings"),
+    "array": (lambda v: type(v) is list and _array_shape(v) is not None,
+              "equally long nested lists of finite numbers"),
+    "tuple": (lambda v: type(v) is list and all(_is_pair(p, _is_str) for p in v),
+              "a list of [source, target] string pairs"),
+    "dict": (lambda v: type(v) is dict
+             and all(_is_pair(edges, _is_number) for edges in v.values()),
+             "an object mapping names to [low, high] numbers"),
+}
+
+
+def _field_value(value, annotation: str, where: str):
+    kind, _, optional = annotation.partition(" | ")
+    if value is None and optional:
+        return None
+    check, wanted = _JSON_TYPES[kind]
+    if not check(value):
+        wanted += " or null" if optional else ""
+        raise ValueError(f"{where} must be {wanted}, got {json.dumps(value)}")
+    return float(value) if kind == "float" else value
+
+
+def _json_fields(path, payload, kinds: dict, required, what: str) -> dict:
+    """The checked values of a decoded JSON object, by key.
+
+    ``kinds`` maps every allowed key to its kind (``"<kind> | None"`` also
+    allows null); unknown keys, a missing required key and a value of the
+    wrong kind are rejected, and the error names the file and the key.
+    """
+    if type(payload) is not dict:
+        raise ValueError(f"{path}: {what} must be a JSON object")
+    unknown = set(payload) - set(kinds)
+    if unknown:
+        raise ValueError(f"{path}: unknown {what} keys {sorted(unknown)}")
+    for key in required:
+        if key not in payload:
+            raise ValueError(f"{path}: {key} is required")
+    try:
+        return {key: _field_value(value, kinds[key], key) for key, value in payload.items()}
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+# model JSON key -> kind; every key is required
+_MODEL_KINDS = {
+    "order": "int",
+    "channel_labels": "labels",
+    "coeff_matrices": "array",
+    "residual_covariance": "array",
+    "n_samples_used": "int",
+}
 
 
 def read_model_json(path) -> VarModel:
-    """Load a model written by `write_model_json`."""
+    """Load a model written by `write_model_json`.
+
+    Every key is required and must have its JSON kind (integers for the
+    order and row count, a list of strings for the labels, nested lists of
+    finite numbers for the matrices); unknown keys are rejected.
+    """
     with open(path) as fh:
         payload = json.load(fh)
-    try:
-        return VarModel(
-            order_p=_json_int(payload["order"], f"{path}: order"),
-            coeff_matrices=np.asarray(payload["coeff_matrices"], dtype=float),
-            residual_covariance=np.asarray(payload["residual_covariance"], dtype=float),
-            n_samples_used=_json_int(payload["n_samples_used"], f"{path}: n_samples_used"),
-            channel_labels=tuple(payload["channel_labels"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing model field {exc}") from None
+    values = _json_fields(path, payload, _MODEL_KINDS, tuple(_MODEL_KINDS), "model")
+    return VarModel(
+        order_p=values["order"],
+        coeff_matrices=values["coeff_matrices"],
+        residual_covariance=values["residual_covariance"],
+        n_samples_used=values["n_samples_used"],
+        channel_labels=values["channel_labels"],
+    )

@@ -150,6 +150,39 @@ def _band_table_csv(path, shift, subjects, scramble=False):
         csv.writer(fh).writerows(rows)
 
 
+def test_pdc_refuses_a_model_with_a_nan_coefficient(tmp_path, capsys):
+    rec = _simulate(tmp_path, n=1500)
+    model_path = tmp_path / "model.json"
+    main(["fit", "--input", str(rec), "--sampling-rate", "250",
+          "--order", "1", "--out", str(model_path)])
+    payload = json.loads(model_path.read_text())
+    payload["coeff_matrices"][0][1][0] = float("nan")
+    model_path.write_text(json.dumps(payload))
+    out = tmp_path / "spec.csv"
+    code = main(["pdc", "--model", str(model_path), "--sampling-rate", "250",
+                 "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"pdckit: argument-error: {model_path}: coeff_matrices must be ")
+
+
+def test_bands_refuses_a_spectrum_with_a_nan_cell(tmp_path, capsys):
+    rec = _simulate(tmp_path, n=1500)
+    spec_path = tmp_path / "spec.csv"
+    main(["pdc", "--input", str(rec), "--sampling-rate", "250",
+          "--order", "1", "--out", str(spec_path)])
+    lines = spec_path.read_text().splitlines()
+    freq, source, target, _ = lines[5].split(",")
+    lines[5] = f"{freq},{source},{target},nan"
+    spec_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "bands.json"
+    code = main(["bands", "--spectrum", str(spec_path), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert "PDC values must lie in [0, 1]" in capsys.readouterr().err
+
+
 def test_compare_pairs_subjects_by_id(tmp_path, capsys):
     subjects = [f"s{i}" for i in range(10)]
     a_path = tmp_path / "a.csv"
@@ -224,6 +257,28 @@ def test_compare_rejects_a_pair_or_band_that_does_not_round_trip(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"pdckit: argument-error: {a_path}:5: ")
     assert repr(bad) in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("subject", ["", " s1", "s1 "])
+def test_compare_rejects_an_empty_or_padded_subject(tmp_path, capsys, subject):
+    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+    _band_table_csv(a_path, 0.0, ["s1", "s2", "s3"])
+    _band_table_csv(b_path, 0.1, ["s1", "s2", "s3"])
+    # s1's alpha row carries the same bad subject cell in both tables, so the
+    # two subject sets still match and only the cell itself can be refused
+    for path, value in ((a_path, 0.31), (b_path, 0.41)):
+        lines = path.read_text().splitlines()
+        lines[2] = f"f->t,alpha,{subject},{value}"
+        path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "t.csv"
+    code = main(["compare", "--condition-a", str(a_path),
+                 "--condition-b", str(b_path), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"pdckit: argument-error: {a_path}:3: subject ")
+    assert repr(subject) in err
     assert err.count("\n") == 1
 
 

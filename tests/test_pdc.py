@@ -213,6 +213,18 @@ def _linear_spectrum(grid, m=2):
     )
 
 
+@pytest.mark.parametrize("bad", [math.nan, -0.1, 1.1])
+def test_spectrum_and_band_values_outside_the_unit_interval_are_rejected(bad):
+    grid = FrequencyGrid.regular(4.0, 6.0, 1.0, 250.0)
+    values = np.full((grid.n_freqs, 2, 2), 0.5)
+    values[1, 0, 1] = bad
+    with pytest.raises(ValueError, match=r"PDC values must lie in \[0, 1\]"):
+        PdcSpectrum(values=values, grid=grid, channel_labels=("a", "b"))
+    with pytest.raises(ValueError, match="band 'theta' has values outside"):
+        BandAverages(bands={"theta": values[1]}, band_edges_hz={"theta": (4.0, 7.5)},
+                     channel_labels=("a", "b"))
+
+
 def test_band_average_of_linear_profile():
     grid = FrequencyGrid.regular(4.0, 30.0, 0.5, sampling_rate_hz=250.0)
     averages = band_average(_linear_spectrum(grid), DEFAULT_BANDS)

@@ -9,9 +9,12 @@ import pdckit.pipeline
 import pdckit.var
 from pdckit import (
     GeneratorSpec,
+    MultichannelSegment,
     PipelineError,
     Recording,
+    compute_pdc,
     default_config,
+    fit_var,
     generate,
     read_config_json,
     run_pipeline,
@@ -24,6 +27,7 @@ from pdckit.cli import main
 from pdckit.pipeline import (
     ORDER_MODE_AUTO_AIC,
     SCOPE_JOINT,
+    SCOPE_PER_PAIR,
     PipelineConfig,
 )
 
@@ -360,6 +364,47 @@ def test_pipeline_explicit_pair_subset():
     with pytest.raises(ValueError):
         bad = dataclasses.replace(default_config(FS), channel_pairs=(("ch1", "nope"),))
         run_pipeline(bad, cond_a, cond_b)
+
+
+@pytest.mark.parametrize("scope", [SCOPE_PER_PAIR, SCOPE_JOINT])
+def test_pipeline_band_values_equal_a_direct_per_pair_computation(scope):
+    # recording order T6, F3, F4: the pair T6/F3 sorts against it, and
+    # F3->T6 is T6->F3 reversed
+    labels = ("T6", "F3", "F4")
+    pairs = (("T6", "F3"), ("F3", "T6"), ("F4", "F3"))
+    coeffs = np.diag([0.3, 0.3, 0.3])[None]
+    coeffs[0, 0, 1] = 0.4  # F3 drives T6
+    cohorts = [[_subject(coeffs, 893_000 + 100 * c + s, m=3, labels=labels) for s in range(2)]
+               for c in (0, 1)]
+    # loose screen tolerances keep every epoch, so the means run over all of them
+    cfg = dataclasses.replace(default_config(FS), channel_pairs=pairs, model_scope=scope,
+                              stationarity_mean_drift_tol=100.0,
+                              stationarity_variance_ratio_tol=100.0)
+    report = run_pipeline(cfg, *cohorts)
+    assert report.channel_pairs == pairs
+    assert report.subjects_used == (0, 1)
+    grid = cfg.frequency_grid()
+    epoch = NSAMP // EPOCHS
+    for cohort, summary in zip(cohorts, (report.condition_a, report.condition_b)):
+        assert summary.used == summary.segments_in == 2 * EPOCHS
+        for subject, (recording, _) in enumerate(cohort):
+            for source, target in pairs:
+                # one model over the pair in the pair's own order, or over all channels
+                channels = labels if scope == SCOPE_JOINT else (source, target)
+                i, j = channels.index(target), channels.index(source)
+                spectra = []
+                for k in range(EPOCHS):
+                    seg = MultichannelSegment(recording.samples[k * epoch:(k + 1) * epoch],
+                                              FS, labels).centered().select_channels(channels)
+                    model, _ = fit_var(seg, cfg.fixed_order)
+                    spectra.append(compute_pdc(model, grid).values)
+                mean = np.mean(spectra, axis=0)
+                for band, (low, high) in cfg.bands.items():
+                    in_band = mean[(grid.freqs_hz >= low) & (grid.freqs_hz <= high)].mean(axis=0)
+                    got = summary.band_values[((source, target), band)][subject]
+                    assert got == pytest.approx(in_band[i, j], rel=1e-12, abs=1e-12)
+                    # the entry is told apart from its transpose
+                    assert got != pytest.approx(in_band[j, i], rel=1e-6)
 
 
 def test_pipeline_amplitude_rejection_counts_as_screened_out():

@@ -5,6 +5,7 @@ read-back object again must reproduce the file byte for byte. The recording
 writer instead refuses a label that the reader would not give back as written.
 """
 
+import dataclasses
 import re
 
 import numpy as np
@@ -14,15 +15,18 @@ from hypothesis import strategies as st
 
 from pdckit import (
     FrequencyGrid,
+    GeneratorSpec,
     PdcSpectrum,
     PipelineConfig,
     Recording,
     VarModel,
     read_config_json,
+    read_generator_spec_json,
     read_model_json,
     read_recording_csv,
     read_spectrum_csv,
     write_config_json,
+    write_generator_spec_json,
     write_model_json,
     write_recording_csv,
     write_spectrum_csv,
@@ -125,6 +129,50 @@ def test_model_json_round_trip_property(tmp_path, model):
     assert np.array_equal(back.coeff_matrices, model.coeff_matrices)
     assert np.array_equal(back.residual_covariance, model.residual_covariance)
     write_model_json(back, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+@st.composite
+def generator_specs(draw):
+    names = draw(labels())
+    m = len(names)
+    p = draw(st.integers(1, 4))
+    coeffs = np.array(draw(st.lists(finite(-1.0, 1.0), min_size=p * m * m,
+                                    max_size=p * m * m))).reshape(p, m, m)
+    # sum_i ||A(i)||_inf <= p * m * max|a| < 1 bounds the spectral radius below 1
+    largest = np.abs(coeffs).max()
+    if largest > 0:
+        # divided first, so a subnormal largest entry cannot overflow the scale
+        coeffs = coeffs / largest * (draw(finite(0.0, 0.99)) / (p * m))
+    root = np.array(draw(st.lists(finite(-3.0, 3.0), min_size=m * m, max_size=m * m)))
+    root = root.reshape(m, m)
+    # a diagonal floor keeps the covariance positive definite
+    cov = root @ root.T + np.eye(m)
+    cov = (cov + cov.T) / 2.0
+    return GeneratorSpec(
+        coeff_matrices=coeffs,
+        innovation_covariance=cov,
+        n_samples=draw(st.integers(1, 10**6)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        sampling_rate_hz=draw(finite(1e-3, 1e5, exclude_min=True)),
+        burn_in=draw(st.integers(0, 10**4)),
+        channel_labels=tuple(names),
+    )
+
+
+@SETTINGS
+@given(spec=generator_specs())
+def test_generator_spec_json_round_trip_property(tmp_path, spec):
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    write_generator_spec_json(spec, first)
+    back = read_generator_spec_json(first)
+    for f in dataclasses.fields(GeneratorSpec):
+        mine, theirs = getattr(back, f.name), getattr(spec, f.name)
+        if isinstance(mine, np.ndarray):
+            assert np.array_equal(mine, theirs), f.name
+        else:
+            assert mine == theirs and type(mine) is type(theirs), f.name
+    write_generator_spec_json(back, second)
     assert second.read_bytes() == first.read_bytes()
 
 

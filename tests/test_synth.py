@@ -1,3 +1,7 @@
+import json
+import math
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -162,8 +166,6 @@ def test_generator_spec_json_round_trip(tmp_path):
 
 
 def test_generator_spec_json_defaults_optional_fields(tmp_path):
-    import json
-
     path = tmp_path / "gen.json"
     payload = {
         "coeff_matrices": [[[0.2]]],
@@ -178,17 +180,40 @@ def test_generator_spec_json_defaults_optional_fields(tmp_path):
     assert spec.channel_labels == ("ch1",)
 
 
+# what each generator spec JSON key must hold, as the reader's error words it
+SPEC_KINDS = {
+    "seed": "an integer",
+    "n_samples": "an integer",
+    "burn_in": "an integer",
+    "sampling_rate_hz": "a finite number",
+    "channel_labels": "a list of strings or null",
+    "coeff_matrices": "equally long nested lists of finite numbers",
+    "innovation_covariance": "equally long nested lists of finite numbers",
+}
+
+
 @pytest.mark.parametrize("field, value", [
     ("seed", 7.9),
     ("seed", True),
     ("n_samples", 100.5),
     ("burn_in", "10"),
+    ("sampling_rate_hz", "250"),
+    ("sampling_rate_hz", True),
+    ("channel_labels", "ab"),
+    ("coeff_matrices", [[[0.0, "0.5"], [0.0, 0.0]]]),
+    ("coeff_matrices", [[[0.0, True], [0.0, 0.0]]]),
+    ("innovation_covariance", [[1.0, 0.0], [0.0, math.nan]]),
+    ("innovation_covariance", [[1.0, 0.0], 1.0]),
+    ("burnin", 3),
 ])
 def test_generator_spec_json_requires_integers(tmp_path, field, value):
-    import json
-
+    """Every key holds its JSON kind, integers included; unknown keys are refused."""
     path = tmp_path / "gen.json"
     write_generator_spec_json(_spec(WHITE, n=100, seed=7), path)
     path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
-    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+    if field in SPEC_KINDS:
+        message = f"{field} must be {SPEC_KINDS[field]}, got "
+    else:
+        message = re.escape(f"{path}: unknown generator spec keys [{field!r}]")
+    with pytest.raises(ValueError, match=message):
         read_generator_spec_json(path)

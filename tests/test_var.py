@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from collections import Counter
 from unittest import mock
@@ -533,19 +534,62 @@ def test_model_json_round_trip(tmp_path):
     assert_allclose(back.residual_covariance, model.residual_covariance, rtol=0, atol=0)
 
 
+# what each model JSON key must hold, as the reader's error words it
+MODEL_KINDS = {
+    "order": "an integer",
+    "n_samples_used": "an integer",
+    "channel_labels": "a list of strings",
+    "coeff_matrices": "equally long nested lists of finite numbers",
+    "residual_covariance": "equally long nested lists of finite numbers",
+}
+
+
 @pytest.mark.parametrize("field, value", [
     ("n_samples_used", 99.9),
     ("n_samples_used", "99"),
     ("order", True),
     ("order", 3.0),
+    ("channel_labels", "ab"),
+    ("channel_labels", ["ch1", 2]),
+    ("coeff_matrices", [[[0.1, "0.5"], [0.0, 0.1]]] * 3),
+    ("coeff_matrices", [[[0.1, True], [0.0, 0.1]]] * 3),
+    ("coeff_matrices", [[[0.1, math.nan], [0.0, 0.1]]] * 3),
+    ("coeff_matrices", [[[0.1, 0.0], [0.1]]] * 3),
+    ("residual_covariance", [[1.0, 0.0], [0.0, math.inf]]),
+    ("residual_covariance", "[[1, 0], [0, 1]]"),
+    ("burn_in", 3),
 ])
 def test_model_json_requires_integers(tmp_path, field, value):
+    """Every key holds its JSON kind, integers included; unknown keys are refused."""
     path = tmp_path / "model.json"
     write_model_json(random_stable_var(np.random.default_rng(2), m=2, p=3), path)
     payload = json.loads(path.read_text())
     path.write_text(json.dumps({**payload, field: value}))
-    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+    if field in MODEL_KINDS:
+        message = f"{field} must be {MODEL_KINDS[field]}, got "
+    else:
+        message = re.escape(f"{path}: unknown model keys [{field!r}]")
+    with pytest.raises(ValueError, match=message):
         read_model_json(path)
+
+
+def test_model_json_requires_every_key(tmp_path):
+    path = tmp_path / "model.json"
+    write_model_json(random_stable_var(np.random.default_rng(2), m=2, p=3), path)
+    payload = json.loads(path.read_text())
+    del payload["n_samples_used"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="n_samples_used is required"):
+        read_model_json(path)
+
+
+@pytest.mark.parametrize("name", ["coeff_matrices", "residual_covariance"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_model_rejects_non_finite_arrays(name, bad):
+    arrays = {"coeff_matrices": np.full((1, 2, 2), 0.1), "residual_covariance": np.eye(2)}
+    arrays[name][..., 0, 1] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        VarModel(order_p=1, n_samples_used=10, channel_labels=("a", "b"), **arrays)
 
 
 def test_model_rejects_non_positive_sample_count(tmp_path):
