@@ -277,11 +277,19 @@ def read_spectrum_csv(path, sampling_rate_hz: float | None = None) -> PdcSpectru
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(f"{path}: expected columns {sorted(required)}")
         for row in reader:
-            f_hz = float(row["freq_hz"])
+            where = f"{path}:{reader.line_num}"
+            try:
+                f_hz, value = float(row["freq_hz"]), float(row["pdc"])
+            except (TypeError, ValueError):  # TypeError: a short row has no pdc cell
+                raise ValueError(f"{where}: freq_hz and pdc must be numbers, got "
+                                 f"{row['freq_hz']!r} and {row['pdc']!r}") from None
             source, target = row["source"], row["target"]
+            key = (f_hz, source, target)
+            if key in cells:
+                raise ValueError(f"{where}: duplicate row for {f_hz} Hz, {source}->{target}")
             seen.setdefault(source)
             seen.setdefault(target)
-            cells[(f_hz, source, target)] = float(row["pdc"])
+            cells[key] = value
     if not cells:
         raise ValueError(f"{path}: no spectrum rows")
     freqs = sorted({f_hz for f_hz, _, _ in cells})

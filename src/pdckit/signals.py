@@ -9,7 +9,9 @@ weak stationarity before any model is fitted to it.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -274,41 +276,94 @@ def screen_stationarity(
     )
 
 
-def read_recording_csv(path, sampling_rate_hz: float) -> Recording:
-    """Load a recording from CSV: header row of channel labels, one time point per row."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+def _read_header(path, body) -> tuple[str, ...]:
+    """Channel labels from the first CSV row: stripped, non-empty and unique."""
+    try:
+        row = next(csv.reader(body))
+    except StopIteration:
+        raise ValueError(f"{path}: empty recording file") from None
+    labels = tuple(lab.strip() for lab in row)
+    for column, label in enumerate(labels, start=1):
+        if not label:
+            raise ValueError(f"{path}:1: column {column} has an empty channel label")
+        if label in labels[: column - 1]:
+            raise ValueError(f"{path}:1: column {column} repeats channel label {label!r}")
+    return labels
+
+
+# ASCII separators that numpy strips from the edges of a cell and float() does not
+_KEPT_BY_FLOAT = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _read_in_one_call(path, data: bytes):
+    """Labels and samples, the body parsed in one `np.loadtxt` call; None where
+    the row loop must decide.
+
+    Apart from `_KEPT_BY_FLOAT`, `loadtxt` accepts a subset of what the loop
+    accepts (no `1_0`, no non-ASCII digits) with the same float conversion, so
+    a finite matrix of the header's width is what the loop would have built.
+    """
+    if any(sep in data for sep in _KEPT_BY_FLOAT):
+        return None
+    try:
+        with (io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as body,
+              warnings.catch_warnings()):
+            warnings.simplefilter("error")  # a body without rows only warns
+            labels = _read_header(path, body)
+            samples = np.loadtxt(body, delimiter=",", ndmin=2, comments=None, quotechar='"')
+    except (ValueError, UserWarning):  # the loop names it, or reads past it
+        return None
+    if samples.shape[1] == len(labels) and np.isfinite(samples).all():
+        return labels, samples
+    return None
+
+
+def _read_by_row(path, data: bytes):
+    """Labels and samples one CSV row at a time; the owner of every message."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ValueError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+    body = io.StringIO(text, newline="")
+    labels = _read_header(path, body)
+    rows = []
+    for lineno, row in enumerate(csv.reader(body), start=2):
+        if not row:
+            continue
+        if len(row) != len(labels):
+            raise ValueError(f"{path}:{lineno}: expected {len(labels)} values, got {len(row)}")
         try:
-            labels = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty recording file") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(labels):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(labels)} values, got {len(row)}"
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric sample value") from None
+            values = [float(v) for v in row]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric sample value") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{path}:{lineno}: non-finite sample value")
+        rows.append(values)
     if not rows:
         raise ValueError(f"{path}: recording has a header but no samples")
-    return Recording(
-        samples=np.array(rows, dtype=float),
-        sampling_rate_hz=sampling_rate_hz,
-        channel_labels=tuple(lab.strip() for lab in labels),
-    )
+    return labels, np.array(rows, dtype=float)
+
+
+def read_recording_csv(path, sampling_rate_hz: float) -> Recording:
+    """Load a recording from UTF-8 CSV: header row of channel labels, one time point per row.
+
+    Every error names the file, and its line where there is one.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    labels, samples = _read_in_one_call(path, data) or _read_by_row(path, data)
+    return Recording(samples=samples, sampling_rate_hz=sampling_rate_hz, channel_labels=labels)
 
 
 def write_recording_csv(recording: Recording, path) -> None:
-    """Write a recording as `read_recording_csv` reads it; edge whitespace in a label raises."""
+    """Write a recording as `read_recording_csv` reads it; a label it would not give back raises."""
     for label in recording.channel_labels:
-        if label != label.strip():
-            raise ValueError(f"channel label {label!r} has edge whitespace the reader would strip")
-    with open(path, "w", newline="") as fh:
+        if not label or label != label.strip():
+            raise ValueError(f"channel label {label!r} is empty or has edge whitespace "
+                             "the reader would strip")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(recording.channel_labels)
         for row in recording.samples:

@@ -324,6 +324,18 @@ def test_pipeline_command_end_to_end(tmp_path, capsys):
     assert "hypotheses 8" in out
 
 
+def test_pipeline_names_the_recording_with_a_non_finite_sample(tmp_path, capsys):
+    quiet = np.array([[[0.3, 0.0], [0.0, 0.3]]])
+    argv = _pipeline_argv(tmp_path, default_config(250.0), quiet, quiet, n_subjects=3)
+    bad = tmp_path / "b1.csv"
+    lines = bad.read_text().splitlines()
+    lines[7] = lines[7].split(",")[0] + ",inf"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"pdckit: argument-error: {bad}:8: non-finite sample value\n")
+
+
 def test_pipeline_threads_flag_is_accepted_and_ignored(tmp_path, capsys, monkeypatch):
     # the thread-count variable is no longer read, so a malformed value is harmless
     monkeypatch.setenv("PDC_TOOLKIT_THREADS", "abc")

@@ -310,6 +310,27 @@ def test_spectrum_csv_reader_defaults_sampling_rate(tmp_path):
     assert back.grid.sampling_rate_hz == 60.0  # twice the highest frequency
 
 
+def test_spectrum_csv_rejects_a_duplicate_row(tmp_path):
+    path = tmp_path / "spec.csv"
+    path.write_text("freq_hz,source,target,pdc\n4.0,a,a,0.5\n4,a,a,0.9\n")
+    with pytest.raises(ValueError) as info:
+        read_spectrum_csv(path)
+    assert str(info.value) == f"{path}:3: duplicate row for 4.0 Hz, a->a"
+
+
+@pytest.mark.parametrize("row, cells", [
+    ("abc,a,a,0.5", "'abc' and '0.5'"),
+    ("4.0,a,a,x", "'4.0' and 'x'"),
+    ("4.0,a,a", "'4.0' and None"),
+], ids=["freq", "pdc", "short-row"])
+def test_spectrum_csv_names_the_line_of_a_non_numeric_cell(tmp_path, row, cells):
+    path = tmp_path / "spec.csv"
+    path.write_text(f"freq_hz,source,target,pdc\n4.0,a,a,0.5\n{row}\n")
+    with pytest.raises(ValueError) as info:
+        read_spectrum_csv(path)
+    assert str(info.value) == f"{path}:3: freq_hz and pdc must be numbers, got {cells}"
+
+
 def test_band_averages_json_layout(tmp_path):
     grid = FrequencyGrid.regular(4.0, 30.0, 0.5, sampling_rate_hz=250.0)
     averages = band_average(compute_pdc(LOWER_VAR1, grid))

@@ -501,11 +501,11 @@ def test_write_report_files(tmp_path):
     cond_a, cond_b = _cohorts(n_subjects=4, base=889_000)
     report = run_pipeline(default_config(FS), cond_a, cond_b)
     paths = write_report(report, tmp_path / "out")
-    payload = json.loads(open(paths["report"]).read())
+    with open(paths["report"]) as fh:
+        payload = json.load(fh)
     assert payload["toolkit_version"]
     with open(paths["test_table"]) as fh:
-        header = fh.readline().strip().split(",")
-    assert header == ["pair", "direction", "band", "n", "W",
-                      "p_raw", "p_adjusted", "significant"]
-    lines = open(paths["test_table"]).read().strip().splitlines()
+        lines = fh.read().strip().splitlines()
+    assert lines[0].split(",") == ["pair", "direction", "band", "n", "W",
+                                   "p_raw", "p_adjusted", "significant"]
     assert len(lines) == 1 + 8

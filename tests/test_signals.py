@@ -1,5 +1,11 @@
+import csv
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pdckit import (
@@ -185,13 +191,13 @@ def test_recording_csv_round_trip(tmp_path):
     assert_array_equal(back.samples, rec.samples)
 
 
-@pytest.mark.parametrize("labels", [(" F3", "F4 "), ("F3", "F3 ")])
+@pytest.mark.parametrize("labels", [(" F3", "F4 "), ("F3", "F3 "), ("F3", "")])
 def test_recording_csv_writer_refuses_padded_labels(tmp_path, labels):
-    # the reader strips header labels: the first pair would read back as
-    # ('F3', 'F4'), the second as a duplicate
+    # the reader strips header labels and rejects an empty one: the first
+    # pair would read back as ('F3', 'F4'), the second as a duplicate
     rec = _recording(np.zeros((3, 2)), labels=labels)
     path = tmp_path / "rec.csv"
-    padded = next(lab for lab in labels if lab != lab.strip())
+    padded = next(lab for lab in labels if not lab or lab != lab.strip())
     with pytest.raises(ValueError, match=repr(padded)):
         write_recording_csv(rec, path)
     assert not path.exists()
@@ -208,6 +214,148 @@ def test_recording_csv_rejects_malformed_files(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError):
         read_recording_csv(path, sampling_rate_hz=100.0)
+
+
+@pytest.mark.parametrize("header, column", [("F3,,T5", 2), ("F3, ,T5", 2), (",F3", 1)])
+def test_recording_csv_rejects_an_empty_header_label(tmp_path, header, column):
+    path = tmp_path / "rec.csv"
+    path.write_text(f"{header}\n1,2,3\n")
+    with pytest.raises(ValueError) as info:
+        read_recording_csv(path, sampling_rate_hz=100.0)
+    assert str(info.value) == f"{path}:1: column {column} has an empty channel label"
+
+
+def test_recording_csv_names_a_repeated_header_label(tmp_path):
+    path = tmp_path / "rec.csv"
+    path.write_text("F3,T5, F3\n1,2,3\n")
+    with pytest.raises(ValueError) as info:
+        read_recording_csv(path, sampling_rate_hz=100.0)
+    assert str(info.value) == f"{path}:1: column 3 repeats channel label 'F3'"
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400", "-Infinity"])
+def test_recording_csv_names_the_line_of_a_non_finite_sample(tmp_path, cell):
+    path = tmp_path / "rec.csv"
+    path.write_text(f"a,b\n1,2\n\n3,{cell}\n4,5\n")
+    with pytest.raises(ValueError) as info:
+        read_recording_csv(path, sampling_rate_hz=100.0)
+    assert str(info.value) == f"{path}:4: non-finite sample value"
+
+
+def test_recording_csv_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "rec.csv"
+    path.write_bytes(b"a,b\r\n1,2\r3,4\n5,\xff\n")
+    with pytest.raises(ValueError) as info:
+        read_recording_csv(path, sampling_rate_hz=100.0)
+    assert str(info.value) == f"{path}:4: not UTF-8 text (invalid start byte)"
+
+
+@pytest.mark.parametrize("body", ["", "\n\r\n", "\r"])
+def test_recording_csv_header_only_file_raises_without_a_warning(tmp_path, body):
+    path = tmp_path / "rec.csv"
+    path.write_text(f"a,b\n{body}", newline="")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError) as info:
+            read_recording_csv(path, sampling_rate_hz=100.0)
+    assert str(info.value) == f"{path}: recording has a header but no samples"
+    assert caught == []
+
+
+def _read_by_line_reference(path):
+    """The per-line reader the one-call parse must agree with: the samples, or the message."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        labels = next(reader)
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(labels):
+                return f"{path}:{lineno}: expected {len(labels)} values, got {len(row)}"
+            try:
+                values = [float(v) for v in row]
+            except ValueError:
+                return f"{path}:{lineno}: non-numeric sample value"
+            if not all(map(math.isfinite, values)):
+                return f"{path}:{lineno}: non-finite sample value"
+            rows.append(values)
+    if not rows:
+        return f"{path}: recording has a header but no samples"
+    return np.array(rows, dtype=float)
+
+
+# cells the per-line reader and numpy may parse differently, or not at all
+ODD_CELLS = st.sampled_from([
+    "1_0", "inf", "-inf", "nan", "1e400", "-1e400", "1e-400", "-0", "+1", "\u0661",
+    "Infinity", "0x1p3", "1e", "abc", "", " ", '1"', '"1"2', '""', ' "1"', "0\x1c",
+    "\x1f1", "1\x85",
+])
+
+
+@st.composite
+def _cells(draw, odd):
+    number = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                       st.integers(-10**20, 10**20).map(str))
+    text = draw(st.one_of(number, ODD_CELLS) if odd else number)
+    pads = st.sampled_from(["", "", "", " ", "\t", "\xa0"])
+    text = draw(pads) + text + draw(pads)
+    if draw(st.booleans()):
+        text = '"' + text.replace('"', '""') + '"' + draw(pads)
+    return text
+
+
+@st.composite
+def _recording_files(draw):
+    """Recording CSV text: 1-3 columns, 0-6 lines that may be ragged, blank or odd,
+    and \\n, \\r\\n or \\r line endings mixed within one file."""
+    width = draw(st.integers(1, 3))
+    odd = draw(st.integers(0, 2)) == 0
+    ragged = draw(st.integers(0, 2)) == 0
+    lines = [",".join("abc"[:width])]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "", " ", "\t"])))
+            continue
+        n = draw(st.integers(1, width + 1)) if ragged else width
+        lines.append(",".join(draw(_cells(odd)) for _ in range(n)))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    return "".join(line + draw(ends) for line in lines[:-1]) + lines[-1] + draw(
+        st.sampled_from(["", "\n", "\r\n", "\r"]))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_recording_files())
+@example(text="a,b\n1_0,2\n")
+@example(text="a\n\u0661\n")
+@example(text="a,b\r\n1,inf\r3,4\n")
+@example(text="a,b\n1,nan\n")
+@example(text="a,b\n1e400,2\n")
+@example(text="a,b\n-0,0\n")
+@example(text='a,b\n"1" , "2"\n\n\t\n3,4')
+@example(text="a,b\n1,\n")
+@example(text="a,b\n1,2,3\n")
+@example(text="a,b\n1,2\n  \n")
+@example(text="a,b\n\r\n\n")
+@example(text="a,b")
+@example(text="a\n1\n\n2\r3")
+@example(text="a\n0\x1c\n")
+def test_recording_csv_reader_agrees_with_the_per_line_reader(tmp_path, text):
+    # a new file per example: truncating an existing one is slow on some file systems
+    path = tmp_path / f"rec{len(list(tmp_path.iterdir()))}.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _read_by_line_reference(path)
+    try:
+        got = read_recording_csv(path, sampling_rate_hz=100.0).samples
+    except ValueError as exc:
+        got = str(exc)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        # bit for bit, so -0.0 and 0.0 differ
+        assert isinstance(got, np.ndarray) and got.dtype == expected.dtype
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 def test_markers_csv_reads_one_start_per_line(tmp_path):
