@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import math
 import sys
 
@@ -30,7 +31,13 @@ from .pdc import (
     write_spectrum_csv,
 )
 from .pipeline import read_config_json, run_pipeline, write_report
-from .signals import MultichannelSegment, read_markers_csv, read_recording_csv, write_recording_csv
+from .signals import (
+    MultichannelSegment,
+    _read_text,
+    read_markers_csv,
+    read_recording_csv,
+    write_recording_csv,
+)
 from .stats import _key_label, compare_conditions, format_pair, write_test_table_csv
 from .synth import generate, read_generator_spec_json
 from .var import fit_var, read_model_json, select_order, write_model_json
@@ -196,11 +203,11 @@ def _is_label(text) -> bool:
 
 
 def _read_band_values_csv(path) -> dict:
-    """pair,band,subject,value rows -> {(pair, band): {subject: value}}."""
+    """pair,band,subject,value rows of UTF-8 CSV -> {(pair, band): {subject: value}}."""
     table: dict = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"pair", "band", "subject", "value"}
+    reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
+    required = {"pair", "band", "subject", "value"}
+    try:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(f"{path}: expected columns {sorted(required)}")
         for row in reader:
@@ -232,6 +239,8 @@ def _read_band_values_csv(path) -> dict:
             if not math.isfinite(value):
                 raise ValueError(f"{where}: value must be a finite number, got {row['value']!r}")
             per_subject[subject] = value
+    except csv.Error as exc:  # DictReader's own line_num lags a row that raised
+        raise ValueError(f"{path}:{reader.reader.line_num}: {exc}") from None
     if not table:
         raise ValueError(f"{path}: no data rows")
     return table

@@ -11,12 +11,15 @@ the subtractive convention either way.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
+from .signals import _read_text
 from .var import VarModel
 
 __all__ = [
@@ -135,12 +138,23 @@ class BandAverages:
         object.__setattr__(self, "channel_labels", tuple(str(c) for c in self.channel_labels))
 
 
+@lru_cache(maxsize=64)
+def _phase_table(freqs_bytes: bytes, sampling_rate_hz: float, order: int) -> np.ndarray:
+    """Read-only ``exp(-2 pi i g r)`` for every grid frequency and lag r = 1..order,
+    shape (F, order), keyed on the grid's float64 bytes rather than on any object."""
+    g = np.frombuffer(freqs_bytes)[:, None] / sampling_rate_hz
+    phases = np.exp(-2j * np.pi * g * np.arange(1, order + 1))
+    phases.flags.writeable = False
+    return phases
+
+
 def _transfer(coeff_matrices: np.ndarray, freqs_hz, sampling_rate_hz: float) -> np.ndarray:
     """Transform matrices at every frequency in one contraction, shape (F, M, M)."""
-    g = np.asarray(freqs_hz, dtype=float)[:, None] / sampling_rate_hz
-    phases = np.exp(-2j * np.pi * g * np.arange(1, coeff_matrices.shape[0] + 1))
-    out = np.tensordot(phases, coeff_matrices, axes=(1, 0))
-    idx = np.arange(coeff_matrices.shape[1])
+    p, m, _ = coeff_matrices.shape
+    freqs = np.asarray(freqs_hz, dtype=float)
+    phases = _phase_table(freqs.tobytes(), sampling_rate_hz, p)
+    out = (phases @ coeff_matrices.reshape(p, m * m)).reshape(-1, m, m)
+    idx = np.arange(m)
     out[:, idx, idx] = 1.0 - out[:, idx, idx]
     return out
 
@@ -203,11 +217,22 @@ def average_over_segments(spectra) -> PdcSpectrum:
             s.grid.freqs_hz, first.grid.freqs_hz
         ):
             raise ValueError("spectra differ in frequency grid")
-    mean = np.mean([s.values for s in spectra], axis=0)
-    np.clip(mean, 0.0, 1.0, out=mean)
+    mean = _clipped_mean([s.values for s in spectra])
     degenerate = sorted({entry for s in spectra for entry in s.degenerate_columns})
     return PdcSpectrum(values=mean, grid=first.grid, channel_labels=first.channel_labels,
                        degenerate_columns=tuple(degenerate))
+
+
+def _clipped_mean(stack) -> np.ndarray:
+    """Mean over the first axis of a stack of spectrum values, clipped to [0, 1]."""
+    mean = np.mean(stack, axis=0)
+    np.clip(mean, 0.0, 1.0, out=mean)
+    return mean
+
+
+def _band_means(values: np.ndarray, masks: dict) -> dict:
+    """Per band, the mean of ``values[..., f, i, j]`` over the band's frequencies f."""
+    return {name: values[..., mask, :, :].mean(axis=-3) for name, mask in masks.items()}
 
 
 def _band_masks(bands, freqs_hz: np.ndarray) -> dict:
@@ -244,7 +269,7 @@ def band_average(spectrum: PdcSpectrum, bands=None) -> BandAverages:
         bands = DEFAULT_BANDS
     masks = _band_masks(bands, spectrum.grid.freqs_hz)
     return BandAverages(
-        bands={name: spectrum.values[mask].mean(axis=0) for name, mask in masks.items()},
+        bands=_band_means(spectrum.values, masks),
         band_edges_hz={name: (float(lo), float(hi)) for name, (lo, hi) in bands.items()},
         channel_labels=spectrum.channel_labels,
     )
@@ -253,7 +278,7 @@ def band_average(spectrum: PdcSpectrum, bands=None) -> BandAverages:
 def write_spectrum_csv(spectrum: PdcSpectrum, path) -> None:
     """Dump a spectrum as CSV rows (freq_hz, source, target, pdc)."""
     labels = spectrum.channel_labels
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["freq_hz", "source", "target", "pdc"])
         for fi, f_hz in enumerate(spectrum.grid.freqs_hz):
@@ -264,16 +289,16 @@ def write_spectrum_csv(spectrum: PdcSpectrum, path) -> None:
 
 
 def read_spectrum_csv(path, sampling_rate_hz: float | None = None) -> PdcSpectrum:
-    """Load a spectrum written by `write_spectrum_csv`.
+    """Load a spectrum written by `write_spectrum_csv` from UTF-8 CSV.
 
     When the sampling rate is not given, it defaults to twice the highest
     frequency present (the minimal rate for which the grid is valid).
     """
     cells: dict[tuple[float, str, str], float] = {}
     seen: dict[str, None] = {}  # channel labels in first-seen order
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"freq_hz", "source", "target", "pdc"}
+    reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
+    required = {"freq_hz", "source", "target", "pdc"}
+    try:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(f"{path}: expected columns {sorted(required)}")
         for row in reader:
@@ -290,6 +315,8 @@ def read_spectrum_csv(path, sampling_rate_hz: float | None = None) -> PdcSpectru
             seen.setdefault(source)
             seen.setdefault(target)
             cells[key] = value
+    except csv.Error as exc:  # DictReader's own line_num lags a row that raised
+        raise ValueError(f"{path}:{reader.reader.line_num}: {exc}") from None
     if not cells:
         raise ValueError(f"{path}: no spectrum rows")
     freqs = sorted({f_hz for f_hz, _, _ in cells})
@@ -316,6 +343,6 @@ def write_band_averages_json(averages: BandAverages, path) -> None:
         "band_edges_hz": {name: list(edges) for name, edges in averages.band_edges_hz.items()},
         "bands": {name: np.asarray(mat).tolist() for name, mat in averages.bands.items()},
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

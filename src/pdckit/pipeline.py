@@ -28,11 +28,14 @@ from .pdc import (
     DEFAULT_BANDS,
     FrequencyGrid,
     _band_masks,
-    average_over_segments,
-    band_average,
+    _band_means,
+    _clipped_mean,
     compute_pdc,
 )
-from .signals import _window_length, extract_segments, screen_stationarity
+# not called here: this module averages stacked arrays itself. Both names stay
+# attributes of it because perfbench/spans.py wraps them under this module
+from .pdc import average_over_segments, band_average  # noqa: F401
+from .signals import _read_text, _window_length, extract_segments, screen_stationarity
 from .stats import DEFAULT_ALPHA, compare_conditions, format_pair, write_test_table_csv
 from .var import (
     _check_rows,
@@ -199,7 +202,8 @@ def _fit_order(config: PipelineConfig, segment) -> int:
     return select_order(segment, config.p_scan_max).chosen_p
 
 
-def _process_subject(config: PipelineConfig, segments, groups, lookups, grid: FrequencyGrid):
+def _process_subject(config: PipelineConfig, segments, groups, lookups, grid: FrequencyGrid,
+                     masks: dict):
     """One subject's epochs in one condition: returns (counts dict, band values or None).
 
     Each epoch is screened and then fitted once per channel group. Band values
@@ -208,9 +212,9 @@ def _process_subject(config: PipelineConfig, segments, groups, lookups, grid: Fr
     """
     counts = dict.fromkeys(_COUNTS, 0)
     counts["segments_in"] = len(segments)
-    # per group, the spectra of the used epochs; an epoch enters every group
-    # or none, so every group averages over the same epochs
-    group_spectra = [[] for _ in groups]
+    # per used epoch, the (groups, F, M, M) stack of its groups' PDC values; an
+    # epoch enters every group or none, so every group averages the same epochs
+    used = []
     for seg in segments:
         if (config.amplitude_reject_threshold is not None
                 and np.abs(seg.samples).max() > config.amplitude_reject_threshold):
@@ -240,15 +244,13 @@ def _process_subject(config: PipelineConfig, segments, groups, lookups, grid: Fr
             continue
         counts["used"] += 1
         counts["unstable_models"] += unstable
-        for spectrum, kept in zip(spectra, group_spectra):
-            counts["degenerate_columns"] += len(spectrum.degenerate_columns)
-            kept.append(spectrum)
+        counts["degenerate_columns"] += sum(len(s.degenerate_columns) for s in spectra)
+        used.append([s.values for s in spectra])
 
-    if counts["used"] == 0:
+    if not used:
         return counts, None
-    averaged = [band_average(average_over_segments(spectra), config.bands).bands
-                for spectra in group_spectra]
-    return counts, {(pair, band): float(averaged[g][band][row, col])
+    bands = _band_means(_clipped_mean(used), masks)
+    return counts, {(pair, band): float(bands[band][g, row, col])
                     for pair, (g, row, col) in lookups.items() for band in config.bands}
 
 
@@ -356,12 +358,13 @@ def run_pipeline(config: PipelineConfig, condition_a_inputs, condition_b_inputs,
     groups, lookups = _plan(config, labels)
     pairs = tuple(lookups)
     grid = config.frequency_grid()
+    masks = _band_masks(config.bands, grid.freqs_hz)
     first = next((subject[0] for subject in epochs["a"] + epochs["b"] if subject), None)
     if first is None:
         raise ValueError("no subject has an epoch onset")
     _check_feasible(config, first.n_samples, len(labels))  # every epoch has its length
 
-    outcomes = {cond: [_process_subject(config, segments, groups, lookups, grid)
+    outcomes = {cond: [_process_subject(config, segments, groups, lookups, grid, masks)
                        for segments in subjects]
                 for cond, subjects in epochs.items()}
     totals = {cond: {key: sum(counts[key] for counts, _ in outcome) for key in _COUNTS}
@@ -469,7 +472,7 @@ def write_report(report: AnalysisReport, out_dir) -> dict:
     payload = report_to_dict(report)
 
     def dump_json(tmp):
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
 
@@ -502,7 +505,7 @@ def _config_payload(config: PipelineConfig) -> dict:
 
 
 def write_config_json(config: PipelineConfig, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(_config_payload(config), fh, indent=2)
         fh.write("\n")
 
@@ -516,8 +519,7 @@ def read_config_json(path) -> PipelineConfig:
     rejected at every level so typos cannot silently change a run. Errors
     name the offending JSON path.
     """
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = json.loads(_read_text(path))
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     flat = {}

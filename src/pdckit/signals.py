@@ -276,12 +276,31 @@ def screen_stationarity(
     )
 
 
+def _decode_utf8(path, data: bytes) -> str:
+    """The text of a file's bytes; a byte that is not UTF-8 raises, naming path:line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ValueError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+
+
+def _read_text(path) -> str:
+    """A whole file read as UTF-8 text, with `_decode_utf8`'s errors."""
+    with open(path, "rb") as fh:
+        return _decode_utf8(path, fh.read())
+
+
 def _read_header(path, body) -> tuple[str, ...]:
     """Channel labels from the first CSV row: stripped, non-empty and unique."""
+    reader = csv.reader(body)
     try:
-        row = next(csv.reader(body))
+        row = next(reader)
     except StopIteration:
         raise ValueError(f"{path}: empty recording file") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     labels = tuple(lab.strip() for lab in row)
     for column, label in enumerate(labels, start=1):
         if not label:
@@ -320,27 +339,26 @@ def _read_in_one_call(path, data: bytes):
 
 def _read_by_row(path, data: bytes):
     """Labels and samples one CSV row at a time; the owner of every message."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise ValueError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
-    body = io.StringIO(text, newline="")
+    body = io.StringIO(_decode_utf8(path, data), newline="")
     labels = _read_header(path, body)
     rows = []
-    for lineno, row in enumerate(csv.reader(body), start=2):
-        if not row:
-            continue
-        if len(row) != len(labels):
-            raise ValueError(f"{path}:{lineno}: expected {len(labels)} values, got {len(row)}")
-        try:
-            values = [float(v) for v in row]
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-numeric sample value") from None
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"{path}:{lineno}: non-finite sample value")
-        rows.append(values)
+    reader = csv.reader(body)
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(labels):
+                raise ValueError(f"{path}:{lineno}: expected {len(labels)} values, "
+                                 f"got {len(row)}")
+            try:
+                values = [float(v) for v in row]
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-numeric sample value") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}:{lineno}: non-finite sample value")
+            rows.append(values)
+    except csv.Error as exc:  # the header took line 1
+        raise ValueError(f"{path}:{reader.line_num + 1}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: recording has a header but no samples")
     return labels, np.array(rows, dtype=float)
@@ -371,18 +389,17 @@ def write_recording_csv(recording: Recording, path) -> None:
 
 
 def read_markers_csv(path) -> list[float]:
-    """Load epoch starts (ms) from a CSV with one start per line."""
+    """Load epoch starts (ms) from a UTF-8 CSV with one start per line."""
     starts = []
-    with open(path, newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip().rstrip(",")
-            if not text:
-                continue
-            try:
-                start = float(text)
-            except ValueError:
-                start = math.nan
-            if not math.isfinite(start):
-                raise ValueError(f"{path}:{lineno}: expected one finite epoch start (ms), got {text!r}")
-            starts.append(start)
+    for lineno, line in enumerate(io.StringIO(_read_text(path), newline=""), start=1):
+        text = line.strip().rstrip(",")
+        if not text:
+            continue
+        try:
+            start = float(text)
+        except ValueError:
+            start = math.nan
+        if not math.isfinite(start):
+            raise ValueError(f"{path}:{lineno}: expected one finite epoch start (ms), got {text!r}")
+        starts.append(start)
     return starts

@@ -332,7 +332,7 @@ def write_test_table_csv(results: dict, path) -> None:
     Untestable keys keep their row (n = 0, empty W) so the table always
     lists the complete hypothesis family.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pair", "direction", "band", "n", "W",
                          "p_raw", "p_adjusted", "significant"])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import Recording
+from .signals import Recording, _read_text
 from .var import _json_fields, spectral_radius
 
 __all__ = [
@@ -150,7 +150,7 @@ def write_generator_spec_json(spec: GeneratorSpec, path) -> None:
         "sampling_rate_hz": spec.sampling_rate_hz,
         "channel_labels": list(spec.channel_labels),
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -176,8 +176,7 @@ def read_generator_spec_json(path) -> GeneratorSpec:
     list of strings for the labels, nested lists of finite numbers for the
     matrices), and unknown keys are rejected.
     """
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = json.loads(_read_text(path))
     required = ("coeff_matrices", "innovation_covariance", "n_samples", "seed",
                 "sampling_rate_hz")
     return GeneratorSpec(**_json_fields(path, payload, _SPEC_KINDS, required, "generator spec"))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
-from .signals import MultichannelSegment
+from .signals import MultichannelSegment, _read_text
 
 __all__ = [
     "VarModel",
@@ -130,13 +130,19 @@ def build_design(samples: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     Row t of the design is ``[X(t-1), X(t-2), ..., X(t-p)]`` flattened; the
     matching target row is ``X(t)``, for t = p .. N-1.
     """
+    joint = _joint_design(samples, p)
+    k = samples.shape[1] * p
+    return joint[:, :k], joint[:, k:]
+
+
+def _joint_design(samples: np.ndarray, p: int) -> np.ndarray:
+    """``[design | target]`` of `build_design` in one (N-p, M*p + M) array."""
     n, m = samples.shape
-    rows = n - p
-    design = np.empty((rows, m * p))
+    joint = np.empty((n - p, m * p + m))
     for lag in range(1, p + 1):
-        design[:, (lag - 1) * m : lag * m] = samples[p - lag : n - lag]
-    target = samples[p:]
-    return design, target
+        joint[:, (lag - 1) * m : lag * m] = samples[p - lag : n - lag]
+    joint[:, m * p :] = samples[p:]
+    return joint
 
 
 def _check_rows(n: int, m: int, p: int) -> None:
@@ -190,8 +196,9 @@ def fit_var(segment: MultichannelSegment, p: int) -> tuple[VarModel, np.ndarray]
     n, m = x.shape
     _check_rows(n, m, p)
     rows = n - p
-    design, target = build_design(x, p)
-    coeffs_flat = _certified_qr_solve(design, target)
+    joint = _joint_design(x, p)
+    design, target = joint[:, : m * p], joint[:, m * p :]
+    coeffs_flat = _certified_qr_solve(joint, m * p)
     if coeffs_flat is None:
         coeffs_flat, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
         if rank < m * p:
@@ -214,14 +221,14 @@ def fit_var(segment: MultichannelSegment, p: int) -> tuple[VarModel, np.ndarray]
     return model, residuals
 
 
-def _certified_qr_solve(design: np.ndarray, target: np.ndarray):
-    """Least-squares solution through one QR, or None without a certificate.
+def _certified_qr_solve(joint: np.ndarray, k: int):
+    """Least-squares solution through one QR of ``[design | target]``, whose
+    design has k columns, or None without a certificate.
 
     R's top-left block is the design's triangle and the block to its right
     is ``Q^T target``, so the solution is ``R^-1 (Q^T target)``.
     """
-    k = design.shape[1]
-    r = np.linalg.qr(np.hstack([design, target]), mode="r")
+    r = np.linalg.qr(joint, mode="r")
     r_design = r[:k, :k]
     try:
         r_inv = np.linalg.inv(r_design)
@@ -428,7 +435,7 @@ def write_model_json(model: VarModel, path) -> None:
         "residual_covariance": model.residual_covariance.tolist(),
         "n_samples_used": model.n_samples_used,
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -529,8 +536,7 @@ def read_model_json(path) -> VarModel:
     order and row count, a list of strings for the labels, nested lists of
     finite numbers for the matrices); unknown keys are rejected.
     """
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = json.loads(_read_text(path))
     values = _json_fields(path, payload, _MODEL_KINDS, tuple(_MODEL_KINDS), "model")
     return VarModel(
         order_p=values["order"],

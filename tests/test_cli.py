@@ -404,6 +404,66 @@ def test_constant_recording_is_estimation_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("pdckit: estimation-error:")
 
 
+def _reader_inputs(tmp_path):
+    """Valid inputs for every file reader the CLI has: reader -> (file, argv that reads it)."""
+    spec = _gen_spec_file(tmp_path)
+    rec = _simulate(tmp_path)
+    model, spectrum = tmp_path / "model.json", tmp_path / "spectrum.csv"
+    assert main(["fit", "--input", str(rec), "--sampling-rate", "250", "--order", "1",
+                 "--out", str(model)]) == 0
+    assert main(["pdc", "--model", str(model), "--sampling-rate", "250",
+                 "--out", str(spectrum)]) == 0
+    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+    _band_table_csv(a_path, 0.0, ["s1", "s2", "s3"])
+    _band_table_csv(b_path, 0.1, ["s1", "s2", "s3"])
+    config, markers = tmp_path / "config.json", tmp_path / "markers.csv"
+    write_config_json(default_config(250.0), config)
+    markers.write_text("0\n900\n")
+    out = str(tmp_path / "out")
+    pipeline = ["pipeline", "--config", str(config), "--condition-a", str(rec),
+                "--condition-b", str(rec), "--markers", str(markers), "--out", out]
+    return {
+        "generator spec": (spec, ["simulate", "--spec", str(spec), "--out", out]),
+        "recording": (rec, ["fit", "--input", str(rec), "--sampling-rate", "250",
+                            "--order", "1", "--out", out]),
+        "model": (model, ["pdc", "--model", str(model), "--sampling-rate", "250",
+                          "--out", out]),
+        "spectrum": (spectrum, ["bands", "--spectrum", str(spectrum), "--out", out]),
+        "band table": (a_path, ["compare", "--condition-a", str(a_path),
+                                "--condition-b", str(b_path), "--out", out]),
+        "config": (config, pipeline),
+        "markers": (markers, pipeline),
+    }
+
+
+@pytest.mark.parametrize("reader", ["generator spec", "recording", "model", "spectrum",
+                                    "band table", "config", "markers"])
+def test_every_reader_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, reader):
+    path, argv = _reader_inputs(tmp_path)[reader]
+    capsys.readouterr()
+    first, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(first + b"\n\xff" + rest)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"pdckit: argument-error: {path}:2: not UTF-8 text (invalid start byte)\n")
+
+
+@pytest.mark.parametrize("reader, line", [
+    ("recording", 1), ("recording", 2), ("spectrum", 1), ("spectrum", 3),
+    ("band table", 1), ("band table", 3),
+])
+def test_a_cell_past_the_csv_field_limit_is_named_by_line(tmp_path, capsys, reader, line):
+    path, argv = _reader_inputs(tmp_path)[reader]
+    capsys.readouterr()
+    lines = path.read_bytes().splitlines(keepends=True)
+    # a number the one-call parse reads; the short last row sends the file to the row loop
+    lines[line - 1] = b"0" * 131_073 + lines[line - 1][lines[line - 1].index(b","):]
+    path.write_bytes(b"".join(lines) + b"1\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"pdckit: argument-error: {path}:{line}: field larger than field limit (131072)\n")
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pdckit import (
@@ -17,6 +19,7 @@ from pdckit import (
     evaluate_transfer,
 )
 from pdckit.pdc import (
+    _phase_table,
     read_spectrum_csv,
     write_band_averages_json,
     write_spectrum_csv,
@@ -189,6 +192,73 @@ def test_pdc_matches_per_frequency_reference_on_one_frequency():
     _assert_matches_per_frequency(_model(rng.normal(scale=0.3, size=(5, 3, 3)),
                                          ("a", "b", "c")), grid)
     _assert_matches_per_frequency(LOWER_VAR1, grid)
+
+
+def _uncached_pdc(coeffs, freqs_hz, sampling_rate_hz):
+    """compute_pdc's values and degenerate columns with the transfer built as it
+    was before its phase table was cached: the exponentials on every call and
+    one np.tensordot."""
+    g = np.asarray(freqs_hz, dtype=float)[:, None] / sampling_rate_hz
+    phases = np.exp(-2j * np.pi * g * np.arange(1, coeffs.shape[0] + 1))
+    transfer = np.tensordot(phases, coeffs, axes=(1, 0))
+    idx = np.arange(coeffs.shape[1])
+    transfer[:, idx, idx] = 1.0 - transfer[:, idx, idx]
+    mags = np.abs(transfer)
+    col_norms = np.sqrt((mags * mags).sum(axis=1))
+    degenerate = col_norms < 1e-12
+    safe_norms = np.where(degenerate, 1.0, col_norms)
+    values = np.where(degenerate[:, None, :], 0.0, mags / safe_norms[:, None, :])
+    np.clip(values, 0.0, 1.0, out=values)
+    return values, tuple(zip(*np.nonzero(degenerate)))
+
+
+@st.composite
+def _pdc_calls(draw):
+    """Models of several orders, grids of one length at several rates and
+    frequencies, and an interleaved sequence of (model, grid) calls."""
+    n_freqs = draw(st.integers(1, 6))
+    grids = []
+    for _ in range(draw(st.integers(2, 4))):
+        fs = draw(st.sampled_from([20.0, 100.0, 250.0, 256.0]))
+        # quarter-Hz steps up to Nyquist; 0 Hz lets a unit lag-1 diagonal vanish
+        quarters = draw(st.lists(st.integers(0, int(fs) * 2), min_size=n_freqs,
+                                 max_size=n_freqs, unique=True))
+        grids.append((np.array(sorted(quarters)) / 4.0, fs))
+    m = draw(st.integers(1, 3))
+    models = []
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(st.integers(1, 4))
+        cells = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-2.0, 2.0)
+        coeffs = np.array(draw(st.lists(cells, min_size=p * m * m, max_size=p * m * m)))
+        coeffs = coeffs.reshape(p, m, m)
+        if draw(st.booleans()):
+            # column 0 is the unit lag-1 diagonal only: it vanishes at 0 Hz
+            coeffs[:, :, 0] = 0.0
+            coeffs[0, 0, 0] = 1.0
+        models.append(_model(coeffs, ("a", "b", "c")))
+    calls = draw(st.lists(st.tuples(st.integers(0, len(models) - 1),
+                                    st.integers(0, len(grids) - 1)), min_size=1, max_size=12))
+    return models, grids, calls
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_pdc_calls())
+def test_pdc_with_the_cached_phase_table_equals_the_uncached_transfer(case):
+    models, grids, calls = case
+    for model_index, grid_index in calls:
+        model = models[model_index]
+        freqs, fs = grids[grid_index]
+        # a new grid object on every call, so no object identity outlives it
+        spectrum = compute_pdc(model, FrequencyGrid(freqs_hz=freqs.copy(), sampling_rate_hz=fs))
+        values, degenerate = _uncached_pdc(model.coeff_matrices, freqs, fs)
+        assert np.array_equal(spectrum.values, values)
+        assert spectrum.degenerate_columns == degenerate
+    for freqs, fs in grids:
+        for model in models:
+            table = _phase_table(freqs.tobytes(), fs, model.order_p)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
 
 
 def test_pdc_rejects_grid_channel_mismatch():

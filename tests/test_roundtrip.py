@@ -6,6 +6,7 @@ writer instead refuses a label that the reader would not give back as written.
 """
 
 import dataclasses
+import itertools
 import re
 
 import numpy as np
@@ -34,6 +35,16 @@ from pdckit import (
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+# each example writes new files: truncating one an earlier example wrote can
+# cost far more than the round trip itself on some file systems
+_EXAMPLES = itertools.count()
+
+
+def fresh_paths(tmp_path, suffix):
+    n = next(_EXAMPLES)
+    return tmp_path / f"a{n}{suffix}", tmp_path / f"b{n}{suffix}"
+
 
 # control characters and lone surrogates are not label text
 TEXT = st.text(st.characters(exclude_categories=("Cc", "Cs")), min_size=1, max_size=6)
@@ -89,7 +100,7 @@ def configs(draw):
 @SETTINGS
 @given(cfg=configs())
 def test_config_json_round_trip_property(tmp_path, cfg):
-    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    first, second = fresh_paths(tmp_path, ".json")
     write_config_json(cfg, first)
     back = read_config_json(first)
     assert back == cfg
@@ -120,7 +131,7 @@ def models(draw):
 @SETTINGS
 @given(model=models())
 def test_model_json_round_trip_property(tmp_path, model):
-    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    first, second = fresh_paths(tmp_path, ".json")
     write_model_json(model, first)
     back = read_model_json(first)
     assert back.order_p == model.order_p
@@ -163,7 +174,7 @@ def generator_specs(draw):
 @SETTINGS
 @given(spec=generator_specs())
 def test_generator_spec_json_round_trip_property(tmp_path, spec):
-    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    first, second = fresh_paths(tmp_path, ".json")
     write_generator_spec_json(spec, first)
     back = read_generator_spec_json(first)
     for f in dataclasses.fields(GeneratorSpec):
@@ -194,7 +205,7 @@ def spectra(draw):
 @SETTINGS
 @given(spectrum=spectra())
 def test_spectrum_csv_round_trip_property(tmp_path, spectrum):
-    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    first, second = fresh_paths(tmp_path, ".csv")
     write_spectrum_csv(spectrum, first)
     back = read_spectrum_csv(first, sampling_rate_hz=spectrum.grid.sampling_rate_hz)
     assert back.channel_labels == spectrum.channel_labels
@@ -222,7 +233,7 @@ def recordings(draw):
 @SETTINGS
 @given(recording=recordings())
 def test_recording_csv_round_trip_property(tmp_path, recording):
-    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    first, second = fresh_paths(tmp_path, ".csv")
     refused = [lab for lab in recording.channel_labels if not lab or lab != lab.strip()]
     if refused:
         # the reader strips header labels and rejects an empty one, so the
