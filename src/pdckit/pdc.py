@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .signals import _read_text
+from .signals import _check_positive, _read_text
 from .var import VarModel
 
 __all__ = [
@@ -48,7 +48,8 @@ _DEGENERATE_COLUMN_NORM = 1e-12
 
 
 def _check_range(low_hz: float, high_hz: float, sampling_rate_hz: float) -> None:
-    """The range rule of a grid: 0 <= low <= high <= Nyquist."""
+    """The range rule of a grid: a finite positive rate and 0 <= low <= high <= Nyquist."""
+    _check_positive("sampling_rate_hz", sampling_rate_hz)
     nyquist = sampling_rate_hz / 2.0
     if not 0 <= low_hz <= high_hz <= nyquist:
         raise ValueError(f"frequencies must lie in [0, {nyquist}] Hz, got [{low_hz}, {high_hz}]")
@@ -65,8 +66,6 @@ class FrequencyGrid:
         freqs = np.asarray(self.freqs_hz, dtype=float)
         if freqs.ndim != 1 or freqs.size == 0:
             raise ValueError("freqs_hz must be a non-empty 1-D array")
-        if not self.sampling_rate_hz > 0:
-            raise ValueError(f"sampling_rate_hz must be positive, got {self.sampling_rate_hz}")
         if np.any(np.diff(freqs) <= 0):
             raise ValueError("freqs_hz must be strictly increasing")
         _check_range(freqs[0], freqs[-1], self.sampling_rate_hz)

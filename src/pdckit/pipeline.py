@@ -35,7 +35,13 @@ from .pdc import (
 # not called here: this module averages stacked arrays itself. Both names stay
 # attributes of it because perfbench/spans.py wraps them under this module
 from .pdc import average_over_segments, band_average  # noqa: F401
-from .signals import _read_text, _window_length, extract_segments, screen_stationarity
+from .signals import (
+    _check_positive,
+    _read_text,
+    _window_length,
+    extract_segments,
+    screen_stationarity,
+)
 from .stats import DEFAULT_ALPHA, compare_conditions, format_pair, write_test_table_csv
 from .var import (
     _check_rows,
@@ -98,10 +104,8 @@ class PipelineConfig:
     mean_center: bool = True
 
     def __post_init__(self):
-        if not self.sampling_rate_hz > 0:
-            raise ValueError(f"sampling_rate_hz must be positive, got {self.sampling_rate_hz}")
-        if not self.epoch_length_ms > 0:
-            raise ValueError(f"epoch_length_ms must be positive, got {self.epoch_length_ms}")
+        _check_positive("sampling_rate_hz", self.sampling_rate_hz)
+        _check_positive("epoch_length_ms", self.epoch_length_ms)
         if self.channel_pairs is not None:
             pairs = tuple((str(s), str(t)) for s, t in self.channel_pairs)
             if not pairs:

@@ -28,6 +28,12 @@ __all__ = [
 ]
 
 
+def _check_positive(name: str, value) -> None:
+    """The rule for a sampling rate or an epoch length: a finite positive number."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite positive number, got {value}")
+
+
 def _set_samples(obj) -> None:
     """Validate and normalize the samples, rate and labels of a recording or segment."""
     arr = np.asarray(obj.samples, dtype=float)
@@ -43,8 +49,7 @@ def _set_samples(obj) -> None:
         )
     if len(set(labels)) != len(labels):
         raise ValueError("channel labels must be unique")
-    if not obj.sampling_rate_hz > 0:
-        raise ValueError(f"sampling_rate_hz must be positive, got {obj.sampling_rate_hz}")
+    _check_positive("sampling_rate_hz", obj.sampling_rate_hz)
     object.__setattr__(obj, "samples", arr)
     object.__setattr__(obj, "sampling_rate_hz", float(obj.sampling_rate_hz))
     object.__setattr__(obj, "channel_labels", labels)
@@ -59,7 +64,7 @@ class Recording:
     samples : np.ndarray
         Shape (n_samples, n_channels); all values finite.
     sampling_rate_hz : float
-        Positive sampling rate.
+        Finite positive sampling rate.
     channel_labels : tuple of str
         One unique label per column.
     """
@@ -169,11 +174,10 @@ def extract_segments(recording: Recording, epoch_length_ms: float, epoch_starts_
     Raises
     ------
     ValueError
-        If the length is non-positive or too short, or an onset is not
+        If the length is not finite and positive or is too short, or an onset is not
         finite or its epoch does not lie fully inside the recording.
     """
-    if not epoch_length_ms > 0:
-        raise ValueError(f"epoch_length_ms must be positive, got {epoch_length_ms}")
+    _check_positive("epoch_length_ms", epoch_length_ms)
     fs = recording.sampling_rate_hz
     n_rows = round(epoch_length_ms * fs / 1000.0)
     if n_rows < 2:
@@ -292,9 +296,8 @@ def _read_text(path) -> str:
         return _decode_utf8(path, fh.read())
 
 
-def _read_header(path, body) -> tuple[str, ...]:
-    """Channel labels from the first CSV row: stripped, non-empty and unique."""
-    reader = csv.reader(body)
+def _read_header(path, reader) -> tuple[str, ...]:
+    """Channel labels from the first CSV record: stripped, non-empty and unique."""
     try:
         row = next(reader)
     except StopIteration:
@@ -304,9 +307,11 @@ def _read_header(path, body) -> tuple[str, ...]:
     labels = tuple(lab.strip() for lab in row)
     for column, label in enumerate(labels, start=1):
         if not label:
-            raise ValueError(f"{path}:1: column {column} has an empty channel label")
+            raise ValueError(f"{path}:{reader.line_num}: column {column} has an empty "
+                             "channel label")
         if label in labels[: column - 1]:
-            raise ValueError(f"{path}:1: column {column} repeats channel label {label!r}")
+            raise ValueError(f"{path}:{reader.line_num}: column {column} repeats channel "
+                             f"label {label!r}")
     return labels
 
 
@@ -328,7 +333,7 @@ def _read_in_one_call(path, data: bytes):
         with (io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as body,
               warnings.catch_warnings()):
             warnings.simplefilter("error")  # a body without rows only warns
-            labels = _read_header(path, body)
+            labels = _read_header(path, csv.reader(body))
             samples = np.loadtxt(body, delimiter=",", ndmin=2, comments=None, quotechar='"')
     except (ValueError, UserWarning):  # the loop names it, or reads past it
         return None
@@ -338,27 +343,27 @@ def _read_in_one_call(path, data: bytes):
 
 
 def _read_by_row(path, data: bytes):
-    """Labels and samples one CSV row at a time; the owner of every message."""
-    body = io.StringIO(_decode_utf8(path, data), newline="")
-    labels = _read_header(path, body)
+    """Labels and samples one CSV record at a time; the owner of every message, which
+    names the record's last physical line."""
+    reader = csv.reader(io.StringIO(_decode_utf8(path, data), newline=""))
+    labels = _read_header(path, reader)
     rows = []
-    reader = csv.reader(body)
     try:
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            where = f"{path}:{reader.line_num}"
             if len(row) != len(labels):
-                raise ValueError(f"{path}:{lineno}: expected {len(labels)} values, "
-                                 f"got {len(row)}")
+                raise ValueError(f"{where}: expected {len(labels)} values, got {len(row)}")
             try:
                 values = [float(v) for v in row]
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric sample value") from None
+                raise ValueError(f"{where}: non-numeric sample value") from None
             if not all(map(math.isfinite, values)):
-                raise ValueError(f"{path}:{lineno}: non-finite sample value")
+                raise ValueError(f"{where}: non-finite sample value")
             rows.append(values)
-    except csv.Error as exc:  # the header took line 1
-        raise ValueError(f"{path}:{reader.line_num + 1}: {exc}") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: recording has a header but no samples")
     return labels, np.array(rows, dtype=float)

@@ -14,7 +14,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DegenerateSampleError
 
@@ -117,6 +116,93 @@ def _check_exact_threshold(exact_threshold) -> None:
         )
 
 
+# The normal tail of the approximate branch: Cephes' ndtr/erf/erfc (Moshier 1989,
+# "Methods and Programs for Mathematical Functions"), the code scipy.special.ndtr
+# runs, with its coefficient tables, branch points and Horner order, so every
+# p-value is bit-identical to scipy's.
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (  # leading 1.0 implied (p1evl)
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (  # leading 1.0 implied (p1evl)
+    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (  # leading 1.0 implied (p1evl)
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = 7.07106781186547524401e-1
+
+
+def _polevl(x: float, coef) -> float:
+    """Horner's rule, highest power first (Cephes polevl)."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef) -> float:
+    """`_polevl` with an implied leading coefficient of 1 (Cephes p1evl)."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erfc(a: float) -> float:
+    x = abs(a)
+    if x < 1.0:
+        return 1.0 - _erf(a)
+    z = -a * a
+    if z < -_MAXLOG:
+        return 2.0 if a < 0 else 0.0
+    z = math.exp(z)
+    if x < 8.0:
+        p = _polevl(x, _ERFC_P)
+        q = _p1evl(x, _ERFC_Q)
+    else:
+        p = _polevl(x, _ERFC_R)
+        q = _p1evl(x, _ERFC_S)
+    y = (z * p) / q
+    return 2.0 - y if a < 0 else y
+
+
+def _erf(x: float) -> float:
+    if x < 0.0:
+        return -_erf(-x)
+    if x > 1.0:
+        return 1.0 - _erfc(x)
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF at `a`."""
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
 @lru_cache(maxsize=64)
 def _signed_rank_cumulative_counts(n: int) -> np.ndarray:
     """Cumulative counts of sign assignments by positive-rank sum.
@@ -196,7 +282,7 @@ def wilcoxon_signed_rank(sample: PairedSample,
         if tied:
             variance -= float((tie_counts ** 3 - tie_counts).sum()) / 48.0
         z = (w - mean + 0.5) / math.sqrt(variance)
-        p = min(1.0, 2.0 * float(ndtr(z)))
+        p = min(1.0, 2.0 * _ndtr(z))
     return WilcoxonOutcome(statistic_w=w, n_effective=n_eff, p_raw=p)
 
 

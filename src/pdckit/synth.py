@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import Recording, _read_text
+from .signals import Recording, _check_positive, _read_text
 from .var import _json_fields, spectral_radius
 
 __all__ = [
@@ -88,8 +88,7 @@ class GeneratorSpec:
             raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if not self.sampling_rate_hz > 0:
-            raise ValueError(f"sampling_rate_hz must be positive, got {self.sampling_rate_hz}")
+        _check_positive("sampling_rate_hz", self.sampling_rate_hz)
         labels = self.channel_labels
         if labels is None:
             labels = tuple(f"ch{i + 1}" for i in range(m))

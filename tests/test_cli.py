@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import subprocess
 import sys
@@ -64,6 +65,25 @@ def test_simulate_seed_override_changes_output(tmp_path, capsys):
     b = read_recording_csv(out2, sampling_rate_hz=250.0)
     assert np.any(a.samples != b.samples)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("source", ["--input", "--model"])
+def test_pdc_rejects_an_infinite_sampling_rate(tmp_path, capsys, source):
+    rec = _simulate(tmp_path)
+    path = rec
+    if source == "--model":
+        path = tmp_path / "model.json"
+        assert main(["fit", "--input", str(rec), "--sampling-rate", "250",
+                     "--order", "2", "--out", str(path)]) == 0
+        capsys.readouterr()
+    out = tmp_path / "s.csv"
+    code = main(["pdc", source, str(path), "--sampling-rate", "inf", "--order", "2",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert not out.exists()
+    assert err == ("pdckit: argument-error: sampling_rate_hz must be a finite positive "
+                   "number, got inf\n")
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
@@ -483,15 +503,52 @@ def test_module_entry_point_runs():
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs most of the CLI's start-up and scipy.linalg adds more;
-    # only scipy.special is needed
+    # numpy is the only runtime dependency; scipy.special alone would take most of
+    # the CLI's start-up
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, pdckit.cli; print(sorted(m for m in sys.modules "
-         "if m.startswith(('scipy.stats', 'scipy.linalg'))))"],
+         "if m.startswith('scipy')))"],
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _tied_band_table_csv(path, rng, shift):
+    """30 subjects on two pairs and two bands; values are multiples of 1/64, so
+    differences are exact and many tie, and every key takes the normal branch."""
+    rows = [("pair", "band", "subject", "value")]
+    for pair in ("F3->F4", "F4->F3"):
+        for band in ("theta", "alpha"):
+            for subject in range(30):
+                value = (16 + shift + int(rng.integers(-4, 5))) / 64
+                rows.append((pair, band, f"s{subject:02d}", repr(value)))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def test_compare_runs_without_scipy(tmp_path):
+    rng = np.random.default_rng(30)
+    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+    _tied_band_table_csv(a_path, rng, shift=2)
+    _tied_band_table_csv(b_path, rng, shift=0)
+    tables = {}
+    for name, block in (("blocked", "sys.modules['scipy'] = None; "), ("importable", "")):
+        out = tmp_path / f"{name}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys; {block}from pdckit.cli import main; sys.exit(main(sys.argv[1:]))",
+             "compare", "--condition-a", str(a_path), "--condition-b", str(b_path),
+             "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        tables[name] = out.read_bytes()
+    assert tables["blocked"] == tables["importable"]
+    rows = list(csv.DictReader(io.StringIO(tables["blocked"].decode())))
+    assert len(rows) == 4 and all(row["n"] != "0" for row in rows)

@@ -81,6 +81,19 @@ def test_grid_validation():
     assert single.n_freqs == 1
 
 
+@pytest.mark.parametrize("rate", [math.inf, math.nan, 0.0])
+def test_grid_and_transfer_reject_a_rate_that_is_not_finite_and_positive(rate):
+    # at an infinite rate every g = f / rate would be 0, so each frequency would read
+    # the 0 Hz value
+    match = f"sampling_rate_hz must be a finite positive number, got {rate}"
+    with pytest.raises(ValueError, match=match):
+        FrequencyGrid(freqs_hz=np.array([4.0, 30.0]), sampling_rate_hz=rate)
+    with pytest.raises(ValueError, match=match):
+        FrequencyGrid.regular(4.0, 30.0, 0.5, sampling_rate_hz=rate)
+    with pytest.raises(ValueError, match=match):
+        evaluate_transfer(LOWER_VAR1, f_hz=10.0, sampling_rate_hz=rate)
+
+
 # ----------------------------------------------------------- transfer matrix
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -107,6 +108,13 @@ def test_config_validation():
         PipelineConfig(sampling_rate_hz=FS, model_scope="global")
     with pytest.raises(ValueError):
         PipelineConfig(sampling_rate_hz=FS, stationarity_n_windows=1)
+
+
+@pytest.mark.parametrize("field", ["sampling_rate_hz", "epoch_length_ms"])
+def test_config_rejects_an_infinite_rate_or_epoch_length(field):
+    values = {"sampling_rate_hz": FS, field: math.inf}
+    with pytest.raises(ValueError, match=f"{field} must be a finite positive number, got inf"):
+        PipelineConfig(**values)
 
 
 def test_config_json_round_trip(tmp_path):

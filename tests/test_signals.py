@@ -43,6 +43,13 @@ def test_recording_rejects_bad_inputs():
         Recording(samples=bad, sampling_rate_hz=250.0, channel_labels=("a", "b"))
 
 
+@pytest.mark.parametrize("container", [Recording, MultichannelSegment])
+@pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan])
+def test_containers_reject_a_sampling_rate_that_is_not_finite(container, rate):
+    with pytest.raises(ValueError, match="sampling_rate_hz must be a finite positive number"):
+        container(samples=np.zeros((10, 2)), sampling_rate_hz=rate, channel_labels=("a", "b"))
+
+
 def test_segment_rejects_one_dimensional_input():
     with pytest.raises(ValueError):
         MultichannelSegment(
@@ -102,6 +109,14 @@ def test_extract_rejects_epochs_outside_recording():
     with pytest.raises(ValueError):
         extract_segments(rec, 4.0, [0.0])  # 1 sample per epoch is too short
     assert extract_segments(rec, 100.0, []) == []
+
+
+@pytest.mark.parametrize("length", [math.inf, math.nan])
+def test_extract_rejects_an_epoch_length_that_is_not_finite(length):
+    rec = _recording(np.zeros((100, 1)))
+    with pytest.raises(ValueError, match=f"epoch_length_ms must be a finite positive "
+                                         f"number, got {length}"):
+        extract_segments(rec, length, [0.0])
 
 
 # ----------------------------------------------------------------- screening
@@ -250,6 +265,21 @@ def test_recording_csv_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
     assert str(info.value) == f"{path}:4: not UTF-8 text (invalid start byte)"
 
 
+@pytest.mark.parametrize("text, line", [
+    ('"a\nb",c\n1,2\n3,x\n', 4),
+    ('"a\nb",c\n1,2\n"3\n",4\n5,y\n', 6),
+])
+def test_recording_csv_names_the_physical_line_after_a_quoted_line_break(
+        tmp_path, text, line):
+    # a quoted cell may hold a line break (the writer quotes such a label), so
+    # records and lines part ways; the message names the record's last line
+    path = tmp_path / "rec.csv"
+    path.write_text(text, newline="")
+    with pytest.raises(ValueError) as info:
+        read_recording_csv(path, sampling_rate_hz=100.0)
+    assert str(info.value) == f"{path}:{line}: non-numeric sample value"
+
+
 @pytest.mark.parametrize("body", ["", "\n\r\n", "\r"])
 def test_recording_csv_header_only_file_raises_without_a_warning(tmp_path, body):
     path = tmp_path / "rec.csv"
@@ -263,14 +293,16 @@ def test_recording_csv_header_only_file_raises_without_a_warning(tmp_path, body)
 
 
 def _read_by_line_reference(path):
-    """The per-line reader the one-call parse must agree with: the samples, or the message."""
+    """The per-record reader the one-call parse must agree with: the samples, or the
+    message naming the record's last physical line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         labels = next(reader)
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            lineno = reader.line_num
             if len(row) != len(labels):
                 return f"{path}:{lineno}: expected {len(labels)} values, got {len(row)}"
             try:
@@ -341,6 +373,8 @@ def _recording_files(draw):
 @example(text="a,b")
 @example(text="a\n1\n\n2\r3")
 @example(text="a\n0\x1c\n")
+@example(text='"a\nb",c\n1,2\n3,x\n')
+@example(text='"a\nb",c\n1,2\n"3\n",4\n5,y\n')
 def test_recording_csv_reader_agrees_with_the_per_line_reader(tmp_path, text):
     # a new file per example: truncating an existing one is slow on some file systems
     path = tmp_path / f"rec{len(list(tmp_path.iterdir()))}.csv"

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.special
 from numpy.testing import assert_allclose
 from scipy.stats import norm, rankdata
 from scipy.stats import wilcoxon as scipy_wilcoxon
@@ -20,7 +21,13 @@ from pdckit import (
     holm_bonferroni,
     wilcoxon_signed_rank,
 )
-from pdckit.stats import _signed_rank_cumulative_counts, write_test_table_csv
+from pdckit.stats import (
+    _erf,
+    _erfc,
+    _ndtr,
+    _signed_rank_cumulative_counts,
+    write_test_table_csv,
+)
 
 
 def _sample(a, b):
@@ -185,6 +192,76 @@ def test_normal_approximation_formula():
     sigma = math.sqrt(n * (n + 1) * (2 * n + 1) / 24.0)
     z = (w - n * (n + 1) / 4.0 + 0.5) / sigma
     assert out.p_raw == pytest.approx(min(1.0, 2.0 * norm.cdf(z)), rel=1e-12)
+
+
+def _normal_branch_z(n, tie_counts=None):
+    """Every z the normal branch forms for n pairs with these tie group sizes, in
+    `wilcoxon_signed_rank`'s arithmetic: W from 0 to n(n+1)/2 in steps of 1, or of
+    1/2 with ties."""
+    mean = n * (n + 1) / 4.0
+    variance = n * (n + 1) * (2 * n + 1) / 24.0
+    step = 1.0
+    if tie_counts is not None:
+        variance -= float((tie_counts ** 3 - tie_counts).sum()) / 48.0
+        step = 0.5
+    sd = math.sqrt(variance)
+    return [(w - mean + 0.5) / sd for w in np.arange(0.0, n * (n + 1) / 2.0 + step, step)]
+
+
+def _tie_counts(rng, n):
+    """Tie group sizes of n magnitudes drawn from fewer than n values, so some tie."""
+    magnitudes = rng.integers(0, rng.integers(1, n), size=n)
+    return np.unique(magnitudes, return_counts=True)[1]
+
+
+def _with_neighbours(values, ulps=4):
+    """Each value and its `ulps` nearest floats on either side."""
+    out = []
+    for v in values:
+        below = above = v
+        out.append(v)
+        for _ in range(ulps):
+            below = math.nextafter(below, -math.inf)
+            above = math.nextafter(above, math.inf)
+            out += [below, above]
+    return out
+
+
+def _assert_same_bits(port, reference, xs):
+    x = np.array(xs)
+    got = np.array([port(v) for v in xs])
+    expected = reference(x)
+    differ = np.flatnonzero(got.view(np.uint64) != expected.view(np.uint64))
+    assert differ.size == 0, (
+        f"{differ.size} of {x.size} differ, first at {x[differ[0]]!r}: "
+        f"{got[differ[0]]!r} vs {expected[differ[0]]!r}")
+
+
+def test_normal_tail_is_bit_identical_to_scipy_ndtr():
+    # _ndtr ports Cephes' ndtr, which scipy.special.ndtr runs; a changed coefficient
+    # or branch point shows as a different last bit somewhere in this set
+    rng = np.random.default_rng(20261018)
+    zs = []
+    for n in range(1, 63):
+        zs += _normal_branch_z(n)
+    for _ in range(200):
+        n = int(rng.integers(2, 63))
+        zs += _normal_branch_z(n, _tie_counts(rng, n))
+    zs += rng.uniform(-40.0, 40.0, size=100_000).tolist()
+    root2 = math.sqrt(2.0)
+    zs += _with_neighbours([0.0, -0.0, 1.0, -1.0, root2, -root2, 8 * root2, -8 * root2])
+    zs += [math.inf, -math.inf]
+    _assert_same_bits(_ndtr, scipy.special.ndtr, zs)
+
+
+@pytest.mark.parametrize("port, reference", [(_erf, scipy.special.erf),
+                                             (_erfc, scipy.special.erfc)])
+def test_erf_and_erfc_are_bit_identical_to_scipy(port, reference):
+    # _ndtr calls erf only below 1/sqrt(2) and erfc only at x >= 0; this set takes
+    # each of their branches (26.64 is about sqrt(MAXLOG), where erfc reaches 0 or 2)
+    xs = np.random.default_rng(27).uniform(-30.0, 30.0, size=20_000).tolist()
+    xs += _with_neighbours([0.0, -0.0, 1.0, -1.0, 8.0, -8.0, 26.64, -26.64])
+    _assert_same_bits(port, reference, xs + [math.inf, -math.inf])
 
 
 def test_exact_and_approx_agree_at_moderate_n():

@@ -61,6 +61,12 @@ def test_spec_rejects_bad_seed_and_sizes():
         _spec([[[0.1, 0.0], [0.0, 0.1]]], sigma=np.eye(3))
 
 
+@pytest.mark.parametrize("fs", [math.inf, math.nan])
+def test_spec_rejects_a_sampling_rate_that_is_not_finite(fs):
+    with pytest.raises(ValueError, match="sampling_rate_hz must be a finite positive number"):
+        _spec(WHITE, fs=fs)
+
+
 def test_spec_default_labels_and_burn_in():
     spec = _spec(WHITE)
     assert spec.channel_labels == ("ch1", "ch2")
