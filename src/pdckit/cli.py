@@ -13,12 +13,11 @@ degenerate-sample (5), pipeline-error (6), unexpected-error (1).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import math
 import sys
 
+from ._io import _csv_rows, _is_label
 from ._version import __version__
 from .errors import DegenerateSampleError, EstimationError, PipelineError
 from .pdc import (
@@ -33,7 +32,6 @@ from .pdc import (
 from .pipeline import read_config_json, run_pipeline, write_report
 from .signals import (
     MultichannelSegment,
-    _read_text,
     read_markers_csv,
     read_recording_csv,
     write_recording_csv,
@@ -197,50 +195,37 @@ def _cmd_bands(args) -> int:
     return EXIT_OK
 
 
-def _is_label(text) -> bool:
-    """A channel, band or subject label: non-empty and without edge whitespace."""
-    return bool(text) and text == text.strip()
-
-
 def _read_band_values_csv(path) -> dict:
     """pair,band,subject,value rows of UTF-8 CSV -> {(pair, band): {subject: value}}."""
     table: dict = {}
-    reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
-    required = {"pair", "band", "subject", "value"}
-    try:
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns {sorted(required)}")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            pair_text = row["pair"]
-            source, _, target = pair_text.partition("->")
-            # format_pair must give the cell back, and a '->' in the target
-            # would let the cell split two ways
-            if not (_is_label(source) and _is_label(target) and "->" not in target
-                    and format_pair((source, target)) == pair_text):
-                raise ValueError(f"{where}: pair must look like 'src->tgt' with two non-empty "
-                                 f"labels without edge whitespace, got {pair_text!r}")
-            band = row["band"]
-            if not _is_label(band):
-                raise ValueError(f"{where}: band must be a non-empty label without edge "
-                                 f"whitespace, got {band!r}")
-            subject = row["subject"]
-            if not _is_label(subject):
-                raise ValueError(f"{where}: subject must be a non-empty label without edge "
-                                 f"whitespace, got {subject!r}")
-            key = ((source, target), band)
-            per_subject = table.setdefault(key, {})
-            if subject in per_subject:
-                raise ValueError(f"{where}: duplicate subject {subject!r} for {_key_label(key)}")
-            try:
-                value = float(row["value"])
-            except (TypeError, ValueError):  # TypeError: a short row has no value cell
-                value = math.nan
-            if not math.isfinite(value):
-                raise ValueError(f"{where}: value must be a finite number, got {row['value']!r}")
-            per_subject[subject] = value
-    except csv.Error as exc:  # DictReader's own line_num lags a row that raised
-        raise ValueError(f"{path}:{reader.reader.line_num}: {exc}") from None
+    for where, row in _csv_rows(path, {"pair", "band", "subject", "value"}):
+        pair_text = row["pair"]
+        source, _, target = pair_text.partition("->")
+        # format_pair must give the cell back, and a '->' in the target
+        # would let the cell split two ways
+        if not (_is_label(source) and _is_label(target) and "->" not in target
+                and format_pair((source, target)) == pair_text):
+            raise ValueError(f"{where}: pair must look like 'src->tgt' with two non-empty "
+                             f"labels without edge whitespace, got {pair_text!r}")
+        band = row["band"]
+        if not _is_label(band):
+            raise ValueError(f"{where}: band must be a non-empty label without edge "
+                             f"whitespace, got {band!r}")
+        subject = row["subject"]
+        if not _is_label(subject):
+            raise ValueError(f"{where}: subject must be a non-empty label without edge "
+                             f"whitespace, got {subject!r}")
+        key = ((source, target), band)
+        per_subject = table.setdefault(key, {})
+        if subject in per_subject:
+            raise ValueError(f"{where}: duplicate subject {subject!r} for {_key_label(key)}")
+        try:
+            value = float(row["value"])
+        except (TypeError, ValueError):  # TypeError: a short row has no value cell
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"{where}: value must be a finite number, got {row['value']!r}")
+        per_subject[subject] = value
     if not table:
         raise ValueError(f"{path}: no data rows")
     return table

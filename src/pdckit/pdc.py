@@ -11,15 +11,13 @@ the subtractive convention either way.
 from __future__ import annotations
 
 import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .signals import _check_positive, _read_text
+from ._io import _check_positive, _csv_rows, _write_json
 from .var import VarModel
 
 __all__ = [
@@ -77,8 +75,7 @@ class FrequencyGrid:
                 sampling_rate_hz: float) -> "FrequencyGrid":
         """Evenly spaced grid from low_hz to the last step not past high_hz; a step
         past it by rounding only (< 1e-9 step) ends the grid at high_hz exactly."""
-        if step_hz <= 0:
-            raise ValueError(f"step_hz must be positive, got {step_hz}")
+        _check_positive("step_hz", step_hz)
         _check_range(low_hz, high_hz, sampling_rate_hz)
         count = math.floor((high_hz - low_hz) / step_hz + 1e-9) + 1
         freqs = np.minimum(low_hz + step_hz * np.arange(count), high_hz)
@@ -295,27 +292,19 @@ def read_spectrum_csv(path, sampling_rate_hz: float | None = None) -> PdcSpectru
     """
     cells: dict[tuple[float, str, str], float] = {}
     seen: dict[str, None] = {}  # channel labels in first-seen order
-    reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
-    required = {"freq_hz", "source", "target", "pdc"}
-    try:
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns {sorted(required)}")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            try:
-                f_hz, value = float(row["freq_hz"]), float(row["pdc"])
-            except (TypeError, ValueError):  # TypeError: a short row has no pdc cell
-                raise ValueError(f"{where}: freq_hz and pdc must be numbers, got "
-                                 f"{row['freq_hz']!r} and {row['pdc']!r}") from None
-            source, target = row["source"], row["target"]
-            key = (f_hz, source, target)
-            if key in cells:
-                raise ValueError(f"{where}: duplicate row for {f_hz} Hz, {source}->{target}")
-            seen.setdefault(source)
-            seen.setdefault(target)
-            cells[key] = value
-    except csv.Error as exc:  # DictReader's own line_num lags a row that raised
-        raise ValueError(f"{path}:{reader.reader.line_num}: {exc}") from None
+    for where, row in _csv_rows(path, {"freq_hz", "source", "target", "pdc"}):
+        try:
+            f_hz, value = float(row["freq_hz"]), float(row["pdc"])
+        except (TypeError, ValueError):  # TypeError: a short row has no pdc cell
+            raise ValueError(f"{where}: freq_hz and pdc must be numbers, got "
+                             f"{row['freq_hz']!r} and {row['pdc']!r}") from None
+        source, target = row["source"], row["target"]
+        key = (f_hz, source, target)
+        if key in cells:
+            raise ValueError(f"{where}: duplicate row for {f_hz} Hz, {source}->{target}")
+        seen.setdefault(source)
+        seen.setdefault(target)
+        cells[key] = value
     if not cells:
         raise ValueError(f"{path}: no spectrum rows")
     freqs = sorted({f_hz for f_hz, _, _ in cells})
@@ -337,11 +326,8 @@ def read_spectrum_csv(path, sampling_rate_hz: float | None = None) -> PdcSpectru
 
 def write_band_averages_json(averages: BandAverages, path) -> None:
     """Dump band matrices as a JSON map band -> row-major matrix."""
-    payload = {
+    _write_json(path, {
         "channel_labels": list(averages.channel_labels),
         "band_edges_hz": {name: list(edges) for name, edges in averages.band_edges_hz.items()},
         "bands": {name: np.asarray(mat).tolist() for name, mat in averages.bands.items()},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    })

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from ._io import _check_positive, _json_fields, _read_json, _write_json
 from ._version import __version__
 from .errors import EstimationError, PipelineError
 from .pdc import (
@@ -35,22 +36,9 @@ from .pdc import (
 # not called here: this module averages stacked arrays itself. Both names stay
 # attributes of it because perfbench/spans.py wraps them under this module
 from .pdc import average_over_segments, band_average  # noqa: F401
-from .signals import (
-    _check_positive,
-    _read_text,
-    _window_length,
-    extract_segments,
-    screen_stationarity,
-)
+from .signals import _window_length, extract_segments, screen_stationarity
 from .stats import DEFAULT_ALPHA, compare_conditions, format_pair, write_test_table_csv
-from .var import (
-    _check_rows,
-    _check_scan_bound,
-    _json_fields,
-    check_stability,
-    fit_var,
-    select_order,
-)
+from .var import _check_rows, _check_scan_bound, check_stability, fit_var, select_order
 
 __all__ = [
     "ORDER_MODE_FIXED",
@@ -129,7 +117,7 @@ class PipelineConfig:
             raise ValueError(
                 f"stationarity_n_windows must be >= 2, got {self.stationarity_n_windows}"
             )
-        if self.stationarity_mean_drift_tol <= 0 or self.stationarity_variance_ratio_tol <= 0:
+        if not (self.stationarity_mean_drift_tol > 0 and self.stationarity_variance_ratio_tol > 0):
             raise ValueError("stationarity tolerances must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
@@ -474,13 +462,7 @@ def write_report(report: AnalysisReport, out_dir) -> dict:
     table_path = os.path.join(out_dir, "test_table.csv")
 
     payload = report_to_dict(report)
-
-    def dump_json(tmp):
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-
-    _write_atomic(report_path, dump_json)
+    _write_atomic(report_path, lambda tmp: _write_json(tmp, payload))
     _write_atomic(table_path, lambda tmp: write_test_table_csv(report.test_results, tmp))
     return {"report": report_path, "test_table": table_path}
 
@@ -509,9 +491,7 @@ def _config_payload(config: PipelineConfig) -> dict:
 
 
 def write_config_json(config: PipelineConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_config_payload(config), fh, indent=2)
-        fh.write("\n")
+    _write_json(path, _config_payload(config))
 
 
 def read_config_json(path) -> PipelineConfig:
@@ -523,11 +503,8 @@ def read_config_json(path) -> PipelineConfig:
     rejected at every level so typos cannot silently change a run. Errors
     name the offending JSON path.
     """
-    payload = json.loads(_read_text(path))
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
     flat = {}
-    for key, value in payload.items():
+    for key, value in _read_json(path, "config").items():
         if key in _JSON_GROUPS.values():
             if not isinstance(value, dict):
                 raise ValueError(f"{path}: {key} must be a JSON object")

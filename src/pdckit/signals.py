@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._io import _check_positive, _decode_utf8, _read_text
+
 __all__ = [
     "Recording",
     "MultichannelSegment",
@@ -26,12 +28,6 @@ __all__ = [
     "write_recording_csv",
     "read_markers_csv",
 ]
-
-
-def _check_positive(name: str, value) -> None:
-    """The rule for a sampling rate or an epoch length: a finite positive number."""
-    if not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be a finite positive number, got {value}")
 
 
 def _set_samples(obj) -> None:
@@ -278,22 +274,6 @@ def screen_stationarity(
         mean_drift_tol=float(mean_drift_tol),
         variance_ratio_tol=float(variance_ratio_tol),
     )
-
-
-def _decode_utf8(path, data: bytes) -> str:
-    """The text of a file's bytes; a byte that is not UTF-8 raises, naming path:line."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise ValueError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
-
-
-def _read_text(path) -> str:
-    """A whole file read as UTF-8 text, with `_decode_utf8`'s errors."""
-    with open(path, "rb") as fh:
-        return _decode_utf8(path, fh.read())
 
 
 def _read_header(path, reader) -> tuple[str, ...]:

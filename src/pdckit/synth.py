@@ -8,13 +8,13 @@ generator so output is reproducible regardless of scheduling.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import Recording, _check_positive, _read_text
-from .var import _json_fields, spectral_radius
+from ._io import _check_positive, _json_fields, _read_json, _write_json
+from .signals import Recording
+from .var import spectral_radius
 
 __all__ = [
     "DEFAULT_BURN_IN",
@@ -140,7 +140,7 @@ def generate(spec: GeneratorSpec) -> Recording:
 
 def write_generator_spec_json(spec: GeneratorSpec, path) -> None:
     """Dump a spec as JSON (matrices row-major)."""
-    payload = {
+    _write_json(path, {
         "coeff_matrices": spec.coeff_matrices.tolist(),
         "innovation_covariance": spec.innovation_covariance.tolist(),
         "n_samples": spec.n_samples,
@@ -148,10 +148,7 @@ def write_generator_spec_json(spec: GeneratorSpec, path) -> None:
         "seed": spec.seed,
         "sampling_rate_hz": spec.sampling_rate_hz,
         "channel_labels": list(spec.channel_labels),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    })
 
 
 # generator spec JSON key -> kind; the keys of GeneratorSpec's fields
@@ -175,7 +172,7 @@ def read_generator_spec_json(path) -> GeneratorSpec:
     list of strings for the labels, nested lists of finite numbers for the
     matrices), and unknown keys are rejected.
     """
-    payload = json.loads(_read_text(path))
+    payload = _read_json(path, "generator spec")
     required = ("coeff_matrices", "innovation_covariance", "n_samples", "seed",
                 "sampling_rate_hz")
     return GeneratorSpec(**_json_fields(path, payload, _SPEC_KINDS, required, "generator spec"))

@@ -22,14 +22,14 @@ Lütkepohl 2005, 2.1):
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import _json_fields, _read_json, _write_json
 from .errors import EstimationError
-from .signals import MultichannelSegment, _read_text
+from .signals import MultichannelSegment
 
 __all__ = [
     "VarModel",
@@ -428,95 +428,13 @@ def spectral_radius(coeff_matrices: np.ndarray) -> float:
 
 def write_model_json(model: VarModel, path) -> None:
     """Dump a model as JSON with row-major coefficient matrices."""
-    payload = {
+    _write_json(path, {
         "order": model.order_p,
         "channel_labels": list(model.channel_labels),
         "coeff_matrices": model.coeff_matrices.tolist(),
         "residual_covariance": model.residual_covariance.tolist(),
         "n_samples_used": model.n_samples_used,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
-def _is_number(value) -> bool:
-    # the decoder also yields NaN, Infinity and integers beyond float range;
-    # type() rather than isinstance() because JSON true/false decode as bool
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _is_str(value) -> bool:
-    return type(value) is str
-
-
-def _is_pair(value, item_ok) -> bool:
-    return type(value) is list and len(value) == 2 and all(map(item_ok, value))
-
-
-def _array_shape(value):
-    """Shape of nested lists of finite numbers, or None unless they form an array."""
-    if _is_number(value):
-        return ()
-    if type(value) is not list:
-        return None
-    shapes = {_array_shape(v) for v in value}
-    if None in shapes or len(shapes) > 1:
-        return None
-    return (len(value), *shapes.pop()) if shapes else (0,)
-
-
-# the kinds of value the toolkit's JSON files hold, named as the annotations
-# of the fields they load into -> (check on the decoded value, what it wants)
-_JSON_TYPES = {
-    "float": (_is_number, "a finite number"),
-    "int": (lambda v: type(v) is int, "an integer"),
-    "bool": (lambda v: type(v) is bool, "true or false"),
-    "str": (_is_str, "a string"),
-    "labels": (lambda v: type(v) is list and all(map(_is_str, v)), "a list of strings"),
-    "array": (lambda v: type(v) is list and _array_shape(v) is not None,
-              "equally long nested lists of finite numbers"),
-    "tuple": (lambda v: type(v) is list and all(_is_pair(p, _is_str) for p in v),
-              "a list of [source, target] string pairs"),
-    "dict": (lambda v: type(v) is dict
-             and all(_is_pair(edges, _is_number) for edges in v.values()),
-             "an object mapping names to [low, high] numbers"),
-}
-
-
-def _field_value(value, annotation: str, where: str):
-    kind, _, optional = annotation.partition(" | ")
-    if value is None and optional:
-        return None
-    check, wanted = _JSON_TYPES[kind]
-    if not check(value):
-        wanted += " or null" if optional else ""
-        raise ValueError(f"{where} must be {wanted}, got {json.dumps(value)}")
-    return float(value) if kind == "float" else value
-
-
-def _json_fields(path, payload, kinds: dict, required, what: str) -> dict:
-    """The checked values of a decoded JSON object, by key.
-
-    ``kinds`` maps every allowed key to its kind (``"<kind> | None"`` also
-    allows null); unknown keys, a missing required key and a value of the
-    wrong kind are rejected, and the error names the file and the key.
-    """
-    if type(payload) is not dict:
-        raise ValueError(f"{path}: {what} must be a JSON object")
-    unknown = set(payload) - set(kinds)
-    if unknown:
-        raise ValueError(f"{path}: unknown {what} keys {sorted(unknown)}")
-    for key in required:
-        if key not in payload:
-            raise ValueError(f"{path}: {key} is required")
-    try:
-        return {key: _field_value(value, kinds[key], key) for key, value in payload.items()}
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    })
 
 
 # model JSON key -> kind; every key is required
@@ -536,7 +454,7 @@ def read_model_json(path) -> VarModel:
     order and row count, a list of strings for the labels, nested lists of
     finite numbers for the matrices); unknown keys are rejected.
     """
-    payload = json.loads(_read_text(path))
+    payload = _read_json(path, "model")
     values = _json_fields(path, payload, _MODEL_KINDS, tuple(_MODEL_KINDS), "model")
     return VarModel(
         order_p=values["order"],

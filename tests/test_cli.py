@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -84,6 +85,21 @@ def test_pdc_rejects_an_infinite_sampling_rate(tmp_path, capsys, source):
     assert not out.exists()
     assert err == ("pdckit: argument-error: sampling_rate_hz must be a finite positive "
                    "number, got inf\n")
+
+
+@pytest.mark.parametrize("step", ["nan", "inf"])
+def test_pdc_rejects_a_grid_step_that_is_not_finite(tmp_path, capsys, step):
+    rec = _simulate(tmp_path)
+    model, out = tmp_path / "model.json", tmp_path / "s.csv"
+    assert main(["fit", "--input", str(rec), "--sampling-rate", "250", "--order", "2",
+                 "--out", str(model)]) == 0
+    capsys.readouterr()
+    code = main(["pdc", "--model", str(model), "--sampling-rate", "250", "--step", step,
+                 "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"pdckit: argument-error: step_hz must be a finite positive number, got {step}\n")
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
@@ -369,6 +385,29 @@ def test_pipeline_threads_flag_is_accepted_and_ignored(tmp_path, capsys, monkeyp
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("changes", [
+    {},
+    {"model_scope": "joint", "order_mode": "auto_aic", "p_scan_max": 10},
+], ids=["default", "joint-auto-aic"])
+def test_pipeline_output_does_not_depend_on_the_blas_thread_count(tmp_path, changes):
+    quiet = np.diag([0.3, 0.3, 0.3])[None]
+    coupled = quiet.copy()
+    coupled[0, 1, 0] = 0.4
+    config = dataclasses.replace(default_config(250.0), **changes)
+    argv = _pipeline_argv(tmp_path, config, coupled, quiet, n_subjects=5)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run([sys.executable, "-m", "pdckit", *argv, "--out", str(out)],
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        report = [line for line in (out / "report.json").read_bytes().splitlines()
+                  if not line.lstrip().startswith(b'"timestamp_utc":')]
+        outputs.append((report, (out / "test_table.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("changes, bound", [
     ({"order_mode": "auto_aic", "p_scan_max": 20}, "order bound 11"),
     ({"fixed_order": 60}, "N - p >= M*p + 1"),
@@ -466,6 +505,19 @@ def test_every_reader_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys
     assert main(argv) == 2
     assert capsys.readouterr().err == (
         f"pdckit: argument-error: {path}:2: not UTF-8 text (invalid start byte)\n")
+
+
+@pytest.mark.parametrize("reader", ["generator spec", "model", "config"])
+@pytest.mark.parametrize("empty", [False, True], ids=["truncated", "empty"])
+def test_every_json_reader_names_the_line_of_malformed_json(tmp_path, capsys, reader, empty):
+    path, argv = _reader_inputs(tmp_path)[reader]
+    capsys.readouterr()
+    text = path.read_text()
+    # '{' on line 1, then the first key and its colon but no value on line 2
+    path.write_text("" if empty else text[: text.index(":") + 1])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"pdckit: argument-error: {path}:{1 if empty else 2}: Expecting value\n")
 
 
 @pytest.mark.parametrize("reader, line", [

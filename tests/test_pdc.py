@@ -94,6 +94,13 @@ def test_grid_and_transfer_reject_a_rate_that_is_not_finite_and_positive(rate):
         evaluate_transfer(LOWER_VAR1, f_hz=10.0, sampling_rate_hz=rate)
 
 
+@pytest.mark.parametrize("step", [math.nan, math.inf])
+def test_regular_grid_rejects_a_step_that_is_not_finite(step):
+    # NaN compares false with everything, and an infinite step makes every frequency NaN
+    with pytest.raises(ValueError, match=f"step_hz must be a finite positive number, got {step}"):
+        FrequencyGrid.regular(4.0, 30.0, step, sampling_rate_hz=250.0)
+
+
 # ----------------------------------------------------------- transfer matrix
 
 

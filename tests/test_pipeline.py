@@ -117,6 +117,19 @@ def test_config_rejects_an_infinite_rate_or_epoch_length(field):
         PipelineConfig(**values)
 
 
+def test_config_rejects_a_nan_grid_step():
+    with pytest.raises(ValueError, match="step_hz must be a finite positive number, got nan"):
+        PipelineConfig(sampling_rate_hz=FS, freq_step_hz=math.nan)
+
+
+@pytest.mark.parametrize("field", ["stationarity_mean_drift_tol",
+                                   "stationarity_variance_ratio_tol"])
+def test_config_rejects_a_nan_screening_tolerance(field):
+    # no score passes a NaN tolerance, so every epoch would be screened out
+    with pytest.raises(ValueError, match="stationarity tolerances must be positive"):
+        PipelineConfig(sampling_rate_hz=FS, **{field: math.nan})
+
+
 def test_config_json_round_trip(tmp_path):
     cfg = dataclasses.replace(
         default_config(FS),
