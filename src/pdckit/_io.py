@@ -41,16 +41,25 @@ def _read_text(path) -> str:
         return _decode_utf8(path, fh.read())
 
 
-def _read_json(path, what: str) -> dict:
-    """The decoded JSON object of a UTF-8 file; malformed JSON raises, naming
-    path:line, and so does a document that is not an object."""
+def _read_json(path, what: str, build):
+    """``build(payload)`` for the JSON object a UTF-8 file holds.
+
+    Every ValueError names the file: malformed JSON by path:line, and the rest,
+    from a document that is not an object to a value the built object refuses,
+    by path. JSON nested too deeply to decode or check is one of them.
+    """
+    text = _read_text(path)
     try:
-        payload = json.loads(_read_text(path))
+        payload = json.loads(text)
+        if type(payload) is not dict:
+            raise ValueError(f"{what} must be a JSON object")
+        return build(payload)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
-    if type(payload) is not dict:
-        raise ValueError(f"{path}: {what} must be a JSON object")
-    return payload
+    except RecursionError:
+        raise ValueError(f"{path}: {what} JSON is nested too deeply") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_json(path, payload) -> None:
@@ -131,20 +140,17 @@ def _field_value(value, annotation: str, where: str):
     return float(value) if kind == "float" else value
 
 
-def _json_fields(path, payload: dict, kinds: dict, required, what: str) -> dict:
+def _json_fields(payload: dict, kinds: dict, required, what: str) -> dict:
     """The checked values of a decoded JSON object, by key.
 
     ``kinds`` maps every allowed key to its kind (``"<kind> | None"`` also
     allows null); unknown keys, a missing required key and a value of the
-    wrong kind are rejected, and the error names the file and the key.
+    wrong kind are rejected, and the error names the key.
     """
     unknown = set(payload) - set(kinds)
     if unknown:
-        raise ValueError(f"{path}: unknown {what} keys {sorted(unknown)}")
+        raise ValueError(f"unknown {what} keys {sorted(unknown)}")
     for key in required:
         if key not in payload:
-            raise ValueError(f"{path}: {key} is required")
-    try:
-        return {key: _field_value(value, kinds[key], key) for key, value in payload.items()}
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+            raise ValueError(f"{key} is required")
+    return {key: _field_value(value, kinds[key], key) for key, value in payload.items()}

@@ -21,7 +21,6 @@ from ._io import _csv_rows, _is_label
 from ._version import __version__
 from .errors import DegenerateSampleError, EstimationError, PipelineError
 from .pdc import (
-    DEFAULT_BANDS,
     FrequencyGrid,
     band_average,
     compute_pdc,
@@ -29,14 +28,14 @@ from .pdc import (
     write_band_averages_json,
     write_spectrum_csv,
 )
-from .pipeline import read_config_json, run_pipeline, write_report
+from .pipeline import PipelineConfig, read_config_json, run_pipeline, write_report
 from .signals import (
     MultichannelSegment,
     read_markers_csv,
     read_recording_csv,
     write_recording_csv,
 )
-from .stats import _key_label, compare_conditions, format_pair, write_test_table_csv
+from .stats import DEFAULT_ALPHA, _key_label, compare_conditions, format_pair, write_test_table_csv
 from .synth import generate, read_generator_spec_json
 from .var import fit_var, read_model_json, select_order, write_model_json
 
@@ -89,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--order", type=_positive_int, help="fixed model order")
     group.add_argument("--auto-order", action="store_true",
                        help="choose the order by AIC scan")
-    p.add_argument("--p-scan-max", type=_positive_int, default=20,
+    p.add_argument("--p-scan-max", type=_positive_int, default=PipelineConfig.p_scan_max,
                    help="top of the AIC scan range (with --auto-order)")
     p.add_argument("--mean-center", action="store_true",
                    help="subtract per-channel means before fitting")
@@ -100,9 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--input", help="recording CSV (fit first, then transform)")
     p.add_argument("--sampling-rate", type=float, required=True, help="Hz")
     p.add_argument("--out", required=True, help="output spectrum CSV")
-    p.add_argument("--low", type=float, default=4.0, help="grid start, Hz")
-    p.add_argument("--high", type=float, default=30.0, help="grid end, Hz")
-    p.add_argument("--step", type=float, default=0.5, help="grid step, Hz")
+    p.add_argument("--low", type=float, default=PipelineConfig.freq_low_hz, help="grid start, Hz")
+    p.add_argument("--high", type=float, default=PipelineConfig.freq_high_hz, help="grid end, Hz")
+    p.add_argument("--step", type=float, default=PipelineConfig.freq_step_hz, help="grid step, Hz")
     p.add_argument("--order", type=_positive_int, default=None,
                    help="model order when fitting from --input")
     p.add_argument("--mean-center", action="store_true",
@@ -120,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--condition-b", required=True,
                    help="CSV with columns pair,band,subject,value")
     p.add_argument("--out", required=True, help="output test-table CSV")
-    p.add_argument("--alpha", type=float, default=0.05, help="significance level")
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="significance level")
 
     p = sub.add_parser("pipeline", help="full two-condition analysis")
     p.add_argument("--config", required=True, help="pipeline config JSON")
@@ -185,10 +184,7 @@ def _cmd_pdc(args) -> int:
 
 def _cmd_bands(args) -> int:
     spectrum = read_spectrum_csv(args.spectrum)
-    if args.band:
-        bands = {name: (low, high) for name, low, high in args.band}
-    else:
-        bands = DEFAULT_BANDS
+    bands = {name: (low, high) for name, low, high in args.band} if args.band else None
     averages = band_average(spectrum, bands)
     write_band_averages_json(averages, args.out)
     print(f"wrote {args.out}")

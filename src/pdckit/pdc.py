@@ -288,7 +288,8 @@ def read_spectrum_csv(path, sampling_rate_hz: float | None = None) -> PdcSpectru
     """Load a spectrum written by `write_spectrum_csv` from UTF-8 CSV.
 
     When the sampling rate is not given, it defaults to twice the highest
-    frequency present (the minimal rate for which the grid is valid).
+    frequency present (the minimal rate for which the grid is valid), or to
+    1 Hz for a table of 0 Hz alone. A cell out of range is named by path:line.
     """
     cells: dict[tuple[float, str, str], float] = {}
     seen: dict[str, None] = {}  # channel labels in first-seen order
@@ -298,6 +299,10 @@ def read_spectrum_csv(path, sampling_rate_hz: float | None = None) -> PdcSpectru
         except (TypeError, ValueError):  # TypeError: a short row has no pdc cell
             raise ValueError(f"{where}: freq_hz and pdc must be numbers, got "
                              f"{row['freq_hz']!r} and {row['pdc']!r}") from None
+        if not 0.0 <= f_hz < math.inf:  # NaN fails too
+            raise ValueError(f"{where}: freq_hz must be finite and >= 0, got {row['freq_hz']!r}")
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{where}: PDC values must lie in [0, 1], got {row['pdc']!r}")
         source, target = row["source"], row["target"]
         key = (f_hz, source, target)
         if key in cells:
@@ -319,7 +324,7 @@ def read_spectrum_csv(path, sampling_rate_hz: float | None = None) -> PdcSpectru
     except KeyError as exc:
         raise ValueError(f"{path}: incomplete spectrum table, missing {exc}") from None
     if sampling_rate_hz is None:
-        sampling_rate_hz = 2.0 * max(freqs)
+        sampling_rate_hz = 2.0 * max(freqs) or 1.0
     grid = FrequencyGrid(freqs_hz=np.array(freqs), sampling_rate_hz=sampling_rate_hz)
     return PdcSpectrum(values=values, grid=grid, channel_labels=labels)
 

@@ -17,7 +17,6 @@ import json
 import os
 import tempfile
 import time
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -300,8 +299,8 @@ def _cut(config: PipelineConfig, labels: tuple, recording, starts) -> list:
     return extract_segments(recording, config.epoch_length_ms, starts)
 
 
-def run_pipeline(config: PipelineConfig, condition_a_inputs, condition_b_inputs,
-                 threads: int = 1) -> AnalysisReport:
+def run_pipeline(config: PipelineConfig, condition_a_inputs,
+                 condition_b_inputs) -> AnalysisReport:
     """Run the full two-condition analysis.
 
     Parameters
@@ -310,9 +309,6 @@ def run_pipeline(config: PipelineConfig, condition_a_inputs, condition_b_inputs,
     condition_a_inputs, condition_b_inputs : sequence of (Recording, starts)
         One entry per subject, index-aligned between conditions (the test is
         paired); ``starts`` are epoch onsets in ms for that recording.
-    threads : int
-        Deprecated and ignored: subjects are processed sequentially. Any
-        value other than 1 emits a DeprecationWarning.
 
     Raises
     ------
@@ -326,10 +322,6 @@ def run_pipeline(config: PipelineConfig, condition_a_inputs, condition_b_inputs,
         onset at all, or epochs too short for the stationarity windows or
         the order setting.
     """
-    if threads != 1:
-        warnings.warn("run_pipeline(threads=...) is deprecated and ignored; "
-                      "subjects are processed sequentially",
-                      DeprecationWarning, stacklevel=2)
     a_inputs = list(condition_a_inputs)
     b_inputs = list(condition_b_inputs)
     if len(a_inputs) != len(b_inputs):
@@ -503,15 +495,17 @@ def read_config_json(path) -> PipelineConfig:
     rejected at every level so typos cannot silently change a run. Errors
     name the offending JSON path.
     """
-    flat = {}
-    for key, value in _read_json(path, "config").items():
-        if key in _JSON_GROUPS.values():
-            if not isinstance(value, dict):
-                raise ValueError(f"{path}: {key} must be a JSON object")
-            flat.update((f"{key}.{inner}", v) for inner, v in value.items())
-        else:
-            flat[key] = value
-    schema = {_json_path(f.name): f for f in fields(PipelineConfig)}
-    kinds = {where: f.type for where, f in schema.items()}
-    values = _json_fields(path, flat, kinds, ("sampling_rate_hz",), "config")
-    return PipelineConfig(**{schema[where].name: value for where, value in values.items()})
+    def build(payload):
+        flat = {}
+        for key, value in payload.items():
+            if key in _JSON_GROUPS.values():
+                if not isinstance(value, dict):
+                    raise ValueError(f"{key} must be a JSON object")
+                flat.update((f"{key}.{inner}", v) for inner, v in value.items())
+            else:
+                flat[key] = value
+        schema = {_json_path(f.name): f for f in fields(PipelineConfig)}
+        kinds = {where: f.type for where, f in schema.items()}
+        values = _json_fields(flat, kinds, ("sampling_rate_hz",), "config")
+        return PipelineConfig(**{schema[where].name: value for where, value in values.items()})
+    return _read_json(path, "config", build)

@@ -104,18 +104,6 @@ class PairedTestResult:
             raise ValueError("untestable result must have n_effective = 0")
 
 
-# The exact null counts are int64; the total count 2**n overflows above here.
-_MAX_EXACT_THRESHOLD = 62
-
-
-def _check_exact_threshold(exact_threshold) -> None:
-    if exact_threshold > _MAX_EXACT_THRESHOLD:
-        raise ValueError(
-            f"exact_threshold must be at most {_MAX_EXACT_THRESHOLD} (the exact null "
-            f"counts overflow int64 above n = {_MAX_EXACT_THRESHOLD}), got {exact_threshold}"
-        )
-
-
 # The normal tail of the approximate branch: Cephes' ndtr/erf/erfc (Moshier 1989,
 # "Methods and Programs for Mathematical Functions"), the code scipy.special.ndtr
 # runs, with its coefficient tables, branch points and Horner order, so every
@@ -210,7 +198,7 @@ def _signed_rank_cumulative_counts(n: int) -> np.ndarray:
     Entry w is the number of the 2**n assignments whose positive-rank sum is
     <= w, for distinct ranks 1..n. Built by the usual convolution recurrence;
     the last entry is 2**n, so int64 holds every entry for
-    n <= _MAX_EXACT_THRESHOLD. Treat as read-only (cached).
+    n <= DEFAULT_EXACT_THRESHOLD. Treat as read-only (cached).
     """
     total = n * (n + 1) // 2
     counts = np.zeros(total + 1, dtype=np.int64)
@@ -220,15 +208,14 @@ def _signed_rank_cumulative_counts(n: int) -> np.ndarray:
     return np.cumsum(counts)
 
 
-def wilcoxon_signed_rank(sample: PairedSample,
-                         exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> WilcoxonOutcome:
+def wilcoxon_signed_rank(sample: PairedSample) -> WilcoxonOutcome:
     """Two-sided paired signed-rank test.
 
     Differences a - b are taken, zero differences discarded, and absolute
     differences ranked with mid-ranks for ties. W is the smaller of the two
-    signed-rank sums. With at most `exact_threshold` effective pairs and no
-    tied magnitudes the p-value is exact (two-sided tail of the full
-    sign-assignment distribution); otherwise a normal approximation with
+    signed-rank sums. With at most `DEFAULT_EXACT_THRESHOLD` (25) effective
+    pairs and no tied magnitudes the p-value is exact (two-sided tail of the
+    full sign-assignment distribution); otherwise a normal approximation with
     continuity correction and tie-corrected variance is used.
 
     Returns
@@ -240,10 +227,7 @@ def wilcoxon_signed_rank(sample: PairedSample,
     ------
     DegenerateSampleError
         If every difference is zero (no information in the sample).
-    ValueError
-        If `exact_threshold` exceeds 62, where the exact counts overflow.
     """
-    _check_exact_threshold(exact_threshold)
     diffs = sample.condition_a - sample.condition_b
     diffs = diffs[diffs != 0.0]
     n_eff = diffs.size
@@ -273,7 +257,7 @@ def wilcoxon_signed_rank(sample: PairedSample,
     # rank sums are half-integers, exact in float64, so W- = n(n+1)/2 - W+ exactly
     w = min(w_pos, n_eff * (n_eff + 1) / 2.0 - w_pos)
 
-    if n_eff <= exact_threshold and not tied:
+    if n_eff <= DEFAULT_EXACT_THRESHOLD and not tied:
         cumulative = _signed_rank_cumulative_counts(n_eff)
         p = min(1.0, 2.0 * float(cumulative[int(w)]) / 2.0 ** n_eff)
     else:
@@ -328,8 +312,7 @@ def _direction_from_median(diffs: np.ndarray) -> str:
 
 
 def compare_conditions(band_values_a: dict, band_values_b: dict,
-                       alpha: float = DEFAULT_ALPHA,
-                       exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> dict:
+                       alpha: float = DEFAULT_ALPHA) -> dict:
     """Test every (pair, band) key and correct across the full key family.
 
     Parameters
@@ -352,10 +335,8 @@ def compare_conditions(band_values_a: dict, band_values_b: dict,
     ValueError
         If the two maps have different key sets, if a key's values are
         misaligned or not finite (the message starts with the key, written
-        ``source->target/band`` for ``((source, target), band)`` keys), or if
-        `exact_threshold` exceeds 62.
+        ``source->target/band`` for ``((source, target), band)`` keys).
     """
-    _check_exact_threshold(exact_threshold)
     if set(band_values_a) != set(band_values_b):
         missing = set(band_values_a) ^ set(band_values_b)
         raise ValueError(f"condition maps differ in keys: {sorted(missing)!r}")
@@ -373,7 +354,7 @@ def compare_conditions(band_values_a: dict, band_values_b: dict,
             raise ValueError(f"{_key_label(key)}: {exc}") from exc
         directions[key] = _direction_from_median(sample.condition_a - sample.condition_b)
         try:
-            outcome = wilcoxon_signed_rank(sample, exact_threshold=exact_threshold)
+            outcome = wilcoxon_signed_rank(sample)
         except DegenerateSampleError:
             outcome = None
         outcomes[key] = outcome

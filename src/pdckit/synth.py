@@ -172,7 +172,7 @@ def read_generator_spec_json(path) -> GeneratorSpec:
     list of strings for the labels, nested lists of finite numbers for the
     matrices), and unknown keys are rejected.
     """
-    payload = _read_json(path, "generator spec")
     required = ("coeff_matrices", "innovation_covariance", "n_samples", "seed",
                 "sampling_rate_hz")
-    return GeneratorSpec(**_json_fields(path, payload, _SPEC_KINDS, required, "generator spec"))
+    return _read_json(path, "generator spec", lambda payload: GeneratorSpec(
+        **_json_fields(payload, _SPEC_KINDS, required, "generator spec")))

@@ -313,11 +313,7 @@ def choose_order_from_aic(aic_values, n: int, m: int) -> OrderSelection:
                           rule_applied=RULE_CAPPED_BY_BOUND)
 
 
-def select_order(
-    segment: MultichannelSegment,
-    p_scan_max: int,
-    allow_exceed_bound: bool = False,
-) -> OrderSelection:
+def select_order(segment: MultichannelSegment, p_scan_max: int) -> OrderSelection:
     """Scan orders 1..p_scan_max by AIC and choose one.
 
     All candidate orders are evaluated on a common regression window (the
@@ -329,11 +325,7 @@ def select_order(
     ----------
     segment : MultichannelSegment
     p_scan_max : int
-        Upper end of the scan; must not exceed
-        ``max_order_bound(N, M)`` unless ``allow_exceed_bound`` is set.
-    allow_exceed_bound : bool
-        Explicit override of the scan cap. The capped fallback still never
-        chooses above the bound.
+        Upper end of the scan; must not exceed ``max_order_bound(N, M)``.
 
     Returns
     -------
@@ -343,8 +335,7 @@ def select_order(
         raise ValueError(f"p_scan_max must be positive, got {p_scan_max}")
     n = segment.n_samples
     m = segment.n_channels
-    if not allow_exceed_bound:
-        _check_scan_bound(n, m, p_scan_max)
+    _check_scan_bound(n, m, p_scan_max)
     scanned = []
     for p in range(1, p_scan_max + 1):
         # drop the leading rows a lower order would otherwise use as extra
@@ -454,12 +445,13 @@ def read_model_json(path) -> VarModel:
     order and row count, a list of strings for the labels, nested lists of
     finite numbers for the matrices); unknown keys are rejected.
     """
-    payload = _read_json(path, "model")
-    values = _json_fields(path, payload, _MODEL_KINDS, tuple(_MODEL_KINDS), "model")
-    return VarModel(
-        order_p=values["order"],
-        coeff_matrices=values["coeff_matrices"],
-        residual_covariance=values["residual_covariance"],
-        n_samples_used=values["n_samples_used"],
-        channel_labels=values["channel_labels"],
-    )
+    def build(payload):
+        values = _json_fields(payload, _MODEL_KINDS, tuple(_MODEL_KINDS), "model")
+        return VarModel(
+            order_p=values["order"],
+            coeff_matrices=values["coeff_matrices"],
+            residual_covariance=values["residual_covariance"],
+            n_samples_used=values["n_samples_used"],
+            channel_labels=values["channel_labels"],
+        )
+    return _read_json(path, "model", build)

@@ -259,8 +259,7 @@ def test_criterion_09_end_to_end_pipeline():
     report = None
     for run in range(50):
         base = 777_000 + 1000 * run
-        report = run_pipeline(config, cohort(diag, base),
-                              cohort(coupled, base + 500), threads=1)
+        report = run_pipeline(config, cohort(diag, base), cohort(coupled, base + 500))
         flagged = {k for k, r in report.test_results.items() if r.significant}
         injected = {(("ch1", "ch2"), b) for b in report.band_names}
         pure = {(p, b)

@@ -16,7 +16,7 @@ from pdckit import (
     write_config_json,
     write_generator_spec_json,
 )
-from pdckit.cli import main
+from pdckit.cli import _build_parser, main
 from pdckit.pdc import read_spectrum_csv
 from pdckit.var import read_model_json
 
@@ -520,6 +520,27 @@ def test_every_json_reader_names_the_line_of_malformed_json(tmp_path, capsys, re
         f"pdckit: argument-error: {path}:{1 if empty else 2}: Expecting value\n")
 
 
+@pytest.mark.parametrize("reader, key", [
+    ("generator spec", "coeff_matrices"), ("model", "coeff_matrices"),
+    ("config", "channel_pairs"),
+])
+@pytest.mark.parametrize("document", ["unclosed", "deep array"])
+def test_every_json_reader_names_the_file_of_deeply_nested_json(tmp_path, capsys, reader, key,
+                                                                 document):
+    path, argv = _reader_inputs(tmp_path)[reader]
+    capsys.readouterr()
+    if document == "unclosed":
+        path.write_text("[" * 100_000)  # past the decoder's recursion limit
+    else:
+        # decodes, but is past the recursion limit of the value checks
+        payload = {**json.loads(path.read_text()), key: "deep"}
+        path.write_text(json.dumps(payload).replace('"deep"', "[" * 980 + "0.5" + "]" * 980))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"pdckit: argument-error: {path}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 @pytest.mark.parametrize("reader, line", [
     ("recording", 1), ("recording", 2), ("spectrum", 1), ("spectrum", 3),
     ("band table", 1), ("band table", 3),
@@ -534,6 +555,49 @@ def test_a_cell_past_the_csv_field_limit_is_named_by_line(tmp_path, capsys, read
     assert main(argv) == 2
     assert capsys.readouterr().err == (
         f"pdckit: argument-error: {path}:{line}: field larger than field limit (131072)\n")
+
+
+@pytest.mark.parametrize("column, cell, message", [
+    ("pdc", "nan", "PDC values must lie in [0, 1], got 'nan'"),
+    ("pdc", "1.5", "PDC values must lie in [0, 1], got '1.5'"),
+    ("freq_hz", "-4.0", "freq_hz must be finite and >= 0, got '-4.0'"),
+    ("freq_hz", "inf", "freq_hz must be finite and >= 0, got 'inf'"),
+], ids=["nan-pdc", "pdc-above-1", "negative-freq", "infinite-freq"])
+def test_spectrum_reader_names_the_line_of_a_cell_out_of_range(tmp_path, capsys, column, cell,
+                                                                message):
+    path, argv = _reader_inputs(tmp_path)["spectrum"]
+    capsys.readouterr()
+    lines = path.read_text().splitlines()
+    cells = dict(zip(lines[0].split(","), lines[2].split(",")))
+    lines[2] = ",".join({**cells, column: cell}.values())
+    path.write_text("\n".join(lines) + "\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"pdckit: argument-error: {path}:3: {message}\n"
+
+
+def test_bands_reads_back_a_spectrum_of_0_hz_alone(tmp_path, capsys):
+    _, argv = _reader_inputs(tmp_path)["model"]  # pdc --model model.json ...
+    spectrum, out = tmp_path / "dc.csv", tmp_path / "dc.json"
+    assert main([*argv[:-1], str(spectrum), "--low", "0", "--high", "0"]) == 0
+    assert main(["bands", "--spectrum", str(spectrum), "--band", "dc:0:0",
+                 "--out", str(out)]) == 0
+    assert read_spectrum_csv(spectrum).grid.sampling_rate_hz == 1.0
+    assert json.loads(out.read_text())["band_edges_hz"] == {"dc": [0.0, 0.0]}
+    capsys.readouterr()
+
+
+def test_parser_defaults_are_the_protocol_defaults():
+    config = default_config(250.0)
+    parse = _build_parser().parse_args
+    fit = parse(["fit", "--input", "r.csv", "--sampling-rate", "250", "--out", "m.json",
+                 "--auto-order"])
+    assert fit.p_scan_max == config.p_scan_max
+    pdc = parse(["pdc", "--model", "m.json", "--sampling-rate", "250", "--out", "s.csv"])
+    assert (pdc.low, pdc.high, pdc.step) == (config.freq_low_hz, config.freq_high_hz,
+                                             config.freq_step_hz)
+    compare = parse(["compare", "--condition-a", "a.csv", "--condition-b", "b.csv",
+                     "--out", "t.csv"])
+    assert compare.alpha == config.alpha
 
 
 def test_version_flag(capsys):

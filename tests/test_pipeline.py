@@ -271,13 +271,10 @@ def test_pipeline_flags_injected_coupling():
             assert all(0.0 <= v <= 1.0 for v in values)
 
 
-def test_pipeline_threads_do_not_change_results():
-    cond_a, cond_b = _cohorts(n_subjects=4, base=881_000)
-    serial = run_pipeline(default_config(FS), cond_a, cond_b, threads=1)
-    with pytest.warns(DeprecationWarning):
-        threaded = run_pipeline(default_config(FS), cond_a, cond_b, threads=3)
-    assert serial.test_results == threaded.test_results
-    assert serial.condition_a.band_values == threaded.condition_a.band_values
+def test_run_pipeline_has_no_threads_keyword():
+    # subjects are processed one after another; the ignored keyword is gone
+    with pytest.raises(TypeError):
+        run_pipeline(default_config(FS), [], [], threads=1)
 
 
 def test_pipeline_auto_order_and_joint_scope():

@@ -8,7 +8,6 @@ import pytest
 import scipy.special
 from numpy.testing import assert_allclose
 from scipy.stats import norm, rankdata
-from scipy.stats import wilcoxon as scipy_wilcoxon
 
 from pdckit import (
     DIRECTION_A_GREATER,
@@ -22,6 +21,7 @@ from pdckit import (
     wilcoxon_signed_rank,
 )
 from pdckit.stats import (
+    DEFAULT_EXACT_THRESHOLD,
     _erf,
     _erfc,
     _ndtr,
@@ -111,14 +111,14 @@ def test_exact_path_matches_enumeration_for_small_n():
         )
 
 
-def _reference_outcome(diffs, exact_threshold):
+def _reference_outcome(diffs):
     """The test spelled out with scipy's mid-ranks and normal cdf."""
     diffs = diffs[diffs != 0.0]
     n = diffs.size
     ranks = rankdata(np.abs(diffs), method="average")
     w = min(float(ranks[diffs > 0].sum()), float(ranks[diffs < 0].sum()))
     _, ties = np.unique(np.abs(diffs), return_counts=True)
-    if n <= exact_threshold and ties.size == n:
+    if n <= DEFAULT_EXACT_THRESHOLD and ties.size == n:
         return w, n, min(1.0, 2.0 * _signed_rank_cumulative_counts(n)[int(round(w))] / 2.0**n)
     variance = n * (n + 1) * (2 * n + 1) / 24.0
     variance -= float((ties.astype(float) ** 3 - ties).sum()) / 48.0
@@ -129,62 +129,45 @@ def _reference_outcome(diffs, exact_threshold):
 def test_ties_in_absolute_differences_use_midranks():
     # |d| = 1, 1, 2, 3: the tied pair shares rank 1.5 in the approx path
     diffs = np.array([1.0, -1.0, 2.0, 3.0, 4.0, -5.0, 6.0, 7.0, -8.0, 9.0])
-    out = wilcoxon_signed_rank(_sample(diffs, np.zeros(10)), exact_threshold=5)
+    out = wilcoxon_signed_rank(_sample(diffs, np.zeros(10)))
     ranks = rankdata(np.abs(diffs))
     w_plus = ranks[diffs > 0].sum()
     w = min(w_plus, ranks.sum() - w_plus)
     assert out.statistic_w == w
-    # seeded property: ties, zeros, n on both sides of thresholds 0-30
+    # seeded property: ties, zeros, n on both sides of the exact threshold
     rng = np.random.default_rng(1945)
     branches = set()
     for trial in range(3000):
         n = int(rng.integers(1, 45))
-        threshold = int(rng.integers(0, 31))
         if trial % 2:
             diffs = rng.integers(-4, 5, size=n) * 0.25  # heavy ties and zeros
         else:
             diffs = np.where(rng.random(n) < 0.2, 0.0, rng.normal(size=n))
         if not diffs.any():
             continue
-        out = wilcoxon_signed_rank(_sample(diffs, np.zeros(n)), exact_threshold=threshold)
-        assert tuple(out) == _reference_outcome(diffs, threshold), f"trial {trial}: {diffs!r}"
+        out = wilcoxon_signed_rank(_sample(diffs, np.zeros(n)))
+        assert tuple(out) == _reference_outcome(diffs), f"trial {trial}: {diffs!r}"
         nonzero = np.abs(diffs[diffs != 0.0])
         tied = np.unique(nonzero).size < nonzero.size
-        branches.add(("approx" if tied or nonzero.size > threshold else "exact", tied))
+        branches.add(("approx" if tied or nonzero.size > DEFAULT_EXACT_THRESHOLD else "exact",
+                      tied))
     assert branches == {("exact", False), ("approx", False), ("approx", True)}
 
 
-def test_exact_threshold_above_62_is_rejected():
-    # 2**n no longer fits the int64 exact counts above n = 62
-    rng = np.random.default_rng(70)
-    diffs = rng.permutation(np.arange(1.0, 71.0)) * rng.choice([-1.0, 1.0], size=70)
-    sample = _sample(diffs, np.zeros(70))
-    with pytest.raises(ValueError, match="at most 62"):
-        wilcoxon_signed_rank(sample, exact_threshold=100)
-    # 62 untied pairs is the largest exact case and matches scipy's exact null
-    out = wilcoxon_signed_rank(_sample(diffs[:62], np.zeros(62)), exact_threshold=62)
-    assert out.p_raw == pytest.approx(
-        scipy_wilcoxon(diffs[:62], method="exact").pvalue, rel=1e-9)
-
-
-def test_compare_conditions_rejects_large_exact_threshold_before_testing(monkeypatch):
-    import pdckit.stats
-
-    calls = []
-    monkeypatch.setattr(pdckit.stats, "wilcoxon_signed_rank",
-                        lambda *a, **k: calls.append(a))
-    keys = [(("f", "t"), "theta")]
-    a, b = _band_tables(np.random.default_rng(2), keys, n=70)
-    with pytest.raises(ValueError, match="at most 62"):
-        compare_conditions(a, b, exact_threshold=63)
-    assert calls == []
+def test_exact_threshold_is_not_a_keyword():
+    # the threshold is the fixed DEFAULT_EXACT_THRESHOLD
+    sample = _sample([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
+    with pytest.raises(TypeError):
+        wilcoxon_signed_rank(sample, exact_threshold=25)
+    with pytest.raises(TypeError):
+        compare_conditions({"k": [1.0]}, {"k": [0.0]}, exact_threshold=25)
 
 
 def test_normal_approximation_formula():
     # hand-check the continuity-corrected z against the closed form
     rng = np.random.default_rng(5)
     diffs = rng.normal(loc=0.4, size=30)
-    out = wilcoxon_signed_rank(_sample(diffs, np.zeros(30)), exact_threshold=25)
+    out = wilcoxon_signed_rank(_sample(diffs, np.zeros(30)))
     n = 30
     ranks = rankdata(np.abs(diffs))
     w_plus = ranks[diffs > 0].sum()
@@ -262,18 +245,6 @@ def test_erf_and_erfc_are_bit_identical_to_scipy(port, reference):
     xs = np.random.default_rng(27).uniform(-30.0, 30.0, size=20_000).tolist()
     xs += _with_neighbours([0.0, -0.0, 1.0, -1.0, 8.0, -8.0, 26.64, -26.64])
     _assert_same_bits(port, reference, xs + [math.inf, -math.inf])
-
-
-def test_exact_and_approx_agree_at_moderate_n():
-    # the approximation is close by n = 20; no ties with continuous draws
-    worst = 0.0
-    for seed in range(200):
-        rng = np.random.default_rng(50_000 + seed)
-        diffs = rng.normal(loc=0.3, size=20)
-        exact = wilcoxon_signed_rank(_sample(diffs, np.zeros(20)), exact_threshold=25)
-        approx = wilcoxon_signed_rank(_sample(diffs, np.zeros(20)), exact_threshold=10)
-        worst = max(worst, abs(exact.p_raw - approx.p_raw))
-    assert worst <= 0.02
 
 
 def test_exact_p_never_exceeds_one():

@@ -419,9 +419,8 @@ def test_select_order_respects_bound_by_default():
     assert sel.chosen_p <= 8
     with pytest.raises(ValueError):
         select_order(seg, p_scan_max=12)
-    sel = select_order(seg, p_scan_max=12, allow_exceed_bound=True)
-    assert max(p for p, _ in sel.aic_values) == 12
-    assert sel.chosen_p <= 11  # the capped fallback still respects the bound
+    with pytest.raises(TypeError):  # the bound has no override
+        select_order(seg, p_scan_max=12, allow_exceed_bound=True)
 
 
 # ----------------------------------------------------------------- stability
