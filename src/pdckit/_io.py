@@ -1,9 +1,10 @@
 """The file and value rules the toolkit's readers and writers share.
 
 Every reader decodes UTF-8 through `_decode_utf8` and names the file, and
-its line where there is one, in each error. The JSON readers check decoded
-values against `_JSON_TYPES`; the CSV table readers walk rows with
-`_csv_rows`; the JSON writers all go through `_write_json`.
+its line where there is one, in each error. The JSON readers refuse a
+repeated key and check decoded values against `_JSON_TYPES`; the CSV table
+readers walk rows with `_csv_rows`; the JSON writers all go through
+`_write_json`, which writes numpy arrays and scalars as lists and numbers.
 """
 
 from __future__ import annotations
@@ -41,16 +42,27 @@ def _read_text(path) -> str:
         return _decode_utf8(path, fh.read())
 
 
+def _unique_keys(pairs) -> dict:
+    """A decoded JSON object, refusing a key it repeats (json keeps the last)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {json.dumps(key)} is repeated")
+        obj[key] = value
+    return obj
+
+
 def _read_json(path, what: str, build):
     """``build(payload)`` for the JSON object a UTF-8 file holds.
 
     Every ValueError names the file: malformed JSON by path:line, and the rest,
-    from a document that is not an object to a value the built object refuses,
-    by path. JSON nested too deeply to decode or check is one of them.
+    from a document that is not an object or repeats a key at any depth to a
+    value the built object refuses, by path. JSON nested too deeply to decode
+    or check is one of them.
     """
     text = _read_text(path)
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_unique_keys)
         if type(payload) is not dict:
             raise ValueError(f"{what} must be a JSON object")
         return build(payload)
@@ -63,9 +75,10 @@ def _read_json(path, what: str, build):
 
 
 def _write_json(path, payload) -> None:
-    """Write a payload as indented UTF-8 JSON ending in a newline."""
+    """Write a payload as indented UTF-8 JSON ending in a newline; numpy arrays
+    and scalars are written as the lists and numbers of their ``tolist()``."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, default=lambda value: value.tolist())
         fh.write("\n")
 
 

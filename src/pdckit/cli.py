@@ -7,7 +7,7 @@ machine-parseable line on stderr:
     pdckit: <category>: <message>
 
 categories: argument-error (2), io-error (3), estimation-error (4),
-degenerate-sample (5), pipeline-error (6), unexpected-error (1).
+pipeline-error (6), unexpected-error (1).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 
 from ._io import _csv_rows, _is_label
 from ._version import __version__
-from .errors import DegenerateSampleError, EstimationError, PipelineError
+from .errors import EstimationError, PipelineError
 from .pdc import (
     FrequencyGrid,
     band_average,
@@ -44,7 +44,6 @@ EXIT_UNEXPECTED = 1
 EXIT_ARGUMENT = 2
 EXIT_IO = 3
 EXIT_ESTIMATION = 4
-EXIT_DEGENERATE = 5
 EXIT_PIPELINE = 6
 
 
@@ -183,6 +182,9 @@ def _cmd_pdc(args) -> int:
 
 
 def _cmd_bands(args) -> int:
+    names = [name for name, _, _ in args.band or ()]
+    if len(set(names)) < len(names):
+        raise ValueError(f"--band names must be unique, got {names}")
     spectrum = read_spectrum_csv(args.spectrum)
     bands = {name: (low, high) for name, low, high in args.band} if args.band else None
     averages = band_average(spectrum, bands)
@@ -203,14 +205,11 @@ def _read_band_values_csv(path) -> dict:
                 and format_pair((source, target)) == pair_text):
             raise ValueError(f"{where}: pair must look like 'src->tgt' with two non-empty "
                              f"labels without edge whitespace, got {pair_text!r}")
-        band = row["band"]
-        if not _is_label(band):
-            raise ValueError(f"{where}: band must be a non-empty label without edge "
-                             f"whitespace, got {band!r}")
-        subject = row["subject"]
-        if not _is_label(subject):
-            raise ValueError(f"{where}: subject must be a non-empty label without edge "
-                             f"whitespace, got {subject!r}")
+        for column in ("band", "subject"):
+            if not _is_label(row[column]):
+                raise ValueError(f"{where}: {column} must be a non-empty label without edge "
+                                 f"whitespace, got {row[column]!r}")
+        band, subject = row["band"], row["subject"]
         key = ((source, target), band)
         per_subject = table.setdefault(key, {})
         if subject in per_subject:
@@ -285,8 +284,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except DegenerateSampleError as exc:
-        return _fail("degenerate-sample", exc, EXIT_DEGENERATE)
     except EstimationError as exc:
         return _fail("estimation-error", exc, EXIT_ESTIMATION)
     except PipelineError as exc:

@@ -43,6 +43,8 @@ DEFAULT_BANDS: dict[str, tuple[float, float]] = {
 }
 
 _DEGENERATE_COLUMN_NORM = 1e-12
+# the columns of a spectrum CSV, one row per frequency and source -> target pair
+_SPECTRUM_COLUMNS = ("freq_hz", "source", "target", "pdc")
 
 
 def _check_range(low_hz: float, high_hz: float, sampling_rate_hz: float) -> None:
@@ -276,7 +278,7 @@ def write_spectrum_csv(spectrum: PdcSpectrum, path) -> None:
     labels = spectrum.channel_labels
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["freq_hz", "source", "target", "pdc"])
+        writer.writerow(_SPECTRUM_COLUMNS)
         for fi, f_hz in enumerate(spectrum.grid.freqs_hz):
             for j, source in enumerate(labels):
                 for i, target in enumerate(labels):
@@ -293,7 +295,7 @@ def read_spectrum_csv(path, sampling_rate_hz: float | None = None) -> PdcSpectru
     """
     cells: dict[tuple[float, str, str], float] = {}
     seen: dict[str, None] = {}  # channel labels in first-seen order
-    for where, row in _csv_rows(path, {"freq_hz", "source", "target", "pdc"}):
+    for where, row in _csv_rows(path, set(_SPECTRUM_COLUMNS)):
         try:
             f_hz, value = float(row["freq_hz"]), float(row["pdc"])
         except (TypeError, ValueError):  # TypeError: a short row has no pdc cell
@@ -325,14 +327,14 @@ def read_spectrum_csv(path, sampling_rate_hz: float | None = None) -> PdcSpectru
         raise ValueError(f"{path}: incomplete spectrum table, missing {exc}") from None
     if sampling_rate_hz is None:
         sampling_rate_hz = 2.0 * max(freqs) or 1.0
-    grid = FrequencyGrid(freqs_hz=np.array(freqs), sampling_rate_hz=sampling_rate_hz)
+    try:
+        grid = FrequencyGrid(freqs_hz=np.array(freqs), sampling_rate_hz=sampling_rate_hz)
+    except ValueError as exc:  # a given rate below twice the highest frequency
+        raise ValueError(f"{path}: {exc}") from None
     return PdcSpectrum(values=values, grid=grid, channel_labels=labels)
 
 
 def write_band_averages_json(averages: BandAverages, path) -> None:
     """Dump band matrices as a JSON map band -> row-major matrix."""
-    _write_json(path, {
-        "channel_labels": list(averages.channel_labels),
-        "band_edges_hz": {name: list(edges) for name, edges in averages.band_edges_hz.items()},
-        "bands": {name: np.asarray(mat).tolist() for name, mat in averages.bands.items()},
-    })
+    _write_json(path, {key: getattr(averages, key)
+                       for key in ("channel_labels", "band_edges_hz", "bands")})

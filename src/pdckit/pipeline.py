@@ -36,7 +36,7 @@ from .pdc import (
 # attributes of it because perfbench/spans.py wraps them under this module
 from .pdc import average_over_segments, band_average  # noqa: F401
 from .signals import _window_length, extract_segments, screen_stationarity
-from .stats import DEFAULT_ALPHA, compare_conditions, format_pair, write_test_table_csv
+from .stats import DEFAULT_ALPHA, _test_rows, compare_conditions, format_pair, write_test_table_csv
 from .var import _check_rows, _check_scan_bound, check_stability, fit_var, select_order
 
 __all__ = [
@@ -253,6 +253,9 @@ def _resolve_pairs(config: PipelineConfig, labels: tuple) -> tuple:
                     raise ValueError(f"configured channel {lab!r} not in recording "
                                      f"channels {list(labels)}")
         return config.channel_pairs
+    if len(labels) < 2:
+        raise ValueError(f"no channel pair can be formed: a cohort needs at least two "
+                         f"channels, the recordings have {list(labels)}")
     return tuple((s, t) for s in labels for t in labels if s != t)
 
 
@@ -390,11 +393,8 @@ def run_pipeline(config: PipelineConfig, condition_a_inputs,
 
 
 def _condition_dict(summary: ConditionSummary, pairs, band_names) -> dict:
-    values = {}
-    for pair in pairs:
-        values[format_pair(pair)] = {
-            band: list(summary.band_values[(pair, band)]) for band in band_names
-        }
+    values = {format_pair(pair): {band: list(summary.band_values[(pair, band)])
+                                  for band in band_names} for pair in pairs}
     return {
         "n_subjects": summary.n_subjects,
         "attrition": {key: getattr(summary, key) for key in _ATTRITION},
@@ -405,19 +405,6 @@ def _condition_dict(summary: ConditionSummary, pairs, band_names) -> dict:
 
 def report_to_dict(report: AnalysisReport) -> dict:
     """JSON-safe view of a report (matrices row-major, NaN-free)."""
-    tests = []
-    for (pair, band), res in report.test_results.items():
-        tests.append({
-            "pair": format_pair(pair),
-            "direction": res.direction,
-            "band": band,
-            "n": res.n_effective,
-            "W": None if res.untestable else res.statistic_w,
-            "p_raw": res.p_raw,
-            "p_adjusted": res.p_adjusted,
-            "significant": res.significant,
-            "untestable": res.untestable,
-        })
     return {
         "toolkit_version": report.toolkit_version,
         "timestamp_utc": report.timestamp_utc,
@@ -427,7 +414,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
             "a": _condition_dict(report.condition_a, report.channel_pairs, report.band_names),
             "b": _condition_dict(report.condition_b, report.channel_pairs, report.band_names),
         },
-        "tests": tests,
+        "tests": _test_rows(report.test_results),
     }
 
 

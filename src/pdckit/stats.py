@@ -343,40 +343,26 @@ def compare_conditions(band_values_a: dict, band_values_b: dict,
     if not band_values_a:
         raise ValueError("no hypotheses to test")
 
-    keys = list(band_values_a)
-    raw_p = []
-    outcomes = {}
-    directions = {}
-    for key in keys:
+    # per key, its outcome (an all-zero key: n = 0, p = 1) and its direction; an
+    # outcome's fields are the first three of PairedTestResult, in the same order
+    tested = {}
+    for key in band_values_a:
         try:
             sample = PairedSample(condition_a=band_values_a[key], condition_b=band_values_b[key])
         except ValueError as exc:
             raise ValueError(f"{_key_label(key)}: {exc}") from exc
-        directions[key] = _direction_from_median(sample.condition_a - sample.condition_b)
         try:
             outcome = wilcoxon_signed_rank(sample)
         except DegenerateSampleError:
-            outcome = None
-        outcomes[key] = outcome
-        raw_p.append(1.0 if outcome is None else outcome.p_raw)
+            outcome = WilcoxonOutcome(statistic_w=math.nan, n_effective=0, p_raw=1.0)
+        tested[key] = outcome, _direction_from_median(sample.condition_a - sample.condition_b)
 
-    corrected = holm_bonferroni(raw_p, alpha=alpha)
-    results = {}
-    for key, (p_adj, reject) in zip(keys, corrected):
-        outcome = outcomes[key]
-        if outcome is None:
-            results[key] = PairedTestResult(
-                statistic_w=float("nan"), n_effective=0, p_raw=1.0,
-                p_adjusted=p_adj, significant=reject,
-                direction=DIRECTION_NONE, untestable=True,
-            )
-        else:
-            results[key] = PairedTestResult(
-                statistic_w=outcome.statistic_w, n_effective=outcome.n_effective,
-                p_raw=outcome.p_raw, p_adjusted=p_adj, significant=reject,
-                direction=directions[key], untestable=False,
-            )
-    return results
+    corrected = holm_bonferroni([outcome.p_raw for outcome, _ in tested.values()], alpha=alpha)
+    return {
+        key: PairedTestResult(*outcome, p_adjusted=p_adj, significant=reject,
+                              direction=direction, untestable=outcome.n_effective == 0)
+        for (key, (outcome, direction)), (p_adj, reject) in zip(tested.items(), corrected)
+    }
 
 
 def format_pair(pair) -> str:
@@ -392,6 +378,25 @@ def _key_label(key) -> str:
     return repr(key)
 
 
+def _test_rows(results: dict) -> list:
+    """One row per ((source, target), band) key of a results map, in its order:
+    the ``tests`` list of report.json, and the test table without ``untestable``."""
+    return [{"pair": format_pair(pair), "direction": res.direction, "band": band,
+             "n": res.n_effective, "W": None if res.untestable else res.statistic_w,
+             "p_raw": res.p_raw, "p_adjusted": res.p_adjusted,
+             "significant": res.significant, "untestable": res.untestable}
+            for (pair, band), res in results.items()]
+
+
+# the test table's column -> how it writes a test row's value there
+_TABLE_CELLS = {
+    **dict.fromkeys(("pair", "direction", "band", "n"), lambda value: value),
+    "W": lambda w: "" if w is None else repr(float(w)),
+    **dict.fromkeys(("p_raw", "p_adjusted"), lambda p: repr(float(p))),
+    "significant": lambda significant: "true" if significant else "false",
+}
+
+
 def write_test_table_csv(results: dict, path) -> None:
     """Dump per-hypothesis results keyed by ((source, target), band).
 
@@ -401,12 +406,6 @@ def write_test_table_csv(results: dict, path) -> None:
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["pair", "direction", "band", "n", "W",
-                         "p_raw", "p_adjusted", "significant"])
-        for (pair, band), res in results.items():
-            w_cell = "" if res.untestable else repr(float(res.statistic_w))
-            writer.writerow([
-                format_pair(pair), res.direction, band, res.n_effective, w_cell,
-                repr(float(res.p_raw)), repr(float(res.p_adjusted)),
-                "true" if res.significant else "false",
-            ])
+        writer.writerow(_TABLE_CELLS)
+        for row in _test_rows(results):
+            writer.writerow([cell(row[column]) for column, cell in _TABLE_CELLS.items()])

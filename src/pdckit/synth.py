@@ -138,20 +138,7 @@ def generate(spec: GeneratorSpec) -> Recording:
     )
 
 
-def write_generator_spec_json(spec: GeneratorSpec, path) -> None:
-    """Dump a spec as JSON (matrices row-major)."""
-    _write_json(path, {
-        "coeff_matrices": spec.coeff_matrices.tolist(),
-        "innovation_covariance": spec.innovation_covariance.tolist(),
-        "n_samples": spec.n_samples,
-        "burn_in": spec.burn_in,
-        "seed": spec.seed,
-        "sampling_rate_hz": spec.sampling_rate_hz,
-        "channel_labels": list(spec.channel_labels),
-    })
-
-
-# generator spec JSON key -> kind; the keys of GeneratorSpec's fields
+# generator spec JSON key -> kind, in file order; the keys are GeneratorSpec's fields
 _SPEC_KINDS = {
     "coeff_matrices": "array",
     "innovation_covariance": "array",
@@ -161,6 +148,11 @@ _SPEC_KINDS = {
     "sampling_rate_hz": "float",
     "channel_labels": "labels | None",
 }
+
+
+def write_generator_spec_json(spec: GeneratorSpec, path) -> None:
+    """Dump a spec as JSON (matrices row-major)."""
+    _write_json(path, {key: getattr(spec, key) for key in _SPEC_KINDS})
 
 
 def read_generator_spec_json(path) -> GeneratorSpec:

@@ -417,25 +417,19 @@ def spectral_radius(coeff_matrices: np.ndarray) -> float:
     return float(np.abs(eigvals).max())
 
 
+# model JSON key -> (VarModel field, kind), in file order; every key is required
+_MODEL_KEYS = {
+    "order": ("order_p", "int"),
+    "channel_labels": ("channel_labels", "labels"),
+    "coeff_matrices": ("coeff_matrices", "array"),
+    "residual_covariance": ("residual_covariance", "array"),
+    "n_samples_used": ("n_samples_used", "int"),
+}
+
+
 def write_model_json(model: VarModel, path) -> None:
     """Dump a model as JSON with row-major coefficient matrices."""
-    _write_json(path, {
-        "order": model.order_p,
-        "channel_labels": list(model.channel_labels),
-        "coeff_matrices": model.coeff_matrices.tolist(),
-        "residual_covariance": model.residual_covariance.tolist(),
-        "n_samples_used": model.n_samples_used,
-    })
-
-
-# model JSON key -> kind; every key is required
-_MODEL_KINDS = {
-    "order": "int",
-    "channel_labels": "labels",
-    "coeff_matrices": "array",
-    "residual_covariance": "array",
-    "n_samples_used": "int",
-}
+    _write_json(path, {key: getattr(model, name) for key, (name, _) in _MODEL_KEYS.items()})
 
 
 def read_model_json(path) -> VarModel:
@@ -445,13 +439,7 @@ def read_model_json(path) -> VarModel:
     order and row count, a list of strings for the labels, nested lists of
     finite numbers for the matrices); unknown keys are rejected.
     """
-    def build(payload):
-        values = _json_fields(payload, _MODEL_KINDS, tuple(_MODEL_KINDS), "model")
-        return VarModel(
-            order_p=values["order"],
-            coeff_matrices=values["coeff_matrices"],
-            residual_covariance=values["residual_covariance"],
-            n_samples_used=values["n_samples_used"],
-            channel_labels=values["channel_labels"],
-        )
-    return _read_json(path, "model", build)
+    kinds = {key: kind for key, (_, kind) in _MODEL_KEYS.items()}
+    return _read_json(path, "model", lambda payload: VarModel(**{
+        _MODEL_KEYS[key][0]: value
+        for key, value in _json_fields(payload, kinds, kinds, "model").items()}))

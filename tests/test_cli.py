@@ -235,6 +235,22 @@ def test_compare_pairs_subjects_by_id(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_compare_of_identical_tables_writes_untestable_rows(tmp_path, capsys):
+    # an all-zero key is an untestable row, not an error: no command exits 5
+    a_path = tmp_path / "a.csv"
+    _band_table_csv(a_path, 0.0, ["s1", "s2", "s3"])
+    out = tmp_path / "table.csv"
+    assert main(["compare", "--condition-a", str(a_path), "--condition-b", str(a_path),
+                 "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["band"] for row in rows] == ["theta", "alpha"]
+    for row in rows:
+        assert (row["n"], row["W"], row["p_raw"], row["p_adjusted"]) == ("0", "", "1.0", "1.0")
+        assert (row["direction"], row["significant"]) == ("none", "false")
+    capsys.readouterr()
+
+
 def test_compare_rejects_mismatched_subjects(tmp_path, capsys):
     a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
     _band_table_csv(a_path, 0.0, ["s1", "s2", "s3"])
@@ -520,6 +536,20 @@ def test_every_json_reader_names_the_line_of_malformed_json(tmp_path, capsys, re
         f"pdckit: argument-error: {path}:{1 if empty else 2}: Expecting value\n")
 
 
+@pytest.mark.parametrize("reader, key, value", [
+    ("generator spec", "seed", "8"), ("model", "order", "2"), ("config", "fixed_order", "5"),
+])
+def test_every_json_reader_refuses_a_repeated_key(tmp_path, capsys, reader, key, value):
+    path, argv = _reader_inputs(tmp_path)[reader]
+    capsys.readouterr()
+    text = path.read_text()
+    # the repeat comes last, where a plain decode would keep it
+    path.write_text(f'{text[:text.rindex("}")]}, "{key}": {value}}}\n')
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f'pdckit: argument-error: {path}: key "{key}" is repeated\n')
+
+
 @pytest.mark.parametrize("reader, key", [
     ("generator spec", "coeff_matrices"), ("model", "coeff_matrices"),
     ("config", "channel_pairs"),
@@ -573,6 +603,17 @@ def test_spectrum_reader_names_the_line_of_a_cell_out_of_range(tmp_path, capsys,
     path.write_text("\n".join(lines) + "\n")
     assert main(argv) == 2
     assert capsys.readouterr().err == f"pdckit: argument-error: {path}:3: {message}\n"
+
+
+def test_bands_refuses_a_repeated_band_name(tmp_path, capsys):
+    path, _ = _reader_inputs(tmp_path)["spectrum"]
+    capsys.readouterr()
+    out = tmp_path / "bands.json"
+    assert main(["bands", "--spectrum", str(path), "--out", str(out),
+                 "--band", "x:4:8", "--band", "x:20:30"]) == 2
+    assert capsys.readouterr().err == (
+        "pdckit: argument-error: --band names must be unique, got ['x', 'x']\n")
+    assert not out.exists()
 
 
 def test_bands_reads_back_a_spectrum_of_0_hz_alone(tmp_path, capsys):

@@ -421,6 +421,14 @@ def test_spectrum_csv_names_the_line_of_a_non_numeric_cell(tmp_path, row, cells)
     assert str(info.value) == f"{path}:3: freq_hz and pdc must be numbers, got {cells}"
 
 
+def test_spectrum_csv_names_the_file_of_a_rate_below_its_frequencies(tmp_path):
+    path = tmp_path / "spec.csv"
+    path.write_text("freq_hz,source,target,pdc\n40.0,a,a,1.0\n")
+    with pytest.raises(ValueError) as info:
+        read_spectrum_csv(path, sampling_rate_hz=50.0)
+    assert str(info.value) == f"{path}: frequencies must lie in [0, 25.0] Hz, got [40.0, 40.0]"
+
+
 def test_band_averages_json_layout(tmp_path):
     grid = FrequencyGrid.regular(4.0, 30.0, 0.5, sampling_rate_hz=250.0)
     averages = band_average(compute_pdc(LOWER_VAR1, grid))

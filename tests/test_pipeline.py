@@ -373,6 +373,42 @@ def test_unworkable_protocol_is_rejected_before_fitting(tmp_path, capsys, monkey
     assert fits == []
 
 
+@pytest.mark.parametrize("scope", [SCOPE_PER_PAIR, SCOPE_JOINT])
+def test_a_cohort_of_one_channel_is_rejected_before_fitting(tmp_path, capsys, monkeypatch,
+                                                           scope):
+    fits = []
+    monkeypatch.setattr(pdckit.pipeline, "fit_var", lambda *args: fits.append(args))
+    cohorts = [[_subject([[[0.3]]], 892_000 + 100 * c + s, m=1, labels=("Cz",))
+                for s in range(2)] for c in (0, 1)]
+    named = ("no channel pair can be formed: a cohort needs at least two channels, "
+             "the recordings have ['Cz']")
+    with pytest.raises(ValueError) as info:
+        run_pipeline(PipelineConfig(sampling_rate_hz=FS, model_scope=scope), *cohorts)
+    assert str(info.value) == named
+
+    config_path, markers = tmp_path / "config.json", tmp_path / "markers.csv"
+    config_path.write_text(json.dumps({"sampling_rate_hz": FS, "model_scope": scope}))
+    markers.write_text("".join(f"{text}\n" for text in ONSETS))
+    paths = {}
+    for cond, cohort in zip("ab", cohorts):
+        paths[cond] = [str(tmp_path / f"{cond}{s}.csv") for s in range(len(cohort))]
+        for (rec, _), path in zip(cohort, paths[cond]):
+            write_recording_csv(rec, path)
+    assert main(["pipeline", "--config", str(config_path), "--markers", str(markers),
+                 "--condition-a", *paths["a"], "--condition-b", *paths["b"],
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"pdckit: argument-error: {named}\n"
+    assert fits == []
+
+
+def test_config_reader_refuses_a_repeated_key_inside_a_group(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"sampling_rate_hz": 250.0, "freq_grid": {"low_hz": 4.0, "low_hz": 6.0}}')
+    with pytest.raises(ValueError) as info:
+        read_config_json(path)
+    assert str(info.value) == f'{path}: key "low_hz" is repeated'
+
+
 def test_pipeline_explicit_pair_subset():
     cfg = dataclasses.replace(default_config(FS), channel_pairs=(("ch1", "ch2"),))
     cond_a, cond_b = _cohorts(n_subjects=4, base=883_000)

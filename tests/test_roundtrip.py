@@ -3,6 +3,7 @@
 Each writer/reader pair must give back an equal object, and writing the
 read-back object again must reproduce the file byte for byte. The recording
 writer instead refuses a label that the reader would not give back as written.
+The JSON writers' exact text for small fixed objects is pinned as well.
 """
 
 import dataclasses
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pdckit import (
+    BandAverages,
     FrequencyGrid,
     GeneratorSpec,
     PdcSpectrum,
@@ -32,6 +34,7 @@ from pdckit import (
     write_recording_csv,
     write_spectrum_csv,
 )
+from pdckit.pdc import write_band_averages_json
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -247,3 +250,97 @@ def test_recording_csv_round_trip_property(tmp_path, recording):
     assert np.array_equal(back.samples, recording.samples)
     write_recording_csv(back, second)
     assert second.read_bytes() == first.read_bytes()
+
+
+def test_json_writers_text(tmp_path):
+    model = VarModel(order_p=1, coeff_matrices=np.array([[[0.5, 0.0], [0.25, -0.5]]]),
+                     residual_covariance=np.array([[1.0, 0.1], [0.1, 2.0]]),
+                     n_samples_used=99, channel_labels=("F3", "F4"))
+    write_model_json(model, tmp_path / "model.json")
+    assert (tmp_path / "model.json").read_text() == """\
+{
+  "order": 1,
+  "channel_labels": [
+    "F3",
+    "F4"
+  ],
+  "coeff_matrices": [
+    [
+      [
+        0.5,
+        0.0
+      ],
+      [
+        0.25,
+        -0.5
+      ]
+    ]
+  ],
+  "residual_covariance": [
+    [
+      1.0,
+      0.1
+    ],
+    [
+      0.1,
+      2.0
+    ]
+  ],
+  "n_samples_used": 99
+}
+"""
+    spec = GeneratorSpec(coeff_matrices=np.array([[[0.5]]]), innovation_covariance=np.array([[1.0]]),
+                         n_samples=10, seed=7, sampling_rate_hz=250.0)
+    write_generator_spec_json(spec, tmp_path / "spec.json")
+    assert (tmp_path / "spec.json").read_text() == """\
+{
+  "coeff_matrices": [
+    [
+      [
+        0.5
+      ]
+    ]
+  ],
+  "innovation_covariance": [
+    [
+      1.0
+    ]
+  ],
+  "n_samples": 10,
+  "burn_in": 500,
+  "seed": 7,
+  "sampling_rate_hz": 250.0,
+  "channel_labels": [
+    "ch1"
+  ]
+}
+"""
+    averages = BandAverages(bands={"alpha": np.array([[1.0, 0.25], [0.5, 1.0]])},
+                            band_edges_hz={"alpha": (8.0, 12.5)}, channel_labels=("F3", "F4"))
+    write_band_averages_json(averages, tmp_path / "bands.json")
+    assert (tmp_path / "bands.json").read_text() == """\
+{
+  "channel_labels": [
+    "F3",
+    "F4"
+  ],
+  "band_edges_hz": {
+    "alpha": [
+      8.0,
+      12.5
+    ]
+  },
+  "bands": {
+    "alpha": [
+      [
+        1.0,
+        0.25
+      ],
+      [
+        0.5,
+        1.0
+      ]
+    ]
+  }
+}
+"""
