@@ -3,8 +3,9 @@
 Every reader decodes UTF-8 through `_decode_utf8` and names the file, and
 its line where there is one, in each error. The JSON readers refuse a
 repeated key and check decoded values against `_JSON_TYPES`; the CSV table
-readers walk rows with `_csv_rows`; the JSON writers all go through
-`_write_json`, which writes numpy arrays and scalars as lists and numbers.
+readers walk rows with `_csv_rows` and the CSV writers write through
+`_write_csv`; the JSON writers all go through `_write_json`, which writes
+numpy arrays and scalars as lists and numbers.
 """
 
 from __future__ import annotations
@@ -89,10 +90,23 @@ def _csv_rows(path, required: set):
     try:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(f"{path}: expected columns {sorted(required)}")
+        repeated = [name for i, name in enumerate(reader.fieldnames)
+                    if name in reader.fieldnames[:i]]
+        if repeated:  # DictReader would keep a row's last cell for the name
+            raise ValueError(f"{path}:{reader.line_num}: column {repeated[0]!r} is repeated")
         for row in reader:
             yield f"{path}:{reader.line_num}", row
     except csv.Error as exc:  # DictReader's own line_num lags a row that raised
         raise ValueError(f"{path}:{reader.reader.line_num}: {exc}") from None
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write a UTF-8 CSV table; `csv` writes a float cell as its repr, which
+    `float` reads back exactly, and None as an empty cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _is_number(value) -> bool:

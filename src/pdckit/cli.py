@@ -292,9 +292,9 @@ def main(argv=None) -> int:
         name = getattr(exc, "filename", None)
         detail = f"{exc.strerror or exc}: {name}" if name else str(exc)
         return _fail("io-error", OSError(detail), EXIT_IO)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         return _fail("argument-error", exc, EXIT_ARGUMENT)
-    except Exception as exc:  # pragma: no cover - last-resort guard
+    except Exception as exc:  # last-resort guard: a fault of the program, not of its input
         return _fail("unexpected-error", exc, EXIT_UNEXPECTED)
 
 

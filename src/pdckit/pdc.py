@@ -10,14 +10,13 @@ the subtractive convention either way.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from ._io import _check_positive, _csv_rows, _write_json
+from ._io import _check_positive, _csv_rows, _is_label, _write_csv, _write_json
 from .var import VarModel
 
 __all__ = [
@@ -235,11 +234,15 @@ def _band_means(values: np.ndarray, masks: dict) -> dict:
 
 def _band_masks(bands, freqs_hz: np.ndarray) -> dict:
     """Grid mask of each band, edges inclusive. The band rule: at least one band,
-    edges ordered and non-negative, and a grid frequency in every band."""
+    names that are labels, edges ordered and non-negative, and a grid frequency
+    in every band."""
     if not bands:
         raise ValueError("bands must be non-empty")
     masks = {}
     for name, (low, high) in bands.items():
+        if not (isinstance(name, str) and _is_label(name)):
+            raise ValueError(f"band name {name!r} must be a non-empty string without edge "
+                             "whitespace")
         if not 0 <= low <= high:
             raise ValueError(f"band {name!r} has invalid edges ({low}, {high})")
         masks[name] = (freqs_hz >= low) & (freqs_hz <= high)
@@ -260,8 +263,9 @@ def band_average(spectrum: PdcSpectrum, bands=None) -> BandAverages:
     Raises
     ------
     ValueError
-        If ``bands`` is empty, or a band has unordered or negative edges or
-        contains no grid frequency, naming the band.
+        If ``bands`` is empty, or a band's name is empty or has edge
+        whitespace, or the band has unordered or negative edges or contains
+        no grid frequency, naming the band.
     """
     if bands is None:
         bands = DEFAULT_BANDS
@@ -276,14 +280,13 @@ def band_average(spectrum: PdcSpectrum, bands=None) -> BandAverages:
 def write_spectrum_csv(spectrum: PdcSpectrum, path) -> None:
     """Dump a spectrum as CSV rows (freq_hz, source, target, pdc)."""
     labels = spectrum.channel_labels
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SPECTRUM_COLUMNS)
-        for fi, f_hz in enumerate(spectrum.grid.freqs_hz):
-            for j, source in enumerate(labels):
-                for i, target in enumerate(labels):
-                    writer.writerow([repr(float(f_hz)), source, target,
-                                     repr(float(spectrum.values[fi, i, j]))])
+    # values[f, i, j] with the source j before the target i: [f][j][i]
+    columns = spectrum.values.transpose(0, 2, 1).tolist()
+    _write_csv(path, _SPECTRUM_COLUMNS, (
+        [f_hz, source, target, pdc]
+        for f_hz, per_source in zip(spectrum.grid.freqs_hz.tolist(), columns)
+        for source, column in zip(labels, per_source)
+        for target, pdc in zip(labels, column)))
 
 
 def read_spectrum_csv(path, sampling_rate_hz: float | None = None) -> PdcSpectrum:

@@ -37,7 +37,7 @@ from .pdc import (
 from .pdc import average_over_segments, band_average  # noqa: F401
 from .signals import _window_length, extract_segments, screen_stationarity
 from .stats import DEFAULT_ALPHA, _test_rows, compare_conditions, format_pair, write_test_table_csv
-from .var import _check_rows, _check_scan_bound, check_stability, fit_var, select_order
+from .var import _check_rows, _check_scan, check_stability, fit_var, select_order
 
 __all__ = [
     "ORDER_MODE_FIXED",
@@ -278,16 +278,14 @@ def _plan(config: PipelineConfig, labels: tuple) -> tuple:
     return groups, lookups
 
 
-def _check_feasible(config: PipelineConfig, n: int, n_channels: int) -> None:
+def _check_feasible(config: PipelineConfig, n: int, groups: tuple) -> None:
     """Reject a protocol no N-sample epoch can be screened and fitted with."""
-    m = n_channels if config.model_scope == SCOPE_JOINT else 2
+    m = max(map(len, groups))
     _window_length(n, config.stationarity_n_windows)
     if config.order_mode == ORDER_MODE_FIXED:
         _check_rows(n, m, config.fixed_order)
     else:
-        # every scanned order is fitted on the rows after the first p_scan_max
-        _check_scan_bound(n, m, config.p_scan_max)
-        _check_rows(n, m, config.p_scan_max)
+        _check_scan(n, m, config.p_scan_max)
 
 
 def _cut(config: PipelineConfig, labels: tuple, recording, starts) -> list:
@@ -349,7 +347,7 @@ def run_pipeline(config: PipelineConfig, condition_a_inputs,
     first = next((subject[0] for subject in epochs["a"] + epochs["b"] if subject), None)
     if first is None:
         raise ValueError("no subject has an epoch onset")
-    _check_feasible(config, first.n_samples, len(labels))  # every epoch has its length
+    _check_feasible(config, first.n_samples, groups)  # every epoch has its length
 
     outcomes = {cond: [_process_subject(config, segments, groups, lookups, grid, masks)
                        for segments in subjects]

@@ -12,11 +12,11 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._io import _check_positive, _decode_utf8, _read_text
+from ._io import _check_positive, _decode_utf8, _read_text, _write_csv
 
 __all__ = [
     "Recording",
@@ -28,27 +28,6 @@ __all__ = [
     "write_recording_csv",
     "read_markers_csv",
 ]
-
-
-def _set_samples(obj) -> None:
-    """Validate and normalize the samples, rate and labels of a recording or segment."""
-    arr = np.asarray(obj.samples, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"samples must be a 2-D matrix, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("samples contain non-finite values")
-    labels = tuple(str(c) for c in obj.channel_labels)
-    if arr.shape[1] != len(labels):
-        raise ValueError(
-            f"sample matrix has {arr.shape[1]} columns but "
-            f"{len(labels)} channel labels were given"
-        )
-    if len(set(labels)) != len(labels):
-        raise ValueError("channel labels must be unique")
-    _check_positive("sampling_rate_hz", obj.sampling_rate_hz)
-    object.__setattr__(obj, "samples", arr)
-    object.__setattr__(obj, "sampling_rate_hz", float(obj.sampling_rate_hz))
-    object.__setattr__(obj, "channel_labels", labels)
 
 
 @dataclass(frozen=True)
@@ -70,7 +49,23 @@ class Recording:
     channel_labels: tuple[str, ...]
 
     def __post_init__(self):
-        _set_samples(self)
+        arr = np.asarray(self.samples, dtype=float)
+        if arr.ndim != 2:
+            raise ValueError(f"samples must be a 2-D matrix, got ndim={arr.ndim}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("samples contain non-finite values")
+        labels = tuple(str(c) for c in self.channel_labels)
+        if arr.shape[1] != len(labels):
+            raise ValueError(
+                f"sample matrix has {arr.shape[1]} columns but "
+                f"{len(labels)} channel labels were given"
+            )
+        if len(set(labels)) != len(labels):
+            raise ValueError("channel labels must be unique")
+        _check_positive("sampling_rate_hz", self.sampling_rate_hz)
+        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "sampling_rate_hz", float(self.sampling_rate_hz))
+        object.__setattr__(self, "channel_labels", labels)
 
     @property
     def n_samples(self) -> int:
@@ -86,27 +81,17 @@ class Recording:
 
 
 @dataclass(frozen=True)
-class MultichannelSegment:
-    """One fixed-length analysis epoch cut from a recording."""
+class MultichannelSegment(Recording):
+    """One analysis epoch cut from a recording, at least 2 rows long, starting
+    at row ``source_offset`` of its recording."""
 
-    samples: np.ndarray
-    sampling_rate_hz: float
-    channel_labels: tuple[str, ...]
     source_offset: int = 0
 
     def __post_init__(self):
-        _set_samples(self)
+        super().__post_init__()
         if self.n_samples < 2:
             raise ValueError(f"segment needs at least 2 rows, got {self.n_samples}")
         object.__setattr__(self, "source_offset", int(self.source_offset))
-
-    @property
-    def n_samples(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def n_channels(self) -> int:
-        return self.samples.shape[1]
 
     def select_channels(self, labels) -> "MultichannelSegment":
         """Return a segment restricted to the given labels, in the given order."""
@@ -115,21 +100,11 @@ class MultichannelSegment:
             if lab not in self.channel_labels:
                 raise ValueError(f"channel {lab!r} not present in segment")
             idx.append(self.channel_labels.index(lab))
-        return MultichannelSegment(
-            samples=self.samples[:, idx],
-            sampling_rate_hz=self.sampling_rate_hz,
-            channel_labels=tuple(labels),
-            source_offset=self.source_offset,
-        )
+        return replace(self, samples=self.samples[:, idx], channel_labels=tuple(labels))
 
     def centered(self) -> "MultichannelSegment":
         """Return the segment with each channel's mean subtracted."""
-        return MultichannelSegment(
-            samples=self.samples - self.samples.mean(axis=0),
-            sampling_rate_hz=self.sampling_rate_hz,
-            channel_labels=self.channel_labels,
-            source_offset=self.source_offset,
-        )
+        return replace(self, samples=self.samples - self.samples.mean(axis=0))
 
 
 @dataclass(frozen=True)
@@ -366,11 +341,7 @@ def write_recording_csv(recording: Recording, path) -> None:
         if not label or label != label.strip():
             raise ValueError(f"channel label {label!r} is empty or has edge whitespace "
                              "the reader would strip")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(recording.channel_labels)
-        for row in recording.samples:
-            writer.writerow([repr(float(v)) for v in row])
+    _write_csv(path, recording.channel_labels, recording.samples.tolist())
 
 
 def read_markers_csv(path) -> list[float]:

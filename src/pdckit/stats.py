@@ -7,7 +7,6 @@ family-wise error rate is controlled across every hypothesis of a run.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -15,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._io import _write_csv
 from .errors import DegenerateSampleError
 
 __all__ = [
@@ -388,11 +388,11 @@ def _test_rows(results: dict) -> list:
             for (pair, band), res in results.items()]
 
 
-# the test table's column -> how it writes a test row's value there
+# the test table's column -> the cell `_write_csv` writes for a test row's value there
 _TABLE_CELLS = {
     **dict.fromkeys(("pair", "direction", "band", "n"), lambda value: value),
-    "W": lambda w: "" if w is None else repr(float(w)),
-    **dict.fromkeys(("p_raw", "p_adjusted"), lambda p: repr(float(p))),
+    "W": lambda w: None if w is None else float(w),
+    **dict.fromkeys(("p_raw", "p_adjusted"), float),
     "significant": lambda significant: "true" if significant else "false",
 }
 
@@ -404,8 +404,6 @@ def write_test_table_csv(results: dict, path) -> None:
     Untestable keys keep their row (n = 0, empty W) so the table always
     lists the complete hypothesis family.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_TABLE_CELLS)
-        for row in _test_rows(results):
-            writer.writerow([cell(row[column]) for column, cell in _TABLE_CELLS.items()])
+    rows = ([cell(row[column]) for column, cell in _TABLE_CELLS.items()]
+            for row in _test_rows(results))
+    _write_csv(path, _TABLE_CELLS, rows)

@@ -23,7 +23,7 @@ Lütkepohl 2005, 2.1):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -153,12 +153,15 @@ def _check_rows(n: int, m: int, p: int) -> None:
         raise ValueError(f"order {p} breaks N - p >= M*p + 1 for N={n} samples and M={m} channels")
 
 
-def _check_scan_bound(n: int, m: int, p_scan_max: int) -> None:
-    """The AIC scan's cap: p_scan_max <= max_order_bound(N, M)."""
+def _check_scan(n: int, m: int, p_scan_max: int) -> None:
+    """The AIC scan's rules: p_scan_max <= max_order_bound(N, M), and the row
+    rule at p_scan_max, since every candidate predicts the rows after the first
+    p_scan_max (Lütkepohl 2005, 4.3)."""
     bound = max_order_bound(n, m)
     if p_scan_max > bound:
         raise ValueError(f"p_scan_max={p_scan_max} exceeds the order bound {bound} "
                          f"(p < 3*sqrt(N)/M) for N={n} samples and M={m} channels")
+    _check_rows(n, m, p_scan_max)
 
 
 def fit_var(segment: MultichannelSegment, p: int) -> tuple[VarModel, np.ndarray]:
@@ -325,27 +328,30 @@ def select_order(segment: MultichannelSegment, p_scan_max: int) -> OrderSelectio
     ----------
     segment : MultichannelSegment
     p_scan_max : int
-        Upper end of the scan; must not exceed ``max_order_bound(N, M)``.
+        Upper end of the scan; must not exceed ``max_order_bound(N, M)`` and
+        must leave ``N - p_scan_max >= M*p_scan_max + 1`` rows.
 
     Returns
     -------
     OrderSelection
+
+    Raises
+    ------
+    ValueError
+        Before any fit, if p_scan_max breaks either bound.
     """
     if p_scan_max < 1:
         raise ValueError(f"p_scan_max must be positive, got {p_scan_max}")
     n = segment.n_samples
     m = segment.n_channels
-    _check_scan_bound(n, m, p_scan_max)
+    _check_scan(n, m, p_scan_max)
     scanned = []
     for p in range(1, p_scan_max + 1):
         # drop the leading rows a lower order would otherwise use as extra
         # targets; every candidate then predicts the same rows
-        trimmed = MultichannelSegment(
-            samples=segment.samples[p_scan_max - p:],
-            sampling_rate_hz=segment.sampling_rate_hz,
-            channel_labels=segment.channel_labels,
-            source_offset=segment.source_offset + p_scan_max - p,
-        )
+        skip = p_scan_max - p
+        trimmed = replace(segment, samples=segment.samples[skip:],
+                          source_offset=segment.source_offset + skip)
         model, _ = fit_var(trimmed, p)
         scanned.append((p, aic(model, n)))
     return choose_order_from_aic(scanned, n, m)

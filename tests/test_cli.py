@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -16,8 +17,9 @@ from pdckit import (
     write_config_json,
     write_generator_spec_json,
 )
+from pdckit import cli
 from pdckit.cli import _build_parser, main
-from pdckit.pdc import read_spectrum_csv
+from pdckit.pdc import band_average, read_spectrum_csv
 from pdckit.var import read_model_json
 
 
@@ -128,6 +130,19 @@ def test_fit_fixed_and_auto_order(tmp_path, capsys):
     assert 1 <= auto.order_p <= 6
     out = capsys.readouterr().out
     assert "order" in out
+
+
+def test_fit_auto_order_refuses_a_scan_too_long_for_the_recording(tmp_path, capsys):
+    # 12 rows of 2 channels: p_scan_max 5 is the order bound, but order 5 on
+    # the 7 rows after the first 5 breaks N - p >= M*p + 1
+    short = tmp_path / "short.csv"
+    short.write_text("".join(_simulate(tmp_path).read_text().splitlines(keepends=True)[:13]))
+    code = main(["fit", "--input", str(short), "--sampling-rate", "250", "--auto-order",
+                 "--p-scan-max", "5", "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pdckit: argument-error: order 5 breaks N - p >= M*p + 1 for N=12")
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_pdc_from_model_and_from_recording(tmp_path, capsys):
@@ -467,6 +482,18 @@ def test_unfittable_order_is_argument_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_key_error_in_a_handler_is_unexpected_error(tmp_path, capsys, monkeypatch):
+    # no input reaches a KeyError, so one is a fault of the program, not an argument error
+    def broken(args):
+        raise KeyError("ch9")
+
+    monkeypatch.setitem(cli._HANDLERS, "fit", broken)
+    code = main(["fit", "--input", str(tmp_path / "rec.csv"), "--sampling-rate", "250",
+                 "--order", "2", "--out", str(tmp_path / "m.json")])
+    assert code == 1
+    assert capsys.readouterr().err == "pdckit: unexpected-error: 'ch9'\n"
+
+
 def test_constant_recording_is_estimation_error(tmp_path, capsys):
     path = tmp_path / "flat.csv"
     with open(path, "w", newline="") as fh:
@@ -614,6 +641,40 @@ def test_bands_refuses_a_repeated_band_name(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "pdckit: argument-error: --band names must be unique, got ['x', 'x']\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("header, row, argv", [
+    ("freq_hz,source,target,pdc,pdc", "4.0,a,a,0.5,0.9", ["bands", "--spectrum"]),
+    ("pair,band,subject,value,value", "a->b,alpha,s1,0.1,0.7",
+     ["compare", "--condition-b", "absent.csv", "--condition-a"]),
+], ids=["spectrum", "band table"])
+def test_csv_tables_refuse_a_repeated_column(tmp_path, capsys, header, row, argv):
+    # read_spectrum_csv and the band-table reader would keep the last cell;
+    # compare reads condition a first, so the absent b table is never opened
+    path = tmp_path / "table.csv"
+    path.write_text(f"{header}\n{row}\n")
+    assert main([*argv, str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"pdckit: argument-error: {path}:1: column {header.split(',')[-1]!r} is repeated\n")
+
+
+@pytest.mark.parametrize("name", ["", " a", "a "])
+def test_band_names_follow_the_label_rule(tmp_path, capsys, name):
+    spectrum = tmp_path / "spectrum.csv"
+    spectrum.write_text("freq_hz,source,target,pdc\n4.0,a,a,1.0\n")
+    message = f"band name {name!r} must be a non-empty string without edge whitespace"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        band_average(read_spectrum_csv(spectrum), {name: (4.0, 8.0)})
+    assert main(["bands", "--spectrum", str(spectrum), "--band", f"{name}:4:8",
+                 "--out", str(tmp_path / "bands.json")]) == 2
+    assert capsys.readouterr().err == f"pdckit: argument-error: {message}\n"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"sampling_rate_hz": 250.0,
+                                  "bands": {"theta": [4.0, 8.0], name: [8.0, 12.0]}}))
+    out = str(tmp_path / "out")
+    assert main(["pipeline", "--config", str(config), "--condition-a", out, "--condition-b", out,
+                 "--markers", out, "--out", out]) == 2
+    assert capsys.readouterr().err == f"pdckit: argument-error: {config}: {message}\n"
 
 
 def test_bands_reads_back_a_spectrum_of_0_hz_alone(tmp_path, capsys):

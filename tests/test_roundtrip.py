@@ -3,7 +3,8 @@
 Each writer/reader pair must give back an equal object, and writing the
 read-back object again must reproduce the file byte for byte. The recording
 writer instead refuses a label that the reader would not give back as written.
-The JSON writers' exact text for small fixed objects is pinned as well.
+The exact text of the JSON and CSV writers for small fixed objects is pinned
+as well.
 """
 
 import dataclasses
@@ -19,6 +20,7 @@ from pdckit import (
     BandAverages,
     FrequencyGrid,
     GeneratorSpec,
+    PairedTestResult,
     PdcSpectrum,
     PipelineConfig,
     Recording,
@@ -33,6 +35,7 @@ from pdckit import (
     write_model_json,
     write_recording_csv,
     write_spectrum_csv,
+    write_test_table_csv,
 )
 from pdckit.pdc import write_band_averages_json
 
@@ -57,8 +60,8 @@ def finite(lo, hi, **kw):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
 
 
-def labels(min_size=1, max_size=4):
-    return st.lists(TEXT, min_size=min_size, max_size=max_size, unique=True)
+def labels(min_size=1, max_size=4, text=TEXT):
+    return st.lists(text, min_size=min_size, max_size=max_size, unique=True)
 
 
 @st.composite
@@ -70,7 +73,8 @@ def configs(draw):
     # a config's every band must hold a grid frequency: draw one, then edges around it
     grid = FrequencyGrid.regular(low, high, step, fs).freqs_hz
     bands = {}
-    for name in draw(labels(max_size=5)):
+    # band names are labels: a padded one is refused (tests/test_cli.py)
+    for name in draw(labels(max_size=5, text=TEXT.filter(lambda t: t == t.strip()))):
         f = float(grid[draw(st.integers(0, grid.size - 1))])
         lo = draw(finite(0.0, f))
         bands[name] = (lo, draw(finite(f, f + 100.0)))
@@ -344,3 +348,40 @@ def test_json_writers_text(tmp_path):
   }
 }
 """
+
+
+def test_csv_writers_text(tmp_path):
+    # csv writes a float as its repr: -0.0, subnormals, 1e16 and integral
+    # values keep the text float() reads back exactly
+    recording = Recording(samples=np.array([[-0.0, 5e-324], [1e16, 1e-300], [2.0, -3.0]]),
+                          sampling_rate_hz=250.0, channel_labels=("F3", "F4"))
+    write_recording_csv(recording, tmp_path / "rec.csv")
+    assert (tmp_path / "rec.csv").read_bytes() == (
+        b"F3,F4\r\n-0.0,5e-324\r\n1e+16,1e-300\r\n2.0,-3.0\r\n")
+    spectrum = PdcSpectrum(values=np.array([[[1.0, 0.25], [-0.0, 5e-324]],
+                                            [[0.5, 1e-300], [0.75, 1.0]]]),
+                           grid=FrequencyGrid(freqs_hz=np.array([4.0, 12.5]),
+                                              sampling_rate_hz=250.0),
+                           channel_labels=("F3", "F4"))
+    write_spectrum_csv(spectrum, tmp_path / "spectrum.csv")
+    assert (tmp_path / "spectrum.csv").read_bytes() == (
+        b"freq_hz,source,target,pdc\r\n"
+        b"4.0,F3,F3,1.0\r\n4.0,F3,F4,-0.0\r\n4.0,F4,F3,0.25\r\n4.0,F4,F4,5e-324\r\n"
+        b"12.5,F3,F3,0.5\r\n12.5,F3,F4,0.75\r\n12.5,F4,F3,1e-300\r\n12.5,F4,F4,1.0\r\n")
+    results = {
+        (("F3", "F4"), "alpha"): PairedTestResult(statistic_w=3.0, n_effective=7, p_raw=0.046875,
+                                                  p_adjusted=0.09375, significant=False,
+                                                  direction="a_greater"),
+        (("F4", "F3"), "alpha"): PairedTestResult(statistic_w=0.0, n_effective=9, p_raw=1e-300,
+                                                  p_adjusted=2e-300, significant=True,
+                                                  direction="b_greater"),
+        (("F3", "F4"), "beta"): PairedTestResult(statistic_w=float("nan"), n_effective=0,
+                                                 p_raw=1.0, p_adjusted=1.0, significant=False,
+                                                 direction="none", untestable=True),
+    }
+    write_test_table_csv(results, tmp_path / "table.csv")
+    assert (tmp_path / "table.csv").read_bytes() == (
+        b"pair,direction,band,n,W,p_raw,p_adjusted,significant\r\n"
+        b"F3->F4,a_greater,alpha,7,3.0,0.046875,0.09375,false\r\n"
+        b"F4->F3,b_greater,alpha,9,0.0,1e-300,2e-300,true\r\n"
+        b"F3->F4,none,beta,0,,1.0,1.0,false\r\n")

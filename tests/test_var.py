@@ -423,6 +423,23 @@ def test_select_order_respects_bound_by_default():
         select_order(seg, p_scan_max=12, allow_exceed_bound=True)
 
 
+@pytest.mark.parametrize("n, m, p_scan_max", [(12, 2, 5), (20, 1, 13)])
+def test_select_order_checks_the_rows_of_its_whole_scan_before_any_fit(monkeypatch, n, m,
+                                                                       p_scan_max):
+    # p_scan_max is within max_order_bound(n, m), but order p_scan_max on the
+    # rows after the first p_scan_max breaks N - p >= M*p + 1
+    import pdckit.var as var_module
+
+    assert p_scan_max == max_order_bound(n, m)
+    fits = mock.Mock(wraps=fit_var)
+    monkeypatch.setattr(var_module, "fit_var", fits)
+    seg = _segment(np.random.default_rng(3).normal(size=(n, m)))
+    with pytest.raises(ValueError, match=re.escape(
+            f"order {p_scan_max} breaks N - p >= M*p + 1 for N={n} samples and M={m} channels")):
+        select_order(seg, p_scan_max=p_scan_max)
+    assert fits.call_count == 0
+
+
 # ----------------------------------------------------------------- stability
 
 
