@@ -4,136 +4,20 @@ The toolkit models recordings with vector autoregressions, transforms the
 fitted coefficients to frequency-domain coupling spectra (partial directed
 coherence), averages them within rhythm bands, and compares two experimental
 conditions with paired signed-rank tests under family-wise error control.
+
+The package exports every public name of its modules; each module's
+``__all__`` is the one list of them.
 """
 
+from . import errors, pdc, pipeline, signals, stats, synth, var
 from ._version import __version__
-from .errors import DegenerateSampleError, EstimationError, PipelineError
-from .pdc import (
-    DEFAULT_BANDS,
-    BandAverages,
-    FrequencyGrid,
-    PdcSpectrum,
-    average_over_segments,
-    band_average,
-    compute_pdc,
-    evaluate_transfer,
-    read_spectrum_csv,
-    write_band_averages_json,
-    write_spectrum_csv,
-)
-from .pipeline import (
-    AnalysisReport,
-    ConditionSummary,
-    PipelineConfig,
-    default_config,
-    read_config_json,
-    report_to_dict,
-    run_pipeline,
-    write_config_json,
-    write_report,
-)
-from .signals import (
-    MultichannelSegment,
-    Recording,
-    StationarityReport,
-    extract_segments,
-    read_markers_csv,
-    read_recording_csv,
-    screen_stationarity,
-    write_recording_csv,
-)
-from .stats import (
-    DIRECTION_A_GREATER,
-    DIRECTION_B_GREATER,
-    DIRECTION_NONE,
-    PairedSample,
-    PairedTestResult,
-    WilcoxonOutcome,
-    compare_conditions,
-    format_pair,
-    holm_bonferroni,
-    wilcoxon_signed_rank,
-    write_test_table_csv,
-)
-from .synth import (
-    GeneratorSpec,
-    generate,
-    read_generator_spec_json,
-    write_generator_spec_json,
-)
-from .var import (
-    OrderSelection,
-    VarModel,
-    aic,
-    check_stability,
-    choose_order_from_aic,
-    companion_matrix,
-    fit_var,
-    max_order_bound,
-    read_model_json,
-    select_order,
-    spectral_radius,
-    write_model_json,
-)
+from .errors import *  # noqa: F403
+from .pdc import *  # noqa: F403
+from .pipeline import *  # noqa: F403
+from .signals import *  # noqa: F403
+from .stats import *  # noqa: F403
+from .synth import *  # noqa: F403
+from .var import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    "DegenerateSampleError",
-    "EstimationError",
-    "PipelineError",
-    "Recording",
-    "MultichannelSegment",
-    "StationarityReport",
-    "extract_segments",
-    "screen_stationarity",
-    "read_recording_csv",
-    "write_recording_csv",
-    "read_markers_csv",
-    "VarModel",
-    "OrderSelection",
-    "fit_var",
-    "aic",
-    "max_order_bound",
-    "choose_order_from_aic",
-    "select_order",
-    "companion_matrix",
-    "check_stability",
-    "spectral_radius",
-    "read_model_json",
-    "write_model_json",
-    "FrequencyGrid",
-    "PdcSpectrum",
-    "BandAverages",
-    "DEFAULT_BANDS",
-    "evaluate_transfer",
-    "compute_pdc",
-    "average_over_segments",
-    "band_average",
-    "read_spectrum_csv",
-    "write_spectrum_csv",
-    "write_band_averages_json",
-    "PairedSample",
-    "PairedTestResult",
-    "WilcoxonOutcome",
-    "wilcoxon_signed_rank",
-    "holm_bonferroni",
-    "compare_conditions",
-    "format_pair",
-    "DIRECTION_A_GREATER",
-    "DIRECTION_B_GREATER",
-    "DIRECTION_NONE",
-    "write_test_table_csv",
-    "GeneratorSpec",
-    "generate",
-    "read_generator_spec_json",
-    "write_generator_spec_json",
-    "PipelineConfig",
-    "ConditionSummary",
-    "AnalysisReport",
-    "default_config",
-    "run_pipeline",
-    "report_to_dict",
-    "write_report",
-    "read_config_json",
-    "write_config_json",
-]
+__all__ = ["__version__", *errors.__all__, *signals.__all__, *var.__all__, *pdc.__all__,
+           *stats.__all__, *synth.__all__, *pipeline.__all__]

@@ -5,7 +5,8 @@ its line where there is one, in each error. The JSON readers refuse a
 repeated key and check decoded values against `_JSON_TYPES`; the CSV table
 readers walk rows with `_csv_rows` and the CSV writers write through
 `_write_csv`; the JSON writers all go through `_write_json`, which writes
-numpy arrays and scalars as lists and numbers.
+numpy arrays and scalars as lists and numbers. Every container that holds
+channel labels builds them with `_labels`, the one channel-label rule.
 """
 
 from __future__ import annotations
@@ -25,6 +26,35 @@ def _check_positive(name: str, value) -> None:
 def _is_label(text) -> bool:
     """A channel, band or subject label: non-empty and without edge whitespace."""
     return bool(text) and text == text.strip()
+
+
+def _labels(values) -> tuple[str, ...]:
+    """Channel labels as a tuple: each a str that passes `_is_label`, none repeated.
+
+    The error names the first column, counted from 1, that breaks the rule.
+    """
+    labels = tuple(values)
+    try:
+        # `_is_label` for every label at once: a set of str equals the set of
+        # its stripped labels only if each is stripped; str.strip refuses non-str
+        unique = set(labels)
+        valid = (len(unique) == len(labels) and "" not in unique
+                 and unique == set(map(str.strip, unique)))
+    except TypeError:
+        valid = False
+    if not valid:  # the tuple is walked only to name what breaks the rule
+        for column, label in enumerate(labels, start=1):
+            if not isinstance(label, str):
+                raise ValueError(f"column {column} has channel label {label!r}, "
+                                 "which is not a string")
+            if not label:
+                raise ValueError(f"column {column} has an empty channel label")
+            if not _is_label(label):
+                raise ValueError(f"column {column} has channel label {label!r} "
+                                 "with edge whitespace")
+            if label in labels[: column - 1]:
+                raise ValueError(f"column {column} repeats channel label {label!r}")
+    return labels
 
 
 def _decode_utf8(path, data: bytes) -> str:

@@ -4,6 +4,8 @@ Argument and range violations raise plain ``ValueError``; the classes here
 mark failure modes a batch driver may want to handle separately.
 """
 
+__all__ = ["DegenerateSampleError", "EstimationError", "PipelineError"]
+
 
 class EstimationError(RuntimeError):
     """Model estimation failed (rank-deficient regressors, degenerate residuals)."""

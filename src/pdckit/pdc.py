@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._io import _check_positive, _csv_rows, _is_label, _write_csv, _write_json
+from ._io import _check_positive, _csv_rows, _is_label, _labels, _write_csv, _write_json
 from .var import VarModel
 
 __all__ = [
@@ -103,8 +103,9 @@ class PdcSpectrum:
     degenerate_columns: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self):
+        labels = _labels(self.channel_labels)
         vals = np.asarray(self.values, dtype=float)
-        m = len(self.channel_labels)
+        m = len(labels)
         expected = (self.grid.n_freqs, m, m)
         if vals.shape != expected:
             raise ValueError(f"values must have shape {expected}, got {vals.shape}")
@@ -112,7 +113,7 @@ class PdcSpectrum:
         if vals.size and not (vals.min() >= 0.0 and vals.max() <= 1.0):
             raise ValueError("PDC values must lie in [0, 1]")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "channel_labels", tuple(str(c) for c in self.channel_labels))
+        object.__setattr__(self, "channel_labels", labels)
         object.__setattr__(self, "degenerate_columns",
                            tuple((int(f), int(j)) for f, j in self.degenerate_columns))
 
@@ -132,7 +133,7 @@ class BandAverages:
             arr = np.asarray(mat, dtype=float)
             if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails too
                 raise ValueError(f"band {name!r} has values outside [0, 1]")
-        object.__setattr__(self, "channel_labels", tuple(str(c) for c in self.channel_labels))
+        object.__setattr__(self, "channel_labels", _labels(self.channel_labels))
 
 
 @lru_cache(maxsize=64)
@@ -294,7 +295,8 @@ def read_spectrum_csv(path, sampling_rate_hz: float | None = None) -> PdcSpectru
 
     When the sampling rate is not given, it defaults to twice the highest
     frequency present (the minimal rate for which the grid is valid), or to
-    1 Hz for a table of 0 Hz alone. A cell out of range is named by path:line.
+    1 Hz for a table of 0 Hz alone. A cell out of range, or a source or target
+    cell that is not a channel label, is named by path:line.
     """
     cells: dict[tuple[float, str, str], float] = {}
     seen: dict[str, None] = {}  # channel labels in first-seen order
@@ -309,6 +311,9 @@ def read_spectrum_csv(path, sampling_rate_hz: float | None = None) -> PdcSpectru
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{where}: PDC values must lie in [0, 1], got {row['pdc']!r}")
         source, target = row["source"], row["target"]
+        if not (_is_label(source) and _is_label(target)):
+            raise ValueError(f"{where}: source and target must be non-empty channel labels "
+                             f"without edge whitespace, got {source!r} and {target!r}")
         key = (f_hz, source, target)
         if key in cells:
             raise ValueError(f"{where}: duplicate row for {f_hz} Hz, {source}->{target}")

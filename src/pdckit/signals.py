@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._io import _check_positive, _decode_utf8, _read_text, _write_csv
+from ._io import _check_positive, _decode_utf8, _labels, _read_text, _write_csv
 
 __all__ = [
     "Recording",
@@ -41,7 +41,7 @@ class Recording:
     sampling_rate_hz : float
         Finite positive sampling rate.
     channel_labels : tuple of str
-        One unique label per column.
+        One label per column: non-empty, without edge whitespace, unique.
     """
 
     samples: np.ndarray
@@ -54,14 +54,12 @@ class Recording:
             raise ValueError(f"samples must be a 2-D matrix, got ndim={arr.ndim}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("samples contain non-finite values")
-        labels = tuple(str(c) for c in self.channel_labels)
+        labels = _labels(self.channel_labels)
         if arr.shape[1] != len(labels):
             raise ValueError(
                 f"sample matrix has {arr.shape[1]} columns but "
                 f"{len(labels)} channel labels were given"
             )
-        if len(set(labels)) != len(labels):
-            raise ValueError("channel labels must be unique")
         _check_positive("sampling_rate_hz", self.sampling_rate_hz)
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "sampling_rate_hz", float(self.sampling_rate_hz))
@@ -259,15 +257,10 @@ def _read_header(path, reader) -> tuple[str, ...]:
         raise ValueError(f"{path}: empty recording file") from None
     except csv.Error as exc:
         raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    labels = tuple(lab.strip() for lab in row)
-    for column, label in enumerate(labels, start=1):
-        if not label:
-            raise ValueError(f"{path}:{reader.line_num}: column {column} has an empty "
-                             "channel label")
-        if label in labels[: column - 1]:
-            raise ValueError(f"{path}:{reader.line_num}: column {column} repeats channel "
-                             f"label {label!r}")
-    return labels
+    try:
+        return _labels(lab.strip() for lab in row)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 # ASCII separators that numpy strips from the edges of a cell and float() does not
@@ -336,11 +329,7 @@ def read_recording_csv(path, sampling_rate_hz: float) -> Recording:
 
 
 def write_recording_csv(recording: Recording, path) -> None:
-    """Write a recording as `read_recording_csv` reads it; a label it would not give back raises."""
-    for label in recording.channel_labels:
-        if not label or label != label.strip():
-            raise ValueError(f"channel label {label!r} is empty or has edge whitespace "
-                             "the reader would strip")
+    """Write a recording as `read_recording_csv` reads it."""
     _write_csv(path, recording.channel_labels, recording.samples.tolist())
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "wilcoxon_signed_rank",
     "holm_bonferroni",
     "compare_conditions",
+    "format_pair",
     "write_test_table_csv",
 ]
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import _check_positive, _json_fields, _read_json, _write_json
+from ._io import _check_positive, _json_fields, _labels, _read_json, _write_json
 from .signals import Recording
 from .var import spectral_radius
 
@@ -89,13 +89,10 @@ class GeneratorSpec:
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         _check_positive("sampling_rate_hz", self.sampling_rate_hz)
-        labels = self.channel_labels
-        if labels is None:
-            labels = tuple(f"ch{i + 1}" for i in range(m))
-        else:
-            labels = tuple(str(c) for c in labels)
-            if len(labels) != m:
-                raise ValueError(f"expected {m} channel labels, got {len(labels)}")
+        labels = (tuple(f"ch{i + 1}" for i in range(m)) if self.channel_labels is None
+                  else _labels(self.channel_labels))
+        if len(labels) != m:
+            raise ValueError(f"expected {m} channel labels, got {len(labels)}")
         object.__setattr__(self, "coeff_matrices", coeffs)
         object.__setattr__(self, "innovation_covariance", cov)
         object.__setattr__(self, "channel_labels", labels)

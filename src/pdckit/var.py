@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._io import _json_fields, _read_json, _write_json
+from ._io import _json_fields, _labels, _read_json, _write_json
 from .errors import EstimationError
 from .signals import MultichannelSegment
 
@@ -41,6 +41,7 @@ __all__ = [
     "choose_order_from_aic",
     "companion_matrix",
     "check_stability",
+    "spectral_radius",
     "write_model_json",
     "read_model_json",
 ]
@@ -84,6 +85,7 @@ class VarModel:
     channel_labels: tuple[str, ...]
 
     def __post_init__(self):
+        labels = _labels(self.channel_labels)
         coeffs = np.asarray(self.coeff_matrices, dtype=float)
         cov = np.asarray(self.residual_covariance, dtype=float)
         if not (np.isfinite(coeffs).all() and np.isfinite(cov).all()):
@@ -92,7 +94,7 @@ class VarModel:
             raise ValueError(f"order_p must be positive, got {self.order_p}")
         if self.n_samples_used < 1:
             raise ValueError(f"n_samples_used must be positive, got {self.n_samples_used}")
-        m = len(self.channel_labels)
+        m = len(labels)
         if coeffs.shape != (self.order_p, m, m):
             raise ValueError(
                 f"coeff_matrices must have shape ({self.order_p}, {m}, {m}), got {coeffs.shape}"
@@ -108,7 +110,7 @@ class VarModel:
             raise ValueError("residual_covariance is not positive semidefinite")
         object.__setattr__(self, "coeff_matrices", coeffs)
         object.__setattr__(self, "residual_covariance", cov)
-        object.__setattr__(self, "channel_labels", tuple(str(c) for c in self.channel_labels))
+        object.__setattr__(self, "channel_labels", labels)
 
     @property
     def n_channels(self) -> int:

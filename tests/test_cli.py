@@ -677,6 +677,55 @@ def test_band_names_follow_the_label_rule(tmp_path, capsys, name):
     assert capsys.readouterr().err == f"pdckit: argument-error: {config}: {message}\n"
 
 
+@pytest.mark.parametrize("labels, message", [
+    (["a", "a"], "column 2 repeats channel label 'a'"),
+    (["", "b"], "column 1 has an empty channel label"),
+])
+def test_pdc_refuses_a_model_whose_labels_break_the_label_rule(tmp_path, capsys, labels,
+                                                               message):
+    # a spectrum with such labels would be refused by bands, or name a channel ""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "order": 1, "channel_labels": labels, "coeff_matrices": [[[0.3, 0.0], [0.4, 0.3]]],
+        "residual_covariance": [[1.0, 0.0], [0.0, 1.0]], "n_samples_used": 100}))
+    out = tmp_path / "spectrum.csv"
+    assert main(["pdc", "--model", str(model), "--sampling-rate", "250",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"pdckit: argument-error: {model}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("labels, message", [
+    (["a", "a"], "column 2 repeats channel label 'a'"),
+    ([" a", "b"], "column 1 has channel label ' a' with edge whitespace"),
+])
+def test_simulate_refuses_a_spec_whose_labels_break_the_label_rule(tmp_path, capsys, labels,
+                                                                   message):
+    spec = _gen_spec_file(tmp_path)
+    payload = json.loads(spec.read_text())
+    spec.write_text(json.dumps({**payload, "channel_labels": labels}))
+    out = tmp_path / "rec.csv"
+    assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"pdckit: argument-error: {spec}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row, source, target", [
+    ("4.0, a, a,1.0", " a", " a"),
+    ("4.0,,a,1.0", "", "a"),
+], ids=["padded", "empty-source"])
+def test_bands_refuses_a_spectrum_cell_that_is_not_a_channel_label(tmp_path, capsys, row,
+                                                                    source, target):
+    spectrum = tmp_path / "spectrum.csv"
+    spectrum.write_text(f"freq_hz,source,target,pdc\n{row}\n")
+    out = tmp_path / "bands.json"
+    assert main(["bands", "--spectrum", str(spectrum), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"pdckit: argument-error: {spectrum}:2: source and target must be non-empty channel "
+        f"labels without edge whitespace, got {source!r} and {target!r}\n")
+    assert not out.exists()
+
+
 def test_bands_reads_back_a_spectrum_of_0_hz_alone(tmp_path, capsys):
     _, argv = _reader_inputs(tmp_path)["model"]  # pdc --model model.json ...
     spectrum, out = tmp_path / "dc.csv", tmp_path / "dc.json"

@@ -9,8 +9,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pdckit import (
+    BandAverages,
+    FrequencyGrid,
+    GeneratorSpec,
     MultichannelSegment,
+    PdcSpectrum,
     Recording,
+    VarModel,
     extract_segments,
     read_recording_csv,
     screen_stationarity,
@@ -206,16 +211,53 @@ def test_recording_csv_round_trip(tmp_path):
     assert_array_equal(back.samples, rec.samples)
 
 
-@pytest.mark.parametrize("labels", [(" F3", "F4 "), ("F3", "F3 "), ("F3", "")])
-def test_recording_csv_writer_refuses_padded_labels(tmp_path, labels):
+@pytest.mark.parametrize("labels, message", [
+    ((" F3", "F4 "), "column 1 has channel label ' F3' with edge whitespace"),
+    (("F3", "F3 "), "column 2 has channel label 'F3 ' with edge whitespace"),
+    (("F3", ""), "column 2 has an empty channel label"),
+], ids=["labels0", "labels1", "labels2"])
+def test_recording_refuses_padded_labels(labels, message):
     # the reader strips header labels and rejects an empty one: the first
-    # pair would read back as ('F3', 'F4'), the second as a duplicate
-    rec = _recording(np.zeros((3, 2)), labels=labels)
-    path = tmp_path / "rec.csv"
-    padded = next(lab for lab in labels if not lab or lab != lab.strip())
-    with pytest.raises(ValueError, match=repr(padded)):
-        write_recording_csv(rec, path)
-    assert not path.exists()
+    # pair would read back as ('F3', 'F4'), the second as a duplicate, so
+    # no recording, and thus no file the writer makes, holds such a label
+    with pytest.raises(ValueError) as info:
+        _recording(np.zeros((3, 2)), labels=labels)
+    assert str(info.value) == message
+
+
+_TWO_CHANNELS = {
+    "Recording": lambda labels: Recording(
+        samples=np.zeros((3, 2)), sampling_rate_hz=250.0, channel_labels=labels),
+    "VarModel": lambda labels: VarModel(
+        order_p=1, coeff_matrices=np.zeros((1, 2, 2)), residual_covariance=np.eye(2),
+        n_samples_used=10, channel_labels=labels),
+    "PdcSpectrum": lambda labels: PdcSpectrum(
+        values=np.full((1, 2, 2), 0.5),
+        grid=FrequencyGrid(freqs_hz=np.array([4.0]), sampling_rate_hz=250.0),
+        channel_labels=labels),
+    "BandAverages": lambda labels: BandAverages(
+        bands={"alpha": np.full((2, 2), 0.5)}, band_edges_hz={"alpha": (8.0, 12.0)},
+        channel_labels=labels),
+    "GeneratorSpec": lambda labels: GeneratorSpec(
+        coeff_matrices=np.zeros((1, 2, 2)), innovation_covariance=np.eye(2), n_samples=10,
+        seed=0, sampling_rate_hz=250.0, channel_labels=labels),
+}
+
+
+@pytest.mark.parametrize("container", list(_TWO_CHANNELS))
+@pytest.mark.parametrize("labels, message", [
+    (("", "b"), "column 1 has an empty channel label"),
+    ((" a", "b"), "column 1 has channel label ' a' with edge whitespace"),
+    (("a ", "b"), "column 1 has channel label 'a ' with edge whitespace"),
+    (("a", "a"), "column 2 repeats channel label 'a'"),
+    (("a", 1), "column 2 has channel label 1, which is not a string"),
+])
+def test_containers_follow_the_channel_label_rule(container, labels, message):
+    build = _TWO_CHANNELS[container]
+    assert build(("a", "b")).channel_labels == ("a", "b")
+    with pytest.raises(ValueError) as info:
+        build(labels)
+    assert str(info.value) == message
 
 
 def test_recording_csv_rejects_malformed_files(tmp_path):
