@@ -29,12 +29,7 @@ from .pdc import (
     write_spectrum_csv,
 )
 from .pipeline import PipelineConfig, read_config_json, run_pipeline, write_report
-from .signals import (
-    MultichannelSegment,
-    read_markers_csv,
-    read_recording_csv,
-    write_recording_csv,
-)
+from .signals import read_markers_csv, read_recording_csv, write_recording_csv
 from .stats import DEFAULT_ALPHA, _key_label, compare_conditions, format_pair, write_test_table_csv
 from .synth import generate, read_generator_spec_json
 from .var import fit_var, read_model_json, select_order, write_model_json
@@ -134,15 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _recording_as_segment(recording, mean_center: bool) -> MultichannelSegment:
-    segment = MultichannelSegment(
-        samples=recording.samples,
-        sampling_rate_hz=recording.sampling_rate_hz,
-        channel_labels=recording.channel_labels,
-    )
-    return segment.centered() if mean_center else segment
-
-
 def _cmd_simulate(args) -> int:
     spec = read_generator_spec_json(args.spec)
     if args.seed is not None:
@@ -155,7 +141,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     recording = read_recording_csv(args.input, sampling_rate_hz=args.sampling_rate)
-    segment = _recording_as_segment(recording, args.mean_center)
+    segment = recording.centered() if args.mean_center else recording
     if args.auto_order:
         order = select_order(segment, args.p_scan_max).chosen_p
     else:
@@ -173,7 +159,8 @@ def _cmd_pdc(args) -> int:
         if args.order is None:
             raise ValueError("--order is required when fitting from --input")
         recording = read_recording_csv(args.input, sampling_rate_hz=args.sampling_rate)
-        model, _ = fit_var(_recording_as_segment(recording, args.mean_center), args.order)
+        segment = recording.centered() if args.mean_center else recording
+        model, _ = fit_var(segment, args.order)
     grid = FrequencyGrid.regular(args.low, args.high, args.step, args.sampling_rate)
     spectrum = compute_pdc(model, grid)
     write_spectrum_csv(spectrum, args.out)

@@ -1,9 +1,9 @@
 """Multichannel time-series containers, epoch extraction, and stationarity screening.
 
-A :class:`Recording` holds the full sample matrix (rows = time points,
-columns = channels). Analysis epochs are cut out as
-:class:`MultichannelSegment` windows, and each segment can be screened for
-weak stationarity before any model is fitted to it.
+A :class:`Recording` holds a sample matrix (rows = time points,
+columns = channels). An analysis epoch is a :class:`Recording` too, cut out of
+a longer one (``MultichannelSegment`` is another name for it), and each epoch
+can be screened for weak stationarity before any model is fitted to it.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,32 +77,22 @@ class Recording:
     def duration_ms(self) -> float:
         return self.n_samples / self.sampling_rate_hz * 1000.0
 
-
-@dataclass(frozen=True)
-class MultichannelSegment(Recording):
-    """One analysis epoch cut from a recording, at least 2 rows long, starting
-    at row ``source_offset`` of its recording."""
-
-    source_offset: int = 0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.n_samples < 2:
-            raise ValueError(f"segment needs at least 2 rows, got {self.n_samples}")
-        object.__setattr__(self, "source_offset", int(self.source_offset))
-
-    def select_channels(self, labels) -> "MultichannelSegment":
-        """Return a segment restricted to the given labels, in the given order."""
+    def select_channels(self, labels) -> "Recording":
+        """Return a recording restricted to the given labels, in the given order."""
+        labels = tuple(labels)
         idx = []
         for lab in labels:
             if lab not in self.channel_labels:
                 raise ValueError(f"channel {lab!r} not present in segment")
             idx.append(self.channel_labels.index(lab))
-        return replace(self, samples=self.samples[:, idx], channel_labels=tuple(labels))
+        return replace(self, samples=self.samples[:, idx], channel_labels=labels)
 
-    def centered(self) -> "MultichannelSegment":
-        """Return the segment with each channel's mean subtracted."""
+    def centered(self) -> "Recording":
+        """Return the recording with each channel's mean subtracted."""
         return replace(self, samples=self.samples - self.samples.mean(axis=0))
+
+
+MultichannelSegment = Recording  # an epoch is a Recording; the earlier name stays
 
 
 @dataclass(frozen=True)
@@ -118,11 +108,11 @@ class StationarityReport:
     per_window_variances: tuple
     mean_drift_score: float
     variance_ratio_score: float
-    mean_drift_tol: float = field(default=math.nan)
-    variance_ratio_tol: float = field(default=math.nan)
+    mean_drift_tol: float
+    variance_ratio_tol: float
 
 
-def extract_segments(recording: Recording, epoch_length_ms: float, epoch_starts_ms) -> list[MultichannelSegment]:
+def extract_segments(recording: Recording, epoch_length_ms: float, epoch_starts_ms) -> list[Recording]:
     """Cut fixed-length epochs out of a recording.
 
     Parameters
@@ -135,8 +125,8 @@ def extract_segments(recording: Recording, epoch_length_ms: float, epoch_starts_
 
     Returns
     -------
-    list of MultichannelSegment
-        One segment per requested start, each with
+    list of Recording
+        One epoch per requested start, each with
         ``round(epoch_length_ms * sampling_rate_hz / 1000)`` rows and the
         recording's labels and sampling rate.
 
@@ -163,14 +153,7 @@ def extract_segments(recording: Recording, epoch_length_ms: float, epoch_starts_
                 f"epoch starting at {start_ms} ms (sample {start}) does not fit in a "
                 f"{recording.n_samples}-sample recording"
             )
-        segments.append(
-            MultichannelSegment(
-                samples=recording.samples[start : start + n_rows],
-                sampling_rate_hz=fs,
-                channel_labels=recording.channel_labels,
-                source_offset=start,
-            )
-        )
+        segments.append(replace(recording, samples=recording.samples[start : start + n_rows]))
     return segments
 
 
@@ -185,7 +168,7 @@ def _window_length(n_samples: int, n_windows: int) -> int:
 
 
 def screen_stationarity(
-    segment: MultichannelSegment,
+    segment: Recording,
     n_windows: int = 3,
     mean_drift_tol: float = 0.5,
     variance_ratio_tol: float = 2.0,
@@ -204,7 +187,7 @@ def screen_stationarity(
 
     Parameters
     ----------
-    segment : MultichannelSegment
+    segment : Recording
     n_windows : int
         Number of windows, at least 2.
     mean_drift_tol, variance_ratio_tol : float

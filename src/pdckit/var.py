@@ -29,7 +29,7 @@ import numpy as np
 
 from ._io import _json_fields, _labels, _read_json, _write_json
 from .errors import EstimationError
-from .signals import MultichannelSegment
+from .signals import Recording
 
 __all__ = [
     "VarModel",
@@ -166,7 +166,7 @@ def _check_scan(n: int, m: int, p_scan_max: int) -> None:
     _check_rows(n, m, p_scan_max)
 
 
-def fit_var(segment: MultichannelSegment, p: int) -> tuple[VarModel, np.ndarray]:
+def fit_var(segment: Recording, p: int) -> tuple[VarModel, np.ndarray]:
     """Fit a VAR(p) model to a segment by least squares.
 
     The coefficients come from one Householder QR of ``[design | target]``
@@ -179,7 +179,7 @@ def fit_var(segment: MultichannelSegment, p: int) -> tuple[VarModel, np.ndarray]
 
     Parameters
     ----------
-    segment : MultichannelSegment
+    segment : Recording
     p : int
         Model order; requires ``N - p >= M*p + 1`` regression rows.
 
@@ -318,7 +318,7 @@ def choose_order_from_aic(aic_values, n: int, m: int) -> OrderSelection:
                           rule_applied=RULE_CAPPED_BY_BOUND)
 
 
-def select_order(segment: MultichannelSegment, p_scan_max: int) -> OrderSelection:
+def select_order(segment: Recording, p_scan_max: int) -> OrderSelection:
     """Scan orders 1..p_scan_max by AIC and choose one.
 
     All candidate orders are evaluated on a common regression window (the
@@ -328,7 +328,7 @@ def select_order(segment: MultichannelSegment, p_scan_max: int) -> OrderSelectio
 
     Parameters
     ----------
-    segment : MultichannelSegment
+    segment : Recording
     p_scan_max : int
         Upper end of the scan; must not exceed ``max_order_bound(N, M)`` and
         must leave ``N - p_scan_max >= M*p_scan_max + 1`` rows.
@@ -352,8 +352,7 @@ def select_order(segment: MultichannelSegment, p_scan_max: int) -> OrderSelectio
         # drop the leading rows a lower order would otherwise use as extra
         # targets; every candidate then predicts the same rows
         skip = p_scan_max - p
-        trimmed = replace(segment, samples=segment.samples[skip:],
-                          source_offset=segment.source_offset + skip)
+        trimmed = replace(segment, samples=segment.samples[skip:])
         model, _ = fit_var(trimmed, p)
         scanned.append((p, aic(model, n)))
     return choose_order_from_aic(scanned, n, m)

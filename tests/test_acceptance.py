@@ -14,7 +14,6 @@ from pdckit import (
     DEFAULT_BANDS,
     FrequencyGrid,
     GeneratorSpec,
-    MultichannelSegment,
     PairedSample,
     VarModel,
     aic,
@@ -42,12 +41,6 @@ GRID = FrequencyGrid.regular(4.0, 30.0, 0.5, 250.0)
 def _verdict(num, ok, detail):
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} {detail}")
     assert ok, f"criterion {num:02d}: {detail}"
-
-
-def _segment(recording):
-    return MultichannelSegment(
-        recording.samples, recording.sampling_rate_hz, recording.channel_labels
-    )
 
 
 def _simulate(coeffs, n, seed, m=2):
@@ -91,7 +84,7 @@ def test_criterion_02_var3_coefficient_recovery():
     hits = 0
     for i in range(200):
         rec = _simulate(CRIT2_TRUTH, 2000, 1000 + i)
-        model, _ = fit_var(_segment(rec), 3)
+        model, _ = fit_var(rec, 3)
         hits += np.max(np.abs(model.coeff_matrices - CRIT2_TRUTH)) < 0.05
     _verdict(2, hits >= 190, f"elementwise +-0.05 recovery in {hits}/200 seeds")
 
@@ -110,7 +103,7 @@ def test_criterion_03_order_selection():
     hits = 0
     for i in range(200):
         rec = _simulate(CRIT3_TRUTH, 2000, 5000 + i)
-        hits += select_order(_segment(rec), 10).chosen_p == 4
+        hits += select_order(rec, 10).chosen_p == 4
     # strictly decreasing AIC never has an interior minimum; the cap rule
     # must then return max_order_bound(225, 2) = 22 exactly
     decreasing = [(p, 1000.0 - p) for p in range(1, 31)]
@@ -128,7 +121,7 @@ def test_criterion_04_directionality():
     reverse = []
     for i in range(100):
         rec = _simulate(truth, 2000, 7000 + i)
-        model, _ = fit_var(_segment(rec), 1)
+        model, _ = fit_var(rec, 1)
         values = compute_pdc(model, GRID).values
         p21 = float(np.mean(values[:, 1, 0]))
         p12 = float(np.mean(values[:, 0, 1]))

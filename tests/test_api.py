@@ -35,4 +35,6 @@ def test_package_exports_every_module_name_once():
     # the module constants the hand-written list left out
     assert {"ORDER_MODE_FIXED", "ORDER_MODE_AUTO_AIC", "SCOPE_PER_PAIR", "SCOPE_JOINT",
             "DEFAULT_ALPHA", "DEFAULT_EXACT_THRESHOLD", "DEFAULT_BURN_IN"} <= set(pdckit.__all__)
+    # an epoch is a Recording; the old name stays importable
+    assert pdckit.MultichannelSegment is pdckit.Recording
 

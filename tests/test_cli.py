@@ -11,11 +11,19 @@ import numpy as np
 import pytest
 
 from pdckit import (
+    FrequencyGrid,
     GeneratorSpec,
+    PipelineConfig,
+    compute_pdc,
     default_config,
+    fit_var,
     read_recording_csv,
+    select_order,
     write_config_json,
     write_generator_spec_json,
+    write_model_json,
+    write_recording_csv,
+    write_spectrum_csv,
 )
 from pdckit import cli
 from pdckit.cli import _build_parser, main
@@ -164,6 +172,34 @@ def test_pdc_from_model_and_from_recording(tmp_path, capsys):
                  "--out", str(direct)]) == 0
     narrow = read_spectrum_csv(direct, sampling_rate_hz=250.0)
     assert narrow.grid.n_freqs == 17
+    capsys.readouterr()
+
+
+def test_mean_center_fits_and_transforms_the_centred_recording(tmp_path, capsys):
+    # every channel shifted by +50, so centring changes the fitted model
+    plain = read_recording_csv(_simulate(tmp_path, n=1500), sampling_rate_hz=250.0)
+    path = tmp_path / "shifted.csv"
+    write_recording_csv(dataclasses.replace(plain, samples=plain.samples + 50.0), path)
+    rec = read_recording_csv(path, sampling_rate_hz=250.0)
+    centred, _ = fit_var(rec.centered(), 2)
+    write_model_json(centred, tmp_path / "want.json")
+    write_spectrum_csv(compute_pdc(centred, FrequencyGrid.regular(
+        PipelineConfig.freq_low_hz, PipelineConfig.freq_high_hz, PipelineConfig.freq_step_hz,
+        250.0)), tmp_path / "want.csv")
+
+    def run(out, command, *flags):
+        assert main([command, "--input", str(path), "--sampling-rate", "250", *flags,
+                     "--out", str(tmp_path / out)]) == 0
+        return (tmp_path / out).read_bytes()
+
+    want = (tmp_path / "want.json").read_bytes()
+    assert run("centred.json", "fit", "--order", "2", "--mean-center") == want
+    assert run("raw.json", "fit", "--order", "2") != want
+    assert run("centred.csv", "pdc", "--order", "2", "--mean-center") == (
+        tmp_path / "want.csv").read_bytes()
+    run("auto.json", "fit", "--auto-order", "--p-scan-max", "6", "--mean-center")
+    auto = read_model_json(tmp_path / "auto.json")
+    assert auto.order_p == select_order(rec.centered(), 6).chosen_p
     capsys.readouterr()
 
 

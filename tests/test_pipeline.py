@@ -10,7 +10,6 @@ import pdckit.pipeline
 import pdckit.var
 from pdckit import (
     GeneratorSpec,
-    MultichannelSegment,
     PipelineError,
     Recording,
     compute_pdc,
@@ -448,8 +447,8 @@ def test_pipeline_band_values_equal_a_direct_per_pair_computation(scope):
                 i, j = channels.index(target), channels.index(source)
                 spectra = []
                 for k in range(EPOCHS):
-                    seg = MultichannelSegment(recording.samples[k * epoch:(k + 1) * epoch],
-                                              FS, labels).centered().select_channels(channels)
+                    seg = Recording(recording.samples[k * epoch:(k + 1) * epoch],
+                                    FS, labels).centered().select_channels(channels)
                     model, _ = fit_var(seg, cfg.fixed_order)
                     spectra.append(compute_pdc(model, grid).values)
                 mean = np.mean(spectra, axis=0)

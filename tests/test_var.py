@@ -15,6 +15,7 @@ from pdckit import (
     EstimationError,
     GeneratorSpec,
     MultichannelSegment,
+    Recording,
     VarModel,
     aic,
     check_stability,
@@ -22,6 +23,7 @@ from pdckit import (
     fit_var,
     generate,
     max_order_bound,
+    screen_stationarity,
     select_order,
 )
 from pdckit.var import (
@@ -105,6 +107,19 @@ def test_fit_rejects_orders_without_enough_rows():
         fit_var(seg, 0)
     with pytest.raises(ValueError):
         fit_var(seg, 9)  # no regression rows left
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("consume, message", [
+    (lambda r: fit_var(r, 1), r"order 1 breaks N - p >= M\*p \+ 1 for N={n} samples"),
+    (lambda r: select_order(r, 1), r"order 1 breaks N - p >= M\*p \+ 1 for N={n} samples"
+                                   r"|n and m must be positive, got n=0"),
+    (screen_stationarity, r"segment of {n} samples is too short for 3 windows"),
+], ids=["fit_var", "select_order", "screen_stationarity"])
+def test_every_epoch_consumer_refuses_a_recording_of_two_rows_or_fewer(n, consume, message):
+    short = Recording(np.arange(2.0 * n).reshape(n, 2), 250.0, ("a", "b"))
+    with pytest.raises(ValueError, match=message.format(n=n)):
+        consume(short)
 
 
 def test_fit_recovers_var2_coefficients_within_standard_errors():
