@@ -59,7 +59,8 @@ class PairedSample:
             raise ValueError(f"paired lengths differ: {a.size} vs {b.size}")
         if a.size < 1:
             raise ValueError("need at least one pair")
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        if not (np.count_nonzero(np.isfinite(a)) == a.size
+                and np.count_nonzero(np.isfinite(b)) == b.size):
             raise ValueError("paired values must be finite")
         object.__setattr__(self, "condition_a", a)
         object.__setattr__(self, "condition_b", b)
@@ -199,14 +200,17 @@ def _signed_rank_cumulative_counts(n: int) -> np.ndarray:
     Entry w is the number of the 2**n assignments whose positive-rank sum is
     <= w, for distinct ranks 1..n. Built by the usual convolution recurrence;
     the last entry is 2**n, so int64 holds every entry for
-    n <= DEFAULT_EXACT_THRESHOLD. Treat as read-only (cached).
+    n <= DEFAULT_EXACT_THRESHOLD. Read-only: every exact p-value at this n
+    reads the one cached table.
     """
     total = n * (n + 1) // 2
     counts = np.zeros(total + 1, dtype=np.int64)
     counts[0] = 1
     for k in range(1, n + 1):
         counts[k:] = counts[k:] + counts[:-k]
-    return np.cumsum(counts)
+    cumulative = np.cumsum(counts)
+    cumulative.flags.writeable = False
+    return cumulative
 
 
 def wilcoxon_signed_rank(sample: PairedSample) -> WilcoxonOutcome:
@@ -240,32 +244,35 @@ def wilcoxon_signed_rank(sample: PairedSample) -> WilcoxonOutcome:
     order = magnitudes.argsort()
     magnitudes = magnitudes[order]
     positive = diffs[order] > 0.0
-    # edges[i]: sorted position i starts a tie group (edges[n] closes the last one)
-    edges = np.ones(n_eff + 1, dtype=bool)
-    np.not_equal(magnitudes[1:], magnitudes[:-1], out=edges[1:-1])
-    tied = not edges.all()
+    # the numpy calls below are the ufuncs themselves (np.add.reduce, not .sum()):
+    # at tens of pairs the per-call overhead, not the arithmetic, sets the time
+    same = magnitudes[1:] == magnitudes[:-1]
+    tied = np.count_nonzero(same) > 0
     if tied:
+        # edges[i]: sorted position i starts a tie group (edges[n] closes the last one);
         # a group of c tied magnitudes from 0-based position s has mid-rank s + (c + 1) / 2
-        bounds = np.flatnonzero(edges)
+        edges = np.ones(n_eff + 1, dtype=bool)
+        np.logical_not(same, out=edges[1:-1])
+        bounds = edges.nonzero()[0]
         starts = bounds[:-1]
         tie_counts = bounds[1:] - starts
         ranks = np.repeat(starts + (tie_counts + 1) / 2.0, tie_counts)
-        w_pos = float(ranks[positive].sum())
+        w_pos = float(np.add.reduce(ranks[positive]))
     else:
         # ranks are 1..n: the positive ranks are their 0-based positions plus one
-        positions = np.flatnonzero(positive)
-        w_pos = float(positions.sum() + positions.size)
+        positions = positive.nonzero()[0]
+        w_pos = float(np.add.reduce(positions) + positions.size)
     # rank sums are half-integers, exact in float64, so W- = n(n+1)/2 - W+ exactly
     w = min(w_pos, n_eff * (n_eff + 1) / 2.0 - w_pos)
 
     if n_eff <= DEFAULT_EXACT_THRESHOLD and not tied:
         cumulative = _signed_rank_cumulative_counts(n_eff)
-        p = min(1.0, 2.0 * float(cumulative[int(w)]) / 2.0 ** n_eff)
+        p = min(1.0, 2.0 * cumulative.item(int(w)) / 2.0 ** n_eff)
     else:
         mean = n_eff * (n_eff + 1) / 4.0
         variance = n_eff * (n_eff + 1) * (2 * n_eff + 1) / 24.0
         if tied:
-            variance -= float((tie_counts ** 3 - tie_counts).sum()) / 48.0
+            variance -= float(np.add.reduce(tie_counts ** 3 - tie_counts)) / 48.0
         z = (w - mean + 0.5) / math.sqrt(variance)
         p = min(1.0, 2.0 * _ndtr(z))
     return WilcoxonOutcome(statistic_w=w, n_effective=n_eff, p_raw=p)
@@ -286,10 +293,12 @@ def holm_bonferroni(p_values, alpha: float = DEFAULT_ALPHA) -> list:
     p = np.asarray(list(p_values), dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("p_values must be a non-empty 1-D collection")
-    if np.any((p < 0.0) | (p > 1.0)) or not np.isfinite(p).all():
+    # NaN fails both comparisons
+    if np.count_nonzero((p >= 0.0) & (p <= 1.0)) != p.size:
         raise ValueError("p-values must lie in [0, 1]")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    alpha = float(alpha)  # so each reject flag is a bool, whatever number type alpha was
     m = p.size
     order = np.argsort(p, kind="stable")
     multipliers = m - np.arange(m)
@@ -297,14 +306,14 @@ def holm_bonferroni(p_values, alpha: float = DEFAULT_ALPHA) -> list:
     adjusted_sorted = np.minimum(np.maximum.accumulate(scaled), 1.0)
     adjusted = np.empty(m)
     adjusted[order] = adjusted_sorted
-    return [(float(adj), bool(adj <= alpha)) for adj in adjusted]
+    return [(adj, adj <= alpha) for adj in adjusted.tolist()]
 
 
 def _direction_from_median(diffs: np.ndarray) -> str:
     # np.median's arithmetic: the mean of the middle pair (the middle value twice for odd n)
-    ordered = np.sort(diffs)
-    n = ordered.size
-    med = (ordered.item((n - 1) // 2) + ordered.item(n // 2)) / 2.0
+    ordered = sorted(diffs.tolist())
+    n = len(ordered)
+    med = (ordered[(n - 1) // 2] + ordered[n // 2]) / 2.0
     if med > 0.0:
         return DIRECTION_A_GREATER
     if med < 0.0:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 import math
 import re
@@ -134,15 +135,19 @@ def test_ties_in_absolute_differences_use_midranks():
     w_plus = ranks[diffs > 0].sum()
     w = min(w_plus, ranks.sum() - w_plus)
     assert out.statistic_w == w
-    # seeded property: ties, zeros, n on both sides of the exact threshold
+    # seeded property: ties, zeros of either sign, n up to 100 on both sides of the
+    # exact threshold; the -0.0 differences must be discarded like the +0.0 ones
     rng = np.random.default_rng(1945)
     branches = set()
+    tied_above_44 = set()
+    negative_zero = False
     for trial in range(3000):
-        n = int(rng.integers(1, 45))
+        n = int(rng.integers(1, 101))
         if trial % 2:
             diffs = rng.integers(-4, 5, size=n) * 0.25  # heavy ties and zeros
         else:
             diffs = np.where(rng.random(n) < 0.2, 0.0, rng.normal(size=n))
+        diffs = np.where(diffs == 0.0, rng.choice([0.0, -0.0], size=n), diffs)
         if not diffs.any():
             continue
         out = wilcoxon_signed_rank(_sample(diffs, np.zeros(n)))
@@ -151,7 +156,21 @@ def test_ties_in_absolute_differences_use_midranks():
         tied = np.unique(nonzero).size < nonzero.size
         branches.add(("approx" if tied or nonzero.size > DEFAULT_EXACT_THRESHOLD else "exact",
                       tied))
+        if nonzero.size > 44:
+            tied_above_44.add(tied)
+        negative_zero |= bool(np.signbit(diffs[diffs == 0.0]).any())
     assert branches == {("exact", False), ("approx", False), ("approx", True)}
+    assert tied_above_44 == {False, True}  # both approximate branches above n = 44
+    assert negative_zero
+
+
+def test_cached_count_table_is_read_only():
+    # every exact p-value at one n reads the same cached table
+    table = _signed_rank_cumulative_counts(5)
+    with pytest.raises(ValueError):
+        table[0] = 16
+    out = wilcoxon_signed_rank(_sample([2.0, 3.0, 1.5, 4.0, 2.5], [1.0] * 5))
+    assert out.p_raw == 0.0625
 
 
 def test_exact_threshold_is_not_a_keyword():
@@ -410,6 +429,25 @@ def test_compare_conditions_tests_ragged_keys_on_their_own_pairs():
         raw.append(alone.p_raw)
     adjusted = [p for p, _ in holm_bonferroni(raw)]
     assert [results[k].p_adjusted for k in sizes] == adjusted
+
+
+def test_results_hold_python_scalars():
+    # report writers and callers get plain Python values, never numpy scalars
+    rng = np.random.default_rng(1979)
+    keys = [(("x", "y"), f"b{i}") for i in range(6)]
+    a, b = _band_tables(rng, keys, n=20, shift={keys[0]: 0.5})
+    # 20 differences with at most 3 magnitudes: tied, so the normal branch
+    a[keys[1]], b[keys[1]] = tuple(rng.integers(-3, 4, size=20) * 0.5), (0.0,) * 20
+    b[keys[2]] = a[keys[2]]  # untestable
+    results = compare_conditions(a, b)
+    assert results[keys[2]].untestable and results[keys[1]].n_effective > 3
+    for res in results.values():
+        for field in dataclasses.fields(res):
+            allowed = (str,) if field.name == "direction" else (float, int, bool)
+            assert type(getattr(res, field.name)) in allowed, field.name
+    for alpha in (0.05, np.float64(0.05)):
+        for p_adjusted, reject in holm_bonferroni(np.array([0.001, 0.2, 0.03]), alpha=alpha):
+            assert type(p_adjusted) is float and type(reject) is bool
 
 
 @pytest.mark.parametrize("key, label", [
