@@ -107,10 +107,14 @@ def _read_json(path, what: str, build):
 
 def _write_json(path, payload) -> None:
     """Write a payload as indented UTF-8 JSON ending in a newline; numpy arrays
-    and scalars are written as the lists and numbers of their ``tolist()``."""
+    and scalars are written as the lists and numbers of their ``tolist()``.
+
+    A NaN or infinite number, which standard JSON cannot hold, raises
+    ValueError before the file is opened.
+    """
+    text = json.dumps(payload, indent=2, allow_nan=False, default=lambda value: value.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, default=lambda value: value.tolist())
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _csv_rows(path, required: set):

@@ -151,10 +151,10 @@ def _transfer(coeff_matrices: np.ndarray, freqs_hz, sampling_rate_hz: float) -> 
     p, m, _ = coeff_matrices.shape
     freqs = np.asarray(freqs_hz, dtype=float)
     phases = _phase_table(freqs.tobytes(), sampling_rate_hz, p)
-    out = (phases @ coeff_matrices.reshape(p, m * m)).reshape(-1, m, m)
-    idx = np.arange(m)
-    out[:, idx, idx] = 1.0 - out[:, idx, idx]
-    return out
+    flat = phases @ coeff_matrices.reshape(p, m * m)
+    diagonal = flat[:, :: m + 1]  # entry (i, i) of each row-major M x M matrix
+    np.subtract(1.0, diagonal, out=diagonal)
+    return flat.reshape(-1, m, m)
 
 
 def evaluate_transfer(model: VarModel, f_hz: float, sampling_rate_hz: float) -> np.ndarray:
@@ -184,16 +184,21 @@ def compute_pdc(model: VarModel, grid: FrequencyGrid) -> PdcSpectrum:
     A stable model (`check_stability`) is recommended but not enforced.
     """
     mags = np.abs(_transfer(model.coeff_matrices, grid.freqs_hz, grid.sampling_rate_hz))
-    col_norms = np.sqrt((mags * mags).sum(axis=1))
+    col_norms = np.sqrt(np.add.reduce(mags * mags, axis=1))
     degenerate = col_norms < _DEGENERATE_COLUMN_NORM
-    safe_norms = np.where(degenerate, 1.0, col_norms)  # degenerate columns are zeroed, not 0/0
-    values = np.where(degenerate[:, None, :], 0.0, mags / safe_norms[:, None, :])
+    if degenerate.any():
+        safe_norms = np.where(degenerate, 1.0, col_norms)  # degenerate columns are zeroed, not 0/0
+        values = np.where(degenerate[:, None, :], 0.0, mags / safe_norms[:, None, :])
+        columns = tuple(zip(*np.nonzero(degenerate)))
+    else:
+        values = np.divide(mags, col_norms[:, None, :], out=mags)
+        columns = ()
     np.clip(values, 0.0, 1.0, out=values)
     return PdcSpectrum(
         values=values,
         grid=grid,
         channel_labels=model.channel_labels,
-        degenerate_columns=tuple(zip(*np.nonzero(degenerate))),
+        degenerate_columns=columns,
     )
 
 
@@ -235,8 +240,8 @@ def _band_means(values: np.ndarray, masks: dict) -> dict:
 
 def _band_masks(bands, freqs_hz: np.ndarray) -> dict:
     """Grid mask of each band, edges inclusive. The band rule: at least one band,
-    names that are labels, edges ordered and non-negative, and a grid frequency
-    in every band."""
+    names that are labels, edges finite, ordered and non-negative, and a grid
+    frequency in every band."""
     if not bands:
         raise ValueError("bands must be non-empty")
     masks = {}
@@ -244,8 +249,9 @@ def _band_masks(bands, freqs_hz: np.ndarray) -> dict:
         if not (isinstance(name, str) and _is_label(name)):
             raise ValueError(f"band name {name!r} must be a non-empty string without edge "
                              "whitespace")
-        if not 0 <= low <= high:
-            raise ValueError(f"band {name!r} has invalid edges ({low}, {high})")
+        if not 0 <= low <= high < math.inf:  # NaN fails too
+            raise ValueError(f"band {name!r} has invalid edges ({low}, {high}); edges must "
+                             "be finite, ordered and non-negative")
         masks[name] = (freqs_hz >= low) & (freqs_hz <= high)
         if not masks[name].any():
             raise ValueError(f"band {name!r} ({low}-{high} Hz) contains no grid frequency")
@@ -265,8 +271,8 @@ def band_average(spectrum: PdcSpectrum, bands=None) -> BandAverages:
     ------
     ValueError
         If ``bands`` is empty, or a band's name is empty or has edge
-        whitespace, or the band has unordered or negative edges or contains
-        no grid frequency, naming the band.
+        whitespace, or the band has an infinite, unordered or negative edge
+        or contains no grid frequency, naming the band.
     """
     if bands is None:
         bands = DEFAULT_BANDS

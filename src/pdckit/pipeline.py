@@ -14,6 +14,7 @@ identical report apart from its timestamp field.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 import time
@@ -116,12 +117,15 @@ class PipelineConfig:
             raise ValueError(
                 f"stationarity_n_windows must be >= 2, got {self.stationarity_n_windows}"
             )
-        if not (self.stationarity_mean_drift_tol > 0 and self.stationarity_variance_ratio_tol > 0):
-            raise ValueError("stationarity tolerances must be positive")
+        # finite, as everything the config JSON file and the report's echo hold
+        if not (0 < self.stationarity_mean_drift_tol < math.inf
+                and 0 < self.stationarity_variance_ratio_tol < math.inf):
+            raise ValueError("stationarity tolerances must be positive and finite")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.amplitude_reject_threshold is not None and not self.amplitude_reject_threshold > 0:
-            raise ValueError("amplitude_reject_threshold must be positive when given")
+        if (self.amplitude_reject_threshold is not None
+                and not 0 < self.amplitude_reject_threshold < math.inf):
+            raise ValueError("amplitude_reject_threshold must be positive and finite when given")
         if self.model_scope not in (SCOPE_PER_PAIR, SCOPE_JOINT):
             raise ValueError(f"unknown model_scope {self.model_scope!r}")
 

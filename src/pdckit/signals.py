@@ -12,7 +12,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ class Recording:
     Attributes
     ----------
     samples : np.ndarray
-        Shape (n_samples, n_channels); all values finite.
+        Shape (n_samples, n_channels), at least one of each; all values finite.
     sampling_rate_hz : float
         Finite positive sampling rate.
     channel_labels : tuple of str
@@ -52,7 +52,10 @@ class Recording:
         arr = np.asarray(self.samples, dtype=float)
         if arr.ndim != 2:
             raise ValueError(f"samples must be a 2-D matrix, got ndim={arr.ndim}")
-        if not np.all(np.isfinite(arr)):
+        if not (arr.shape[0] and arr.shape[1]):
+            raise ValueError("samples must have at least one row and one channel, "
+                             f"got shape {arr.shape}")
+        if not np.isfinite(arr).all():
             raise ValueError("samples contain non-finite values")
         labels = _labels(self.channel_labels)
         if arr.shape[1] != len(labels):
@@ -85,11 +88,13 @@ class Recording:
             if lab not in self.channel_labels:
                 raise ValueError(f"channel {lab!r} not present in segment")
             idx.append(self.channel_labels.index(lab))
-        return replace(self, samples=self.samples[:, idx], channel_labels=labels)
+        return Recording(self.samples[:, idx], self.sampling_rate_hz, labels)
 
     def centered(self) -> "Recording":
         """Return the recording with each channel's mean subtracted."""
-        return replace(self, samples=self.samples - self.samples.mean(axis=0))
+        # the sum over the count is np.mean's arithmetic
+        means = np.add.reduce(self.samples, axis=0) / self.n_samples
+        return Recording(self.samples - means, self.sampling_rate_hz, self.channel_labels)
 
 
 MultichannelSegment = Recording  # an epoch is a Recording; the earlier name stays
@@ -153,7 +158,8 @@ def extract_segments(recording: Recording, epoch_length_ms: float, epoch_starts_
                 f"epoch starting at {start_ms} ms (sample {start}) does not fit in a "
                 f"{recording.n_samples}-sample recording"
             )
-        segments.append(replace(recording, samples=recording.samples[start : start + n_rows]))
+        segments.append(Recording(recording.samples[start : start + n_rows], fs,
+                                  recording.channel_labels))
     return segments
 
 
@@ -202,29 +208,31 @@ def screen_stationarity(
     used = segment.samples[: win_len * n_windows]
     windows = used.reshape(n_windows, win_len, segment.n_channels)
 
-    means = windows.mean(axis=1)              # (n_windows, M)
-    variances = windows.var(axis=1, ddof=1)   # (n_windows, M)
+    # np.mean and np.var(ddof=1) over axis 1, with their arithmetic: sums over
+    # counts, and the squared deviations from those means
+    means = np.add.reduce(windows, axis=1) / win_len                   # (n_windows, M)
+    deviations = windows - means[:, None, :]
+    np.multiply(deviations, deviations, out=deviations)
+    variances = np.add.reduce(deviations, axis=1) / (win_len - 1)     # (n_windows, M)
 
-    spread = means.max(axis=0) - means.min(axis=0)
-    pooled_std = np.sqrt(variances.mean(axis=0))
+    spread = np.maximum.reduce(means) - np.minimum.reduce(means)
+    pooled_std = np.sqrt(np.add.reduce(variances) / n_windows)
+    var_min = np.minimum.reduce(variances)
+    var_max = np.maximum.reduce(variances)
     with np.errstate(divide="ignore", invalid="ignore"):
         drift = np.where(pooled_std > 0, spread / pooled_std,
                          np.where(spread > 0, np.inf, 0.0))
-
-    var_min = variances.min(axis=0)
-    var_max = variances.max(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(var_min > 0, var_max / var_min, np.inf)
 
-    mean_drift_score = float(drift.max())
-    variance_ratio_score = float(ratio.max())
+    mean_drift_score = float(np.maximum.reduce(drift))
+    variance_ratio_score = float(np.maximum.reduce(ratio))
     passed = bool(
         mean_drift_score <= mean_drift_tol and variance_ratio_score <= variance_ratio_tol
     )
     return StationarityReport(
         passed=passed,
-        per_window_means=tuple(tuple(row) for row in means),
-        per_window_variances=tuple(tuple(row) for row in variances),
+        per_window_means=tuple(map(tuple, means)),
+        per_window_variances=tuple(map(tuple, variances)),
         mean_drift_score=mean_drift_score,
         variance_ratio_score=variance_ratio_score,
         mean_drift_tol=float(mean_drift_tol),

@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ._io import _json_fields, _labels, _read_json, _write_json
 from .errors import EstimationError
@@ -132,19 +134,25 @@ def build_design(samples: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     Row t of the design is ``[X(t-1), X(t-2), ..., X(t-p)]`` flattened; the
     matching target row is ``X(t)``, for t = p .. N-1.
     """
-    joint = _joint_design(samples, p)
+    joint = _joint_design(samples, p).copy()
     k = samples.shape[1] * p
     return joint[:, :k], joint[:, k:]
 
 
 def _joint_design(samples: np.ndarray, p: int) -> np.ndarray:
-    """``[design | target]`` of `build_design` in one (N-p, M*p + M) array."""
+    """``[design | target]`` of `build_design` in one (N-p, M*p + M) array,
+    column-major: the layout LAPACK factors without a transposing copy."""
     n, m = samples.shape
-    joint = np.empty((n - p, m * p + m))
-    for lag in range(1, p + 1):
-        joint[:, (lag - 1) * m : lag * m] = samples[p - lag : n - lag]
-    joint[:, m * p :] = samples[p:]
-    return joint
+    rows = n - p
+    step, column = samples.strides
+    # block[j, c] is column j*M + c: channel c at lag j + 1 for j < p, the target for j = p
+    block = np.empty((p + 1, m, rows))
+    # lag j + 1 of row t is sample t + p - 1 - j; read back from sample p - 1,
+    # the view's indices run from 0 to N - 2
+    block[:p] = as_strided(samples[p - 1:], (p, m, rows), (-step, column, step),
+                           writeable=False)
+    block[p] = samples[p:].T
+    return block.reshape(m * (p + 1), rows).T
 
 
 def _check_rows(n: int, m: int, p: int) -> None:
@@ -202,8 +210,10 @@ def fit_var(segment: Recording, p: int) -> tuple[VarModel, np.ndarray]:
     _check_rows(n, m, p)
     rows = n - p
     joint = _joint_design(x, p)
-    design, target = joint[:, : m * p], joint[:, m * p :]
     coeffs_flat = _certified_qr_solve(joint, m * p)
+    # row-major for the products below: BLAS rounds a column-major operand differently
+    joint = joint.copy()
+    design, target = joint[:, : m * p], joint[:, m * p :]
     if coeffs_flat is None:
         coeffs_flat, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
         if rank < m * p:
@@ -233,16 +243,35 @@ def _certified_qr_solve(joint: np.ndarray, k: int):
     R's top-left block is the design's triangle and the block to its right
     is ``Q^T target``, so the solution is ``R^-1 (Q^T target)``.
     """
-    r = np.linalg.qr(joint, mode="r")
-    r_design = r[:k, :k]
+    top = _qr_top_rows(joint, k)
+    r_design = top[:, :k]
     try:
         r_inv = np.linalg.inv(r_design)
     except np.linalg.LinAlgError:
         return None
     # not (<=) so that a non-finite estimate also falls back
-    if not np.linalg.norm(r_design) * np.linalg.norm(r_inv) <= _CONDITION_CAP:
+    if not _frobenius(r_design) * _frobenius(r_inv) <= _CONDITION_CAP:
         return None
-    return r_inv @ r[:k, k:]
+    return r_inv @ top[:, k:]
+
+
+def _qr_top_rows(a: np.ndarray, k: int) -> np.ndarray:
+    """The top k rows of the triangle R of a Householder QR of ``a``, row-major,
+    as ``np.linalg.qr(a, mode="r")[:k]`` gives them.
+
+    ``mode="raw"`` returns LAPACK's factored matrix transposed: R is its upper
+    trapezoid, and the reflectors below the diagonal are masked out.
+    """
+    h, _ = np.linalg.qr(a, mode="raw")
+    return np.where(_upper_trapezoid(k, h.shape[0]), h[:, :k].T, 0.0)
+
+
+@lru_cache(maxsize=16)
+def _upper_trapezoid(rows: int, columns: int) -> np.ndarray:
+    """Read-only mask of the entries (i, j) with j >= i of a rows x columns matrix."""
+    mask = ~np.tri(rows, columns, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def aic(model: VarModel, n: int) -> float:
@@ -362,11 +391,18 @@ def companion_matrix(coeff_matrices: np.ndarray) -> np.ndarray:
     """Companion form of the lag matrices: (M*p, M*p) block matrix."""
     coeffs = np.asarray(coeff_matrices, dtype=float)
     p, m, _ = coeffs.shape
-    comp = np.zeros((m * p, m * p))
+    comp = _companion_shift(m, p).copy()
     comp[:m] = coeffs.transpose(1, 0, 2).reshape(m, m * p)
-    if p > 1:
-        comp[m:, : m * (p - 1)] = np.eye(m * (p - 1))
     return comp
+
+
+@lru_cache(maxsize=16)
+def _companion_shift(m: int, p: int) -> np.ndarray:
+    """Read-only (M*p, M*p) companion template: identity blocks below the first
+    block row, which the lag matrices fill."""
+    shift = np.eye(m * p, k=-m)
+    shift.flags.writeable = False
+    return shift
 
 
 def check_stability(model: VarModel) -> bool:
@@ -414,8 +450,10 @@ def _certified_stable(comp: np.ndarray) -> bool:
 
 
 def _frobenius(a: np.ndarray) -> float:
+    """Frobenius norm by ``np.linalg.norm``'s arithmetic on a row-major array:
+    ravel, dot, square root."""
     flat = a.ravel()
-    return math.sqrt(float(flat @ flat))
+    return math.sqrt(flat.dot(flat))
 
 
 def spectral_radius(coeff_matrices: np.ndarray) -> float:

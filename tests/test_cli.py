@@ -679,6 +679,19 @@ def test_bands_refuses_a_repeated_band_name(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("band", ["x:4:inf", "x:4:Infinity", "x:nan:8"])
+def test_bands_refuses_an_edge_that_is_not_finite(tmp_path, capsys, band):
+    path, _ = _reader_inputs(tmp_path)["spectrum"]
+    capsys.readouterr()
+    out = tmp_path / "bands.json"
+    assert main(["bands", "--spectrum", str(path), "--out", str(out), "--band", band]) == 2
+    low, high = (float(edge) for edge in band.split(":")[1:])
+    assert capsys.readouterr().err == (
+        f"pdckit: argument-error: band 'x' has invalid edges ({low}, {high}); "
+        "edges must be finite, ordered and non-negative\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("header, row, argv", [
     ("freq_hz,source,target,pdc,pdc", "4.0,a,a,0.5,0.9", ["bands", "--spectrum"]),
     ("pair,band,subject,value,value", "a->b,alpha,s1,0.1,0.7",

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -281,6 +282,22 @@ def test_pdc_with_the_cached_phase_table_equals_the_uncached_transfer(case):
                 table[0, 0] = 0.0
 
 
+def test_pdc_is_bit_identical_to_the_masked_reference_with_and_without_degenerate_columns():
+    grid = FrequencyGrid(freqs_hz=np.array([0.0, 10.0, 62.5]), sampling_rate_hz=250.0)
+    rng = np.random.default_rng(11)
+    for vanishing in (False, True):
+        coeffs = rng.normal(scale=0.3, size=(2, 3, 3))
+        if vanishing:  # column 0 is the unit lag-1 diagonal only: it vanishes at 0 Hz
+            coeffs[:, :, 0] = 0.0
+            coeffs[0, 0, 0] = 1.0
+        model = _model(coeffs, ("a", "b", "c"))
+        spectrum = compute_pdc(model, grid)
+        values, degenerate = _uncached_pdc(model.coeff_matrices, grid.freqs_hz, 250.0)
+        assert np.array_equal(spectrum.values, values)
+        assert spectrum.degenerate_columns == degenerate
+        assert bool(degenerate) == vanishing
+
+
 def test_pdc_rejects_grid_channel_mismatch():
     grid = FrequencyGrid.regular(4.0, 30.0, 0.5, sampling_rate_hz=250.0)
     spec = compute_pdc(LOWER_VAR1, grid)
@@ -334,6 +351,24 @@ def test_band_average_empty_band_names_the_band():
     grid = FrequencyGrid(freqs_hz=np.array([8.0, 12.5]), sampling_rate_hz=250.0)
     with pytest.raises(ValueError, match="theta"):
         band_average(_linear_spectrum(grid), {"theta": (4.0, 7.5)})
+
+
+@pytest.mark.parametrize("edges", [(4.0, math.inf), (-math.inf, 8.0), (math.nan, 8.0),
+                                   (4.0, math.nan)])
+def test_band_average_refuses_an_edge_that_is_not_finite(edges):
+    spectrum = compute_pdc(LOWER_VAR1, FrequencyGrid.regular(4.0, 30.0, 0.5, 250.0))
+    message = f"band 'x' has invalid edges ({edges[0]}, {edges[1]}); edges must be finite, "
+    with pytest.raises(ValueError, match=re.escape(message)):
+        band_average(spectrum, {"x": edges})
+
+
+def test_json_writers_refuse_a_number_standard_json_cannot_hold(tmp_path):
+    averages = BandAverages(bands={"x": np.full((2, 2), 0.5)}, band_edges_hz={"x": (4.0, math.inf)},
+                            channel_labels=("a", "b"))
+    path = tmp_path / "bands.json"
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        write_band_averages_json(averages, path)
+    assert not path.exists()  # refused before the file is opened
 
 
 def test_band_average_default_bands():

@@ -129,6 +129,28 @@ def test_config_rejects_a_nan_screening_tolerance(field):
         PipelineConfig(sampling_rate_hz=FS, **{field: math.nan})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("bands", {"theta": (4.0, 7.5), "x": (4.0, math.inf)},
+     "band 'x' has invalid edges (4.0, inf); edges must be finite, ordered and non-negative"),
+    ("stationarity_mean_drift_tol", math.inf, "stationarity tolerances must be positive and finite"),
+    ("stationarity_variance_ratio_tol", math.inf,
+     "stationarity tolerances must be positive and finite"),
+    ("amplitude_reject_threshold", math.inf,
+     "amplitude_reject_threshold must be positive and finite when given"),
+])
+def test_config_rejects_an_infinite_value_its_json_file_cannot_hold(tmp_path, field, value,
+                                                                   message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PipelineConfig(sampling_rate_hz=FS, **{field: value})
+    # the largest finite value is written as a JSON number and read back
+    finite = {name: (4.0, np.nextafter(math.inf, 0.0)) for name in value} \
+        if field == "bands" else np.nextafter(math.inf, 0.0)
+    cfg = PipelineConfig(sampling_rate_hz=FS, **{field: finite})
+    write_config_json(cfg, tmp_path / "config.json")
+    assert "Infinity" not in (tmp_path / "config.json").read_text()
+    assert read_config_json(tmp_path / "config.json") == cfg
+
+
 def test_config_json_round_trip(tmp_path):
     cfg = dataclasses.replace(
         default_config(FS),

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import warnings
 
 import numpy as np
@@ -52,6 +53,16 @@ def test_recording_rejects_bad_inputs():
 def test_containers_reject_a_sampling_rate_that_is_not_finite(rate):
     with pytest.raises(ValueError, match="sampling_rate_hz must be a finite positive number"):
         Recording(samples=np.zeros((10, 2)), sampling_rate_hz=rate, channel_labels=("a", "b"))
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (10, 0), (0, 0)])
+def test_recording_refuses_a_matrix_without_rows_or_channels(shape):
+    message = f"samples must have at least one row and one channel, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Recording(np.zeros(shape), 250.0, ("a", "b")[: shape[1]])
+    # no channel subset can be empty either
+    with pytest.raises(ValueError, match=re.escape(f"got shape {(10, 0)}")):
+        _recording(np.zeros((10, 2))).select_channels(())
 
 
 def test_segment_rejects_one_dimensional_input():
@@ -188,6 +199,43 @@ def test_screen_validates_window_count():
         screen_stationarity(seg, n_windows=1)
     with pytest.raises(ValueError):
         screen_stationarity(_segment(np.arange(4.0)), n_windows=3)
+
+
+def _screen_reference(samples, n_windows):
+    """The screen's windows, means, variances and scores through np.mean and
+    np.var(ddof=1), as `screen_stationarity` once computed them."""
+    win = samples.shape[0] // n_windows
+    windows = samples[: win * n_windows].reshape(n_windows, win, samples.shape[1])
+    means = windows.mean(axis=1)
+    variances = windows.var(axis=1, ddof=1)
+    spread = means.max(axis=0) - means.min(axis=0)
+    pooled_std = np.sqrt(variances.mean(axis=0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        drift = np.where(pooled_std > 0, spread / pooled_std, np.where(spread > 0, np.inf, 0.0))
+        ratio = np.where(variances.min(axis=0) > 0,
+                         variances.max(axis=0) / variances.min(axis=0), np.inf)
+    return means, variances, float(drift.max()), float(ratio.max())
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(4, 300), m=st.integers(1, 4), n_windows=st.integers(2, 6),
+       seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-6, 1.0, 1e6]),
+       constant=st.booleans())
+def test_screen_means_and_variances_equal_numpy_mean_and_var(n, m, n_windows, seed, scale,
+                                                             constant):
+    n = max(n, 2 * n_windows)
+    x = np.random.default_rng(seed).normal(loc=3.0, scale=scale, size=(n, m))
+    if constant:  # a zero-variance channel takes the screen's infinite-ratio branch
+        x[:, 0] = 2.0
+    rec = _recording(x)
+    means, variances, drift, ratio = _screen_reference(x, n_windows)
+    rep = screen_stationarity(rec, n_windows=n_windows)
+    # tuples of np.float64 compare bit for bit, -0.0 == 0.0 aside
+    assert rep.per_window_means == tuple(map(tuple, means))
+    assert rep.per_window_variances == tuple(map(tuple, variances))
+    assert all(type(v) is np.float64 for row in rep.per_window_means for v in row)
+    assert (rep.mean_drift_score, rep.variance_ratio_score) == (drift, ratio)
+    assert np.array_equal(rec.centered().samples, x - x.mean(axis=0))
 
 
 def test_screen_passes_white_noise_at_default_tolerances():

@@ -29,6 +29,10 @@ from pdckit import (
 from pdckit.var import (
     RULE_CAPPED_BY_BOUND,
     RULE_FIRST_LOCAL_MINIMUM,
+    _companion_shift,
+    _joint_design,
+    _qr_top_rows,
+    _upper_trapezoid,
     build_design,
     companion_matrix,
     read_model_json,
@@ -112,11 +116,14 @@ def test_fit_rejects_orders_without_enough_rows():
 @pytest.mark.parametrize("n", [0, 1, 2])
 @pytest.mark.parametrize("consume, message", [
     (lambda r: fit_var(r, 1), r"order 1 breaks N - p >= M\*p \+ 1 for N={n} samples"),
-    (lambda r: select_order(r, 1), r"order 1 breaks N - p >= M\*p \+ 1 for N={n} samples"
-                                   r"|n and m must be positive, got n=0"),
+    (lambda r: select_order(r, 1), r"order 1 breaks N - p >= M\*p \+ 1 for N={n} samples"),
     (screen_stationarity, r"segment of {n} samples is too short for 3 windows"),
 ], ids=["fit_var", "select_order", "screen_stationarity"])
 def test_every_epoch_consumer_refuses_a_recording_of_two_rows_or_fewer(n, consume, message):
+    if n == 0:  # no consumer can be handed one: the container refuses 0 rows
+        with pytest.raises(ValueError, match=r"at least one row and one channel, got shape \(0, 2\)"):
+            Recording(np.zeros((0, 2)), 250.0, ("a", "b"))
+        return
     short = Recording(np.arange(2.0 * n).reshape(n, 2), 250.0, ("a", "b"))
     with pytest.raises(ValueError, match=message.format(n=n)):
         consume(short)
@@ -288,6 +295,113 @@ def test_fit_matches_lstsq_to_1e12_on_bench_shaped_models(m, p):
         assert_allclose(model.coeff_matrices, coeffs, rtol=0, atol=1e-12 * np.abs(coeffs).max())
         assert_allclose(residuals, ref_residuals, rtol=0, atol=1e-12 * np.abs(ref_residuals).max())
         assert_allclose(model.residual_covariance, cov, rtol=0, atol=1e-12 * np.abs(cov).max())
+
+
+# ------------------------- the fit's kernels against their reference computations
+
+
+def _joint_design_by_lag(samples, p):
+    """``[design | target]`` filled one lag block at a time, as the fit once built it."""
+    n, m = samples.shape
+    joint = np.empty((n - p, m * p + m))
+    for lag in range(1, p + 1):
+        joint[:, (lag - 1) * m : lag * m] = samples[p - lag : n - lag]
+    joint[:, m * p :] = samples[p:]
+    return joint
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 80), m=st.integers(1, 5), data=st.data())
+def test_joint_design_equals_the_per_lag_copy(n, m, data):
+    p = data.draw(st.integers(1, n - 1), label="p")
+    base = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=(n, m + 2))
+    layouts = {
+        "contiguous": np.ascontiguousarray(base[:, :m]),
+        "column-sliced": base[:, 1 : m + 1],
+        "negative row stride": base[::-1, :m],
+        "negative column stride": base[:, m - 1 :: -1] if m > 1 else base[:, :1],
+        "column-major": np.asfortranarray(base[:, :m]),
+    }
+    for samples in layouts.values():
+        before = samples.copy()
+        expected = _joint_design_by_lag(samples, p)
+        assert np.array_equal(_joint_design(samples, p), expected)
+        design, target = build_design(samples, p)
+        assert np.array_equal(design, expected[:, : m * p])
+        assert np.array_equal(target, expected[:, m * p :])
+        assert np.array_equal(samples, before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fit_inputs())
+@example((_DUPLICATE, 1))
+@example((_ZERO, 1))
+def test_qr_top_rows_equal_the_r_mode_triangle(case):
+    samples, p = case
+    k = samples.shape[1] * p
+    joint = _joint_design(samples, p)
+    for a in (joint, np.ascontiguousarray(joint)):  # column-major as the fit passes it, and row-major
+        top = _qr_top_rows(a, k)
+        # row-major, so that R^-1 times its right block rounds as it always did
+        assert top.flags.c_contiguous
+        assert np.array_equal(top, np.linalg.qr(a, mode="r")[:k])
+    mask = _upper_trapezoid(k, joint.shape[1])
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[0, 0] = False
+
+
+def _fit_by_r_mode(samples, p):
+    """fit_var's coefficients, residuals and covariance as computed before its
+    kernels were rewritten: the per-lag design, ``np.linalg.qr(mode="r")``,
+    ``np.linalg.norm`` and the lstsq fallback. Returns the branch taken and
+    the arrays, or None for a rank-deficient design."""
+    m = samples.shape[1]
+    k = m * p
+    joint = _joint_design_by_lag(samples, p)
+    design, target = joint[:, :k], joint[:, k:]
+    r = np.linalg.qr(joint, mode="r")
+    try:
+        r_inv = np.linalg.inv(r[:k, :k])
+    except np.linalg.LinAlgError:
+        r_inv = None
+    if r_inv is not None and np.linalg.norm(r[:k, :k]) * np.linalg.norm(r_inv) <= 1e4:
+        branch, coeffs_flat = "qr", r_inv @ r[:k, k:]
+    else:
+        coeffs_flat, _, rank, _ = _LSTSQ(design, target, rcond=None)
+        if rank < k:
+            return "rank deficient", None
+        branch = "lstsq"
+    residuals = target - design @ coeffs_flat
+    coeffs = coeffs_flat.reshape(p, m, m).transpose(0, 2, 1)
+    return branch, (coeffs, residuals, residuals.T @ residuals / design.shape[0])
+
+
+def test_fit_is_bit_identical_to_the_r_mode_fit_and_fails_on_the_same_inputs():
+    seen = Counter()
+
+    @settings(max_examples=150, deadline=None)
+    @given(fit_inputs())
+    @example((_CONSTANT, 1))
+    @example((_CONSTANT, 2))
+    @example((_ZERO, 1))
+    @example((_DUPLICATE, 1))
+    @example((_PAST_CAP, 1))
+    @example((_BELOW_CAP, 1))
+    def check(case):
+        samples, p = case
+        branch, expected = _fit_by_r_mode(samples, p)
+        seen[branch] += 1
+        if expected is None:
+            with pytest.raises(EstimationError, match="rank deficient"):
+                fit_var(_segment(samples), p)
+            return
+        model, residuals = fit_var(_segment(samples), p)
+        got = (model.coeff_matrices, residuals, model.residual_covariance)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    check()
+    assert seen["qr"] and seen["lstsq"] and seen["rank deficient"], seen
 
 
 # ----------------------------------------------------------------------- aic
@@ -467,6 +581,23 @@ def test_companion_matrix_layout():
     assert_allclose(comp[:2, 2:], a2)
     assert_allclose(comp[2:, :2], np.eye(2))
     assert_allclose(comp[2:, 2:], np.zeros((2, 2)))
+
+
+def test_companion_matrix_is_a_fresh_array_over_an_unchanged_template():
+    coeffs = np.random.default_rng(3).normal(size=(3, 2, 2))
+    expected = np.zeros((6, 6))
+    expected[:2] = np.hstack(list(coeffs))
+    expected[2:, :4] = np.eye(4)
+    comp = companion_matrix(coeffs)
+    assert np.array_equal(comp, expected)
+    assert comp.flags.writeable and comp.flags.owndata
+    comp[:] = 7.0  # a caller's write reaches neither the template nor the next result
+    assert np.array_equal(companion_matrix(coeffs), expected)
+    template = _companion_shift(2, 3)
+    assert np.array_equal(template[2:], expected[2:]) and not template[:2].any()
+    assert not template.flags.writeable
+    with pytest.raises(ValueError):
+        template[0, 0] = 1.0
 
 
 def test_spectral_radius_ar1_equals_coefficient():
