@@ -120,7 +120,11 @@ class PdcSpectrum:
 
 @dataclass(frozen=True)
 class BandAverages:
-    """PDC averaged within named frequency bands; entries in [0, 1]."""
+    """PDC averaged within named frequency bands; entries in [0, 1].
+
+    Each band holds one M x M matrix for the M channel labels, and its name and
+    edges follow the band rule of `band_average`.
+    """
 
     bands: dict
     band_edges_hz: dict
@@ -129,11 +133,17 @@ class BandAverages:
     def __post_init__(self):
         if set(self.bands) != set(self.band_edges_hz):
             raise ValueError("bands and band_edges_hz must share the same names")
+        _check_bands(self.band_edges_hz)
+        labels = _labels(self.channel_labels)
+        shape = (len(labels), len(labels))
         for name, mat in self.bands.items():
             arr = np.asarray(mat, dtype=float)
-            if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails too
+            if arr.shape != shape:
+                raise ValueError(f"band {name!r} has a matrix of shape {arr.shape}; "
+                                 f"{len(labels)} channel labels need {shape}")
+            if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails too
                 raise ValueError(f"band {name!r} has values outside [0, 1]")
-        object.__setattr__(self, "channel_labels", _labels(self.channel_labels))
+        object.__setattr__(self, "channel_labels", labels)
 
 
 @lru_cache(maxsize=64)
@@ -238,13 +248,11 @@ def _band_means(values: np.ndarray, masks: dict) -> dict:
     return {name: values[..., mask, :, :].mean(axis=-3) for name, mask in masks.items()}
 
 
-def _band_masks(bands, freqs_hz: np.ndarray) -> dict:
-    """Grid mask of each band, edges inclusive. The band rule: at least one band,
-    names that are labels, edges finite, ordered and non-negative, and a grid
-    frequency in every band."""
+def _check_bands(bands) -> None:
+    """The band rule of a name -> (low_hz, high_hz) map: at least one band, names
+    that are labels, and edges finite, ordered and non-negative."""
     if not bands:
         raise ValueError("bands must be non-empty")
-    masks = {}
     for name, (low, high) in bands.items():
         if not (isinstance(name, str) and _is_label(name)):
             raise ValueError(f"band name {name!r} must be a non-empty string without edge "
@@ -252,6 +260,14 @@ def _band_masks(bands, freqs_hz: np.ndarray) -> dict:
         if not 0 <= low <= high < math.inf:  # NaN fails too
             raise ValueError(f"band {name!r} has invalid edges ({low}, {high}); edges must "
                              "be finite, ordered and non-negative")
+
+
+def _band_masks(bands, freqs_hz: np.ndarray) -> dict:
+    """Grid mask of each band, edges inclusive. Raises unless the bands follow the
+    band rule (`_check_bands`) and each holds a grid frequency."""
+    _check_bands(bands)
+    masks = {}
+    for name, (low, high) in bands.items():
         masks[name] = (freqs_hz >= low) & (freqs_hz <= high)
         if not masks[name].any():
             raise ValueError(f"band {name!r} ({low}-{high} Hz) contains no grid frequency")

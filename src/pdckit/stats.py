@@ -65,6 +65,16 @@ class PairedSample:
         object.__setattr__(self, "condition_a", a)
         object.__setattr__(self, "condition_b", b)
 
+    @classmethod
+    def _from_checked(cls, condition_a: np.ndarray, condition_b: np.ndarray) -> "PairedSample":
+        """A sample from two arrays that already meet the rule of `__post_init__`,
+        which does not run: both 1-D float64 of the same non-zero length, every
+        value finite. The arrays are held as given, views included."""
+        sample = object.__new__(cls)
+        object.__setattr__(sample, "condition_a", condition_a)
+        object.__setattr__(sample, "condition_b", condition_b)
+        return sample
+
     @property
     def n_pairs(self) -> int:
         return self.condition_a.size
@@ -309,16 +319,32 @@ def holm_bonferroni(p_values, alpha: float = DEFAULT_ALPHA) -> list:
     return [(adj, adj <= alpha) for adj in adjusted.tolist()]
 
 
-def _direction_from_median(diffs: np.ndarray) -> str:
-    # np.median's arithmetic: the mean of the middle pair (the middle value twice for odd n)
-    ordered = sorted(diffs.tolist())
-    n = len(ordered)
-    med = (ordered[(n - 1) // 2] + ordered[n // 2]) / 2.0
-    if med > 0.0:
-        return DIRECTION_A_GREATER
-    if med < 0.0:
-        return DIRECTION_B_GREATER
-    return DIRECTION_NONE
+def _median_directions(diffs: np.ndarray) -> list:
+    """The direction of each row of a 2-D array of paired differences a - b: the
+    sign of the row's median, with np.median's arithmetic (the mean of the middle
+    pair, the middle value twice for an odd count). A middle of +-0 is no direction."""
+    ordered = np.sort(diffs, axis=1)
+    n = ordered.shape[1]
+    medians = ((ordered[:, (n - 1) // 2] + ordered[:, n // 2]) / 2.0).tolist()
+    return [DIRECTION_A_GREATER if med > 0.0 else DIRECTION_B_GREATER if med < 0.0
+            else DIRECTION_NONE for med in medians]
+
+
+def _stacked(keys: list, band_values_a: dict, band_values_b: dict):
+    """The two conditions as (keys x pairs) float64 arrays in key order, when every
+    key's values meet `PairedSample`'s rule and all keys have the same number of
+    pairs; else None. numpy iterates no generator, so a refused family reaches the
+    per-key loop unread."""
+    try:
+        a = np.array([band_values_a[key] for key in keys], dtype=float)
+        b = np.array([band_values_b[key] for key in keys], dtype=float)
+    except Exception:  # whatever a key breaks, the per-key loop raises it by key
+        return None
+    if (a.ndim != 2 or a.shape != b.shape or a.shape[1] < 1
+            or np.count_nonzero(np.isfinite(a)) != a.size
+            or np.count_nonzero(np.isfinite(b)) != b.size):
+        return None
+    return a, b
 
 
 def compare_conditions(band_values_a: dict, band_values_b: dict,
@@ -329,7 +355,7 @@ def compare_conditions(band_values_a: dict, band_values_b: dict,
     ----------
     band_values_a, band_values_b : dict
         Same key set; each key maps to an index-aligned list of per-subject
-        values for that condition.
+        values for that condition. Keys may differ in their number of pairs.
     alpha : float
         Family-wise significance level.
 
@@ -353,25 +379,40 @@ def compare_conditions(band_values_a: dict, band_values_b: dict,
     if not band_values_a:
         raise ValueError("no hypotheses to test")
 
-    # per key, its outcome (an all-zero key: n = 0, p = 1) and its direction; an
-    # outcome's fields are the first three of PairedTestResult, in the same order
-    tested = {}
-    for key in band_values_a:
-        try:
-            sample = PairedSample(condition_a=band_values_a[key], condition_b=band_values_b[key])
-        except ValueError as exc:
-            raise ValueError(f"{_key_label(key)}: {exc}") from exc
-        try:
-            outcome = wilcoxon_signed_rank(sample)
-        except DegenerateSampleError:
-            outcome = WilcoxonOutcome(statistic_w=math.nan, n_effective=0, p_raw=1.0)
-        tested[key] = outcome, _direction_from_median(sample.condition_a - sample.condition_b)
+    keys = list(band_values_a)
+    stacked = _stacked(keys, band_values_a, band_values_b)
+    if stacked is not None:
+        # a rectangular family: converted and checked once, one sample per row view
+        a, b = stacked
+        samples = [PairedSample._from_checked(row_a, row_b) for row_a, row_b in zip(a, b)]
+        directions = _median_directions(a - b)
+    else:
+        # ragged or refused: the per-key loop converts, checks and names the key
+        samples = []
+        for key in keys:
+            try:
+                samples.append(PairedSample(condition_a=band_values_a[key],
+                                            condition_b=band_values_b[key]))
+            except ValueError as exc:
+                raise ValueError(f"{_key_label(key)}: {exc}") from exc
+        directions = [_median_directions((s.condition_a - s.condition_b)[np.newaxis])[0]
+                      for s in samples]
 
-    corrected = holm_bonferroni([outcome.p_raw for outcome, _ in tested.values()], alpha=alpha)
+    # an outcome's fields are the first three of PairedTestResult, in the same order;
+    # an all-zero key has n = 0 and p = 1
+    outcomes = []
+    for sample in samples:
+        try:
+            outcomes.append(wilcoxon_signed_rank(sample))
+        except DegenerateSampleError:
+            outcomes.append(WilcoxonOutcome(statistic_w=math.nan, n_effective=0, p_raw=1.0))
+
+    corrected = holm_bonferroni([outcome.p_raw for outcome in outcomes], alpha=alpha)
     return {
         key: PairedTestResult(*outcome, p_adjusted=p_adj, significant=reject,
                               direction=direction, untestable=outcome.n_effective == 0)
-        for (key, (outcome, direction)), (p_adj, reject) in zip(tested.items(), corrected)
+        for key, outcome, direction, (p_adj, reject)
+        in zip(keys, outcomes, directions, corrected)
     }
 
 

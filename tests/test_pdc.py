@@ -362,9 +362,37 @@ def test_band_average_refuses_an_edge_that_is_not_finite(edges):
         band_average(spectrum, {"x": edges})
 
 
+@pytest.mark.parametrize("bands, edges, labels, message", [
+    ({"x": np.full((3, 3), 0.5)}, {"x": (4.0, 8.0)}, ("a", "b"),
+     "band 'x' has a matrix of shape (3, 3); 2 channel labels need (2, 2)"),
+    ({"x": np.zeros((0, 0))}, {"x": (4.0, 8.0)}, ("a", "b"),
+     "band 'x' has a matrix of shape (0, 0); 2 channel labels need (2, 2)"),
+    ({}, {}, ("a", "b"), "bands must be non-empty"),
+    ({"x": np.full((2, 2), 0.5)}, {"x": (8.0, 4.0)}, ("a", "b"),
+     "band 'x' has invalid edges (8.0, 4.0); edges must be finite, ordered and non-negative"),
+    ({"x": np.full((2, 2), 0.5)}, {"x": (4.0, math.inf)}, ("a", "b"),
+     "band 'x' has invalid edges (4.0, inf); edges must be finite, ordered and non-negative"),
+    ({" x": np.full((2, 2), 0.5)}, {" x": (4.0, 8.0)}, ("a", "b"),
+     "band name ' x' must be a non-empty string without edge whitespace"),
+], ids=["3x3-for-2-labels", "0x0-for-2-labels", "no-band", "unordered-edges", "infinite-edge",
+        "padded-name"])
+def test_band_averages_follow_the_band_rule(bands, edges, labels, message):
+    with pytest.raises(ValueError) as info:
+        BandAverages(bands=bands, band_edges_hz=edges, channel_labels=labels)
+    assert str(info.value) == message
+
+
+def test_band_average_of_a_spectrum_without_channels_is_empty():
+    grid = FrequencyGrid.regular(4.0, 8.0, 1.0, 250.0)
+    spectrum = PdcSpectrum(values=np.zeros((grid.n_freqs, 0, 0)), grid=grid, channel_labels=())
+    averages = band_average(spectrum, {"x": (4.0, 8.0)})
+    assert averages.bands["x"].shape == (0, 0) and averages.channel_labels == ()
+
+
 def test_json_writers_refuse_a_number_standard_json_cannot_hold(tmp_path):
-    averages = BandAverages(bands={"x": np.full((2, 2), 0.5)}, band_edges_hz={"x": (4.0, math.inf)},
+    averages = BandAverages(bands={"x": np.full((2, 2), 0.5)}, band_edges_hz={"x": (4.0, 8.0)},
                             channel_labels=("a", "b"))
+    averages.band_edges_hz["x"] = (4.0, math.inf)  # the map stays mutable after the checks
     path = tmp_path / "bands.json"
     with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
         write_band_averages_json(averages, path)

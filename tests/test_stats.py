@@ -7,8 +7,12 @@ import re
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import norm, rankdata
+
+import pdckit.stats
 
 from pdckit import (
     DIRECTION_A_GREATER,
@@ -23,8 +27,11 @@ from pdckit import (
 )
 from pdckit.stats import (
     DEFAULT_EXACT_THRESHOLD,
+    PairedTestResult,
+    WilcoxonOutcome,
     _erf,
     _erfc,
+    _key_label,
     _ndtr,
     _signed_rank_cumulative_counts,
     write_test_table_csv,
@@ -463,6 +470,166 @@ def test_compare_conditions_errors_name_the_key(key, label):
     b[key] = (1.0, float("nan"))
     with pytest.raises(ValueError, match=f"^{re.escape(label)}: paired values must be finite$"):
         compare_conditions(a, b)
+
+
+def _direction_from_sorted_list(diffs):
+    ordered = sorted(diffs.tolist())
+    n = len(ordered)
+    med = (ordered[(n - 1) // 2] + ordered[n // 2]) / 2.0
+    if med > 0.0:
+        return DIRECTION_A_GREATER
+    if med < 0.0:
+        return DIRECTION_B_GREATER
+    return DIRECTION_NONE
+
+
+def _compare_key_by_key(band_values_a, band_values_b, alpha=0.05):
+    """`compare_conditions` as one loop over the keys: a PairedSample, a test and a
+    median per key, then one Holm correction. The reference for every family."""
+    if set(band_values_a) != set(band_values_b):
+        missing = set(band_values_a) ^ set(band_values_b)
+        raise ValueError(f"condition maps differ in keys: {sorted(missing)!r}")
+    if not band_values_a:
+        raise ValueError("no hypotheses to test")
+    tested = {}
+    for key in band_values_a:
+        try:
+            sample = PairedSample(condition_a=band_values_a[key], condition_b=band_values_b[key])
+        except ValueError as exc:
+            raise ValueError(f"{_key_label(key)}: {exc}") from exc
+        try:
+            outcome = wilcoxon_signed_rank(sample)
+        except DegenerateSampleError:
+            outcome = WilcoxonOutcome(statistic_w=math.nan, n_effective=0, p_raw=1.0)
+        tested[key] = outcome, _direction_from_sorted_list(sample.condition_a - sample.condition_b)
+    corrected = holm_bonferroni([outcome.p_raw for outcome, _ in tested.values()], alpha=alpha)
+    return {
+        key: PairedTestResult(*outcome, p_adjusted=p_adj, significant=reject,
+                              direction=direction, untestable=outcome.n_effective == 0)
+        for (key, (outcome, direction)), (p_adj, reject) in zip(tested.items(), corrected)
+    }
+
+
+def _key_values(rng, n, kind):
+    """One key's (a, b) of n pairs: distinct (exact), tied, all-zero or +-0 differences."""
+    base = rng.uniform(0.2, 0.6, size=n)
+    if kind == "exact":
+        return base + rng.normal(size=n), base
+    if kind == "tied":
+        return base + rng.integers(-2, 3, size=n) * 0.5, base
+    if kind == "zero":
+        return base, base.copy()
+    signed_zeros = rng.choice([-0.0, 0.0, 0.0, 1.0, -1.0], size=n)
+    return signed_zeros, np.zeros(n)
+
+
+def _as(container, values):
+    if container == "list":
+        return values.tolist()
+    if container == "tuple":
+        return tuple(values.tolist())
+    if container == "float32":
+        return values.astype(np.float32)
+    return np.round(values * 4).astype(int).tolist()  # Python ints
+
+
+def _corrupt(a, b, key, fault):
+    if fault == "nan":
+        a[key] = list(a[key])[:-1] + [math.nan]
+    elif fault == "inf":
+        b[key] = [-math.inf] + list(b[key])[1:]
+    elif fault == "length":
+        b[key] = list(b[key]) + [0.5]
+    elif fault == "empty":
+        a[key], b[key] = [], []
+    elif fault == "2-D":
+        a[key] = [[v] for v in list(a[key])]
+    elif fault == "scalar":
+        a[key], b[key] = 1.0, 0.5
+    else:
+        a[key] = None
+
+
+@st.composite
+def _families(draw):
+    """Band-value maps of 1-12 keys: rectangular, ragged, or one key that breaks the rule."""
+    shape = draw(st.sampled_from(["rectangular", "ragged", "refused"]))
+    n_keys = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keys = [(("F3", f"c{i % 3}"), f"b{i}") for i in range(n_keys)]
+    a, b = {}, {}
+    for key in keys:
+        size = draw(st.integers(1, 30)) if shape == "ragged" else n
+        kind = draw(st.sampled_from(["exact", "tied", "zero", "signed-zero"]))
+        container = draw(st.sampled_from(["list", "tuple", "float32", "int"]))
+        values_a, values_b = _key_values(rng, size, kind)
+        a[key], b[key] = _as(container, values_a), _as(container, values_b)
+    if shape == "refused":
+        fault = draw(st.sampled_from(["nan", "inf", "length", "empty", "2-D", "scalar", "None"]))
+        _corrupt(a, b, draw(st.sampled_from(keys)), fault)
+    return a, b
+
+
+def _outcome(compare, a, b):
+    try:
+        results = compare(a, b)
+    except Exception as exc:  # the refusal itself is the outcome compared
+        return type(exc), str(exc)
+    return repr([(key, [(f.name, type(getattr(res, f.name)), getattr(res, f.name))
+                        for f in dataclasses.fields(res)])
+                 for key, res in results.items()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=_families())
+def test_compare_conditions_matches_the_key_by_key_loop(family):
+    a, b = family
+    assert _outcome(compare_conditions, a, b) == _outcome(_compare_key_by_key, a, b)
+
+
+@pytest.mark.parametrize("ragged", [False, True])
+def test_each_key_gets_a_checked_sample_and_one_call(monkeypatch, ragged):
+    rng = np.random.default_rng(2024)
+    keys = [((f"c{i % 4}", f"c{i // 4 % 3}"), f"b{i}") for i in range(48)]
+    a, b = {}, {}
+    for i, key in enumerate(keys):
+        n = 10 + i % 5 if ragged else 20
+        values_a, values_b = _key_values(rng, n, ["exact", "tied", "zero", "signed-zero"][i % 4])
+        a[key], b[key] = values_a.tolist(), values_b.tolist()
+    samples, holm_calls = [], []
+    real_wilcoxon, real_holm = pdckit.stats.wilcoxon_signed_rank, pdckit.stats.holm_bonferroni
+
+    def wilcoxon(sample):
+        samples.append(sample)
+        return real_wilcoxon(sample)
+
+    def holm(p_values, alpha):
+        holm_calls.append(len(p_values))
+        return real_holm(p_values, alpha=alpha)
+
+    monkeypatch.setattr(pdckit.stats, "wilcoxon_signed_rank", wilcoxon)
+    monkeypatch.setattr(pdckit.stats, "holm_bonferroni", holm)
+    compare_conditions(a, b)
+    assert len(samples) == 48 and holm_calls == [48]
+    for sample, key in zip(samples, keys):
+        for values, given_values in ((sample.condition_a, a[key]), (sample.condition_b, b[key])):
+            assert values.ndim == 1 and values.dtype == np.float64
+            assert values.size == len(given_values) > 0
+            assert np.isfinite(values).all()
+            assert values.tolist() == given_values
+        checked = PairedSample(sample.condition_a, sample.condition_b)
+        assert np.array_equal(checked.condition_a, sample.condition_a)
+        assert np.array_equal(checked.condition_b, sample.condition_b)
+
+
+def test_a_generator_value_is_refused_unread():
+    values = (v for v in (1.0, 2.0))
+    message = "float() argument must be a string or a real number, not 'generator'"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        compare_conditions({"k": values, "j": [1.0, 2.0]}, {"k": [0.0, 0.0], "j": [0.0, 1.0]})
+    assert list(values) == [1.0, 2.0]
+
 
 
 # ----------------------------------------------------------------------- io
