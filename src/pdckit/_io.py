@@ -2,11 +2,11 @@
 
 Every reader decodes UTF-8 through `_decode_utf8` and names the file, and
 its line where there is one, in each error. The JSON readers refuse a
-repeated key and check decoded values against `_JSON_TYPES`; the CSV table
-readers walk rows with `_csv_rows` and the CSV writers write through
-`_write_csv`; the JSON writers all go through `_write_json`, which writes
-numpy arrays and scalars as lists and numbers. Every container that holds
-channel labels builds them with `_labels`, the one channel-label rule.
+repeated key and check decoded values against `_JSON_TYPES`; the recording and
+table readers walk CSV records with `_csv_records` (tables through `_csv_rows`)
+and the CSV writers write through `_write_csv`; the JSON writers all go through
+`_write_json`, which writes numpy arrays and scalars as lists and numbers.
+Every container that holds channel labels builds them with `_labels`.
 """
 
 from __future__ import annotations
@@ -117,21 +117,37 @@ def _write_json(path, payload) -> None:
         fh.write(text + "\n")
 
 
-def _csv_rows(path, required: set):
-    """Yield ``("path:line", row)`` per record of a UTF-8 CSV table whose
-    header holds the ``required`` columns; rows are `csv.DictReader` dicts."""
-    reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
+def _csv_records(path, lines):
+    """``("path:line", cells)`` of a CSV stream's header and each later non-blank
+    record, by its last physical line; a `csv` error or a width unlike the header's raises."""
+    reader = csv.reader(lines)
+    header = None
     try:
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns {sorted(required)}")
-        repeated = [name for i, name in enumerate(reader.fieldnames)
-                    if name in reader.fieldnames[:i]]
-        if repeated:  # DictReader would keep a row's last cell for the name
-            raise ValueError(f"{path}:{reader.line_num}: column {repeated[0]!r} is repeated")
-        for row in reader:
-            yield f"{path}:{reader.line_num}", row
-    except csv.Error as exc:  # DictReader's own line_num lags a row that raised
-        raise ValueError(f"{path}:{reader.reader.line_num}: {exc}") from None
+        for cells in reader:
+            where = f"{path}:{reader.line_num}"
+            if header is None:
+                header = cells
+            elif not cells:
+                continue
+            elif len(cells) != len(header):
+                raise ValueError(f"{where}: expected {len(header)} values, got {len(cells)}")
+            yield where, cells
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _csv_rows(path, required: set):
+    """Yield ``("path:line", row)`` per record of a UTF-8 CSV table whose header
+    holds the ``required`` columns; a row maps each column to its cell."""
+    records = _csv_records(path, io.StringIO(_read_text(path), newline=""))
+    where, header = next(records, (path, []))
+    if not required.issubset(header):
+        raise ValueError(f"{path}: expected columns {sorted(required)}")
+    repeated = [name for i, name in enumerate(header) if name in header[:i]]
+    if repeated:  # a row's dict would keep its last cell for the name
+        raise ValueError(f"{where}: column {repeated[0]!r} is repeated")
+    for where, cells in records:
+        yield where, dict(zip(header, cells))
 
 
 def _write_csv(path, header, rows) -> None:

@@ -203,7 +203,7 @@ def _read_band_values_csv(path) -> dict:
             raise ValueError(f"{where}: duplicate subject {subject!r} for {_key_label(key)}")
         try:
             value = float(row["value"])
-        except (TypeError, ValueError):  # TypeError: a short row has no value cell
+        except ValueError:
             value = math.nan
         if not math.isfinite(value):
             raise ValueError(f"{where}: value must be a finite number, got {row['value']!r}")

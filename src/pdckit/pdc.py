@@ -122,8 +122,8 @@ class PdcSpectrum:
 class BandAverages:
     """PDC averaged within named frequency bands; entries in [0, 1].
 
-    Each band holds one M x M matrix for the M channel labels, and its name and
-    edges follow the band rule of `band_average`.
+    Each band holds a float copy of one M x M matrix for the M channel labels, and
+    its name and float edges (a copy too) follow the band rule of `band_average`.
     """
 
     bands: dict
@@ -133,11 +133,12 @@ class BandAverages:
     def __post_init__(self):
         if set(self.bands) != set(self.band_edges_hz):
             raise ValueError("bands and band_edges_hz must share the same names")
-        _check_bands(self.band_edges_hz)
+        object.__setattr__(self, "band_edges_hz", _check_bands(self.band_edges_hz))
+        object.__setattr__(self, "bands", {
+            name: np.array(mat, dtype=float) for name, mat in self.bands.items()})
         labels = _labels(self.channel_labels)
         shape = (len(labels), len(labels))
-        for name, mat in self.bands.items():
-            arr = np.asarray(mat, dtype=float)
+        for name, arr in self.bands.items():
             if arr.shape != shape:
                 raise ValueError(f"band {name!r} has a matrix of shape {arr.shape}; "
                                  f"{len(labels)} channel labels need {shape}")
@@ -248,9 +249,9 @@ def _band_means(values: np.ndarray, masks: dict) -> dict:
     return {name: values[..., mask, :, :].mean(axis=-3) for name, mask in masks.items()}
 
 
-def _check_bands(bands) -> None:
-    """The band rule of a name -> (low_hz, high_hz) map: at least one band, names
-    that are labels, and edges finite, ordered and non-negative."""
+def _check_bands(bands) -> dict:
+    """The band rule of a name -> (low_hz, high_hz) map (at least one band, names that
+    are labels, edges finite, ordered and non-negative); returns it with float edges."""
     if not bands:
         raise ValueError("bands must be non-empty")
     for name, (low, high) in bands.items():
@@ -260,6 +261,7 @@ def _check_bands(bands) -> None:
         if not 0 <= low <= high < math.inf:  # NaN fails too
             raise ValueError(f"band {name!r} has invalid edges ({low}, {high}); edges must "
                              "be finite, ordered and non-negative")
+    return {name: (float(low), float(high)) for name, (low, high) in bands.items()}
 
 
 def _band_masks(bands, freqs_hz: np.ndarray) -> dict:
@@ -295,7 +297,7 @@ def band_average(spectrum: PdcSpectrum, bands=None) -> BandAverages:
     masks = _band_masks(bands, spectrum.grid.freqs_hz)
     return BandAverages(
         bands=_band_means(spectrum.values, masks),
-        band_edges_hz={name: (float(lo), float(hi)) for name, (lo, hi) in bands.items()},
+        band_edges_hz=bands,
         channel_labels=spectrum.channel_labels,
     )
 
@@ -325,7 +327,7 @@ def read_spectrum_csv(path, sampling_rate_hz: float | None = None) -> PdcSpectru
     for where, row in _csv_rows(path, set(_SPECTRUM_COLUMNS)):
         try:
             f_hz, value = float(row["freq_hz"]), float(row["pdc"])
-        except (TypeError, ValueError):  # TypeError: a short row has no pdc cell
+        except ValueError:
             raise ValueError(f"{where}: freq_hz and pdc must be numbers, got "
                              f"{row['freq_hz']!r} and {row['pdc']!r}") from None
         if not 0.0 <= f_hz < math.inf:  # NaN fails too
@@ -365,6 +367,7 @@ def read_spectrum_csv(path, sampling_rate_hz: float | None = None) -> PdcSpectru
 
 
 def write_band_averages_json(averages: BandAverages, path) -> None:
-    """Dump band matrices as a JSON map band -> row-major matrix."""
+    """Dump band matrices as a JSON map band -> row-major matrix, edges checked anew."""
+    _check_bands(averages.band_edges_hz)
     _write_json(path, {key: getattr(averages, key)
                        for key in ("channel_labels", "band_edges_hz", "bands")})

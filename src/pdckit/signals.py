@@ -8,7 +8,6 @@ can be screened for weak stationarity before any model is fitted to it.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import warnings
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import _check_positive, _decode_utf8, _labels, _read_text, _write_csv
+from ._io import _check_positive, _csv_records, _decode_utf8, _labels, _read_text, _write_csv
 
 __all__ = [
     "Recording",
@@ -240,18 +239,15 @@ def screen_stationarity(
     )
 
 
-def _read_header(path, reader) -> tuple[str, ...]:
+def _read_header(path, records) -> tuple[str, ...]:
     """Channel labels from the first CSV record: stripped, non-empty and unique."""
-    try:
-        row = next(reader)
-    except StopIteration:
-        raise ValueError(f"{path}: empty recording file") from None
-    except csv.Error as exc:
-        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    where, row = next(records, (path, None))
+    if row is None:
+        raise ValueError(f"{path}: empty recording file")
     try:
         return _labels(lab.strip() for lab in row)
     except ValueError as exc:
-        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
 
 
 # ASCII separators that numpy strips from the edges of a cell and float() does not
@@ -272,7 +268,7 @@ def _read_in_one_call(path, data: bytes):
         with (io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as body,
               warnings.catch_warnings()):
             warnings.simplefilter("error")  # a body without rows only warns
-            labels = _read_header(path, csv.reader(body))
+            labels = _read_header(path, _csv_records(path, body))
             samples = np.loadtxt(body, delimiter=",", ndmin=2, comments=None, quotechar='"')
     except (ValueError, UserWarning):  # the loop names it, or reads past it
         return None
@@ -284,25 +280,17 @@ def _read_in_one_call(path, data: bytes):
 def _read_by_row(path, data: bytes):
     """Labels and samples one CSV record at a time; the owner of every message, which
     names the record's last physical line."""
-    reader = csv.reader(io.StringIO(_decode_utf8(path, data), newline=""))
-    labels = _read_header(path, reader)
+    records = _csv_records(path, io.StringIO(_decode_utf8(path, data), newline=""))
+    labels = _read_header(path, records)
     rows = []
-    try:
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}:{reader.line_num}"
-            if len(row) != len(labels):
-                raise ValueError(f"{where}: expected {len(labels)} values, got {len(row)}")
-            try:
-                values = [float(v) for v in row]
-            except ValueError:
-                raise ValueError(f"{where}: non-numeric sample value") from None
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{where}: non-finite sample value")
-            rows.append(values)
-    except csv.Error as exc:
-        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    for where, row in records:
+        try:
+            values = [float(v) for v in row]
+        except ValueError:
+            raise ValueError(f"{where}: non-numeric sample value") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{where}: non-finite sample value")
+        rows.append(values)
     if not rows:
         raise ValueError(f"{path}: recording has a header but no samples")
     return labels, np.array(rows, dtype=float)

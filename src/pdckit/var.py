@@ -128,20 +128,12 @@ class OrderSelection:
     rule_applied: str
 
 
-def build_design(samples: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Build the lagged design matrix and target for a VAR(p) regression.
+def _joint_design(samples: np.ndarray, p: int) -> np.ndarray:
+    """``[design | target]`` of a VAR(p) regression in one (N-p, M*p + M) array,
+    column-major: the layout LAPACK factors without a transposing copy.
 
     Row t of the design is ``[X(t-1), X(t-2), ..., X(t-p)]`` flattened; the
-    matching target row is ``X(t)``, for t = p .. N-1.
-    """
-    joint = _joint_design(samples, p).copy()
-    k = samples.shape[1] * p
-    return joint[:, :k], joint[:, k:]
-
-
-def _joint_design(samples: np.ndarray, p: int) -> np.ndarray:
-    """``[design | target]`` of `build_design` in one (N-p, M*p + M) array,
-    column-major: the layout LAPACK factors without a transposing copy."""
+    matching target row is ``X(t)``, for t = p .. N-1."""
     n, m = samples.shape
     rows = n - p
     step, column = samples.strides

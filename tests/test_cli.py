@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from pdckit import (
     FrequencyGrid,
@@ -705,6 +707,120 @@ def test_csv_tables_refuse_a_repeated_column(tmp_path, capsys, header, row, argv
     assert main([*argv, str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
         f"pdckit: argument-error: {path}:1: column {header.split(',')[-1]!r} is repeated\n")
+
+
+@pytest.mark.parametrize("width", ["wide", "short"])
+@pytest.mark.parametrize("reader, via", [
+    ("recording", "recording"), ("recording", "config"), ("spectrum", "spectrum"),
+    ("band table", "band table"),
+], ids=["recording-fit", "recording-pipeline", "spectrum", "band table"])
+def test_every_csv_reader_refuses_a_row_not_as_wide_as_its_header(tmp_path, capsys, reader,
+                                                                  via, width):
+    inputs = _reader_inputs(tmp_path)
+    path, argv = inputs[reader][0], inputs[via][1]  # the config's argv runs `pipeline`
+    capsys.readouterr()
+    lines = path.read_text().splitlines()
+    n = lines[0].count(",") + 1
+    lines[2] = lines[2] + ",0.5" if width == "wide" else lines[2].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    assert main(argv) == 2
+    got = n + 1 if width == "wide" else n - 1
+    assert capsys.readouterr().err == (
+        f"pdckit: argument-error: {path}:3: expected {n} values, got {got}\n")
+
+
+def _read_table_reference(path, columns):
+    """The records a table reader must build on, by a plain `csv.reader`: one
+    column -> cell dict per non-blank record, or the message naming the last
+    physical line of the first record whose width is not the header's."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = []
+        for cells in reader:
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                return f"{path}:{reader.line_num}: expected {len(header)} values, got {len(cells)}"
+            rows.append(dict(zip(header, cells)))
+    assert sorted(header) == sorted(columns)
+    return rows
+
+
+# each table's header and complete set of valid records: labels and subjects that
+# hold a line break are quoted, every record is drawn once in some order
+_TABLES = {
+    "spectrum": (("freq_hz", "source", "target", "pdc"), [
+        {"freq_hz": f_hz, "source": source, "target": target}
+        for f_hz in ("0.0", "4.0", "30.5") for source in ("a", "b\nc")
+        for target in ("a", "b\nc")]),
+    "band table": (("pair", "band", "subject", "value"), [
+        {"pair": pair, "band": band, "subject": subject}
+        for pair in ("a->b", "b->a") for band in ("alpha", "beta1")
+        for subject in ("s1", "s\n2", "s3")]),
+}
+
+
+@st.composite
+def _table_files(draw, table):
+    """Table CSV text in a drawn column order: the table's records in a drawn
+    order with drawn values, blank lines, records one cell short or long, cells
+    quoted at random, and \n, \r\n or \r line endings mixed within one file."""
+    columns, records = _TABLES[table]
+    header = draw(st.permutations(columns))
+    number = columns[-1]  # pdc or value
+    values = st.floats(0.0, 1.0) if table == "spectrum" else st.floats(-1e6, 1e6)
+    ragged = draw(st.integers(0, 2)) == 0
+    lines = [",".join(header)]
+    for record in draw(st.permutations(records)):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "", " "])))
+        cells = {**record, number: repr(draw(values))}
+        row = [cells[name] for name in header]
+        if ragged and draw(st.integers(0, 3)) == 0:
+            row = row[:-1] if draw(st.booleans()) else [*row, "0.5"]
+        lines.append(",".join(f'"{cell}"' if "\n" in cell or draw(st.integers(0, 3)) == 0
+                              else cell for cell in row))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    return "".join(line + draw(ends) for line in lines[:-1]) + lines[-1] + draw(
+        st.sampled_from(["", "\n", "\r\n", "\r"]))
+
+
+def _read_table(table, path):
+    """A table reader's values as the reference builds them, or its message."""
+    try:
+        if table == "band table":
+            return {(f"{source}->{target}", band, subject): value
+                    for ((source, target), band), per_subject in
+                    cli._read_band_values_csv(path).items()
+                    for subject, value in per_subject.items()}
+        spectrum = read_spectrum_csv(path)
+    except ValueError as exc:
+        return str(exc)
+    labels = spectrum.channel_labels
+    return {(f_hz, source, target): spectrum.values[fi, i, j]
+            for fi, f_hz in enumerate(spectrum.grid.freqs_hz.tolist())
+            for j, source in enumerate(labels) for i, target in enumerate(labels)}
+
+
+@pytest.mark.parametrize("table", ["spectrum", "band table"])
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_table_readers_agree_with_a_plain_csv_reader(tmp_path, table, data):
+    text = data.draw(_table_files(table), label="text")
+    # a new file per example: truncating an existing one is slow on some file systems
+    path = tmp_path / f"table{len(list(tmp_path.iterdir()))}.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _read_table_reference(path, _TABLES[table][0])
+    if not isinstance(expected, str):
+        if table == "band table":
+            expected = {(row["pair"], row["band"], row["subject"]): float(row["value"])
+                        for row in expected}
+        else:
+            expected = {(float(row["freq_hz"]), row["source"], row["target"]): float(row["pdc"])
+                        for row in expected}
+    assert _read_table(table, path) == expected
 
 
 @pytest.mark.parametrize("name", ["", " a", "a "])

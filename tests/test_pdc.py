@@ -392,11 +392,36 @@ def test_band_average_of_a_spectrum_without_channels_is_empty():
 def test_json_writers_refuse_a_number_standard_json_cannot_hold(tmp_path):
     averages = BandAverages(bands={"x": np.full((2, 2), 0.5)}, band_edges_hz={"x": (4.0, 8.0)},
                             channel_labels=("a", "b"))
-    averages.band_edges_hz["x"] = (4.0, math.inf)  # the map stays mutable after the checks
+    averages.bands["x"][0, 0] = math.inf  # the matrices stay mutable after the checks
     path = tmp_path / "bands.json"
     with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
         write_band_averages_json(averages, path)
     assert not path.exists()  # refused before the file is opened
+
+
+def test_band_averages_keep_their_own_float_copies(tmp_path):
+    bands, edges = {"x": [[0.5, 0.25], [0.0, 1.0]]}, {"x": (4, 8)}
+    averages = BandAverages(bands=bands, band_edges_hz=edges, channel_labels=("a", "b"))
+    bands["x"][0][0], edges["x"] = 0.75, (4, 9)
+    assert averages.band_edges_hz == {"x": (4.0, 8.0)}
+    assert type(averages.band_edges_hz["x"][0]) is float
+    assert averages.bands["x"].dtype == float and averages.bands["x"][0, 0] == 0.5
+    path = tmp_path / "bands.json"
+    write_band_averages_json(averages, path)
+    assert json.loads(path.read_text())["band_edges_hz"] == {"x": [4.0, 8.0]}
+    assert '"x": [\n      4.0,\n      8.0\n    ]' in path.read_text()
+
+
+def test_band_averages_writer_refuses_edges_edited_after_the_build(tmp_path):
+    averages = BandAverages(bands={"x": np.full((2, 2), 0.5)}, band_edges_hz={"x": (4.0, 8.0)},
+                            channel_labels=("a", "b"))
+    averages.band_edges_hz["x"] = (4.0, math.inf)  # the map stays mutable after the checks
+    path = tmp_path / "bands.json"
+    with pytest.raises(ValueError) as info:
+        write_band_averages_json(averages, path)
+    assert str(info.value) == ("band 'x' has invalid edges (4.0, inf); edges must be finite, "
+                               "ordered and non-negative")
+    assert not path.exists()
 
 
 def test_band_average_default_bands():
@@ -471,17 +496,17 @@ def test_spectrum_csv_rejects_a_duplicate_row(tmp_path):
     assert str(info.value) == f"{path}:3: duplicate row for 4.0 Hz, a->a"
 
 
-@pytest.mark.parametrize("row, cells", [
-    ("abc,a,a,0.5", "'abc' and '0.5'"),
-    ("4.0,a,a,x", "'4.0' and 'x'"),
-    ("4.0,a,a", "'4.0' and None"),
+@pytest.mark.parametrize("row, message", [
+    ("abc,a,a,0.5", "freq_hz and pdc must be numbers, got 'abc' and '0.5'"),
+    ("4.0,a,a,x", "freq_hz and pdc must be numbers, got '4.0' and 'x'"),
+    ("4.0,a,a", "expected 4 values, got 3"),
 ], ids=["freq", "pdc", "short-row"])
-def test_spectrum_csv_names_the_line_of_a_non_numeric_cell(tmp_path, row, cells):
+def test_spectrum_csv_names_the_line_of_a_non_numeric_cell(tmp_path, row, message):
     path = tmp_path / "spec.csv"
     path.write_text(f"freq_hz,source,target,pdc\n4.0,a,a,0.5\n{row}\n")
     with pytest.raises(ValueError) as info:
         read_spectrum_csv(path)
-    assert str(info.value) == f"{path}:3: freq_hz and pdc must be numbers, got {cells}"
+    assert str(info.value) == f"{path}:3: {message}"
 
 
 def test_spectrum_csv_names_the_file_of_a_rate_below_its_frequencies(tmp_path):

@@ -33,7 +33,6 @@ from pdckit.var import (
     _joint_design,
     _qr_top_rows,
     _upper_trapezoid,
-    build_design,
     companion_matrix,
     read_model_json,
     spectral_radius,
@@ -41,6 +40,13 @@ from pdckit.var import (
 )
 
 from conftest import random_stable_var
+
+
+def build_design(samples, p):
+    """The lagged design and target of a VAR(p) regression, as two arrays."""
+    joint = _joint_design(samples, p).copy()
+    k = samples.shape[1] * p
+    return joint[:, :k], joint[:, k:]
 
 
 def _segment(samples, fs=250.0):
