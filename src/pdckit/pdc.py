@@ -11,6 +11,8 @@ the subtractive convention either way.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -249,19 +251,35 @@ def _band_means(values: np.ndarray, masks: dict) -> dict:
     return {name: values[..., mask, :, :].mean(axis=-3) for name, mask in masks.items()}
 
 
+def _is_real(value) -> bool:
+    """A real number, numpy's real scalars included, that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_bands(bands) -> dict:
     """The band rule of a name -> (low_hz, high_hz) map (at least one band, names that
-    are labels, edges finite, ordered and non-negative); returns it with float edges."""
+    are labels, edges a pair of real numbers that are finite, ordered and non-negative);
+    returns it with float edges."""
     if not bands:
         raise ValueError("bands must be non-empty")
-    for name, (low, high) in bands.items():
+    checked = {}
+    for name, edges in bands.items():
         if not (isinstance(name, str) and _is_label(name)):
             raise ValueError(f"band name {name!r} must be a non-empty string without edge "
                              "whitespace")
-        if not 0 <= low <= high < math.inf:  # NaN fails too
+        try:
+            low, high = edges
+        except (TypeError, ValueError):
+            low = high = None
+        if not (_is_real(low) and _is_real(high)):
+            raise ValueError(f"band {name!r} edges must be a pair of real numbers, "
+                             f"got {edges!r}")
+        # NaN fails too, and so does an int that no float can hold
+        if not 0 <= low <= high <= sys.float_info.max:
             raise ValueError(f"band {name!r} has invalid edges ({low}, {high}); edges must "
                              "be finite, ordered and non-negative")
-    return {name: (float(low), float(high)) for name, (low, high) in bands.items()}
+        checked[name] = (float(low), float(high))
+    return checked
 
 
 def _band_masks(bands, freqs_hz: np.ndarray) -> dict:

@@ -30,6 +30,7 @@ from .pdc import (
     FrequencyGrid,
     _band_masks,
     _band_means,
+    _check_bands,
     _clipped_mean,
     compute_pdc,
 )
@@ -104,7 +105,7 @@ class PipelineConfig:
             if len(set(pairs)) != len(pairs):
                 raise ValueError("channel_pairs contains duplicates")
             object.__setattr__(self, "channel_pairs", pairs)
-        bands = {str(name): (float(lo), float(hi)) for name, (lo, hi) in self.bands.items()}
+        bands = _check_bands(self.bands)
         _band_masks(bands, self.frequency_grid().freqs_hz)
         object.__setattr__(self, "bands", bands)
         if self.order_mode not in (ORDER_MODE_FIXED, ORDER_MODE_AUTO_AIC):

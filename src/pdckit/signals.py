@@ -2,8 +2,8 @@
 
 A :class:`Recording` holds a sample matrix (rows = time points,
 columns = channels). An analysis epoch is a :class:`Recording` too, cut out of
-a longer one (``MultichannelSegment`` is another name for it), and each epoch
-can be screened for weak stationarity before any model is fitted to it.
+a longer one, and each epoch can be screened for weak stationarity before any
+model is fitted to it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from ._io import _check_positive, _csv_records, _decode_utf8, _labels, _read_tex
 
 __all__ = [
     "Recording",
-    "MultichannelSegment",
     "StationarityReport",
     "extract_segments",
     "screen_stationarity",
@@ -75,10 +74,6 @@ class Recording:
     def n_channels(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def duration_ms(self) -> float:
-        return self.n_samples / self.sampling_rate_hz * 1000.0
-
     def select_channels(self, labels) -> "Recording":
         """Return a recording restricted to the given labels, in the given order."""
         labels = tuple(labels)
@@ -94,9 +89,6 @@ class Recording:
         # the sum over the count is np.mean's arithmetic
         means = np.add.reduce(self.samples, axis=0) / self.n_samples
         return Recording(self.samples - means, self.sampling_rate_hz, self.channel_labels)
-
-
-MultichannelSegment = Recording  # an epoch is a Recording; the earlier name stays
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ __all__ = [
 DIRECTION_A_GREATER = "a_greater"
 DIRECTION_B_GREATER = "b_greater"
 DIRECTION_NONE = "none"
+_DIRECTIONS = (DIRECTION_A_GREATER, DIRECTION_B_GREATER, DIRECTION_NONE)
 
 DEFAULT_ALPHA = 0.05
 # Exact enumeration is cheap up to here and removes approximation error for
@@ -71,8 +72,8 @@ class PairedSample:
         which does not run: both 1-D float64 of the same non-zero length, every
         value finite. The arrays are held as given, views included."""
         sample = object.__new__(cls)
-        object.__setattr__(sample, "condition_a", condition_a)
-        object.__setattr__(sample, "condition_b", condition_b)
+        object.__setattr__(sample, "__dict__", {"condition_a": condition_a,
+                                                "condition_b": condition_b})
         return sample
 
     @property
@@ -110,10 +111,24 @@ class PairedTestResult:
             raise ValueError(f"p_adjusted outside [0, 1]: {self.p_adjusted}")
         if self.p_adjusted < self.p_raw:
             raise ValueError("adjusted p below raw p")
-        if self.direction not in (DIRECTION_A_GREATER, DIRECTION_B_GREATER, DIRECTION_NONE):
+        if self.direction not in _DIRECTIONS:
             raise ValueError(f"unknown direction {self.direction!r}")
         if self.untestable and self.n_effective != 0:
             raise ValueError("untestable result must have n_effective = 0")
+
+    @classmethod
+    def _from_checked(cls, statistic_w: float, n_effective: int, p_raw: float,
+                      p_adjusted: float, significant: bool, direction: str,
+                      untestable: bool) -> "PairedTestResult":
+        """A result from fields that already meet the rule of `__post_init__`, which
+        does not run: 0 <= p_raw <= p_adjusted <= 1, a known direction, and
+        n_effective = 0 if untestable. The fields are held as given."""
+        result = object.__new__(cls)
+        object.__setattr__(result, "__dict__", {
+            "statistic_w": statistic_w, "n_effective": n_effective, "p_raw": p_raw,
+            "p_adjusted": p_adjusted, "significant": significant, "direction": direction,
+            "untestable": untestable})
+        return result
 
 
 # The normal tail of the approximate branch: Cephes' ndtr/erf/erfc (Moshier 1989,
@@ -244,7 +259,7 @@ def wilcoxon_signed_rank(sample: PairedSample) -> WilcoxonOutcome:
         If every difference is zero (no information in the sample).
     """
     diffs = sample.condition_a - sample.condition_b
-    diffs = diffs[diffs != 0.0]
+    diffs = diffs[diffs.nonzero()]  # +0.0 and -0.0 alike
     n_eff = diffs.size
     if n_eff == 0:
         raise DegenerateSampleError(
@@ -253,9 +268,10 @@ def wilcoxon_signed_rank(sample: PairedSample) -> WilcoxonOutcome:
     magnitudes = np.abs(diffs)
     order = magnitudes.argsort()
     magnitudes = magnitudes[order]
-    positive = diffs[order] > 0.0
-    # the numpy calls below are the ufuncs themselves (np.add.reduce, not .sum()):
-    # at tens of pairs the per-call overhead, not the arithmetic, sets the time
+    negative = np.signbit(diffs[order])  # no difference is zero
+    # at tens of pairs the per-call overhead, not the arithmetic, sets the time: so
+    # a tie is found with np.count_nonzero (not .any()), and each sum below is
+    # Python's sum of a short list (not np.add.reduce)
     same = magnitudes[1:] == magnitudes[:-1]
     tied = np.count_nonzero(same) > 0
     if tied:
@@ -267,13 +283,14 @@ def wilcoxon_signed_rank(sample: PairedSample) -> WilcoxonOutcome:
         starts = bounds[:-1]
         tie_counts = bounds[1:] - starts
         ranks = np.repeat(starts + (tie_counts + 1) / 2.0, tie_counts)
-        w_pos = float(np.add.reduce(ranks[positive]))
+        w_neg = sum(ranks[negative].tolist(), 0.0)
     else:
-        # ranks are 1..n: the positive ranks are their 0-based positions plus one
-        positions = positive.nonzero()[0]
-        w_pos = float(np.add.reduce(positions) + positions.size)
-    # rank sums are half-integers, exact in float64, so W- = n(n+1)/2 - W+ exactly
-    w = min(w_pos, n_eff * (n_eff + 1) / 2.0 - w_pos)
+        # ranks are 1..n: the negative ranks are their 0-based positions plus one
+        positions = negative.nonzero()[0]
+        w_neg = float(sum(positions.tolist()) + positions.size)
+    # rank sums are half-integers, exact in float64 in any order of summation,
+    # so W+ = n(n+1)/2 - W- exactly
+    w = min(w_neg, n_eff * (n_eff + 1) / 2.0 - w_neg)
 
     if n_eff <= DEFAULT_EXACT_THRESHOLD and not tied:
         cumulative = _signed_rank_cumulative_counts(n_eff)
@@ -282,10 +299,10 @@ def wilcoxon_signed_rank(sample: PairedSample) -> WilcoxonOutcome:
         mean = n_eff * (n_eff + 1) / 4.0
         variance = n_eff * (n_eff + 1) * (2 * n_eff + 1) / 24.0
         if tied:
-            variance -= float(np.add.reduce(tie_counts ** 3 - tie_counts)) / 48.0
+            variance -= sum((tie_counts ** 3 - tie_counts).tolist()) / 48.0
         z = (w - mean + 0.5) / math.sqrt(variance)
         p = min(1.0, 2.0 * _ndtr(z))
-    return WilcoxonOutcome(statistic_w=w, n_effective=n_eff, p_raw=p)
+    return WilcoxonOutcome(w, n_eff, p)
 
 
 def holm_bonferroni(p_values, alpha: float = DEFAULT_ALPHA) -> list:
@@ -303,20 +320,25 @@ def holm_bonferroni(p_values, alpha: float = DEFAULT_ALPHA) -> list:
     p = np.asarray(list(p_values), dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("p_values must be a non-empty 1-D collection")
-    # NaN fails both comparisons
-    if np.count_nonzero((p >= 0.0) & (p <= 1.0)) != p.size:
+    order = p.argsort(kind="stable")
+    ordered = p[order]
+    # NaN sorts last and fails the comparison
+    if not (ordered[0] >= 0.0 and ordered[-1] <= 1.0):
         raise ValueError("p-values must lie in [0, 1]")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    alpha = float(alpha)  # so each reject flag is a bool, whatever number type alpha was
     m = p.size
-    order = np.argsort(p, kind="stable")
-    multipliers = m - np.arange(m)
-    scaled = p[order] * multipliers
-    adjusted_sorted = np.minimum(np.maximum.accumulate(scaled), 1.0)
+    ordered *= np.arange(m, 0, -1)
+    np.maximum.accumulate(ordered, out=ordered)
+    np.minimum(ordered, 1.0, out=ordered)
     adjusted = np.empty(m)
-    adjusted[order] = adjusted_sorted
-    return [(adj, adj <= alpha) for adj in adjusted.tolist()]
+    adjusted[order] = ordered
+    return list(zip(adjusted.tolist(), (adjusted <= float(alpha)).tolist()))
+
+
+# the outcome of a key whose paired differences are all zero: no statistic and no
+# effective pairs, and p = 1, so it stays in the family without weighing on it
+_UNTESTABLE = WilcoxonOutcome(statistic_w=math.nan, n_effective=0, p_raw=1.0)
 
 
 def _median_directions(diffs: np.ndarray) -> list:
@@ -373,7 +395,7 @@ def compare_conditions(band_values_a: dict, band_values_b: dict,
         misaligned or not finite (the message starts with the key, written
         ``source->target/band`` for ``((source, target), band)`` keys).
     """
-    if set(band_values_a) != set(band_values_b):
+    if band_values_a.keys() != band_values_b.keys():
         missing = set(band_values_a) ^ set(band_values_b)
         raise ValueError(f"condition maps differ in keys: {sorted(missing)!r}")
     if not band_values_a:
@@ -398,22 +420,24 @@ def compare_conditions(band_values_a: dict, band_values_b: dict,
         directions = [_median_directions((s.condition_a - s.condition_b)[np.newaxis])[0]
                       for s in samples]
 
-    # an outcome's fields are the first three of PairedTestResult, in the same order;
-    # an all-zero key has n = 0 and p = 1
+    # one output step for both paths; an outcome's fields are the first three of
+    # PairedTestResult, in the same order
     outcomes = []
     for sample in samples:
         try:
             outcomes.append(wilcoxon_signed_rank(sample))
         except DegenerateSampleError:
-            outcomes.append(WilcoxonOutcome(statistic_w=math.nan, n_effective=0, p_raw=1.0))
-
-    corrected = holm_bonferroni([outcome.p_raw for outcome in outcomes], alpha=alpha)
-    return {
-        key: PairedTestResult(*outcome, p_adjusted=p_adj, significant=reject,
-                              direction=direction, untestable=outcome.n_effective == 0)
-        for key, outcome, direction, (p_adj, reject)
-        in zip(keys, outcomes, directions, corrected)
-    }
+            outcomes.append(_UNTESTABLE)
+    p_raw = [outcome.p_raw for outcome in outcomes]
+    corrected = holm_bonferroni(p_raw, alpha=alpha)
+    # PairedTestResult's rule, checked once for the family; untestable is n = 0 below
+    if not (all(0.0 <= raw <= p_adj <= 1.0 for raw, (p_adj, _) in zip(p_raw, corrected))
+            and set(directions).issubset(_DIRECTIONS)):
+        raise ValueError("test results break PairedTestResult's rule")
+    build = PairedTestResult._from_checked
+    return {key: build(w, n, p, p_adj, reject, direction, n == 0)
+            for key, (w, n, p), direction, (p_adj, reject)
+            in zip(keys, outcomes, directions, corrected)}
 
 
 def format_pair(pair) -> str:

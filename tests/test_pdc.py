@@ -13,6 +13,7 @@ from pdckit import (
     BandAverages,
     FrequencyGrid,
     PdcSpectrum,
+    PipelineConfig,
     VarModel,
     average_over_segments,
     band_average,
@@ -380,6 +381,49 @@ def test_band_averages_follow_the_band_rule(bands, edges, labels, message):
     with pytest.raises(ValueError) as info:
         BandAverages(bands=bands, band_edges_hz=edges, channel_labels=labels)
     assert str(info.value) == message
+
+
+_BAND_BUILDERS = {
+    "BandAverages": lambda bands: BandAverages(
+        bands={name: np.full((2, 2), 0.5) for name in bands}, band_edges_hz=bands,
+        channel_labels=("a", "b")),
+    "band_average": lambda bands: band_average(
+        compute_pdc(LOWER_VAR1, FrequencyGrid.regular(4.0, 30.0, 0.5, 250.0)), bands),
+    "PipelineConfig": lambda bands: PipelineConfig(sampling_rate_hz=250.0, bands=bands),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(_BAND_BUILDERS))
+@pytest.mark.parametrize("edges, message", [
+    ((1.0, 2.0, 3.0), "band 'x' edges must be a pair of real numbers, got (1.0, 2.0, 3.0)"),
+    (("1", "2"), "band 'x' edges must be a pair of real numbers, got ('1', '2')"),
+    ((4.0,), "band 'x' edges must be a pair of real numbers, got (4.0,)"),
+    (8.0, "band 'x' edges must be a pair of real numbers, got 8.0"),
+    ((True, 8.0), "band 'x' edges must be a pair of real numbers, got (True, 8.0)"),
+    (None, "band 'x' edges must be a pair of real numbers, got None"),
+], ids=["triple", "strings", "single", "scalar", "bool", "None"])
+def test_every_band_builder_refuses_edges_that_are_not_two_real_numbers(builder, edges,
+                                                                       message):
+    with pytest.raises(ValueError) as info:
+        _BAND_BUILDERS[builder]({"theta": (4.0, 7.5), "x": edges})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("builder", sorted(_BAND_BUILDERS))
+def test_every_band_builder_refuses_an_int_edge_no_float_can_hold(builder):
+    with pytest.raises(ValueError, match=r"^band 'x' has invalid edges \(4, 1000"):
+        _BAND_BUILDERS[builder]({"x": (4, 10**400)})
+
+
+@pytest.mark.parametrize("builder", sorted(_BAND_BUILDERS))
+def test_every_band_builder_keeps_real_edges_as_float_pairs(builder):
+    bands = {"theta": (4, 7.5), "x": np.array([8, 12]), "y": [np.float32(13.0), 20]}
+    built = _BAND_BUILDERS[builder](bands)
+    edges = built.bands if builder == "PipelineConfig" else built.band_edges_hz
+    assert edges == {"theta": (4.0, 7.5), "x": (8.0, 12.0), "y": (13.0, 20.0)}
+    assert {type(edge) for pair in edges.values() for edge in pair} == {float}
+    with pytest.raises(ValueError, match=r"^band name 1 must be a non-empty string"):
+        _BAND_BUILDERS[builder]({1: (4.0, 8.0)})
 
 
 def test_band_average_of_a_spectrum_without_channels_is_empty():

@@ -292,6 +292,15 @@ def test_pipeline_flags_injected_coupling():
             assert all(0.0 <= v <= 1.0 for v in values)
 
 
+def test_swapping_the_conditions_flips_only_the_test_directions():
+    cond_a, cond_b = _cohorts(n_subjects=4)
+    flipped = {"a_greater": "b_greater", "b_greater": "a_greater", "none": "none"}
+    forward = report_to_dict(run_pipeline(default_config(FS), cond_a, cond_b))["tests"]
+    swapped = report_to_dict(run_pipeline(default_config(FS), cond_b, cond_a))["tests"]
+    assert {row["direction"] for row in forward} == {"a_greater", "b_greater"}
+    assert swapped == [{**row, "direction": flipped[row["direction"]]} for row in forward]
+
+
 def test_run_pipeline_has_no_threads_keyword():
     # subjects are processed one after another; the ignored keyword is gone
     with pytest.raises(TypeError):

@@ -13,7 +13,6 @@ from pdckit import (
     BandAverages,
     FrequencyGrid,
     GeneratorSpec,
-    MultichannelSegment,
     PdcSpectrum,
     Recording,
     VarModel,
@@ -67,13 +66,13 @@ def test_recording_refuses_a_matrix_without_rows_or_channels(shape):
 
 def test_segment_rejects_one_dimensional_input():
     with pytest.raises(ValueError):
-        MultichannelSegment(
+        Recording(
             samples=np.zeros(8), sampling_rate_hz=100.0, channel_labels=("a",)
         )
 
 
 def test_select_channels_reorders_columns():
-    seg = MultichannelSegment(
+    seg = Recording(
         samples=np.arange(12.0).reshape(4, 3),
         sampling_rate_hz=100.0,
         channel_labels=("a", "b", "c"),
@@ -142,7 +141,7 @@ def _segment(values):
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    return MultichannelSegment(
+    return Recording(
         samples=arr,
         sampling_rate_hz=100.0,
         channel_labels=tuple(f"ch{i + 1}" for i in range(arr.shape[1])),

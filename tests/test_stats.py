@@ -551,9 +551,9 @@ def _corrupt(a, b, key, fault):
 
 
 @st.composite
-def _families(draw):
+def _families(draw, shapes=("rectangular", "ragged", "refused")):
     """Band-value maps of 1-12 keys: rectangular, ragged, or one key that breaks the rule."""
-    shape = draw(st.sampled_from(["rectangular", "ragged", "refused"]))
+    shape = draw(st.sampled_from(shapes))
     n_keys = draw(st.integers(1, 12))
     n = draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -588,6 +588,45 @@ def test_compare_conditions_matches_the_key_by_key_loop(family):
     assert _outcome(compare_conditions, a, b) == _outcome(_compare_key_by_key, a, b)
 
 
+_FLIPPED = {DIRECTION_A_GREATER: DIRECTION_B_GREATER, DIRECTION_B_GREATER: DIRECTION_A_GREATER,
+            DIRECTION_NONE: DIRECTION_NONE}
+_TESTED = _families(shapes=("rectangular", "ragged"))
+
+
+def _fields(res, *skip):
+    """A result's fields but `skip`, with NaN written as None so that NaN equals NaN."""
+    return {f.name: None if f.name == "statistic_w" and math.isnan(res.statistic_w)
+            else getattr(res, f.name) for f in dataclasses.fields(res) if f.name not in skip}
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=_TESTED)
+def test_swapping_the_conditions_flips_only_the_directions(family):
+    a, b = family
+    forward, swapped = compare_conditions(a, b), compare_conditions(b, a)
+    assert list(swapped) == list(forward)
+    for key, res in forward.items():
+        assert _fields(swapped[key], "direction") == _fields(res, "direction")
+        assert swapped[key].direction == _FLIPPED[res.direction]
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=_TESTED, seed=st.integers(0, 2**32 - 1))
+def test_results_do_not_depend_on_the_order_of_subjects_or_keys(family, seed):
+    a, b = family
+    rng = np.random.default_rng(seed)
+    results = {key: repr(res) for key, res in compare_conditions(a, b).items()}
+    # the subjects of each key in one new order, the same in both conditions
+    orders = {key: rng.permutation(len(a[key])).tolist() for key in a}
+    shuffled = [{key: [values[key][i] for i in orders[key]] for key in a}
+                for values in (a, b)]
+    assert {key: repr(res) for key, res in compare_conditions(*shuffled).items()} == results
+    keys = [list(a)[i] for i in rng.permutation(len(a))]
+    reordered = compare_conditions({key: a[key] for key in keys}, {key: b[key] for key in keys})
+    assert list(reordered) == keys
+    assert {key: repr(res) for key, res in reordered.items()} == results
+
+
 @pytest.mark.parametrize("ragged", [False, True])
 def test_each_key_gets_a_checked_sample_and_one_call(monkeypatch, ragged):
     rng = np.random.default_rng(2024)
@@ -610,8 +649,12 @@ def test_each_key_gets_a_checked_sample_and_one_call(monkeypatch, ragged):
 
     monkeypatch.setattr(pdckit.stats, "wilcoxon_signed_rank", wilcoxon)
     monkeypatch.setattr(pdckit.stats, "holm_bonferroni", holm)
-    compare_conditions(a, b)
+    results = compare_conditions(a, b)
     assert len(samples) == 48 and holm_calls == [48]
+    for res in results.values():  # each result also passes the public constructor's rule
+        rebuilt = PairedTestResult(**{f.name: getattr(res, f.name)
+                                      for f in dataclasses.fields(res)})
+        assert repr(rebuilt) == repr(res)
     for sample, key in zip(samples, keys):
         for values, given_values in ((sample.condition_a, a[key]), (sample.condition_b, b[key])):
             assert values.ndim == 1 and values.dtype == np.float64

@@ -14,7 +14,6 @@ from numpy.testing import assert_allclose
 from pdckit import (
     EstimationError,
     GeneratorSpec,
-    MultichannelSegment,
     Recording,
     VarModel,
     aic,
@@ -51,7 +50,7 @@ def build_design(samples, p):
 
 def _segment(samples, fs=250.0):
     samples = np.asarray(samples, dtype=float)
-    return MultichannelSegment(
+    return Recording(
         samples=samples,
         sampling_rate_hz=fs,
         channel_labels=tuple(f"ch{i + 1}" for i in range(samples.shape[1])),
