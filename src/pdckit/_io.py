@@ -18,7 +18,7 @@ import math
 
 
 def _check_positive(name: str, value) -> None:
-    """The rule for a sampling rate, an epoch length or a grid step: a finite positive number."""
+    """The rule for a rate, a length, a step, a tolerance or a threshold: finite and > 0."""
     if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be a finite positive number, got {value}")
 
@@ -34,26 +34,19 @@ def _labels(values) -> tuple[str, ...]:
     The error names the first column, counted from 1, that breaks the rule.
     """
     labels = tuple(values)
-    try:
-        # `_is_label` for every label at once: a set of str equals the set of
-        # its stripped labels only if each is stripped; str.strip refuses non-str
-        unique = set(labels)
-        valid = (len(unique) == len(labels) and "" not in unique
-                 and unique == set(map(str.strip, unique)))
-    except TypeError:
-        valid = False
-    if not valid:  # the tuple is walked only to name what breaks the rule
-        for column, label in enumerate(labels, start=1):
-            if not isinstance(label, str):
-                raise ValueError(f"column {column} has channel label {label!r}, "
-                                 "which is not a string")
-            if not label:
-                raise ValueError(f"column {column} has an empty channel label")
-            if not _is_label(label):
-                raise ValueError(f"column {column} has channel label {label!r} "
-                                 "with edge whitespace")
-            if label in labels[: column - 1]:
-                raise ValueError(f"column {column} repeats channel label {label!r}")
+    seen = set()
+    for column, label in enumerate(labels, start=1):
+        if not isinstance(label, str):
+            raise ValueError(f"column {column} has channel label {label!r}, "
+                             "which is not a string")
+        if not label:
+            raise ValueError(f"column {column} has an empty channel label")
+        if label != label.strip():
+            raise ValueError(f"column {column} has channel label {label!r} "
+                             "with edge whitespace")
+        if label in seen:
+            raise ValueError(f"column {column} repeats channel label {label!r}")
+        seen.add(label)
     return labels
 
 

@@ -283,9 +283,8 @@ def _check_bands(bands) -> dict:
 
 
 def _band_masks(bands, freqs_hz: np.ndarray) -> dict:
-    """Grid mask of each band, edges inclusive. Raises unless the bands follow the
-    band rule (`_check_bands`) and each holds a grid frequency."""
-    _check_bands(bands)
+    """Grid mask of each band, edges inclusive, for bands that already follow the
+    band rule (`_check_bands`). Raises unless each band holds a grid frequency."""
     masks = {}
     for name, (low, high) in bands.items():
         masks[name] = (freqs_hz >= low) & (freqs_hz <= high)
@@ -312,6 +311,7 @@ def band_average(spectrum: PdcSpectrum, bands=None) -> BandAverages:
     """
     if bands is None:
         bands = DEFAULT_BANDS
+    bands = _check_bands(bands)
     masks = _band_masks(bands, spectrum.grid.freqs_hz)
     return BandAverages(
         bands=_band_means(spectrum.values, masks),

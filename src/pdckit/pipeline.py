@@ -14,7 +14,6 @@ identical report apart from its timestamp field.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 import time
@@ -105,9 +104,8 @@ class PipelineConfig:
             if len(set(pairs)) != len(pairs):
                 raise ValueError("channel_pairs contains duplicates")
             object.__setattr__(self, "channel_pairs", pairs)
-        bands = _check_bands(self.bands)
-        _band_masks(bands, self.frequency_grid().freqs_hz)
-        object.__setattr__(self, "bands", bands)
+        object.__setattr__(self, "bands", _check_bands(self.bands))
+        _band_masks(self.bands, self.frequency_grid().freqs_hz)
         if self.order_mode not in (ORDER_MODE_FIXED, ORDER_MODE_AUTO_AIC):
             raise ValueError(f"unknown order_mode {self.order_mode!r}")
         if self.fixed_order < 1:
@@ -119,14 +117,12 @@ class PipelineConfig:
                 f"stationarity_n_windows must be >= 2, got {self.stationarity_n_windows}"
             )
         # finite, as everything the config JSON file and the report's echo hold
-        if not (0 < self.stationarity_mean_drift_tol < math.inf
-                and 0 < self.stationarity_variance_ratio_tol < math.inf):
-            raise ValueError("stationarity tolerances must be positive and finite")
+        _check_positive("stationarity_mean_drift_tol", self.stationarity_mean_drift_tol)
+        _check_positive("stationarity_variance_ratio_tol", self.stationarity_variance_ratio_tol)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if (self.amplitude_reject_threshold is not None
-                and not 0 < self.amplitude_reject_threshold < math.inf):
-            raise ValueError("amplitude_reject_threshold must be positive and finite when given")
+        if self.amplitude_reject_threshold is not None:
+            _check_positive("amplitude_reject_threshold", self.amplitude_reject_threshold)
         if self.model_scope not in (SCOPE_PER_PAIR, SCOPE_JOINT):
             raise ValueError(f"unknown model_scope {self.model_scope!r}")
 

@@ -44,6 +44,14 @@ DEFAULT_ALPHA = 0.05
 DEFAULT_EXACT_THRESHOLD = 25
 
 
+def _unchecked(cls, fields: dict):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given, views
+    included, without its `__post_init__`: the caller has checked the class's rule."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class PairedSample:
     """Index-aligned paired observations from two conditions."""
@@ -65,16 +73,6 @@ class PairedSample:
             raise ValueError("paired values must be finite")
         object.__setattr__(self, "condition_a", a)
         object.__setattr__(self, "condition_b", b)
-
-    @classmethod
-    def _from_checked(cls, condition_a: np.ndarray, condition_b: np.ndarray) -> "PairedSample":
-        """A sample from two arrays that already meet the rule of `__post_init__`,
-        which does not run: both 1-D float64 of the same non-zero length, every
-        value finite. The arrays are held as given, views included."""
-        sample = object.__new__(cls)
-        object.__setattr__(sample, "__dict__", {"condition_a": condition_a,
-                                                "condition_b": condition_b})
-        return sample
 
     @property
     def n_pairs(self) -> int:
@@ -115,20 +113,6 @@ class PairedTestResult:
             raise ValueError(f"unknown direction {self.direction!r}")
         if self.untestable and self.n_effective != 0:
             raise ValueError("untestable result must have n_effective = 0")
-
-    @classmethod
-    def _from_checked(cls, statistic_w: float, n_effective: int, p_raw: float,
-                      p_adjusted: float, significant: bool, direction: str,
-                      untestable: bool) -> "PairedTestResult":
-        """A result from fields that already meet the rule of `__post_init__`, which
-        does not run: 0 <= p_raw <= p_adjusted <= 1, a known direction, and
-        n_effective = 0 if untestable. The fields are held as given."""
-        result = object.__new__(cls)
-        object.__setattr__(result, "__dict__", {
-            "statistic_w": statistic_w, "n_effective": n_effective, "p_raw": p_raw,
-            "p_adjusted": p_adjusted, "significant": significant, "direction": direction,
-            "untestable": untestable})
-        return result
 
 
 # The normal tail of the approximate branch: Cephes' ndtr/erf/erfc (Moshier 1989,
@@ -317,7 +301,11 @@ def holm_bonferroni(p_values, alpha: float = DEFAULT_ALPHA) -> list:
     -------
     list of (p_adjusted, reject) in the input order.
     """
-    p = np.asarray(list(p_values), dtype=float)
+    try:
+        values = list(p_values)
+    except TypeError:  # a number or a 0-d array: refused below as empty
+        values = ()
+    p = np.asarray(values, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("p_values must be a non-empty 1-D collection")
     order = p.argsort(kind="stable")
@@ -404,9 +392,11 @@ def compare_conditions(band_values_a: dict, band_values_b: dict,
     keys = list(band_values_a)
     stacked = _stacked(keys, band_values_a, band_values_b)
     if stacked is not None:
-        # a rectangular family: converted and checked once, one sample per row view
+        # a rectangular family, converted and checked once: each row view meets
+        # PairedSample's rule (1-D float64, equal non-zero lengths, every value finite)
         a, b = stacked
-        samples = [PairedSample._from_checked(row_a, row_b) for row_a, row_b in zip(a, b)]
+        samples = [_unchecked(PairedSample, {"condition_a": row_a, "condition_b": row_b})
+                   for row_a, row_b in zip(a, b)]
         directions = _median_directions(a - b)
     else:
         # ragged or refused: the per-key loop converts, checks and names the key
@@ -434,8 +424,9 @@ def compare_conditions(band_values_a: dict, band_values_b: dict,
     if not (all(0.0 <= raw <= p_adj <= 1.0 for raw, (p_adj, _) in zip(p_raw, corrected))
             and set(directions).issubset(_DIRECTIONS)):
         raise ValueError("test results break PairedTestResult's rule")
-    build = PairedTestResult._from_checked
-    return {key: build(w, n, p, p_adj, reject, direction, n == 0)
+    return {key: _unchecked(PairedTestResult, {
+                "statistic_w": w, "n_effective": n, "p_raw": p, "p_adjusted": p_adj,
+                "significant": reject, "direction": direction, "untestable": n == 0})
             for key, (w, n, p), direction, (p_adj, reject)
             in zip(keys, outcomes, directions, corrected)}
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -258,7 +258,7 @@ def _qr_top_rows(a: np.ndarray, k: int) -> np.ndarray:
     return np.where(_upper_trapezoid(k, h.shape[0]), h[:, :k].T, 0.0)
 
 
-@lru_cache(maxsize=16)
+@cache  # one entry per order and group size fitted: a scan's masks stay cached for the next
 def _upper_trapezoid(rows: int, columns: int) -> np.ndarray:
     """Read-only mask of the entries (i, j) with j >= i of a rows x columns matrix."""
     mask = ~np.tri(rows, columns, -1, dtype=bool)

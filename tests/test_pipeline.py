@@ -2,10 +2,13 @@ import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
+import pdckit.pdc
 import pdckit.pipeline
 import pdckit.var
 from pdckit import (
@@ -125,18 +128,19 @@ def test_config_rejects_a_nan_grid_step():
                                    "stationarity_variance_ratio_tol"])
 def test_config_rejects_a_nan_screening_tolerance(field):
     # no score passes a NaN tolerance, so every epoch would be screened out
-    with pytest.raises(ValueError, match="stationarity tolerances must be positive"):
+    with pytest.raises(ValueError, match=f"{field} must be a finite positive number, got nan"):
         PipelineConfig(sampling_rate_hz=FS, **{field: math.nan})
 
 
 @pytest.mark.parametrize("field, value, message", [
     ("bands", {"theta": (4.0, 7.5), "x": (4.0, math.inf)},
      "band 'x' has invalid edges (4.0, inf); edges must be finite, ordered and non-negative"),
-    ("stationarity_mean_drift_tol", math.inf, "stationarity tolerances must be positive and finite"),
+    ("stationarity_mean_drift_tol", math.inf,
+     "stationarity_mean_drift_tol must be a finite positive number, got inf"),
     ("stationarity_variance_ratio_tol", math.inf,
-     "stationarity tolerances must be positive and finite"),
+     "stationarity_variance_ratio_tol must be a finite positive number, got inf"),
     ("amplitude_reject_threshold", math.inf,
-     "amplitude_reject_threshold must be positive and finite when given"),
+     "amplitude_reject_threshold must be a finite positive number, got inf"),
 ])
 def test_config_rejects_an_infinite_value_its_json_file_cannot_hold(tmp_path, field, value,
                                                                    message):
@@ -299,6 +303,141 @@ def test_swapping_the_conditions_flips_only_the_test_directions():
     swapped = report_to_dict(run_pipeline(default_config(FS), cond_b, cond_a))["tests"]
     assert {row["direction"] for row in forward} == {"a_greater", "b_greater"}
     assert swapped == [{**row, "direction": flipped[row["direction"]]} for row in forward]
+
+
+def test_the_band_rule_runs_once_per_config_and_never_inside_a_run(monkeypatch):
+    calls = []
+    real = pdckit.pdc._check_bands
+
+    def counted(bands):
+        calls.append(bands)
+        return real(bands)
+
+    monkeypatch.setattr(pdckit.pdc, "_check_bands", counted)
+    monkeypatch.setattr(pdckit.pipeline, "_check_bands", counted)
+    cfg = default_config(FS)
+    assert len(calls) == 1
+    run_pipeline(cfg, *_cohorts(n_subjects=2))
+    assert len(calls) == 1
+
+
+# ------------------------------------------------------ metamorphic relations
+# How the report must move when the cohort moves in a known way.
+
+N_META = 5
+
+
+def _three_channel_cohorts():
+    """ch1 drives ch2 in condition b only; ch3 is on its own in both."""
+    coeffs_a = np.diag([0.3, 0.3, 0.3])[None]
+    coeffs_b = coeffs_a.copy()
+    coeffs_b[0, 1, 0] = 0.4
+    return [[_subject(coeffs, 893_000 + 100 * c + s, m=3) for s in range(N_META)]
+            for c, coeffs in enumerate((coeffs_a, coeffs_b))]
+
+
+def _mapped(cohort, recording=lambda rec: rec, starts=lambda onsets: onsets):
+    return [(recording(rec), starts(onsets)) for rec, onsets in cohort]
+
+
+@pytest.fixture(scope="module")
+def three_channel_run():
+    cond_a, cond_b = _three_channel_cohorts()
+    report = run_pipeline(default_config(FS), cond_a, cond_b)
+    assert report.subjects_used == tuple(range(N_META))
+    return cond_a, cond_b, report
+
+
+def _assert_band_values_close(report, other, atol):
+    for cond in ("condition_a", "condition_b"):
+        values = getattr(report, cond).band_values
+        assert set(getattr(other, cond).band_values) == set(values)
+        for key, per_subject in values.items():
+            assert_allclose(getattr(other, cond).band_values[key], per_subject, rtol=0, atol=atol)
+
+
+def test_permuting_the_subjects_leaves_every_test_result(three_channel_run):
+    cond_a, cond_b, report = three_channel_run
+    order = [3, 0, 4, 2, 1]
+    permuted = run_pipeline(default_config(FS), [cond_a[i] for i in order],
+                            [cond_b[i] for i in order])
+    assert repr(permuted.test_results) == repr(report.test_results)
+    for cond in ("condition_a", "condition_b"):
+        values = getattr(report, cond).band_values
+        assert getattr(permuted, cond).band_values == {
+            key: tuple(per_subject[i] for i in order) for key, per_subject in values.items()}
+
+
+@pytest.mark.parametrize("scope", [SCOPE_PER_PAIR, SCOPE_JOINT])
+def test_permuting_the_channels_with_their_labels_keeps_every_key(three_channel_run, scope):
+    cond_a, cond_b, report = three_channel_run
+    cfg = dataclasses.replace(default_config(FS), model_scope=scope)
+    if scope == SCOPE_JOINT:
+        report = run_pipeline(cfg, cond_a, cond_b)
+    columns = [2, 0, 1]
+
+    def permuted(rec):
+        return Recording(samples=rec.samples[:, columns], sampling_rate_hz=FS,
+                         channel_labels=tuple(rec.channel_labels[i] for i in columns))
+
+    other = run_pipeline(cfg, _mapped(cond_a, permuted), _mapped(cond_b, permuted))
+    assert other.channel_pairs != report.channel_pairs  # the family's order moved
+    _assert_band_values_close(report, other, atol=1e-12)
+    assert set(other.test_results) == set(report.test_results)
+    for key, result in report.test_results.items():
+        moved = other.test_results[key]
+        assert (moved.p_raw, moved.significant, moved.direction) == \
+            (result.p_raw, result.significant, result.direction)
+
+
+def test_a_common_scale_keeps_every_test_row(three_channel_run):
+    cond_a, cond_b, report = three_channel_run
+    assert default_config(FS).amplitude_reject_threshold is None
+
+    def scaled(rec):
+        return dataclasses.replace(rec, samples=rec.samples * 1e3)
+
+    other = run_pipeline(default_config(FS), _mapped(cond_a, scaled), _mapped(cond_b, scaled))
+    _assert_band_values_close(report, other, atol=1e-12)
+    assert report_to_dict(other)["tests"] == report_to_dict(report)["tests"]
+
+
+def test_shifting_the_onsets_with_the_recordings_changes_no_output_byte(three_channel_run,
+                                                                       tmp_path):
+    cond_a, cond_b, report = three_channel_run
+    k = 7
+    rng = np.random.default_rng(17)
+
+    def prepended(rec):
+        lead = rng.normal(scale=5.0, size=(k, rec.n_channels))
+        return dataclasses.replace(rec, samples=np.vstack([lead, rec.samples]))
+
+    def later(onsets):
+        return [onset + 1000.0 * k / FS for onset in onsets]
+
+    other = run_pipeline(default_config(FS), _mapped(cond_a, prepended, later),
+                         _mapped(cond_b, prepended, later))
+    files = [write_report(run, tmp_path / name) for run, name in ((report, "a"), (other, "b"))]
+    for kind in ("report", "test_table"):
+        first, second = ([line for line in Path(paths[kind]).read_bytes().splitlines()
+                          if not line.lstrip().startswith(b'"timestamp_utc":')]
+                         for paths in files)
+        assert first == second
+
+
+def test_scaling_one_channel_changes_pdc(three_channel_run):
+    # PDC normalizes each source's column over the targets in their own units,
+    # so a gain on one channel is not a relation PDC keeps (gPDC would)
+    cond_a, cond_b, report = three_channel_run
+
+    def louder_ch2(rec):
+        return dataclasses.replace(rec, samples=rec.samples * np.array([1.0, 10.0, 1.0]))
+
+    other = run_pipeline(default_config(FS), _mapped(cond_a, louder_ch2),
+                         _mapped(cond_b, louder_ch2))
+    key = (("ch1", "ch2"), "alpha")
+    moved = np.subtract(other.condition_b.band_values[key], report.condition_b.band_values[key])
+    assert np.all(moved > 0.05)
 
 
 def test_run_pipeline_has_no_threads_keyword():

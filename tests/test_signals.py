@@ -262,13 +262,15 @@ def test_recording_csv_round_trip(tmp_path):
     ((" F3", "F4 "), "column 1 has channel label ' F3' with edge whitespace"),
     (("F3", "F3 "), "column 2 has channel label 'F3 ' with edge whitespace"),
     (("F3", ""), "column 2 has an empty channel label"),
-], ids=["labels0", "labels1", "labels2"])
+    # a repeat found last, after 63 labels that each follow the rule
+    ((*(f"ch{i}" for i in range(1, 64)), "ch1"), "column 64 repeats channel label 'ch1'"),
+], ids=["labels0", "labels1", "labels2", "labels3"])
 def test_recording_refuses_padded_labels(labels, message):
     # the reader strips header labels and rejects an empty one: the first
     # pair would read back as ('F3', 'F4'), the second as a duplicate, so
     # no recording, and thus no file the writer makes, holds such a label
     with pytest.raises(ValueError) as info:
-        _recording(np.zeros((3, 2)), labels=labels)
+        _recording(np.zeros((3, len(labels))), labels=labels)
     assert str(info.value) == message
 
 
@@ -298,6 +300,7 @@ _TWO_CHANNELS = {
     (("a ", "b"), "column 1 has channel label 'a ' with edge whitespace"),
     (("a", "a"), "column 2 repeats channel label 'a'"),
     (("a", 1), "column 2 has channel label 1, which is not a string"),
+    ((["a"], "b"), "column 1 has channel label ['a'], which is not a string"),  # unhashable
 ])
 def test_containers_follow_the_channel_label_rule(container, labels, message):
     build = _TWO_CHANNELS[container]

@@ -315,6 +315,19 @@ def test_holm_properties_on_random_vectors():
         assert np.array_equal(rejected, adj <= 0.05)
 
 
+@pytest.mark.parametrize("p_values", [
+    np.array(0.5), 0.5, np.float64(0.5), None, [], np.array([]), [[0.5]], np.array([[0.1, 0.2]]),
+], ids=["0-d array", "float", "numpy scalar", "None", "empty list", "empty array",
+        "nested list", "2-D array"])
+def test_holm_refuses_what_is_not_a_non_empty_1d_collection(p_values):
+    with pytest.raises(ValueError, match="^p_values must be a non-empty 1-D collection$"):
+        holm_bonferroni(p_values)
+
+
+def test_holm_reads_a_generator():
+    assert holm_bonferroni(p for p in (0.04, 0.01)) == holm_bonferroni([0.04, 0.01])
+
+
 def test_holm_rejects_invalid_input():
     with pytest.raises(ValueError):
         holm_bonferroni([0.5, 1.5])

@@ -546,6 +546,15 @@ def test_select_order_on_white_noise_stays_low_or_caps():
     assert near >= 190
 
 
+def test_a_second_scan_of_the_default_depth_builds_no_new_mask():
+    # the default scan fits 20 orders, each with its own upper-trapezoid mask
+    seg = _simulate([[[0.3, 0.0], [0.4, 0.3]]], 225, 61_000)
+    select_order(seg, p_scan_max=20)
+    misses = _upper_trapezoid.cache_info().misses
+    select_order(seg, p_scan_max=20)
+    assert _upper_trapezoid.cache_info().misses == misses
+
+
 def test_select_order_respects_bound_by_default():
     seg = _segment(np.random.default_rng(1).normal(size=(60, 2)))
     # bound for N=60, M=2: largest p with (2p)^2 < 540 is 11
