@@ -6,7 +6,8 @@ repeated key and check decoded values against `_JSON_TYPES`; the recording and
 table readers walk CSV records with `_csv_records` (tables through `_csv_rows`)
 and the CSV writers write through `_write_csv`; the JSON writers all go through
 `_write_json`, which writes numpy arrays and scalars as lists and numbers.
-Every container that holds channel labels builds them with `_labels`.
+Every container builds its channel labels with `_labels`, and every number check
+goes through `_is_finite_real` (`_check_positive` when > 0) or `_check_count`.
 """
 
 from __future__ import annotations
@@ -15,12 +16,37 @@ import csv
 import io
 import json
 import math
+import numbers
+
+
+def _is_real(value) -> bool:
+    """A real number, numpy's real scalars included, that is not a bool."""
+    # the exact-type test first: the hot path passes a float or an int, and an
+    # isinstance against the ABC costs several times as much
+    return type(value) in (float, int) or (isinstance(value, numbers.Real)
+                                           and not isinstance(value, bool))
+
+
+def _is_finite_real(value) -> bool:
+    """A finite real number (`_is_real`); an int beyond float range is not finite."""
+    try:
+        return _is_real(value) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _check_positive(name: str, value) -> None:
     """The rule for a rate, a length, a step, a tolerance or a threshold: finite and > 0."""
-    if not (value > 0 and math.isfinite(value)):
+    if not (_is_finite_real(value) and value > 0):
         raise ValueError(f"{name} must be a finite positive number, got {value}")
+
+
+def _check_count(name: str, value, least: int = 1) -> None:
+    """The rule for an order or a count: an int, numpy's ints included and a bool not,
+    of at least ``least``."""
+    if not ((type(value) is int or (isinstance(value, numbers.Integral)
+                                    and not isinstance(value, bool))) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value}")
 
 
 def _is_label(text) -> bool:
@@ -152,15 +178,6 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _is_number(value) -> bool:
-    # the decoder also yields NaN, Infinity and integers beyond float range;
-    # type() rather than isinstance() because JSON true/false decode as bool
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def _is_str(value) -> bool:
     return type(value) is str
 
@@ -171,7 +188,7 @@ def _is_pair(value, item_ok) -> bool:
 
 def _array_shape(value):
     """Shape of nested lists of finite numbers, or None unless they form an array."""
-    if _is_number(value):
+    if _is_finite_real(value):
         return ()
     if type(value) is not list:
         return None
@@ -184,7 +201,7 @@ def _array_shape(value):
 # the kinds of value the toolkit's JSON files hold, named as the annotations
 # of the fields they load into -> (check on the decoded value, what it wants)
 _JSON_TYPES = {
-    "float": (_is_number, "a finite number"),
+    "float": (_is_finite_real, "a finite number"),
     "int": (lambda v: type(v) is int, "an integer"),
     "bool": (lambda v: type(v) is bool, "true or false"),
     "str": (_is_str, "a string"),
@@ -194,7 +211,7 @@ _JSON_TYPES = {
     "tuple": (lambda v: type(v) is list and all(_is_pair(p, _is_str) for p in v),
               "a list of [source, target] string pairs"),
     "dict": (lambda v: type(v) is dict
-             and all(_is_pair(edges, _is_number) for edges in v.values()),
+             and all(_is_pair(edges, _is_finite_real) for edges in v.values()),
              "an object mapping names to [low, high] numbers"),
 }
 

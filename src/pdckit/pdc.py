@@ -11,14 +11,13 @@ the subtractive convention either way.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from ._io import _check_positive, _csv_rows, _is_label, _labels, _write_csv, _write_json
+from ._io import (_check_positive, _csv_rows, _is_finite_real, _is_label, _is_real, _labels,
+                  _write_csv, _write_json)
 from .var import VarModel
 
 __all__ = [
@@ -251,11 +250,6 @@ def _band_means(values: np.ndarray, masks: dict) -> dict:
     return {name: values[..., mask, :, :].mean(axis=-3) for name, mask in masks.items()}
 
 
-def _is_real(value) -> bool:
-    """A real number, numpy's real scalars included, that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _check_bands(bands) -> dict:
     """The band rule of a name -> (low_hz, high_hz) map (at least one band, names that
     are labels, edges a pair of real numbers that are finite, ordered and non-negative);
@@ -275,7 +269,7 @@ def _check_bands(bands) -> dict:
             raise ValueError(f"band {name!r} edges must be a pair of real numbers, "
                              f"got {edges!r}")
         # NaN fails too, and so does an int that no float can hold
-        if not 0 <= low <= high <= sys.float_info.max:
+        if not (0 <= low <= high and _is_finite_real(high)):
             raise ValueError(f"band {name!r} has invalid edges ({low}, {high}); edges must "
                              "be finite, ordered and non-negative")
         checked[name] = (float(low), float(high))

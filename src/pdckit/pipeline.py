@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._io import _check_positive, _json_fields, _read_json, _write_json
+from ._io import _check_count, _check_positive, _json_fields, _read_json, _write_json
 from ._version import __version__
 from .errors import EstimationError, PipelineError
 from .pdc import (
@@ -108,14 +108,9 @@ class PipelineConfig:
         _band_masks(self.bands, self.frequency_grid().freqs_hz)
         if self.order_mode not in (ORDER_MODE_FIXED, ORDER_MODE_AUTO_AIC):
             raise ValueError(f"unknown order_mode {self.order_mode!r}")
-        if self.fixed_order < 1:
-            raise ValueError(f"fixed_order must be >= 1, got {self.fixed_order}")
-        if self.p_scan_max < 1:
-            raise ValueError(f"p_scan_max must be >= 1, got {self.p_scan_max}")
-        if self.stationarity_n_windows < 2:
-            raise ValueError(
-                f"stationarity_n_windows must be >= 2, got {self.stationarity_n_windows}"
-            )
+        _check_count("fixed_order", self.fixed_order)
+        _check_count("p_scan_max", self.p_scan_max)
+        _check_count("stationarity_n_windows", self.stationarity_n_windows, 2)
         # finite, as everything the config JSON file and the report's echo hold
         _check_positive("stationarity_mean_drift_tol", self.stationarity_mean_drift_tol)
         _check_positive("stationarity_variance_ratio_tol", self.stationarity_variance_ratio_tol)
@@ -321,8 +316,8 @@ def run_pipeline(config: PipelineConfig, condition_a_inputs,
         Before any fitting: on mismatched subject counts, channel sets or
         sampling rates, an epoch onset that is not finite or whose epoch
         does not fit its recording (naming the condition and subject), no
-        onset at all, or epochs too short for the stationarity windows or
-        the order setting.
+        onset at all, a band edited since the build to break the band rule,
+        or epochs too short for the stationarity windows or the order setting.
     """
     a_inputs = list(condition_a_inputs)
     b_inputs = list(condition_b_inputs)
@@ -344,7 +339,8 @@ def run_pipeline(config: PipelineConfig, condition_a_inputs,
     groups, lookups = _plan(config, labels)
     pairs = tuple(lookups)
     grid = config.frequency_grid()
-    masks = _band_masks(config.bands, grid.freqs_hz)
+    # a frozen config's bands dict can still be edited after the build
+    masks = _band_masks(_check_bands(config.bands), grid.freqs_hz)
     first = next((subject[0] for subject in epochs["a"] + epochs["b"] if subject), None)
     if first is None:
         raise ValueError("no subject has an epoch onset")

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import _check_positive, _csv_records, _decode_utf8, _labels, _read_text, _write_csv
+from ._io import (_check_count, _check_positive, _csv_records, _decode_utf8, _is_finite_real,
+                  _labels, _read_text, _write_csv)
 
 __all__ = [
     "Recording",
@@ -141,7 +142,7 @@ def extract_segments(recording: Recording, epoch_length_ms: float, epoch_starts_
         )
     segments = []
     for start_ms in epoch_starts_ms:
-        if not math.isfinite(start_ms):
+        if not _is_finite_real(start_ms):
             raise ValueError(f"epoch start {start_ms} ms is not a finite number")
         start = round(float(start_ms) * fs / 1000.0)
         if start < 0 or start + n_rows > recording.n_samples:
@@ -156,8 +157,7 @@ def extract_segments(recording: Recording, epoch_length_ms: float, epoch_starts_
 
 def _window_length(n_samples: int, n_windows: int) -> int:
     """Samples per screening window; the screen needs >= 2 windows of >= 2 samples."""
-    if n_windows < 2:
-        raise ValueError(f"n_windows must be at least 2, got {n_windows}")
+    _check_count("n_windows", n_windows, 2)
     if n_samples // n_windows < 2:
         raise ValueError(f"segment of {n_samples} samples is too short for {n_windows} "
                          "windows of >= 2 samples")

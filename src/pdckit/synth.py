@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import _check_positive, _json_fields, _labels, _read_json, _write_json
+from ._io import _check_count, _check_positive, _json_fields, _labels, _read_json, _write_json
 from .signals import Recording
 from .var import spectral_radius
 
@@ -82,10 +82,8 @@ class GeneratorSpec:
         radius = spectral_radius(coeffs)
         if not radius < 1.0:
             raise ValueError(f"unstable coefficient matrices: spectral radius {radius:.6f} >= 1")
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.burn_in < 0:
-            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
+        _check_count("n_samples", self.n_samples)
+        _check_count("burn_in", self.burn_in, 0)
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         _check_positive("sampling_rate_hz", self.sampling_rate_hz)

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ._io import _json_fields, _labels, _read_json, _write_json
+from ._io import _check_count, _json_fields, _labels, _read_json, _write_json
 from .errors import EstimationError
 from .signals import Recording
 
@@ -92,10 +92,8 @@ class VarModel:
         cov = np.asarray(self.residual_covariance, dtype=float)
         if not (np.isfinite(coeffs).all() and np.isfinite(cov).all()):
             raise ValueError("coeff_matrices and residual_covariance must be finite")
-        if self.order_p < 1:
-            raise ValueError(f"order_p must be positive, got {self.order_p}")
-        if self.n_samples_used < 1:
-            raise ValueError(f"n_samples_used must be positive, got {self.n_samples_used}")
+        _check_count("order_p", self.order_p)
+        _check_count("n_samples_used", self.n_samples_used)
         m = len(labels)
         if coeffs.shape != (self.order_p, m, m):
             raise ValueError(
@@ -149,8 +147,7 @@ def _joint_design(samples: np.ndarray, p: int) -> np.ndarray:
 
 def _check_rows(n: int, m: int, p: int) -> None:
     """The row rule of a least-squares VAR(p) fit to N samples of M channels."""
-    if p < 1:
-        raise ValueError(f"order p must be positive, got {p}")
+    _check_count("order p", p)
     if n - p < m * p + 1:
         raise ValueError(f"order {p} breaks N - p >= M*p + 1 for N={n} samples and M={m} channels")
 
@@ -192,7 +189,7 @@ def fit_var(segment: Recording, p: int) -> tuple[VarModel, np.ndarray]:
     Raises
     ------
     ValueError
-        If p is non-positive or the segment is too short.
+        If p is not an integer >= 1 or the segment is too short.
     EstimationError
         If the regressor matrix is numerically rank deficient (collinear
         channels or constant data).
@@ -272,13 +269,12 @@ def aic(model: VarModel, n: int) -> float:
     Raises
     ------
     ValueError
-        If n is non-positive.
+        If n is not an integer >= 1.
     EstimationError
         If ``det Sigma <= 0`` (degenerate residuals: the model overfits or
         the data are rank deficient).
     """
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_count("n", n)
     sign, logdet = np.linalg.slogdet(model.residual_covariance)
     if sign <= 0:
         raise EstimationError(
@@ -300,8 +296,8 @@ def max_order_bound(n: int, m: int) -> int:
     ValueError
         If the bound is below 1 (segment too short for the channel count).
     """
-    if n < 1 or m < 1:
-        raise ValueError(f"n and m must be positive, got n={n}, m={m}")
+    _check_count("n", n)
+    _check_count("m", m)
     k = math.isqrt(9 * n - 1)  # largest integer with k^2 < 9n
     bound = k // m
     if bound < 1:
@@ -363,8 +359,7 @@ def select_order(segment: Recording, p_scan_max: int) -> OrderSelection:
     ValueError
         Before any fit, if p_scan_max breaks either bound.
     """
-    if p_scan_max < 1:
-        raise ValueError(f"p_scan_max must be positive, got {p_scan_max}")
+    _check_count("p_scan_max", p_scan_max)
     n = segment.n_samples
     m = segment.n_channels
     _check_scan(n, m, p_scan_max)
@@ -388,7 +383,7 @@ def companion_matrix(coeff_matrices: np.ndarray) -> np.ndarray:
     return comp
 
 
-@lru_cache(maxsize=16)
+@cache
 def _companion_shift(m: int, p: int) -> np.ndarray:
     """Read-only (M*p, M*p) companion template: identity blocks below the first
     block row, which the lag matrices fill."""

@@ -491,6 +491,18 @@ def test_pipeline_infeasible_protocol_is_argument_error(tmp_path, capsys, change
     assert bound in err
 
 
+def test_pipeline_with_no_usable_subject_is_pipeline_error(tmp_path, capsys):
+    # a threshold every sample exceeds screens out every epoch
+    config = dataclasses.replace(default_config(250.0), amplitude_reject_threshold=1e-9)
+    quiet = np.array([[[0.3, 0.0], [0.0, 0.3]]])
+    argv = _pipeline_argv(tmp_path, config, quiet, quiet, n_subjects=4)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("pdckit: pipeline-error: no subject kept a usable segment in both "
+                          "conditions; attrition a={'segments_in': 24, 'screened_out': 24, ")
+    assert not (tmp_path / "out").exists()
+
+
 # -------------------------------------------------------------------- errors
 
 

@@ -1,0 +1,167 @@
+"""The two number rules every value and setting is checked by: a finite real
+(`_io._is_finite_real`, through `_check_positive` where it must be > 0) and a
+count of at least k (`_io._check_count`).
+
+pytest turns warnings into errors here, so an accepted case also shows that
+no numpy overflow warning is raised on the way.
+"""
+
+import math
+import re
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from pdckit import (
+    FrequencyGrid,
+    GeneratorSpec,
+    PipelineConfig,
+    Recording,
+    VarModel,
+    aic,
+    band_average,
+    compute_pdc,
+    extract_segments,
+    fit_var,
+    generate,
+    max_order_bound,
+    screen_stationarity,
+    select_order,
+)
+from pdckit._io import _check_count, _is_finite_real
+from pdckit.pdc import _check_bands
+
+from conftest import random_stable_var
+
+FS = 250.0
+HUGE = 10**400  # an int no float can hold
+
+
+@pytest.mark.parametrize("value", [0, -3, 1.5, -1e308, np.float32(2.5), np.float16(-1),
+                                   np.int8(3), np.uint64(2**64 - 1), Fraction(1, 3)])
+def test_a_finite_real_is_any_real_number_that_is_not_a_bool(value):
+    assert _is_finite_real(value)
+
+
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), math.nan, math.inf, -math.inf,
+                                   np.float32("inf"), np.float64("nan"), HUGE, -HUGE,
+                                   Fraction(HUGE, 3), 1j, "1", None, [1.0], np.array(1.0)])
+def test_a_finite_real_is_not_a_bool_a_non_finite_number_or_a_non_number(value):
+    assert not _is_finite_real(value)
+
+
+@pytest.mark.parametrize("value", [2, 3, np.int64(2), np.uint8(7), HUGE])
+def test_a_count_is_an_int_numpy_ints_included(value):
+    _check_count("k", value, 2)
+
+
+@pytest.mark.parametrize("value", [1, -HUGE, True, 2.0, np.float64(2.0), Fraction(2), "2",
+                                   None, np.array(2)])
+def test_a_count_refuses_a_bool_a_float_a_non_number_and_a_small_int(value):
+    with pytest.raises(ValueError, match=re.escape(f"k must be an integer >= 2, got {value}")):
+        _check_count("k", value, 2)
+
+
+def _recording(n=675, seed=4):
+    return generate(GeneratorSpec(coeff_matrices=np.array([[[0.3, 0.0], [0.4, 0.3]]]),
+                                  innovation_covariance=np.eye(2), n_samples=n, seed=seed,
+                                  sampling_rate_hz=FS))
+
+
+def _spec(**changes):
+    values = {"coeff_matrices": np.array([[[0.3]]]), "innovation_covariance": np.eye(1),
+              "n_samples": 10, "seed": 1, "sampling_rate_hz": FS, **changes}
+    return GeneratorSpec(**values)
+
+
+def _model(**changes):
+    values = {"order_p": 1, "coeff_matrices": np.zeros((1, 2, 2)),
+              "residual_covariance": np.eye(2), "n_samples_used": 10,
+              "channel_labels": ("a", "b"), **changes}
+    return VarModel(**values)
+
+
+# each call with an out-of-range number -> the start of the ValueError it raises
+_REFUSALS = {
+    "drift tolerance beyond float range": (
+        lambda: PipelineConfig(FS, stationarity_mean_drift_tol=HUGE),
+        "stationarity_mean_drift_tol must be a finite positive number"),
+    "variance tolerance beyond float range": (
+        lambda: PipelineConfig(FS, stationarity_variance_ratio_tol=HUGE),
+        "stationarity_variance_ratio_tol must be a finite positive number"),
+    "amplitude threshold beyond float range": (
+        lambda: PipelineConfig(FS, amplitude_reject_threshold=HUGE),
+        "amplitude_reject_threshold must be a finite positive number"),
+    "sampling rate beyond float range": (
+        lambda: PipelineConfig(HUGE), "sampling_rate_hz must be a finite positive number"),
+    "bool sampling rate": (
+        lambda: PipelineConfig(sampling_rate_hz=True),
+        "sampling_rate_hz must be a finite positive number, got True"),
+    "bool epoch length": (
+        lambda: PipelineConfig(FS, epoch_length_ms=True),
+        "epoch_length_ms must be a finite positive number, got True"),
+    "float fixed order": (
+        lambda: PipelineConfig(FS, fixed_order=15.5),
+        "fixed_order must be an integer >= 1, got 15.5"),
+    "bool scan bound": (
+        lambda: PipelineConfig(FS, p_scan_max=True), "p_scan_max must be an integer >= 1, got True"),
+    "float window count": (
+        lambda: PipelineConfig(FS, stationarity_n_windows=2.5),
+        "stationarity_n_windows must be an integer >= 2, got 2.5"),
+    "band edge beyond float range": (
+        lambda: PipelineConfig(FS, bands={"x": (4, HUGE)}), "band 'x' has invalid edges"),
+    "bool band edge": (
+        lambda: _check_bands({"x": (True, 8.0)}), "band 'x' edges must be a pair of real numbers"),
+    "onset beyond float range": (
+        lambda: extract_segments(_recording(), 900.0, [HUGE]),
+        f"epoch start {HUGE} ms is not a finite number"),
+    "string onset": (
+        lambda: extract_segments(_recording(), 900.0, ["0"]),
+        "epoch start 0 ms is not a finite number"),
+    "float fit order": (
+        lambda: fit_var(_recording(), 2.0), "order p must be an integer >= 1, got 2.0"),
+    "float scan bound": (
+        lambda: select_order(_recording(), 2.5), "p_scan_max must be an integer >= 1, got 2.5"),
+    "one screening window": (
+        lambda: screen_stationarity(_recording(), n_windows=1),
+        "n_windows must be an integer >= 2, got 1"),
+    "float sample count": (
+        lambda: _spec(n_samples=10.0), "n_samples must be an integer >= 1, got 10.0"),
+    "negative burn-in": (lambda: _spec(burn_in=-1), "burn_in must be an integer >= 0, got -1"),
+    "float model order": (
+        lambda: _model(order_p=1.0), "order_p must be an integer >= 1, got 1.0"),
+    "bool model row count": (
+        lambda: _model(n_samples_used=True), "n_samples_used must be an integer >= 1, got True"),
+    "zero AIC row count": (lambda: aic(_model(), 0), "n must be an integer >= 1, got 0"),
+    "float bound row count": (
+        lambda: max_order_bound(100.0, 2), "n must be an integer >= 1, got 100.0"),
+    "zero bound channel count": (
+        lambda: max_order_bound(100, 0), "m must be an integer >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("call, message", _REFUSALS.values(), ids=_REFUSALS)
+def test_an_out_of_range_number_is_refused_naming_its_field(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("real", [np.float32, np.float16, np.int16])
+def test_band_edges_of_any_real_numpy_type_are_taken_as_floats(real):
+    bands = {"x": (real(4), real(8))}
+    assert _check_bands(bands) == {"x": (4.0, 8.0)}
+    assert PipelineConfig(FS, bands=bands).bands == {"x": (4.0, 8.0)}
+    grid = FrequencyGrid.regular(4.0, 30.0, 0.5, FS)
+    averages = band_average(compute_pdc(random_stable_var(np.random.default_rng(1), 2, 2), grid),
+                            bands)
+    assert averages.band_edges_hz == {"x": (4.0, 8.0)}
+
+
+def test_numpy_counts_and_reals_are_taken():
+    recording = _recording()
+    model, _ = fit_var(recording, np.int64(2))
+    assert model.order_p == 2
+    assert PipelineConfig(np.float64(FS), fixed_order=np.int32(3)).fixed_order == 3
+    assert len(extract_segments(recording, np.float32(900.0), [np.int64(0)])) == 1
+    assert Recording(recording.samples, np.float32(FS), ("a", "b")).sampling_rate_hz == FS

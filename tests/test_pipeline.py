@@ -305,7 +305,7 @@ def test_swapping_the_conditions_flips_only_the_test_directions():
     assert swapped == [{**row, "direction": flipped[row["direction"]]} for row in forward]
 
 
-def test_the_band_rule_runs_once_per_config_and_never_inside_a_run(monkeypatch):
+def test_the_band_rule_runs_once_per_config_build_and_once_per_run(monkeypatch):
     calls = []
     real = pdckit.pdc._check_bands
 
@@ -318,7 +318,35 @@ def test_the_band_rule_runs_once_per_config_and_never_inside_a_run(monkeypatch):
     cfg = default_config(FS)
     assert len(calls) == 1
     run_pipeline(cfg, *_cohorts(n_subjects=2))
-    assert len(calls) == 1
+    assert len(calls) == 2
+
+
+def test_a_band_edited_after_the_build_is_refused_before_any_fit(monkeypatch):
+    # the config is frozen, but its bands dict is not
+    cfg = default_config(FS)
+    cfg.bands["x"] = (4.0, math.inf)
+    fits = []
+    monkeypatch.setattr(pdckit.pipeline, "fit_var",
+                        lambda *args: fits.append(args) or fit_var(*args))
+    with pytest.raises(ValueError, match=re.escape("band 'x' has invalid edges (4.0, inf)")):
+        run_pipeline(cfg, *_cohorts(n_subjects=2))
+    assert fits == []
+
+
+def test_an_epoch_that_cannot_be_fitted_counts_as_failed_fit():
+    cond_a, cond_b = _cohorts(n_subjects=4)
+    starts = STARTS[:3]
+    cond_a = [(rec, starts) for rec, _ in cond_a]
+    cond_b = [(rec, starts) for rec, _ in cond_b]
+    # channel 2 a copy of channel 1 in subject 0's second epoch: a rank-deficient design
+    samples = cond_a[0][0].samples.copy()
+    samples[225:450, 1] = samples[225:450, 0]
+    cond_a[0] = (Recording(samples, FS, cond_a[0][0].channel_labels), starts)
+    report = run_pipeline(default_config(FS), cond_a, cond_b)
+    a = report.condition_a
+    assert (a.segments_in, a.screened_out, a.failed_fit, a.used) == (12, 1, 1, 10)
+    assert report.condition_b.failed_fit == 0
+    assert report.subjects_used == (0, 1, 2, 3)
 
 
 # ------------------------------------------------------ metamorphic relations
@@ -732,3 +760,13 @@ def test_write_report_files(tmp_path):
     assert lines[0].split(",") == ["pair", "direction", "band", "n", "W",
                                    "p_raw", "p_adjusted", "significant"]
     assert len(lines) == 1 + 8
+
+
+def test_a_report_that_cannot_be_written_leaves_no_file(tmp_path):
+    report = run_pipeline(default_config(FS), *_cohorts(n_subjects=2, base=889_000))
+    # standard JSON has no NaN, so the report's writer refuses it
+    broken = dataclasses.replace(report, config_echo={**report.config_echo, "alpha": math.nan})
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_report(broken, out)
+    assert list(out.iterdir()) == []

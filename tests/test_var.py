@@ -614,6 +614,18 @@ def test_companion_matrix_is_a_fresh_array_over_an_unchanged_template():
         template[0, 0] = 1.0
 
 
+def test_every_companion_template_a_run_uses_stays_cached():
+    # an auto-order run on a long cohort checks models of about 20 distinct (M, p)
+    # shapes; a second pass over more shapes than that builds no template again
+    shapes = [(m, p) for m in (2, 4) for p in range(1, 13)]
+    for m, p in shapes:
+        companion_matrix(np.zeros((p, m, m)))
+    misses = _companion_shift.cache_info().misses
+    for m, p in shapes:
+        companion_matrix(np.zeros((p, m, m)))
+    assert _companion_shift.cache_info().misses == misses
+
+
 def test_spectral_radius_ar1_equals_coefficient():
     assert spectral_radius(np.array([[[0.9]]])) == pytest.approx(0.9)
     assert spectral_radius(np.array([[[1.02]]])) == pytest.approx(1.02)
@@ -772,5 +784,5 @@ def test_model_rejects_non_positive_sample_count(tmp_path):
     path = tmp_path / "model.json"
     write_model_json(random_stable_var(np.random.default_rng(2), m=2, p=3), path)
     path.write_text(json.dumps({**json.loads(path.read_text()), "n_samples_used": -5}))
-    with pytest.raises(ValueError, match="n_samples_used must be positive"):
+    with pytest.raises(ValueError, match="n_samples_used must be an integer >= 1, got -5$"):
         read_model_json(path)
