@@ -3,11 +3,12 @@
 Every reader decodes UTF-8 through `_decode_utf8` and names the file, and
 its line where there is one, in each error. The JSON readers refuse a
 repeated key and check decoded values against `_JSON_TYPES`; the recording and
-table readers walk CSV records with `_csv_records` (tables through `_csv_rows`)
-and the CSV writers write through `_write_csv`; the JSON writers all go through
+table readers walk CSV records with `_csv_records` (tables through `_csv_rows`),
+each text cell is read by its column's kind (`_number_cell`, `_label_cell`), and
+the CSV writers write through `_write_csv`; the JSON writers all go through
 `_write_json`, which writes numpy arrays and scalars as lists and numbers.
 Every container builds its channel labels with `_labels`, and every number check
-goes through `_is_finite_real` (`_check_positive` when > 0) or `_check_count`.
+goes through `_is_finite_real` (`_check_positive` when > 0) or `_is_count`.
 """
 
 from __future__ import annotations
@@ -41,17 +42,40 @@ def _check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be a finite positive number, got {value}")
 
 
+def _is_count(value, least: int) -> bool:
+    """An int, numpy's ints included and a bool not, of at least ``least``."""
+    return (type(value) is int or (isinstance(value, numbers.Integral)
+                                   and not isinstance(value, bool))) and value >= least
+
+
 def _check_count(name: str, value, least: int = 1) -> None:
-    """The rule for an order or a count: an int, numpy's ints included and a bool not,
-    of at least ``least``."""
-    if not ((type(value) is int or (isinstance(value, numbers.Integral)
-                                    and not isinstance(value, bool))) and value >= least):
+    """The rule for an order or a count: `_is_count`."""
+    if not _is_count(value, least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value}")
 
 
 def _is_label(text) -> bool:
     """A channel, band or subject label: non-empty and without edge whitespace."""
     return bool(text) and text == text.strip()
+
+
+def _number_cell(where: str, column: str, text: str) -> float:
+    """A CSV cell that `float` reads as a finite number; ``where`` is "path:line"."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: {column} must be a finite number, got {text!r}")
+    return value
+
+
+def _label_cell(where: str, column: str, text: str) -> str:
+    """A CSV cell that is a label (`_is_label`)."""
+    if not _is_label(text):
+        raise ValueError(f"{where}: {column} must be a non-empty label without edge "
+                         f"whitespace, got {text!r}")
+    return text
 
 
 def _labels(values) -> tuple[str, ...]:
@@ -155,18 +179,20 @@ def _csv_records(path, lines):
         raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def _csv_rows(path, required: set):
+def _csv_rows(path, columns: dict):
     """Yield ``("path:line", row)`` per record of a UTF-8 CSV table whose header
-    holds the ``required`` columns; a row maps each column to its cell."""
+    holds the columns of ``columns``, a map column -> ``read(where, column, text)``;
+    a row maps those columns, in that order, to their cells as read."""
     records = _csv_records(path, io.StringIO(_read_text(path), newline=""))
     where, header = next(records, (path, []))
-    if not required.issubset(header):
-        raise ValueError(f"{path}: expected columns {sorted(required)}")
+    if not set(columns).issubset(header):
+        raise ValueError(f"{path}: expected columns {sorted(columns)}")
     repeated = [name for i, name in enumerate(header) if name in header[:i]]
-    if repeated:  # a row's dict would keep its last cell for the name
+    if repeated:  # a column's cell would be ambiguous
         raise ValueError(f"{where}: column {repeated[0]!r} is repeated")
+    readers = [(column, header.index(column), read) for column, read in columns.items()]
     for where, cells in records:
-        yield where, dict(zip(header, cells))
+        yield where, {column: read(where, column, cells[i]) for column, i, read in readers}
 
 
 def _write_csv(path, header, rows) -> None:

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 
-from ._io import _csv_rows, _is_label
+from ._io import _csv_rows, _label_cell, _number_cell
 from ._version import __version__
 from .errors import EstimationError, PipelineError
 from .pdc import (
@@ -30,7 +29,7 @@ from .pdc import (
 )
 from .pipeline import PipelineConfig, read_config_json, run_pipeline, write_report
 from .signals import read_markers_csv, read_recording_csv, write_recording_csv
-from .stats import DEFAULT_ALPHA, _key_label, compare_conditions, format_pair, write_test_table_csv
+from .stats import DEFAULT_ALPHA, _key_label, _pair_cell, compare_conditions, write_test_table_csv
 from .synth import generate, read_generator_spec_json
 from .var import fit_var, read_model_json, select_order, write_model_json
 
@@ -180,34 +179,20 @@ def _cmd_bands(args) -> int:
     return EXIT_OK
 
 
+# a band-value table's columns and cell readers, one row per (pair, band) key and subject
+_BAND_VALUE_COLUMNS = {"pair": _pair_cell, "band": _label_cell, "subject": _label_cell,
+                       "value": _number_cell}
+
+
 def _read_band_values_csv(path) -> dict:
     """pair,band,subject,value rows of UTF-8 CSV -> {(pair, band): {subject: value}}."""
     table: dict = {}
-    for where, row in _csv_rows(path, {"pair", "band", "subject", "value"}):
-        pair_text = row["pair"]
-        source, _, target = pair_text.partition("->")
-        # format_pair must give the cell back, and a '->' in the target
-        # would let the cell split two ways
-        if not (_is_label(source) and _is_label(target) and "->" not in target
-                and format_pair((source, target)) == pair_text):
-            raise ValueError(f"{where}: pair must look like 'src->tgt' with two non-empty "
-                             f"labels without edge whitespace, got {pair_text!r}")
-        for column in ("band", "subject"):
-            if not _is_label(row[column]):
-                raise ValueError(f"{where}: {column} must be a non-empty label without edge "
-                                 f"whitespace, got {row[column]!r}")
-        band, subject = row["band"], row["subject"]
-        key = ((source, target), band)
+    for where, row in _csv_rows(path, _BAND_VALUE_COLUMNS):
+        key, subject = (row["pair"], row["band"]), row["subject"]
         per_subject = table.setdefault(key, {})
         if subject in per_subject:
             raise ValueError(f"{where}: duplicate subject {subject!r} for {_key_label(key)}")
-        try:
-            value = float(row["value"])
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise ValueError(f"{where}: value must be a finite number, got {row['value']!r}")
-        per_subject[subject] = value
+        per_subject[subject] = row["value"]
     if not table:
         raise ValueError(f"{path}: no data rows")
     return table

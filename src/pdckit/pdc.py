@@ -16,8 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._io import (_check_positive, _csv_rows, _is_finite_real, _is_label, _is_real, _labels,
-                  _write_csv, _write_json)
+from ._io import (_check_positive, _csv_rows, _is_finite_real, _is_label, _is_real, _label_cell,
+                  _labels, _number_cell, _write_csv, _write_json)
 from .var import VarModel
 
 __all__ = [
@@ -43,15 +43,16 @@ DEFAULT_BANDS: dict[str, tuple[float, float]] = {
 }
 
 _DEGENERATE_COLUMN_NORM = 1e-12
-# the columns of a spectrum CSV, one row per frequency and source -> target pair
-_SPECTRUM_COLUMNS = ("freq_hz", "source", "target", "pdc")
+# a spectrum CSV's columns and cell readers, one row per frequency and source -> target pair
+_SPECTRUM_COLUMNS = {"freq_hz": _number_cell, "source": _label_cell, "target": _label_cell,
+                     "pdc": _number_cell}
 
 
 def _check_range(low_hz: float, high_hz: float, sampling_rate_hz: float) -> None:
-    """The range rule of a grid: a finite positive rate and 0 <= low <= high <= Nyquist."""
+    """The range rule of a grid: a finite positive rate and real 0 <= low <= high <= Nyquist."""
     _check_positive("sampling_rate_hz", sampling_rate_hz)
     nyquist = sampling_rate_hz / 2.0
-    if not 0 <= low_hz <= high_hz <= nyquist:
+    if not (_is_real(low_hz) and _is_real(high_hz) and 0 <= low_hz <= high_hz <= nyquist):
         raise ValueError(f"frequencies must lie in [0, {nyquist}] Hz, got [{low_hz}, {high_hz}]")
 
 
@@ -331,25 +332,17 @@ def read_spectrum_csv(path, sampling_rate_hz: float | None = None) -> PdcSpectru
 
     When the sampling rate is not given, it defaults to twice the highest
     frequency present (the minimal rate for which the grid is valid), or to
-    1 Hz for a table of 0 Hz alone. A cell out of range, or a source or target
-    cell that is not a channel label, is named by path:line.
+    1 Hz for a table of 0 Hz alone. A cell that is not of its column's kind
+    (`_SPECTRUM_COLUMNS`), or a number out of range, is named by path:line.
     """
     cells: dict[tuple[float, str, str], float] = {}
     seen: dict[str, None] = {}  # channel labels in first-seen order
-    for where, row in _csv_rows(path, set(_SPECTRUM_COLUMNS)):
-        try:
-            f_hz, value = float(row["freq_hz"]), float(row["pdc"])
-        except ValueError:
-            raise ValueError(f"{where}: freq_hz and pdc must be numbers, got "
-                             f"{row['freq_hz']!r} and {row['pdc']!r}") from None
-        if not 0.0 <= f_hz < math.inf:  # NaN fails too
-            raise ValueError(f"{where}: freq_hz must be finite and >= 0, got {row['freq_hz']!r}")
+    for where, row in _csv_rows(path, _SPECTRUM_COLUMNS):
+        f_hz, source, target, value = row.values()
+        if not f_hz >= 0.0:
+            raise ValueError(f"{where}: freq_hz must be >= 0, got {f_hz}")
         if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{where}: PDC values must lie in [0, 1], got {row['pdc']!r}")
-        source, target = row["source"], row["target"]
-        if not (_is_label(source) and _is_label(target)):
-            raise ValueError(f"{where}: source and target must be non-empty channel labels "
-                             f"without edge whitespace, got {source!r} and {target!r}")
+            raise ValueError(f"{where}: PDC values must lie in [0, 1], got {value}")
         key = (f_hz, source, target)
         if key in cells:
             raise ValueError(f"{where}: duplicate row for {f_hz} Hz, {source}->{target}")

@@ -9,14 +9,13 @@ model is fitted to it.
 from __future__ import annotations
 
 import io
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._io import (_check_count, _check_positive, _csv_records, _decode_utf8, _is_finite_real,
-                  _labels, _read_text, _write_csv)
+                  _labels, _number_cell, _read_text, _write_csv)
 
 __all__ = [
     "Recording",
@@ -276,13 +275,7 @@ def _read_by_row(path, data: bytes):
     labels = _read_header(path, records)
     rows = []
     for where, row in records:
-        try:
-            values = [float(v) for v in row]
-        except ValueError:
-            raise ValueError(f"{where}: non-numeric sample value") from None
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"{where}: non-finite sample value")
-        rows.append(values)
+        rows.append([_number_cell(where, label, cell) for label, cell in zip(labels, row)])
     if not rows:
         raise ValueError(f"{path}: recording has a header but no samples")
     return labels, np.array(rows, dtype=float)
@@ -309,13 +302,6 @@ def read_markers_csv(path) -> list[float]:
     starts = []
     for lineno, line in enumerate(io.StringIO(_read_text(path), newline=""), start=1):
         text = line.strip().rstrip(",")
-        if not text:
-            continue
-        try:
-            start = float(text)
-        except ValueError:
-            start = math.nan
-        if not math.isfinite(start):
-            raise ValueError(f"{path}:{lineno}: expected one finite epoch start (ms), got {text!r}")
-        starts.append(start)
+        if text:
+            starts.append(_number_cell(f"{path}:{lineno}", "epoch start (ms)", text))
     return starts

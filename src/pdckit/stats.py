@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._io import _write_csv
+from ._io import _is_label, _write_csv
 from .errors import DegenerateSampleError
 
 __all__ = [
@@ -435,6 +435,16 @@ def format_pair(pair) -> str:
     """(source, target) -> 'source->target'."""
     source, target = pair
     return f"{source}->{target}"
+
+
+def _pair_cell(where: str, column: str, text: str) -> tuple[str, str]:
+    """A CSV cell that `format_pair` writes: 'source->target' -> (source, target)."""
+    source, _, target = text.partition("->")
+    # a '->' in the target would let the cell split two ways
+    if not (_is_label(source) and _is_label(target) and "->" not in target):
+        raise ValueError(f"{where}: {column} must look like 'src->tgt' with two non-empty "
+                         f"labels without edge whitespace, got {text!r}")
+    return source, target
 
 
 def _key_label(key) -> str:

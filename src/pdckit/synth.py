@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import _check_count, _check_positive, _json_fields, _labels, _read_json, _write_json
+from ._io import (_check_count, _check_positive, _is_count, _json_fields, _labels, _read_json,
+                  _write_json)
 from .signals import Recording
 from .var import spectral_radius
 
@@ -84,7 +85,7 @@ class GeneratorSpec:
             raise ValueError(f"unstable coefficient matrices: spectral radius {radius:.6f} >= 1")
         _check_count("n_samples", self.n_samples)
         _check_count("burn_in", self.burn_in, 0)
-        if not 0 <= self.seed < _MAX_SEED:
+        if not (_is_count(self.seed, 0) and int(self.seed) < _MAX_SEED):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         _check_positive("sampling_rate_hz", self.sampling_rate_hz)
         labels = (tuple(f"ch{i + 1}" for i in range(m)) if self.channel_labels is None

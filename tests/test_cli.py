@@ -269,7 +269,8 @@ def test_bands_refuses_a_spectrum_with_a_nan_cell(tmp_path, capsys):
     code = main(["bands", "--spectrum", str(spec_path), "--out", str(out)])
     assert code == 2
     assert not out.exists()
-    assert "PDC values must lie in [0, 1]" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"pdckit: argument-error: {spec_path}:6: pdc must be a finite number, got 'nan'\n")
 
 
 def test_compare_pairs_subjects_by_id(tmp_path, capsys):
@@ -438,7 +439,7 @@ def test_pipeline_names_the_recording_with_a_non_finite_sample(tmp_path, capsys)
     bad.write_text("\n".join(lines) + "\n")
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
-        f"pdckit: argument-error: {bad}:8: non-finite sample value\n")
+        f"pdckit: argument-error: {bad}:8: ch2 must be a finite number, got 'inf'\n")
 
 
 def test_pipeline_threads_flag_is_accepted_and_ignored(tmp_path, capsys, monkeypatch):
@@ -665,10 +666,10 @@ def test_a_cell_past_the_csv_field_limit_is_named_by_line(tmp_path, capsys, read
 
 
 @pytest.mark.parametrize("column, cell, message", [
-    ("pdc", "nan", "PDC values must lie in [0, 1], got 'nan'"),
-    ("pdc", "1.5", "PDC values must lie in [0, 1], got '1.5'"),
-    ("freq_hz", "-4.0", "freq_hz must be finite and >= 0, got '-4.0'"),
-    ("freq_hz", "inf", "freq_hz must be finite and >= 0, got 'inf'"),
+    ("pdc", "nan", "pdc must be a finite number, got 'nan'"),
+    ("pdc", "1.5", "PDC values must lie in [0, 1], got 1.5"),
+    ("freq_hz", "-4.0", "freq_hz must be >= 0, got -4.0"),
+    ("freq_hz", "inf", "freq_hz must be a finite number, got 'inf'"),
 ], ids=["nan-pdc", "pdc-above-1", "negative-freq", "infinite-freq"])
 def test_spectrum_reader_names_the_line_of_a_cell_out_of_range(tmp_path, capsys, column, cell,
                                                                 message):
@@ -887,19 +888,20 @@ def test_simulate_refuses_a_spec_whose_labels_break_the_label_rule(tmp_path, cap
     assert not out.exists()
 
 
-@pytest.mark.parametrize("row, source, target", [
-    ("4.0, a, a,1.0", " a", " a"),
-    ("4.0,,a,1.0", "", "a"),
-], ids=["padded", "empty-source"])
+@pytest.mark.parametrize("row, column, cell", [
+    ("4.0, a, a,1.0", "source", " a"),
+    ("4.0,a,a ,1.0", "target", "a "),
+    ("4.0,,a,1.0", "source", ""),
+], ids=["padded", "padded-target", "empty-source"])
 def test_bands_refuses_a_spectrum_cell_that_is_not_a_channel_label(tmp_path, capsys, row,
-                                                                    source, target):
+                                                                    column, cell):
     spectrum = tmp_path / "spectrum.csv"
     spectrum.write_text(f"freq_hz,source,target,pdc\n{row}\n")
     out = tmp_path / "bands.json"
     assert main(["bands", "--spectrum", str(spectrum), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        f"pdckit: argument-error: {spectrum}:2: source and target must be non-empty channel "
-        f"labels without edge whitespace, got {source!r} and {target!r}\n")
+        f"pdckit: argument-error: {spectrum}:2: {column} must be a non-empty label without "
+        f"edge whitespace, got {cell!r}\n")
     assert not out.exists()
 
 

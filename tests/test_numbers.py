@@ -1,6 +1,6 @@
 """The two number rules every value and setting is checked by: a finite real
 (`_io._is_finite_real`, through `_check_positive` where it must be > 0) and a
-count of at least k (`_io._check_count`).
+count of at least k (`_io._is_count`, through `_check_count`).
 
 pytest turns warnings into errors here, so an accepted case also shows that
 no numpy overflow warning is raised on the way.
@@ -22,6 +22,7 @@ from pdckit import (
     aic,
     band_average,
     compute_pdc,
+    evaluate_transfer,
     extract_segments,
     fit_var,
     generate,
@@ -138,6 +139,21 @@ _REFUSALS = {
         lambda: max_order_bound(100.0, 2), "n must be an integer >= 1, got 100.0"),
     "zero bound channel count": (
         lambda: max_order_bound(100, 0), "m must be an integer >= 1, got 0"),
+    "bool grid start": (
+        lambda: PipelineConfig(FS, freq_low_hz=True),
+        "frequencies must lie in [0, 125.0] Hz, got [True, 30.0]"),
+    "string grid end": (
+        lambda: PipelineConfig(FS, freq_high_hz="30"),
+        "frequencies must lie in [0, 125.0] Hz, got [4.0, 30]"),
+    "bool regular grid end": (
+        lambda: FrequencyGrid.regular(0.0, True, 0.5, FS),
+        "frequencies must lie in [0, 125.0] Hz, got [0.0, True]"),
+    "bool transfer frequency": (
+        lambda: evaluate_transfer(_model(), False, FS),
+        "frequencies must lie in [0, 125.0] Hz, got [False, False]"),
+    "None grid start": (
+        lambda: FrequencyGrid.regular(None, 30.0, 0.5, FS),
+        "frequencies must lie in [0, 125.0] Hz, got [None, 30.0]"),
 }
 
 
@@ -156,6 +172,22 @@ def test_band_edges_of_any_real_numpy_type_are_taken_as_floats(real):
     averages = band_average(compute_pdc(random_stable_var(np.random.default_rng(1), 2, 2), grid),
                             bands)
     assert averages.band_edges_hz == {"x": (4.0, 8.0)}
+
+
+@pytest.mark.parametrize("seed", [2.5, 2.0, True, np.float64(2.0), np.bool_(True), -1, 2**64,
+                                  "2", None])
+def test_a_seed_is_an_unsigned_64_bit_integer(seed):
+    with pytest.raises(ValueError) as info:
+        _spec(seed=seed)
+    assert str(info.value) == f"seed must be an unsigned 64-bit integer, got {seed}"
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+def test_a_numpy_seed_generates_the_samples_of_the_equal_int(seed):
+    samples = generate(_spec(seed=seed)).samples
+    for numpy_int in (np.uint64, np.int64):
+        if seed <= np.iinfo(numpy_int).max:
+            assert generate(_spec(seed=numpy_int(seed))).samples.tobytes() == samples.tobytes()
 
 
 def test_numpy_counts_and_reals_are_taken():

@@ -541,8 +541,8 @@ def test_spectrum_csv_rejects_a_duplicate_row(tmp_path):
 
 
 @pytest.mark.parametrize("row, message", [
-    ("abc,a,a,0.5", "freq_hz and pdc must be numbers, got 'abc' and '0.5'"),
-    ("4.0,a,a,x", "freq_hz and pdc must be numbers, got '4.0' and 'x'"),
+    ("abc,a,a,0.5", "freq_hz must be a finite number, got 'abc'"),
+    ("4.0,a,a,x", "pdc must be a finite number, got 'x'"),
     ("4.0,a,a", "expected 4 values, got 3"),
 ], ids=["freq", "pdc", "short-row"])
 def test_spectrum_csv_names_the_line_of_a_non_numeric_cell(tmp_path, row, message):

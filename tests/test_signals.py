@@ -346,7 +346,7 @@ def test_recording_csv_names_the_line_of_a_non_finite_sample(tmp_path, cell):
     path.write_text(f"a,b\n1,2\n\n3,{cell}\n4,5\n")
     with pytest.raises(ValueError) as info:
         read_recording_csv(path, sampling_rate_hz=100.0)
-    assert str(info.value) == f"{path}:4: non-finite sample value"
+    assert str(info.value) == f"{path}:4: b must be a finite number, got {cell!r}"
 
 
 def test_recording_csv_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
@@ -357,19 +357,19 @@ def test_recording_csv_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
     assert str(info.value) == f"{path}:4: not UTF-8 text (invalid start byte)"
 
 
-@pytest.mark.parametrize("text, line", [
-    ('"a\nb",c\n1,2\n3,x\n', 4),
-    ('"a\nb",c\n1,2\n"3\n",4\n5,y\n', 6),
+@pytest.mark.parametrize("text, line, cell", [
+    ('"a\nb",c\n1,2\n3,x\n', 4, "x"),
+    ('"a\nb",c\n1,2\n"3\n",4\n5,y\n', 6, "y"),
 ])
 def test_recording_csv_names_the_physical_line_after_a_quoted_line_break(
-        tmp_path, text, line):
+        tmp_path, text, line, cell):
     # a quoted cell may hold a line break (the writer quotes such a label), so
     # records and lines part ways; the message names the record's last line
     path = tmp_path / "rec.csv"
     path.write_text(text, newline="")
     with pytest.raises(ValueError) as info:
         read_recording_csv(path, sampling_rate_hz=100.0)
-    assert str(info.value) == f"{path}:{line}: non-numeric sample value"
+    assert str(info.value) == f"{path}:{line}: c must be a finite number, got {cell!r}"
 
 
 @pytest.mark.parametrize("body", ["", "\n\r\n", "\r"])
@@ -386,10 +386,10 @@ def test_recording_csv_header_only_file_raises_without_a_warning(tmp_path, body)
 
 def _read_by_line_reference(path):
     """The per-record reader the one-call parse must agree with: the samples, or the
-    message naming the record's last physical line."""
+    message naming the record's last physical line and the first bad cell's column."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        labels = next(reader)
+        labels = [label.strip() for label in next(reader)]
         rows = []
         for row in reader:
             if not row:
@@ -397,12 +397,14 @@ def _read_by_line_reference(path):
             lineno = reader.line_num
             if len(row) != len(labels):
                 return f"{path}:{lineno}: expected {len(labels)} values, got {len(row)}"
-            try:
-                values = [float(v) for v in row]
-            except ValueError:
-                return f"{path}:{lineno}: non-numeric sample value"
-            if not all(map(math.isfinite, values)):
-                return f"{path}:{lineno}: non-finite sample value"
+            values = []
+            for label, cell in zip(labels, row):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    values.append(math.nan)
+                if not math.isfinite(values[-1]):
+                    return f"{path}:{lineno}: {label} must be a finite number, got {cell!r}"
             rows.append(values)
     if not rows:
         return f"{path}: recording has a header but no samples"
@@ -497,8 +499,9 @@ def test_markers_csv_reads_one_start_per_line(tmp_path):
 def test_markers_csv_rejects_non_finite_starts(tmp_path, text):
     path = tmp_path / "markers.csv"
     path.write_text(f"0\n900\n{text}\n")
-    with pytest.raises(ValueError, match=f"markers.csv:3: .*{text!r}"):
+    with pytest.raises(ValueError) as info:
         read_markers_csv(path)
+    assert str(info.value) == f"{path}:3: epoch start (ms) must be a finite number, got {text!r}"
 
 
 @pytest.mark.parametrize("start", [float("nan"), float("inf"), -float("inf")])
