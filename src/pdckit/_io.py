@@ -210,10 +210,6 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _is_str(value) -> bool:
-    return type(value) is str
-
-
 def _array_shape(value):
     """Shape of nested lists of finite numbers, or None unless they form an array."""
     if _is_finite_real(value):
@@ -232,8 +228,8 @@ _JSON_TYPES = {
     "float": (_is_finite_real, "a finite number"),
     "int": (lambda v: type(v) is int, "an integer"),
     "bool": (lambda v: type(v) is bool, "true or false"),
-    "str": (_is_str, "a string"),
-    "labels": (lambda v: type(v) is list and all(map(_is_str, v)), "a list of strings"),
+    "str": (lambda v: type(v) is str, "a string"),
+    "labels": (lambda v: type(v) is list, "a list"),  # its labels are `_labels`' to check
     "array": (lambda v: type(v) is list and _array_shape(v) is not None,
               "equally long nested lists of finite numbers"),
     "tuple": (lambda v: type(v) is list and all(type(p) is list for p in v),

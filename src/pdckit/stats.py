@@ -380,8 +380,10 @@ def compare_conditions(band_values_a: dict, band_values_b: dict,
     ValueError
         If the two maps have different key sets, if a key's values are
         misaligned or not finite (the message starts with the key, written
-        ``source->target/band`` for ``((source, target), band)`` keys).
+        ``source->target/band`` for ``((source, target), band)`` keys), or if
+        alpha is not in (0, 1); alpha is checked before any key is read.
     """
+    _check_alpha(alpha)
     if band_values_a.keys() != band_values_b.keys():
         missing = set(band_values_a) ^ set(band_values_b)
         raise ValueError(f"condition maps differ in keys: {sorted(missing)!r}")

@@ -152,7 +152,7 @@ def read_generator_spec_json(path) -> GeneratorSpec:
     burn_in and channel_labels may be omitted from the file; seed may be
     overridden at the call site (CLI --seed flag). Every value must have its
     JSON kind (integers for counts and the seed, a number for the rate, a
-    list of strings for the labels, nested lists of finite numbers for the
+    list of channel labels, nested lists of finite numbers for the
     matrices), and unknown keys are rejected.
     """
     required = ("coeff_matrices", "innovation_covariance", "n_samples", "seed",

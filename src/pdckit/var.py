@@ -477,7 +477,7 @@ def read_model_json(path) -> VarModel:
     """Load a model written by `write_model_json`.
 
     Every key is required and must have its JSON kind (integers for the
-    order and row count, a list of strings for the labels, nested lists of
+    order and row count, a list of channel labels, nested lists of
     finite numbers for the matrices); unknown keys are rejected.
     """
     kinds = {key: kind for key, (_, kind) in _MODEL_KEYS.items()}

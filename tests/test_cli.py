@@ -150,8 +150,8 @@ def test_fit_auto_order_refuses_a_scan_too_long_for_the_recording(tmp_path, caps
     code = main(["fit", "--input", str(short), "--sampling-rate", "250", "--auto-order",
                  "--p-scan-max", "5", "--out", str(tmp_path / "m.json")])
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("pdckit: argument-error: order 5 breaks N - p >= M*p + 1 for N=12")
+    assert capsys.readouterr().err == ("pdckit: argument-error: order 5 breaks N - p >= "
+                                       "M*p + 1 for N=12 samples and M=2 channels\n")
     assert not (tmp_path / "m.json").exists()
 
 
@@ -328,10 +328,8 @@ def test_compare_names_the_line_of_a_bad_value(tmp_path, capsys, cell):
     code = main(["compare", "--condition-a", str(a_path),
                  "--condition-b", str(b_path), "--out", str(tmp_path / "t.csv")])
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"pdckit: argument-error: {a_path}:5: ")
-    assert repr(cell) in err
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == (
+        f"pdckit: argument-error: {a_path}:5: value must be a finite number, got {cell!r}\n")
 
 
 @pytest.mark.parametrize("pair, band, bad", [
@@ -344,6 +342,7 @@ def test_compare_names_the_line_of_a_bad_value(tmp_path, capsys, cell):
     ("f-> t", "alpha", "f-> t"),
     ("a->b->c", "alpha", "a->b->c"),
     (" a -> b->c ", "alpha", " a -> b->c "),
+    ("f->f", "alpha", "f->f"),
     ("f->t", "", ""),
     ("f->t", " alpha", " alpha"),
     ("f->t", "alpha ", "alpha "),
@@ -360,10 +359,11 @@ def test_compare_rejects_a_pair_or_band_that_does_not_round_trip(tmp_path, capsy
                  "--condition-b", str(b_path), "--out", str(out)])
     assert code == 2
     assert not out.exists()
-    err = capsys.readouterr().err
-    assert err.startswith(f"pdckit: argument-error: {a_path}:5: ")
-    assert repr(bad) in err
-    assert err.count("\n") == 1
+    rule = "a non-empty string without edge whitespace or '->'"
+    must = (f"pair must look like 'src->tgt' with two different labels, each {rule}"
+            if bad == pair else f"band must be {rule}")
+    assert capsys.readouterr().err == (
+        f"pdckit: argument-error: {a_path}:5: {must}, got {bad!r}\n")
 
 
 @pytest.mark.parametrize("subject", ["", " s1", "s1 "])
@@ -670,7 +670,8 @@ def test_a_cell_past_the_csv_field_limit_is_named_by_line(tmp_path, capsys, read
     ("pdc", "1.5", "PDC values must lie in [0, 1], got 1.5"),
     ("freq_hz", "-4.0", "freq_hz must be >= 0, got -4.0"),
     ("freq_hz", "inf", "freq_hz must be a finite number, got 'inf'"),
-], ids=["nan-pdc", "pdc-above-1", "negative-freq", "infinite-freq"])
+    ("freq_hz", "abc", "freq_hz must be a finite number, got 'abc'"),
+], ids=["nan-pdc", "pdc-above-1", "negative-freq", "infinite-freq", "text-freq"])
 def test_spectrum_reader_names_the_line_of_a_cell_out_of_range(tmp_path, capsys, column, cell,
                                                                 message):
     path, argv = _reader_inputs(tmp_path)["spectrum"]
@@ -859,6 +860,8 @@ def test_band_names_follow_the_label_rule(tmp_path, capsys, name):
     (["a", "a"], "column 2 repeats channel label 'a'"),
     (["", "b"], "column 1 has channel label '', which is not a non-empty string without edge "
                 "whitespace or '->'"),
+    (["ch1", 2], "column 2 has channel label 2, which is not a non-empty string without edge "
+                 "whitespace or '->'"),
 ])
 def test_pdc_refuses_a_model_whose_labels_break_the_label_rule(tmp_path, capsys, labels,
                                                                message):
@@ -878,6 +881,8 @@ def test_pdc_refuses_a_model_whose_labels_break_the_label_rule(tmp_path, capsys,
     (["a", "a"], "column 2 repeats channel label 'a'"),
     ([" a", "b"], "column 1 has channel label ' a', which is not a non-empty string without "
                   "edge whitespace or '->'"),
+    (["ch1", 2], "column 2 has channel label 2, which is not a non-empty string without edge "
+                 "whitespace or '->'"),
 ])
 def test_simulate_refuses_a_spec_whose_labels_break_the_label_rule(tmp_path, capsys, labels,
                                                                    message):
@@ -950,53 +955,90 @@ def test_module_entry_point_runs():
     assert proc.stdout.startswith("pdckit ")
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # numpy is the only runtime dependency; scipy.special alone would take most of
-    # the CLI's start-up
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, pdckit.cli; print(sorted(m for m in sys.modules "
-         "if m.startswith('scipy')))"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
-def _tied_band_table_csv(path, rng, shift):
-    """30 subjects on two pairs and two bands; values are multiples of 1/64, so
-    differences are exact and many tie, and every key takes the normal branch."""
+def _tied_band_tables(tmp_path, rng, condition, shift):
+    """Two band tables of one condition. ``<condition>.csv`` holds 30 subjects on
+    two pairs and two bands; values are multiples of 1/64, so differences are
+    exact and many tie, and every key takes the normal branch.
+    ``ragged_<condition>.csv`` adds a key over four of the subjects alone."""
     rows = [("pair", "band", "subject", "value")]
     for pair in ("F3->F4", "F4->F3"):
         for band in ("theta", "alpha"):
             for subject in range(30):
                 value = (16 + shift + int(rng.integers(-4, 5))) / 64
                 rows.append((pair, band, f"s{subject:02d}", repr(value)))
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    extra = [("T5->F4", "alpha", f"s{subject:02d}", repr((subject + 4 * shift) / 64))
+             for subject in range(4)]
+    for name, table in ((condition, rows), (f"ragged_{condition}", rows + extra)):
+        with open(tmp_path / f"{name}.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(table)
 
 
-def test_compare_runs_without_scipy(tmp_path):
+# runs each argv of the JSON list in argv[1] through `main`, then prints the exit
+# codes and the scipy modules loaded by then (a None entry is a blocked import)
+_RUN_EVERY_COMMAND = (
+    "import json, sys; {block}from pdckit.cli import main; "
+    "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+    "print(json.dumps([codes, sorted(name for name, module in sys.modules.items() "
+    "if name.startswith('scipy') and module is not None)]))")
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: every command runs, and writes the same
+    # bytes, with scipy unimportable; and where scipy is importable, no command loads
+    # it (scipy.special alone would take most of the CLI's start-up)
+    spec = _gen_spec_file(tmp_path, n=500, seed=7)
+    quiet = np.array([[[0.3, 0.0], [0.0, 0.3]]])
+    coupled = np.array([[[0.3, 0.0], [0.4, 0.3]]])
+    pipeline = _pipeline_argv(tmp_path, default_config(250.0), coupled, quiet, n_subjects=4)
     rng = np.random.default_rng(30)
-    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
-    _tied_band_table_csv(a_path, rng, shift=2)
-    _tied_band_table_csv(b_path, rng, shift=0)
-    tables = {}
+    _tied_band_tables(tmp_path, rng, "a", shift=2)
+    _tied_band_tables(tmp_path, rng, "b", shift=0)
+
+    def commands(out):
+        rec, fs = str(out / "rec.csv"), ["--sampling-rate", "250"]
+        return [
+            ["simulate", "--spec", str(spec), "--out", rec],
+            ["fit", "--input", rec, *fs, "--order", "1", "--out", str(out / "model.json")],
+            ["fit", "--input", rec, *fs, "--auto-order", "--p-scan-max", "6", "--mean-center",
+             "--out", str(out / "auto.json")],
+            ["pdc", "--model", str(out / "model.json"), *fs, "--out", str(out / "spectrum.csv")],
+            ["pdc", "--input", rec, *fs, "--order", "1", "--mean-center",
+             "--out", str(out / "centred.csv")],
+            ["bands", "--spectrum", str(out / "spectrum.csv"), "--out", str(out / "bands.json")],
+            [*pipeline, "--out", str(out / "report")],
+            *(["compare", "--condition-a", str(tmp_path / f"{prefix}a.csv"),
+               "--condition-b", str(tmp_path / f"{prefix}b.csv"),
+               "--out", str(out / f"{prefix}tests.csv")] for prefix in ("", "ragged_")),
+        ]
+
+    outputs = {}
     for name, block in (("blocked", "sys.modules['scipy'] = None; "), ("importable", "")):
-        out = tmp_path / f"{name}.csv"
+        out = tmp_path / name
+        out.mkdir()
+        argvs = commands(out)
         proc = subprocess.run(
-            [sys.executable, "-c",
-             f"import sys; {block}from pdckit.cli import main; sys.exit(main(sys.argv[1:]))",
-             "compare", "--condition-a", str(a_path), "--condition-b", str(b_path),
-             "--out", str(out)],
+            [sys.executable, "-c", _RUN_EVERY_COMMAND.format(block=block), json.dumps(argvs)],
             capture_output=True,
             text=True,
-            timeout=60,
+            timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        tables[name] = out.read_bytes()
-    assert tables["blocked"] == tables["importable"]
-    rows = list(csv.DictReader(io.StringIO(tables["blocked"].decode())))
-    assert len(rows) == 4 and all(row["n"] != "0" for row in rows)
+        codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0] * len(argvs), proc.stderr
+        assert scipy_modules == []
+        # every file the commands wrote, report.json less the line of its run time
+        outputs[name] = {
+            str(path.relative_to(out)): [line for line in path.read_bytes().splitlines()
+                                         if not line.lstrip().startswith(b'"timestamp_utc":')]
+            for path in sorted(out.rglob("*")) if path.is_file()}
+    assert outputs["blocked"] == outputs["importable"]
+    assert len(outputs["blocked"]) == 10
+
+    def rows(name):
+        text = b"\n".join(outputs["blocked"][name]).decode()
+        return list(csv.DictReader(io.StringIO(text)))
+
+    assert len(rows("report/test_table.csv")) == 8  # 2 pairs x 4 bands
+    assert len(rows("tests.csv")) == 4 and all(row["n"] != "0" for row in rows("tests.csv"))
+    ragged = rows("ragged_tests.csv")
+    assert len(ragged) == 5 and ragged[-1]["pair"] == "T5->F4" and ragged[-1]["n"] == "4"

@@ -640,8 +640,8 @@ def test_results_do_not_depend_on_the_order_of_subjects_or_keys(family, seed):
     assert {key: repr(res) for key, res in reordered.items()} == results
 
 
-@pytest.mark.parametrize("ragged", [False, True])
-def test_each_key_gets_a_checked_sample_and_one_call(monkeypatch, ragged):
+def _family_of_48(ragged):
+    """48 keys of every kind, as lists: 20 pairs each, or 10-14 when ragged."""
     rng = np.random.default_rng(2024)
     keys = [((f"c{i % 4}", f"c{i // 4 % 3}"), f"b{i}") for i in range(48)]
     a, b = {}, {}
@@ -649,6 +649,12 @@ def test_each_key_gets_a_checked_sample_and_one_call(monkeypatch, ragged):
         n = 10 + i % 5 if ragged else 20
         values_a, values_b = _key_values(rng, n, ["exact", "tied", "zero", "signed-zero"][i % 4])
         a[key], b[key] = values_a.tolist(), values_b.tolist()
+    return keys, a, b
+
+
+@pytest.mark.parametrize("ragged", [False, True])
+def test_each_key_gets_a_checked_sample_and_one_call(monkeypatch, ragged):
+    keys, a, b = _family_of_48(ragged)
     samples, holm_calls = [], []
     real_wilcoxon, real_holm = pdckit.stats.wilcoxon_signed_rank, pdckit.stats.holm_bonferroni
 
@@ -677,6 +683,17 @@ def test_each_key_gets_a_checked_sample_and_one_call(monkeypatch, ragged):
         checked = PairedSample(sample.condition_a, sample.condition_b)
         assert np.array_equal(checked.condition_a, sample.condition_a)
         assert np.array_equal(checked.condition_b, sample.condition_b)
+
+
+def test_a_bad_alpha_is_refused_before_any_key_is_tested(monkeypatch):
+    _, a, b = _family_of_48(ragged=False)
+    calls = []
+    real_wilcoxon = pdckit.stats.wilcoxon_signed_rank
+    monkeypatch.setattr(pdckit.stats, "wilcoxon_signed_rank",
+                        lambda sample: calls.append(sample) or real_wilcoxon(sample))
+    with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\), got None$"):
+        compare_conditions(a, b, alpha=None)
+    assert calls == []
 
 
 def test_a_generator_value_is_refused_unread():

@@ -1,6 +1,5 @@
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -186,7 +185,7 @@ SPEC_KINDS = {
     "n_samples": "an integer",
     "burn_in": "an integer",
     "sampling_rate_hz": "a finite number",
-    "channel_labels": "a list of strings or null",
+    "channel_labels": "a list or null",
     "coeff_matrices": "equally long nested lists of finite numbers",
     "innovation_covariance": "equally long nested lists of finite numbers",
 }
@@ -212,8 +211,9 @@ def test_generator_spec_json_requires_integers(tmp_path, field, value):
     write_generator_spec_json(_spec(WHITE, n=100, seed=7), path)
     path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
     if field in SPEC_KINDS:
-        message = f"{field} must be {SPEC_KINDS[field]}, got "
+        message = f"{path}: {field} must be {SPEC_KINDS[field]}, got {json.dumps(value)}"
     else:
-        message = re.escape(f"{path}: unknown generator spec keys [{field!r}]")
-    with pytest.raises(ValueError, match=message):
+        message = f"{path}: unknown generator spec keys [{field!r}]"
+    with pytest.raises(ValueError) as info:
         read_generator_spec_json(path)
+    assert str(info.value) == message
