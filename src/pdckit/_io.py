@@ -9,7 +9,8 @@ the CSV writers write through `_write_csv`; the JSON writers all go through
 `_write_json`, which writes numpy arrays and scalars as lists and numbers.
 Every container builds its channel labels with `_labels`, every label check goes
 through `_is_label`, and every number check goes through `_is_finite_real`
-(`_check_positive` when > 0, `_check_alpha` in (0, 1)) or `_is_count`.
+(`_check_positive` when > 0, `_check_alpha` in (0, 1)) or `_is_count`; a container
+derived from checked values that meet its rule is built by `_unchecked`.
 """
 
 from __future__ import annotations
@@ -102,6 +103,14 @@ def _labels(values) -> tuple[str, ...]:
             raise ValueError(f"column {column} repeats channel label {label!r}")
         seen.add(label)
     return labels
+
+
+def _unchecked(cls, fields: dict):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given, views
+    included, without its `__post_init__`: the caller has checked the class's rule."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
 
 
 def _decode_utf8(path, data: bytes) -> str:

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._io import (_LABEL_RULE, _check_positive, _csv_rows, _is_finite_real, _is_label, _is_real,
-                  _label_cell, _labels, _number_cell, _write_csv, _write_json)
+                  _label_cell, _labels, _number_cell, _unchecked, _write_csv, _write_json)
 from .var import VarModel
 
 __all__ = [
@@ -202,17 +202,16 @@ def compute_pdc(model: VarModel, grid: FrequencyGrid) -> PdcSpectrum:
     if degenerate.any():
         safe_norms = np.where(degenerate, 1.0, col_norms)  # degenerate columns are zeroed, not 0/0
         values = np.where(degenerate[:, None, :], 0.0, mags / safe_norms[:, None, :])
-        columns = tuple(zip(*np.nonzero(degenerate)))
+        columns = tuple((int(f), int(j)) for f, j in zip(*np.nonzero(degenerate)))
     else:
         values = np.divide(mags, col_norms[:, None, :], out=mags)
         columns = ()
     np.clip(values, 0.0, 1.0, out=values)
-    return PdcSpectrum(
-        values=values,
-        grid=grid,
-        channel_labels=model.channel_labels,
-        degenerate_columns=columns,
-    )
+    fields = {"values": values, "grid": grid, "channel_labels": model.channel_labels,
+              "degenerate_columns": columns}
+    if np.isfinite(col_norms).all():  # then every value is finite, and clipped to [0, 1]
+        return _unchecked(PdcSpectrum, fields)
+    return PdcSpectrum(**fields)  # which refuses the NaN of an overflowed transform
 
 
 def average_over_segments(spectra) -> PdcSpectrum:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import (_check_count, _check_positive, _csv_records, _decode_utf8, _is_finite_real,
-                  _labels, _number_cell, _read_text, _write_csv)
+                  _labels, _number_cell, _read_text, _unchecked, _write_csv)
 
 __all__ = [
     "Recording",
@@ -82,7 +82,10 @@ class Recording:
             if lab not in self.channel_labels:
                 raise ValueError(f"channel {lab!r} not present in segment")
             idx.append(self.channel_labels.index(lab))
-        return Recording(self.samples[:, idx], self.sampling_rate_hz, labels)
+        fields = {**vars(self), "samples": self.samples[:, idx], "channel_labels": labels}
+        if labels and len(set(labels)) == len(labels):  # present labels are checked ones
+            return _unchecked(Recording, fields)
+        return Recording(**fields)  # which refuses no label or a repeated one
 
     def centered(self) -> "Recording":
         """Return the recording with each channel's mean subtracted."""
@@ -142,15 +145,15 @@ def extract_segments(recording: Recording, epoch_length_ms: float, epoch_starts_
     segments = []
     for start_ms in epoch_starts_ms:
         if not _is_finite_real(start_ms):
-            raise ValueError(f"epoch start {start_ms} ms is not a finite number")
+            raise ValueError(f"epoch start (ms) must be a finite number, got {start_ms}")
         start = round(float(start_ms) * fs / 1000.0)
         if start < 0 or start + n_rows > recording.n_samples:
             raise ValueError(
                 f"epoch starting at {start_ms} ms (sample {start}) does not fit in a "
                 f"{recording.n_samples}-sample recording"
             )
-        segments.append(Recording(recording.samples[start : start + n_rows], fs,
-                                  recording.channel_labels))
+        segments.append(_unchecked(Recording, {  # rows of a checked recording, at least 2
+            **vars(recording), "samples": recording.samples[start : start + n_rows]}))
     return segments
 
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._io import _LABEL_RULE, _check_alpha, _is_label, _write_csv
+from ._io import _LABEL_RULE, _check_alpha, _is_label, _unchecked, _write_csv
 from .errors import DegenerateSampleError
 
 __all__ = [
@@ -42,14 +42,6 @@ DEFAULT_ALPHA = 0.05
 # Exact enumeration is cheap up to here and removes approximation error for
 # the small cohorts this toolkit is aimed at.
 DEFAULT_EXACT_THRESHOLD = 25
-
-
-def _unchecked(cls, fields: dict):
-    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given, views
-    included, without its `__post_init__`: the caller has checked the class's rule."""
-    obj = object.__new__(cls)
-    object.__setattr__(obj, "__dict__", fields)
-    return obj
 
 
 @dataclass(frozen=True)

@@ -23,13 +23,13 @@ Lütkepohl 2005, 2.1):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ._io import _check_count, _json_fields, _labels, _read_json, _write_json
+from ._io import _check_count, _json_fields, _labels, _read_json, _unchecked, _write_json
 from .errors import EstimationError
 from .signals import Recording
 
@@ -224,14 +224,12 @@ def fit_var(segment: Recording, p: int) -> tuple[VarModel, np.ndarray]:
     # coeffs_flat rows are per-lag blocks of regressor weights; transpose each
     # block so that coeff[i][k, m] multiplies channel m at lag i+1 in channel k's equation
     coeffs = coeffs_flat.reshape(p, m, m).transpose(0, 2, 1).copy()
-    model = VarModel(
-        order_p=p,
-        coeff_matrices=coeffs,
-        residual_covariance=cov,
-        n_samples_used=rows,
-        channel_labels=segment.channel_labels,
-    )
-    return model, residuals
+    fields = {"order_p": p, "coeff_matrices": coeffs, "residual_covariance": cov,
+              "n_samples_used": rows, "channel_labels": segment.channel_labels}
+    # finite, these meet the model rule: a Gram matrix's covariance and the segment's labels
+    if np.isfinite(coeffs).all() and np.isfinite(cov).all():
+        return _unchecked(VarModel, fields), residuals
+    return VarModel(**fields), residuals  # which refuses an overflowed product
 
 
 def _certified_qr_solve(joint: np.ndarray, k: int):
@@ -374,10 +372,10 @@ def select_order(segment: Recording, p_scan_max: int) -> OrderSelection:
     _check_scan(n, m, p_scan_max)
     scanned = []
     for p in range(1, p_scan_max + 1):
-        # drop the leading rows a lower order would otherwise use as extra
-        # targets; every candidate then predicts the same rows
+        # drop the leading rows a lower order would otherwise use as extra targets;
+        # every candidate then predicts the same rows, which _check_scan keeps
         skip = p_scan_max - p
-        trimmed = replace(segment, samples=segment.samples[skip:])
+        trimmed = _unchecked(Recording, {**vars(segment), "samples": segment.samples[skip:]})
         model, _ = fit_var(trimmed, p)
         scanned.append((p, aic(model, n)))
     return choose_order_from_aic(scanned, n, m)

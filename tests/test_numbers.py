@@ -118,10 +118,10 @@ _REFUSALS = {
         lambda: _check_bands({"x": (True, 8.0)}), "band 'x' edges must be a pair of real numbers"),
     "onset beyond float range": (
         lambda: extract_segments(_recording(), 900.0, [HUGE]),
-        f"epoch start {HUGE} ms is not a finite number"),
+        f"epoch start (ms) must be a finite number, got {HUGE}"),
     "string onset": (
         lambda: extract_segments(_recording(), 900.0, ["0"]),
-        "epoch start 0 ms is not a finite number"),
+        "epoch start (ms) must be a finite number, got 0"),
     "float fit order": (
         lambda: fit_var(_recording(), 2.0), "order p must be an integer >= 1, got 2.0"),
     "float scan bound": (

@@ -164,6 +164,14 @@ def test_pdc_degenerate_column_is_zeroed_and_reported():
     assert spec.values[1, 1, 1] > 0.0  # fine away from the degenerate point
 
 
+def test_pdc_refuses_the_nan_of_a_transform_past_float_range():
+    # three lags of 1e308 sum to inf, and inf over an infinite column norm is NaN
+    grid = FrequencyGrid(freqs_hz=np.array([0.0, 10.0]), sampling_rate_hz=250.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
+        compute_pdc(_model(np.full((3, 2, 2), 1e308)), grid)
+    assert str(info.value) == "PDC values must lie in [0, 1]"
+
+
 def _pdc_per_frequency(model, grid):
     """Reference: |T[i, j]| / ||T[:, j]|| from `evaluate_transfer`, one frequency at a time."""
     m = model.n_channels

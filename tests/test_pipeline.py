@@ -1,10 +1,12 @@
 import dataclasses
+import inspect
 import itertools
 import json
 import math
 import os
 import re
 import stat
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +20,10 @@ import pdckit.pipeline
 import pdckit.var
 from pdckit import (
     GeneratorSpec,
+    PdcSpectrum,
     PipelineError,
     Recording,
+    VarModel,
     compute_pdc,
     default_config,
     fit_var,
@@ -27,6 +31,7 @@ from pdckit import (
     read_config_json,
     run_pipeline,
     report_to_dict,
+    screen_stationarity,
     write_config_json,
     write_recording_csv,
     write_report,
@@ -87,6 +92,15 @@ def test_default_config_is_the_reference_protocol():
     assert cfg.mean_center is True
     assert cfg.channel_pairs is None
     assert cfg.frequency_grid().n_freqs == 53
+
+
+def test_the_screen_defaults_to_the_reference_protocol():
+    cfg = default_config(FS)
+    parameters = inspect.signature(screen_stationarity).parameters
+    defaults = [parameters[name].default
+                for name in ("n_windows", "mean_drift_tol", "variance_ratio_tol")]
+    assert defaults == [cfg.stationarity_n_windows, cfg.stationarity_mean_drift_tol,
+                        cfg.stationarity_variance_ratio_tol]
 
 
 def test_config_validation():
@@ -340,6 +354,29 @@ def test_a_band_edited_after_the_build_is_refused_before_any_fit(monkeypatch):
     assert fits == []
 
 
+@pytest.mark.parametrize("changes", [{}, {"order_mode": ORDER_MODE_AUTO_AIC, "p_scan_max": 4,
+                                          "mean_center": False}], ids=["fixed", "aic"])
+def test_the_pipeline_checks_no_value_it_derives_from_checked_ones(monkeypatch, changes):
+    cond_a, cond_b = _cohorts(n_subjects=3)  # checked before the count starts
+    calls = Counter()
+
+    def counted(name, call):
+        def wrapper(self):
+            calls[name] += 1
+            return call(self)
+        return wrapper
+
+    for cls in (Recording, VarModel, PdcSpectrum):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+    # a centred recording's means can overflow, so it is checked
+    monkeypatch.setattr(Recording, "centered", counted("centered", Recording.centered))
+    report = run_pipeline(dataclasses.replace(default_config(FS), **changes), cond_a, cond_b)
+    assert len(report.subjects_used) == 3
+    assert calls["VarModel"] == calls["PdcSpectrum"] == 0
+    centred = 2 * 3 * EPOCHS if changes.get("mean_center", True) else 0  # every epoch
+    assert calls["Recording"] == calls["centered"] == centred
+
+
 def test_an_epoch_that_cannot_be_fitted_counts_as_failed_fit():
     cond_a, cond_b = _cohorts(n_subjects=4)
     starts = STARTS[:3]
@@ -523,8 +560,8 @@ UNWORKABLE = {
     "empty-band": ({"bands": {"theta": [4.0, 7.5], "gamma": [35.0, 45.0]}}, ONSETS, None,
                    "band 'gamma'"),
     "onset-past-end": ({}, ONSETS, 1, "subject 1"),
-    "nan-onset": ({}, ["0", "nan"], None, "nan"),
-    "inf-onset": ({}, ["0", "inf"], None, "inf"),
+    "nan-onset": ({}, ["0", "nan"], None, "epoch start (ms) must be a finite number, got"),
+    "inf-onset": ({}, ["0", "inf"], None, "epoch start (ms) must be a finite number, got"),
     "no-onsets": ({}, [], None, "no subject has an epoch onset"),
     "20ms-epoch": ({"epoch_length_ms": 20.0, "fixed_order": 1}, ONSETS, None, "5 samples"),
     "scan-bound": ({"order_mode": "auto_aic", "p_scan_max": 20, "model_scope": "joint"},

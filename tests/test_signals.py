@@ -91,6 +91,13 @@ def test_select_channels_reorders_columns():
         seg.select_channels(("a", "nope"))
 
 
+def test_select_channels_refuses_a_repeated_label():
+    seg = _recording(np.zeros((10, 2)), labels=("F3", "F4"))
+    with pytest.raises(ValueError) as info:
+        seg.select_channels(("F3", "F3"))
+    assert str(info.value) == "column 2 repeats channel label 'F3'"
+
+
 # ---------------------------------------------------------------- extraction
 
 
@@ -514,5 +521,6 @@ def test_markers_csv_rejects_non_finite_starts(tmp_path, text):
 @pytest.mark.parametrize("start", [float("nan"), float("inf"), -float("inf")])
 def test_extract_rejects_non_finite_starts(start):
     rec = _recording(np.zeros((1000, 2)))
-    with pytest.raises(ValueError, match="not a finite number"):
+    with pytest.raises(ValueError) as info:
         extract_segments(rec, 900.0, [0.0, start])
+    assert str(info.value) == f"epoch start (ms) must be a finite number, got {start}"

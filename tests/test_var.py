@@ -126,6 +126,15 @@ def test_models_and_generator_specs_share_one_covariance_rule(build, name):
     build([[1.0, 0.5 + 1e-9], [0.5, 1.0]])  # rounding below the tolerance is accepted
 
 
+def test_fit_refuses_a_residual_covariance_that_overflows():
+    # the coefficients of samples near 1e200 stay finite, their residual product does not
+    segment = _simulate([[[0.5, 0.0], [0.4, 0.5]]], 400, 3)
+    scaled = _segment(segment.samples * 1e200)
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as info:
+        fit_var(scaled, 2)
+    assert str(info.value) == "residual_covariance must be finite"
+
+
 def test_fit_rejects_orders_without_enough_rows():
     seg = _segment(np.random.default_rng(0).normal(size=(10, 2)))
     with pytest.raises(ValueError):
