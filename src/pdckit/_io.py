@@ -1,12 +1,16 @@
 """The file and value rules the toolkit's readers and writers share.
 
 Every reader decodes UTF-8, less one leading BOM, through `_decode_utf8` and
-names the file, and its line where there is one, in each error. The JSON readers refuse a
-repeated key and check decoded values against `_JSON_TYPES`; the recording and
-table readers walk CSV records with `_csv_records` (tables through `_csv_rows`),
-each text cell is read by its column's kind (`_number_cell`, `_label_cell`), and
-the CSV writers write through `_write_csv`; the JSON writers all go through
-`_write_json`, which writes numpy arrays and scalars as lists and numbers.
+names the file, and its line where there is one, in each error. Each JSON file
+holds one dataclass through one map of its key paths, in file order, to the
+fields they hold: its writer's payload is `_json_payload`, and its reader
+(`_read_json`, refusing a repeated key) builds the object with `_from_json`,
+where a value's kind is its field's annotation (`_JSON_TYPES`) and a key is
+required when its field has no default. The JSON writers all go through
+`_write_json`, which writes numpy arrays and scalars as lists and numbers. The
+recording and table readers walk CSV records with `_csv_records` (tables
+through `_csv_rows`), each text cell is read by its column's kind
+(`_number_cell`, `_label_cell`), and the CSV writers write through `_write_csv`.
 Every container builds its channel labels with `_labels`, every label check goes
 through `_is_label`, and every number check goes through `_is_finite_real`
 (`_check_positive` when > 0, `_check_alpha` in (0, 1)) or `_is_count`; a container
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -141,8 +146,8 @@ def _unique_keys(pairs) -> dict:
     return obj
 
 
-def _read_json(path, what: str, build):
-    """``build(payload)`` for the JSON object a UTF-8 file holds.
+def _read_json(path, cls, keys: dict, what: str):
+    """The ``cls`` instance (`_from_json`) of the JSON object a UTF-8 file holds.
 
     Every ValueError names the file: malformed JSON by path:line, and the rest,
     from a document that is not an object or repeats a key at any depth to a
@@ -154,7 +159,7 @@ def _read_json(path, what: str, build):
         payload = json.loads(text, object_pairs_hook=_unique_keys)
         if type(payload) is not dict:
             raise ValueError(f"{what} must be a JSON object")
-        return build(payload)
+        return _from_json(cls, payload, keys, what)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
     except RecursionError:
@@ -231,16 +236,17 @@ def _array_shape(value):
     return (len(value), *shapes.pop()) if shapes else (0,)
 
 
-# the kinds of value the toolkit's JSON files hold, named as the annotations
-# of the fields they load into -> (check on the decoded value, what it wants)
+# the kinds of value the toolkit's JSON files hold, keyed by the annotation text of
+# the fields they load into, less a "| None" that also allows null -> (check on the
+# decoded value, what it wants)
 _JSON_TYPES = {
     "float": (_is_finite_real, "a finite number"),
     "int": (lambda v: type(v) is int, "an integer"),
     "bool": (lambda v: type(v) is bool, "true or false"),
     "str": (lambda v: type(v) is str, "a string"),
-    "labels": (lambda v: type(v) is list, "a list"),  # its labels are `_labels`' to check
-    "array": (lambda v: type(v) is list and _array_shape(v) is not None,
-              "equally long nested lists of finite numbers"),
+    "tuple[str, ...]": (lambda v: type(v) is list, "a list"),  # `_labels` checks the labels
+    "np.ndarray": (lambda v: type(v) is list and _array_shape(v) is not None,
+                   "equally long nested lists of finite numbers"),
     "tuple": (lambda v: type(v) is list and all(type(p) is list for p in v),
               "a list of [source, target] lists"),
     "dict": (lambda v: type(v) is dict and all(_array_shape(e) == (2,) for e in v.values()),
@@ -248,28 +254,46 @@ _JSON_TYPES = {
 }
 
 
-def _field_value(value, annotation: str, where: str):
-    kind, _, optional = annotation.partition(" | ")
-    if value is None and optional:
-        return None
-    check, wanted = _JSON_TYPES[kind]
-    if not check(value):
-        wanted += " or null" if optional else ""
-        raise ValueError(f"{where} must be {wanted}, got {json.dumps(value)}")
-    return float(value) if kind == "float" else value
+def _json_payload(obj, keys: dict) -> dict:
+    """The JSON object of a dataclass instance: ``keys`` maps each key path, in
+    file order, to the field it holds; ``group.key`` sits in the nested object ``group``."""
+    payload = {}
+    for path, name in keys.items():
+        group, _, key = path.rpartition(".")
+        (payload.setdefault(group, {}) if group else payload)[key] = getattr(obj, name)
+    return payload
 
 
-def _json_fields(payload: dict, kinds: dict, required, what: str) -> dict:
-    """The checked values of a decoded JSON object, by key.
+def _from_json(cls, payload: dict, keys: dict, what: str):
+    """The ``cls`` instance a decoded JSON object holds, by the ``keys`` of `_json_payload`.
 
-    ``kinds`` maps every allowed key to its kind (``"<kind> | None"`` also
-    allows null); unknown keys, a missing required key and a value of the
-    wrong kind are rejected, and the error names the key.
+    A value must have the kind of its field's annotation (`_JSON_TYPES`; ``| None``
+    also allows null), a key whose field has no default is required, and unknown
+    keys are refused at every level; each error names the key path.
     """
-    unknown = set(payload) - set(kinds)
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    groups = {path.partition(".")[0] for path in keys if "." in path}
+    flat = {}
+    for key, value in payload.items():
+        if key in groups:
+            if not isinstance(value, dict):
+                raise ValueError(f"{key} must be a JSON object")
+            flat.update((f"{key}.{inner}", v) for inner, v in value.items())
+        else:
+            flat[key] = value
+    unknown = set(flat) - set(keys)
     if unknown:
         raise ValueError(f"unknown {what} keys {sorted(unknown)}")
-    for key in required:
-        if key not in payload:
-            raise ValueError(f"{key} is required")
-    return {key: _field_value(value, kinds[key], key) for key, value in payload.items()}
+    for path, name in keys.items():
+        field = fields[name]
+        if path not in flat and field.default is field.default_factory is dataclasses.MISSING:
+            raise ValueError(f"{path} is required")
+    values = {}
+    for path, value in flat.items():
+        kind, _, optional = fields[keys[path]].type.partition(" | ")
+        check, wanted = _JSON_TYPES[kind]
+        if not (value is None and optional or check(value)):
+            wanted += " or null" if optional else ""
+            raise ValueError(f"{path} must be {wanted}, got {json.dumps(value)}")
+        values[keys[path]] = float(value) if kind == "float" and value is not None else value
+    return cls(**values)

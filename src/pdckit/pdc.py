@@ -17,7 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._io import (_LABEL_RULE, _check_positive, _csv_rows, _is_finite_real, _is_label, _is_real,
-                  _label_cell, _labels, _number_cell, _unchecked, _write_csv, _write_json)
+                  _json_payload, _label_cell, _labels, _number_cell, _unchecked, _write_csv,
+                  _write_json)
 from .var import VarModel
 
 __all__ = [
@@ -192,12 +193,23 @@ def compute_pdc(model: VarModel, grid: FrequencyGrid) -> PdcSpectrum:
     Per frequency and channel pair, ``P[i, j] = |T[i, j]| / ||T[:, j]||``
     where T is the transfer matrix from `evaluate_transfer`. A column whose
     norm falls below 1e-12 is zeroed and recorded in
-    ``degenerate_columns`` instead of raising.
+    ``degenerate_columns`` instead of raising. The values are scale-free for
+    coefficients of any finite size: a column whose sum of squares overflows
+    is scaled by a power of two first.
 
     A stable model (`check_stability`) is recommended but not enforced.
     """
     mags = np.abs(_transfer(model.coeff_matrices, grid.freqs_hz, grid.sampling_rate_hz))
-    col_norms = np.sqrt(np.add.reduce(mags * mags, axis=1))
+    with np.errstate(over="ignore"):  # a column past about 1e154 is rescaled below
+        col_norms = np.sqrt(np.add.reduce(mags * mags, axis=1))
+    finite = np.isfinite(col_norms).all()
+    if not finite:
+        # PDC is scale-free: bring the largest entry of each such column into [0.5, 1)
+        # by a power of two, which is exact; an infinite or NaN entry stays one
+        exponents = np.frexp(mags.max(axis=1))[1]
+        np.ldexp(mags, np.where(np.isfinite(col_norms), 0, -exponents)[:, None, :], out=mags)
+        col_norms = np.sqrt(np.add.reduce(mags * mags, axis=1))
+        finite = np.isfinite(col_norms).all()
     degenerate = col_norms < _DEGENERATE_COLUMN_NORM
     if degenerate.any():
         safe_norms = np.where(degenerate, 1.0, col_norms)  # degenerate columns are zeroed, not 0/0
@@ -209,7 +221,7 @@ def compute_pdc(model: VarModel, grid: FrequencyGrid) -> PdcSpectrum:
     np.clip(values, 0.0, 1.0, out=values)
     fields = {"values": values, "grid": grid, "channel_labels": model.channel_labels,
               "degenerate_columns": columns}
-    if np.isfinite(col_norms).all():  # then every value is finite, and clipped to [0, 1]
+    if finite:  # then every value is finite, and clipped to [0, 1]
         return _unchecked(PdcSpectrum, fields)
     return PdcSpectrum(**fields)  # which refuses the NaN of an overflowed transform
 
@@ -372,5 +384,5 @@ def read_spectrum_csv(path, sampling_rate_hz: float | None = None) -> PdcSpectru
 def write_band_averages_json(averages: BandAverages, path) -> None:
     """Dump band matrices as a JSON map band -> row-major matrix, edges checked anew."""
     _check_bands(averages.band_edges_hz)
-    _write_json(path, {key: getattr(averages, key)
-                       for key in ("channel_labels", "band_edges_hz", "bands")})
+    _write_json(path, _json_payload(averages, {name: name for name in (
+        "channel_labels", "band_edges_hz", "bands")}))

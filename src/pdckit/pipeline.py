@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._io import (_LABEL_RULE, _check_alpha, _check_count, _check_positive, _json_fields,
+from ._io import (_LABEL_RULE, _check_alpha, _check_count, _check_positive, _json_payload,
                   _read_json, _write_json)
 from ._version import __version__
 from .errors import EstimationError, PipelineError
@@ -386,7 +387,7 @@ def run_pipeline(config: PipelineConfig, condition_a_inputs,
     return AnalysisReport(
         toolkit_version=__version__,
         # the echo is the config as its JSON file holds it, with pairs resolved
-        config_echo={**json.loads(json.dumps(_config_payload(config))),
+        config_echo={**json.loads(json.dumps(_json_payload(config, _CONFIG_KEYS))),
                      "channel_pairs": [list(p) for p in pairs]},
         channel_pairs=pairs,
         band_names=band_names,
@@ -453,53 +454,24 @@ def write_report(report: AnalysisReport, out_dir) -> dict:
     return {"report": report_path, "test_table": table_path}
 
 
-# PipelineConfig fields with these prefixes sit in a nested JSON object,
-# e.g. freq_low_hz is freq_grid.low_hz; every other field is a top-level key
-_JSON_GROUPS = {"freq_": "freq_grid", "stationarity_": "stationarity"}
-
-
-def _json_path(name: str) -> str:
-    for prefix, group in _JSON_GROUPS.items():
-        if name.startswith(prefix):
-            return f"{group}.{name[len(prefix):]}"
-    return name
-
-
-def _config_payload(config: PipelineConfig) -> dict:
-    payload = {}
-    for f in fields(PipelineConfig):
-        node, key = payload, _json_path(f.name)
-        if "." in key:
-            group, key = key.split(".")
-            node = payload.setdefault(group, {})
-        node[key] = getattr(config, f.name)
-    return payload
+# config JSON key path -> PipelineConfig field, in file order; freq_* fields sit under
+# freq_grid (freq_low_hz is freq_grid.low_hz), stationarity_* under stationarity
+_CONFIG_KEYS = {re.sub("^freq_", "freq_grid.", re.sub("^stationarity_", "stationarity.", f.name)):
+                f.name for f in fields(PipelineConfig)}
 
 
 def write_config_json(config: PipelineConfig, path) -> None:
-    _write_json(path, _config_payload(config))
+    _write_json(path, _json_payload(config, _CONFIG_KEYS))
 
 
 def read_config_json(path) -> PipelineConfig:
     """Load a config; missing keys, nested ones included, take the protocol
     defaults.
 
-    Every value must have its field's JSON type (no strings for numbers, no
-    numbers for booleans, no fractions for integers), and unknown keys are
-    rejected at every level so typos cannot silently change a run. Errors
-    name the offending JSON path.
+    Each value must have the JSON kind of its `PipelineConfig` field
+    (`_io._from_json`: no strings for numbers, no numbers for booleans, no
+    fractions for integers); only sampling_rate_hz, the one field without a
+    default, is required. Unknown keys are rejected at every level so typos
+    cannot silently change a run. Errors name the offending JSON path.
     """
-    def build(payload):
-        flat = {}
-        for key, value in payload.items():
-            if key in _JSON_GROUPS.values():
-                if not isinstance(value, dict):
-                    raise ValueError(f"{key} must be a JSON object")
-                flat.update((f"{key}.{inner}", v) for inner, v in value.items())
-            else:
-                flat[key] = value
-        schema = {_json_path(f.name): f for f in fields(PipelineConfig)}
-        kinds = {where: f.type for where, f in schema.items()}
-        values = _json_fields(flat, kinds, ("sampling_rate_hz",), "config")
-        return PipelineConfig(**{schema[where].name: value for where, value in values.items()})
-    return _read_json(path, "config", build)
+    return _read_json(path, PipelineConfig, _CONFIG_KEYS, "config")

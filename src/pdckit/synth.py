@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import (_check_count, _check_positive, _is_count, _json_fields, _labels, _read_json,
+from ._io import (_check_count, _check_positive, _is_count, _json_payload, _labels, _read_json,
                   _write_json)
 from .signals import Recording
 from .var import _covariance, spectral_radius
@@ -129,33 +129,24 @@ def generate(spec: GeneratorSpec) -> Recording:
     )
 
 
-# generator spec JSON key -> kind, in file order; the keys are GeneratorSpec's fields
-_SPEC_KINDS = {
-    "coeff_matrices": "array",
-    "innovation_covariance": "array",
-    "n_samples": "int",
-    "burn_in": "int",
-    "seed": "int",
-    "sampling_rate_hz": "float",
-    "channel_labels": "labels | None",
-}
+# generator spec JSON keys, each the GeneratorSpec field it holds, in file order: not
+# the field order, since burn_in comes before seed
+_SPEC_KEYS = {name: name for name in ("coeff_matrices", "innovation_covariance", "n_samples",
+                                      "burn_in", "seed", "sampling_rate_hz", "channel_labels")}
 
 
 def write_generator_spec_json(spec: GeneratorSpec, path) -> None:
     """Dump a spec as JSON (matrices row-major)."""
-    _write_json(path, {key: getattr(spec, key) for key in _SPEC_KINDS})
+    _write_json(path, _json_payload(spec, _SPEC_KEYS))
 
 
 def read_generator_spec_json(path) -> GeneratorSpec:
     """Load a spec written by `write_generator_spec_json`.
 
-    burn_in and channel_labels may be omitted from the file; seed may be
-    overridden at the call site (CLI --seed flag). Every value must have its
-    JSON kind (integers for counts and the seed, a number for the rate, a
-    list of channel labels, nested lists of finite numbers for the
-    matrices), and unknown keys are rejected.
+    Each key holds the kind of its `GeneratorSpec` field (`_io._from_json`):
+    integers for counts and the seed, a number for the rate, a list of channel
+    labels, nested lists of finite numbers for the matrices. burn_in and
+    channel_labels, whose fields have defaults, may be omitted; unknown keys are
+    rejected. seed may be overridden at the call site (CLI --seed flag).
     """
-    required = ("coeff_matrices", "innovation_covariance", "n_samples", "seed",
-                "sampling_rate_hz")
-    return _read_json(path, "generator spec", lambda payload: GeneratorSpec(
-        **_json_fields(payload, _SPEC_KINDS, required, "generator spec")))
+    return _read_json(path, GeneratorSpec, _SPEC_KEYS, "generator spec")

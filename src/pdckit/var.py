@@ -29,7 +29,7 @@ from functools import cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ._io import _check_count, _json_fields, _labels, _read_json, _unchecked, _write_json
+from ._io import _check_count, _json_payload, _labels, _read_json, _unchecked, _write_json
 from .errors import EstimationError
 from .signals import Recording
 
@@ -456,29 +456,23 @@ def spectral_radius(coeff_matrices: np.ndarray) -> float:
     return float(np.abs(eigvals).max())
 
 
-# model JSON key -> (VarModel field, kind), in file order; every key is required
-_MODEL_KEYS = {
-    "order": ("order_p", "int"),
-    "channel_labels": ("channel_labels", "labels"),
-    "coeff_matrices": ("coeff_matrices", "array"),
-    "residual_covariance": ("residual_covariance", "array"),
-    "n_samples_used": ("n_samples_used", "int"),
-}
+# model JSON key -> VarModel field, in file order
+_MODEL_KEYS = {"order": "order_p", "channel_labels": "channel_labels",
+               "coeff_matrices": "coeff_matrices", "residual_covariance": "residual_covariance",
+               "n_samples_used": "n_samples_used"}
 
 
 def write_model_json(model: VarModel, path) -> None:
     """Dump a model as JSON with row-major coefficient matrices."""
-    _write_json(path, {key: getattr(model, name) for key, (name, _) in _MODEL_KEYS.items()})
+    _write_json(path, _json_payload(model, _MODEL_KEYS))
 
 
 def read_model_json(path) -> VarModel:
     """Load a model written by `write_model_json`.
 
-    Every key is required and must have its JSON kind (integers for the
-    order and row count, a list of channel labels, nested lists of
-    finite numbers for the matrices); unknown keys are rejected.
+    Each key holds the kind of its `VarModel` field (`_io._from_json`): integers
+    for the order and row count, a list of channel labels, nested lists of
+    finite numbers for the matrices. Every key is required, as no field has a
+    default, and unknown keys are rejected.
     """
-    kinds = {key: kind for key, (_, kind) in _MODEL_KEYS.items()}
-    return _read_json(path, "model", lambda payload: VarModel(**{
-        _MODEL_KEYS[key][0]: value
-        for key, value in _json_fields(payload, kinds, kinds, "model").items()}))
+    return _read_json(path, VarModel, _MODEL_KEYS, "model")

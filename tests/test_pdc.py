@@ -172,6 +172,16 @@ def test_pdc_refuses_the_nan_of_a_transform_past_float_range():
     assert str(info.value) == "PDC values must lie in [0, 1]"
 
 
+def test_pdc_is_scale_free_past_the_square_of_float_range():
+    # squared entries of 1e160 overflow; the columns are rescaled, not divided by inf
+    grid = FrequencyGrid(freqs_hz=np.array([10.0, 125.0]), sampling_rate_hz=250.0)
+    lag = np.array([[[0.5, 0.2], [0.4, 0.5]]])
+    huge = compute_pdc(_model(lag * 1e160), grid)
+    assert_allclose(huge.values, compute_pdc(_model(lag * 1e150), grid).values,
+                    rtol=0, atol=1e-12)
+    assert huge.degenerate_columns == ()
+
+
 def _pdc_per_frequency(model, grid):
     """Reference: |T[i, j]| / ||T[:, j]|| from `evaluate_transfer`, one frequency at a time."""
     m = model.n_channels

@@ -202,8 +202,9 @@ def test_config_json_defaults_and_unknown_keys(tmp_path):
         read_config_json(path)
 
     path.write_text(json.dumps({"epoch_length_ms": 900}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         read_config_json(path)
+    assert str(info.value) == f"{path}: sampling_rate_hz is required"
 
 
 def test_config_json_default_text(tmp_path):

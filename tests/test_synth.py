@@ -177,6 +177,11 @@ def test_generator_spec_json_defaults_optional_fields(tmp_path):
     spec = read_generator_spec_json(path)
     assert spec.burn_in == 500
     assert spec.channel_labels == ("ch1",)
+    for key in payload:  # every other key is required
+        path.write_text(json.dumps({k: v for k, v in payload.items() if k != key}))
+        with pytest.raises(ValueError) as info:
+            read_generator_spec_json(path)
+        assert str(info.value) == f"{path}: {key} is required"
 
 
 # what each generator spec JSON key must hold, as the reader's error words it

@@ -787,14 +787,16 @@ def test_model_json_requires_integers(tmp_path, field, value):
     assert str(info.value) == message
 
 
-def test_model_json_requires_every_key(tmp_path):
+@pytest.mark.parametrize("key", MODEL_KINDS)
+def test_model_json_requires_every_key(tmp_path, key):
     path = tmp_path / "model.json"
     write_model_json(random_stable_var(np.random.default_rng(2), m=2, p=3), path)
     payload = json.loads(path.read_text())
-    del payload["n_samples_used"]
+    del payload[key]
     path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="n_samples_used is required"):
+    with pytest.raises(ValueError) as info:
         read_model_json(path)
+    assert str(info.value) == f"{path}: {key} is required"
 
 
 @pytest.mark.parametrize("name", ["coeff_matrices", "residual_covariance"])
