@@ -281,7 +281,8 @@ def _from_json(cls, payload: dict, keys: dict, what: str):
             flat.update((f"{key}.{inner}", v) for inner, v in value.items())
         else:
             flat[key] = value
-    unknown = set(flat) - set(keys)
+    # a dotted path names a key inside its group, never one at the top level
+    unknown = set(flat) - set(keys) | {key for key in payload if "." in key}
     if unknown:
         raise ValueError(f"unknown {what} keys {sorted(unknown)}")
     for path, name in keys.items():

@@ -201,13 +201,13 @@ def _fit_order(config: PipelineConfig, segment) -> int:
     return select_order(segment, config.p_scan_max).chosen_p
 
 
-def _process_subject(config: PipelineConfig, segments, groups, lookups, grid: FrequencyGrid,
+def _process_subject(config: PipelineConfig, segments, groups, grid: FrequencyGrid,
                      masks: dict):
     """One subject's epochs in one condition: returns (counts dict, band values or None).
 
     Each epoch is screened and then fitted once per channel group. Band values
-    map (pair, band) -> float; None when no segment survived, in which case
-    the subject cannot contribute a paired observation.
+    map band -> (groups, M, M) array of `_band_means`; None when no segment
+    survived, in which case the subject cannot contribute a paired observation.
     """
     counts = dict.fromkeys(_COUNTS, 0)
     counts["segments_in"] = len(segments)
@@ -220,7 +220,11 @@ def _process_subject(config: PipelineConfig, segments, groups, lookups, grid: Fr
             counts["screened_out"] += 1
             continue
         if config.mean_center:
-            seg = seg.centered()
+            try:
+                seg = seg.centered()
+            except ValueError:  # its mean or centred samples lie past float range
+                counts["screened_out"] += 1
+                continue
         report = screen_stationarity(
             seg,
             n_windows=config.stationarity_n_windows,
@@ -246,11 +250,7 @@ def _process_subject(config: PipelineConfig, segments, groups, lookups, grid: Fr
         counts["degenerate_columns"] += sum(len(s.degenerate_columns) for s in spectra)
         used.append([s.values for s in spectra])
 
-    if not used:
-        return counts, None
-    bands = _band_means(_clipped_mean(used), masks)
-    return counts, {(pair, band): float(bands[band][g, row, col])
-                    for pair, (g, row, col) in lookups.items() for band in config.bands}
+    return counts, _band_means(_clipped_mean(used), masks) if used else None
 
 
 def _resolve_pairs(config: PipelineConfig, labels: tuple) -> tuple:
@@ -358,7 +358,7 @@ def run_pipeline(config: PipelineConfig, condition_a_inputs,
         raise ValueError("no subject has an epoch onset")
     _check_feasible(config, first.n_samples, groups)  # every epoch has its length
 
-    outcomes = {cond: [_process_subject(config, segments, groups, lookups, grid, masks)
+    outcomes = {cond: [_process_subject(config, segments, groups, grid, masks)
                        for segments in subjects]
                 for cond, subjects in epochs.items()}
     totals = {cond: {key: sum(counts[key] for counts, _ in outcome) for key in _COUNTS}
@@ -375,7 +375,8 @@ def run_pipeline(config: PipelineConfig, condition_a_inputs,
     summaries = {
         cond: ConditionSummary(
             n_subjects=len(outcome),
-            band_values={(pair, band): tuple(outcome[i][1][(pair, band)] for i in subjects_used)
+            band_values={(pair, band): tuple(float(outcome[i][1][band][lookups[pair]])
+                                             for i in subjects_used)
                          for pair in pairs for band in band_names},
             **totals[cond],
         )

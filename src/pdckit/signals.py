@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import (_check_count, _check_positive, _csv_records, _decode_utf8, _is_finite_real,
-                  _labels, _number_cell, _read_text, _unchecked, _write_csv)
+from ._io import (_check_count, _check_positive, _csv_records, _is_finite_real, _labels,
+                  _number_cell, _read_text, _unchecked, _write_csv)
 
 __all__ = [
     "Recording",
@@ -88,10 +88,12 @@ class Recording:
         return Recording(**fields)  # which refuses no label or a repeated one
 
     def centered(self) -> "Recording":
-        """Return the recording with each channel's mean subtracted."""
-        # the sum over the count is np.mean's arithmetic
-        means = np.add.reduce(self.samples, axis=0) / self.n_samples
-        return Recording(self.samples - means, self.sampling_rate_hz, self.channel_labels)
+        """Return the recording with each channel's mean subtracted; refused if not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
+            # the sum over the count is np.mean's arithmetic
+            means = np.add.reduce(self.samples, axis=0) / self.n_samples
+            samples = self.samples - means
+        return Recording(samples, self.sampling_rate_hz, self.channel_labels)
 
 
 @dataclass(frozen=True)
@@ -201,18 +203,18 @@ def screen_stationarity(
     used = segment.samples[: win_len * n_windows]
     windows = used.reshape(n_windows, win_len, segment.n_channels)
 
-    # np.mean and np.var(ddof=1) over axis 1, with their arithmetic: sums over
-    # counts, and the squared deviations from those means
-    means = np.add.reduce(windows, axis=1) / win_len                   # (n_windows, M)
-    deviations = windows - means[:, None, :]
-    np.multiply(deviations, deviations, out=deviations)
-    variances = np.add.reduce(deviations, axis=1) / (win_len - 1)     # (n_windows, M)
-
-    spread = np.maximum.reduce(means) - np.minimum.reduce(means)
-    pooled_std = np.sqrt(np.add.reduce(variances) / n_windows)
-    var_min = np.minimum.reduce(variances)
-    var_max = np.maximum.reduce(variances)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a statistic past float range is inf or NaN, and the screen fails on it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # np.mean and np.var(ddof=1) over axis 1, with their arithmetic: sums over
+        # counts, and the squared deviations from those means
+        means = np.add.reduce(windows, axis=1) / win_len                   # (n_windows, M)
+        deviations = windows - means[:, None, :]
+        np.multiply(deviations, deviations, out=deviations)
+        variances = np.add.reduce(deviations, axis=1) / (win_len - 1)     # (n_windows, M)
+        spread = np.maximum.reduce(means) - np.minimum.reduce(means)
+        pooled_std = np.sqrt(np.add.reduce(variances) / n_windows)
+        var_min = np.minimum.reduce(variances)
+        var_max = np.maximum.reduce(variances)
         drift = np.where(pooled_std > 0, spread / pooled_std,
                          np.where(spread > 0, np.inf, 0.0))
         ratio = np.where(var_min > 0, var_max / var_min, np.inf)
@@ -245,22 +247,22 @@ def _read_header(path, records) -> tuple[str, ...]:
 
 
 # ASCII separators that numpy strips from the edges of a cell and float() does not
-_KEPT_BY_FLOAT = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_KEPT_BY_FLOAT = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _read_in_one_call(path, data: bytes):
-    """Labels and samples, the body parsed in one `np.loadtxt` call; None where
-    the row loop must decide.
+def _read_in_one_call(path, text: str):
+    """Labels and samples of a recording file's decoded text, the body parsed in one
+    `np.loadtxt` call; None where the row loop must decide.
 
     Apart from `_KEPT_BY_FLOAT`, `loadtxt` accepts a subset of what the loop
     accepts (no `1_0`, no non-ASCII digits) with the same float conversion, so
     a finite matrix of the header's width is what the loop would have built.
     """
-    if any(sep in data for sep in _KEPT_BY_FLOAT):
+    if any(sep in text for sep in _KEPT_BY_FLOAT):
         return None
+    body = io.StringIO(text, newline="")
     try:
-        with (io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as body,
-              warnings.catch_warnings()):
+        with warnings.catch_warnings():
             warnings.simplefilter("error")  # a body without rows only warns
             labels = _read_header(path, _csv_records(path, body))
             samples = np.loadtxt(body, delimiter=",", ndmin=2, comments=None, quotechar='"')
@@ -271,10 +273,10 @@ def _read_in_one_call(path, data: bytes):
     return None
 
 
-def _read_by_row(path, data: bytes):
-    """Labels and samples one CSV record at a time; the owner of every message, which
-    names the record's last physical line."""
-    records = _csv_records(path, io.StringIO(_decode_utf8(path, data), newline=""))
+def _read_by_row(path, text: str):
+    """Labels and samples of a recording file's decoded text, one CSV record at a time;
+    the owner of every message, which names the record's last physical line."""
+    records = _csv_records(path, io.StringIO(text, newline=""))
     labels = _read_header(path, records)
     rows = []
     for where, row in records:
@@ -289,9 +291,8 @@ def read_recording_csv(path, sampling_rate_hz: float) -> Recording:
 
     Every error names the file, and its line where there is one.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    labels, samples = _read_in_one_call(path, data) or _read_by_row(path, data)
+    text = _read_text(path)
+    labels, samples = _read_in_one_call(path, text) or _read_by_row(path, text)
     return Recording(samples=samples, sampling_rate_hz=sampling_rate_hz, channel_labels=labels)
 
 

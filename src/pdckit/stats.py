@@ -332,18 +332,17 @@ def _median_directions(diffs: np.ndarray) -> list:
 
 
 def _stacked(keys: list, band_values_a: dict, band_values_b: dict):
-    """The two conditions as (keys x pairs) float64 arrays in key order, when every
-    key's values meet `PairedSample`'s rule and all keys have the same number of
-    pairs; else None. numpy iterates no generator, so a refused family reaches the
-    per-key loop unread."""
+    """The two conditions as (keys x pairs) float64 arrays in key order, when all
+    keys have the same number of pairs and the whole family, raveled, is one
+    `PairedSample`; else None. numpy iterates no generator, so a refused family
+    reaches the per-key loop unread."""
     try:
         a = np.array([band_values_a[key] for key in keys], dtype=float)
         b = np.array([band_values_b[key] for key in keys], dtype=float)
+        if a.ndim != 2 or a.shape != b.shape:
+            return None
+        PairedSample(a.ravel(), b.ravel())  # so each row of a rectangle meets its rule
     except Exception:  # whatever a key breaks, the per-key loop raises it by key
-        return None
-    if (a.ndim != 2 or a.shape != b.shape or a.shape[1] < 1
-            or np.count_nonzero(np.isfinite(a)) != a.size
-            or np.count_nonzero(np.isfinite(b)) != b.size):
         return None
     return a, b
 
@@ -385,8 +384,7 @@ def compare_conditions(band_values_a: dict, band_values_b: dict,
     keys = list(band_values_a)
     stacked = _stacked(keys, band_values_a, band_values_b)
     if stacked is not None:
-        # a rectangular family, converted and checked once: each row view meets
-        # PairedSample's rule (1-D float64, equal non-zero lengths, every value finite)
+        # a rectangular family, converted and checked once by `_stacked`
         a, b = stacked
         samples = [_unchecked(PairedSample, {"condition_a": row_a, "condition_b": row_b})
                    for row_a, row_b in zip(a, b)]
@@ -411,12 +409,8 @@ def compare_conditions(band_values_a: dict, band_values_b: dict,
             outcomes.append(wilcoxon_signed_rank(sample))
         except DegenerateSampleError:
             outcomes.append(_UNTESTABLE)
-    p_raw = [outcome.p_raw for outcome in outcomes]
-    corrected = holm_bonferroni(p_raw, alpha=alpha)
-    # PairedTestResult's rule, checked once for the family; untestable is n = 0 below
-    if not (all(0.0 <= raw <= p_adj <= 1.0 for raw, (p_adj, _) in zip(p_raw, corrected))
-            and set(directions).issubset(_DIRECTIONS)):
-        raise ValueError("test results break PairedTestResult's rule")
+    corrected = holm_bonferroni([outcome.p_raw for outcome in outcomes], alpha=alpha)
+    # each result meets PairedTestResult's rule by construction (Holm keeps p_raw <= p_adj <= 1)
     return {key: _unchecked(PairedTestResult, {
                 "statistic_w": w, "n_effective": n, "p_raw": p, "p_adjusted": p_adj,
                 "significant": reject, "direction": direction, "untestable": n == 0})

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pdckit._io
 from pdckit import (
     FrequencyGrid,
     GeneratorSpec,
@@ -217,6 +218,23 @@ def test_every_text_reader_reads_a_file_with_a_bom_as_the_file_without(tmp_path,
     write(plain)
     bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
     assert read(bom) == read(plain)
+
+
+@pytest.mark.parametrize("reader", BOM_READERS)
+def test_every_text_reader_decodes_its_file_once_through_the_shared_decoder(tmp_path,
+                                                                            monkeypatch, reader):
+    write, read = BOM_READERS[reader]
+    path = tmp_path / "file.txt"
+    write(path)
+    decode, decoded = pdckit._io._decode_utf8, []
+
+    def counted(where, data):
+        decoded.append(where)
+        return decode(where, data)
+
+    monkeypatch.setattr(pdckit._io, "_decode_utf8", counted)
+    read(path)
+    assert decoded == [path]
 
 
 @pytest.mark.parametrize("reader, body", [

@@ -270,6 +270,11 @@ def test_config_json_default_text(tmp_path):
     ({"epoch_length_ms": 10**400}, "epoch_length_ms"),
     ({"channel_pairs": [["ch1", 2]]}, "channel_pairs"),
     ({"bands": {"theta": [4.0, "7.5"]}}, "bands"),
+    # a dotted path is a key only inside its group
+    ({"freq_grid.low_hz": 2.0}, "unknown config keys ['freq_grid.low_hz']"),
+    ({"stationarity.n_windows": 4}, "unknown config keys ['stationarity.n_windows']"),
+    ({"freq_grid.low_hz": 2.0, "freq_grid": {"low_hz": 3.0}},
+     "unknown config keys ['freq_grid.low_hz']"),
 ])
 def test_config_json_is_validated_by_the_schema(tmp_path, extra, where):
     path = tmp_path / "config.json"
@@ -391,6 +396,23 @@ def test_an_epoch_that_cannot_be_fitted_counts_as_failed_fit():
     a = report.condition_a
     assert (a.segments_in, a.screened_out, a.failed_fit, a.used) == (12, 1, 1, 10)
     assert report.condition_b.failed_fit == 0
+    assert report.subjects_used == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("mean_center", [True, False])
+def test_an_epoch_whose_statistics_overflow_counts_as_screened_out(mean_center):
+    cond_a, cond_b = _cohorts(n_subjects=5)
+    starts = STARTS[:3]
+    cond_a = [(rec, starts) for rec, _ in cond_a]
+    cond_b = [(rec, starts) for rec, _ in cond_b]
+    # finite samples whose window sums, and so means and variances, pass float range;
+    # a numpy warning would fail the test
+    samples = (np.random.default_rng(7).standard_normal((NSAMP, 2)) + 5) * 1e307
+    cond_a[4] = (Recording(samples, FS, cond_a[4][0].channel_labels), starts)
+    config = dataclasses.replace(default_config(FS), mean_center=mean_center)
+    report = run_pipeline(config, cond_a, cond_b)
+    a = report.condition_a
+    assert (a.segments_in, a.screened_out, a.failed_fit, a.used) == (15, 4, 0, 11)
     assert report.subjects_used == (0, 1, 2, 3)
 
 

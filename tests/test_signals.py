@@ -401,7 +401,7 @@ def test_recording_csv_header_only_file_raises_without_a_warning(tmp_path, body)
 def _read_by_line_reference(path):
     """The per-record reader the one-call parse must agree with: the samples, or the
     message naming the record's last physical line and the first bad cell's column."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # less one leading BOM
         reader = csv.reader(fh)
         labels = [label.strip() for label in next(reader)]
         rows = []
@@ -447,12 +447,12 @@ def _cells(draw, odd):
 
 @st.composite
 def _recording_files(draw):
-    """Recording CSV text: 1-3 columns, 0-6 lines that may be ragged, blank or odd,
-    and \\n, \\r\\n or \\r line endings mixed within one file."""
+    """Recording CSV text, with or without a leading BOM: 1-3 columns, 0-6 lines that
+    may be ragged, blank or odd, and \\n, \\r\\n or \\r line endings mixed within one file."""
     width = draw(st.integers(1, 3))
     odd = draw(st.integers(0, 2)) == 0
     ragged = draw(st.integers(0, 2)) == 0
-    lines = [",".join("abc"[:width])]
+    lines = [draw(st.sampled_from(["", "\ufeff"])) + ",".join("abc"[:width])]
     for _ in range(draw(st.integers(0, 6))):
         if draw(st.integers(0, 5)) == 0:
             lines.append(draw(st.sampled_from(["", "", " ", "\t"])))
@@ -483,6 +483,7 @@ def _recording_files(draw):
 @example(text="a\n0\x1c\n")
 @example(text='"a\nb",c\n1,2\n3,x\n')
 @example(text='"a\nb",c\n1,2\n"3\n",4\n5,y\n')
+@example(text="\ufeffa,b\n1,x\n")
 def test_recording_csv_reader_agrees_with_the_per_line_reader(tmp_path, text):
     # a new file per example: truncating an existing one is slow on some file systems
     path = tmp_path / f"rec{len(list(tmp_path.iterdir()))}.csv"
