@@ -86,19 +86,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean-center", action="store_true",
                    help="subtract per-channel means before fitting")
 
-    p = sub.add_parser("pdc", help="coupling spectrum from a model or a recording")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--model", help="model JSON")
-    group.add_argument("--input", help="recording CSV (fit first, then transform)")
+    p = sub.add_parser("pdc", help="coupling spectrum of a fitted model")
+    p.add_argument("--model", required=True, help="model JSON, as `fit` writes it")
     p.add_argument("--sampling-rate", type=float, required=True, help="Hz")
     p.add_argument("--out", required=True, help="output spectrum CSV")
     p.add_argument("--low", type=float, default=PipelineConfig.freq_low_hz, help="grid start, Hz")
     p.add_argument("--high", type=float, default=PipelineConfig.freq_high_hz, help="grid end, Hz")
     p.add_argument("--step", type=float, default=PipelineConfig.freq_step_hz, help="grid step, Hz")
-    p.add_argument("--order", type=_positive_int, default=None,
-                   help="model order when fitting from --input")
-    p.add_argument("--mean-center", action="store_true",
-                   help="subtract per-channel means before fitting (with --input)")
 
     p = sub.add_parser("bands", help="average a spectrum within frequency bands")
     p.add_argument("--spectrum", required=True, help="spectrum CSV")
@@ -152,14 +146,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_pdc(args) -> int:
-    if args.model is not None:
-        model = read_model_json(args.model)
-    else:
-        if args.order is None:
-            raise ValueError("--order is required when fitting from --input")
-        recording = read_recording_csv(args.input, sampling_rate_hz=args.sampling_rate)
-        segment = recording.centered() if args.mean_center else recording
-        model, _ = fit_var(segment, args.order)
+    model = read_model_json(args.model)
     grid = FrequencyGrid.regular(args.low, args.high, args.step, args.sampling_rate)
     spectrum = compute_pdc(model, grid)
     write_spectrum_csv(spectrum, args.out)

@@ -208,19 +208,22 @@ def fit_var(segment: Recording, p: int) -> tuple[VarModel, np.ndarray]:
     _check_rows(n, m, p)
     rows = n - p
     joint = _joint_design(x, p)
-    coeffs_flat = _certified_qr_solve(joint, m * p)
-    # row-major for the products below: BLAS rounds a column-major operand differently
-    joint = joint.copy()
-    design, target = joint[:, : m * p], joint[:, m * p :]
-    if coeffs_flat is None:
-        coeffs_flat, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-        if rank < m * p:
-            raise EstimationError(
-                f"regressor matrix is rank deficient ({rank} < {m * p}); "
-                "channels may be collinear or constant"
-            )
-    residuals = target - design @ coeffs_flat
-    cov = residuals.T @ residuals / rows
+    # samples near float range overflow the certificate's norms, which sends the fit
+    # to lstsq, and then the residual products, whose covariance VarModel refuses below
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs_flat = _certified_qr_solve(joint, m * p)
+        # row-major for the products below: BLAS rounds a column-major operand differently
+        joint = joint.copy()
+        design, target = joint[:, : m * p], joint[:, m * p :]
+        if coeffs_flat is None:
+            coeffs_flat, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+            if rank < m * p:
+                raise EstimationError(
+                    f"regressor matrix is rank deficient ({rank} < {m * p}); "
+                    "channels may be collinear or constant"
+                )
+        residuals = target - design @ coeffs_flat
+        cov = residuals.T @ residuals / rows
     # coeffs_flat rows are per-lag blocks of regressor weights; transpose each
     # block so that coeff[i][k, m] multiplies channel m at lag i+1 in channel k's equation
     coeffs = coeffs_flat.reshape(p, m, m).transpose(0, 2, 1).copy()

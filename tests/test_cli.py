@@ -54,6 +54,16 @@ def _simulate(tmp_path, name="rec.csv", **kw):
     return out
 
 
+def _fit_and_transform(tmp_path, rec):
+    """`fit --order 1` then `pdc --model` on the default grid; the spectrum's path."""
+    model, spectrum = tmp_path / "model.json", tmp_path / "spec.csv"
+    assert main(["fit", "--input", str(rec), "--sampling-rate", "250", "--order", "1",
+                 "--out", str(model)]) == 0
+    assert main(["pdc", "--model", str(model), "--sampling-rate", "250",
+                 "--out", str(spectrum)]) == 0
+    return spectrum
+
+
 # ------------------------------------------------------------------ commands
 
 
@@ -80,18 +90,16 @@ def test_simulate_seed_override_changes_output(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("source", ["--input", "--model"])
-def test_pdc_rejects_an_infinite_sampling_rate(tmp_path, capsys, source):
+@pytest.mark.parametrize("command", ["fit", "pdc"])
+def test_fit_and_pdc_reject_an_infinite_sampling_rate(tmp_path, capsys, command):
     rec = _simulate(tmp_path)
-    path = rec
-    if source == "--model":
-        path = tmp_path / "model.json"
-        assert main(["fit", "--input", str(rec), "--sampling-rate", "250",
-                     "--order", "2", "--out", str(path)]) == 0
-        capsys.readouterr()
-    out = tmp_path / "s.csv"
-    code = main(["pdc", source, str(path), "--sampling-rate", "inf", "--order", "2",
-                 "--out", str(out)])
+    model = tmp_path / "model.json"
+    assert main(["fit", "--input", str(rec), "--sampling-rate", "250",
+                 "--order", "2", "--out", str(model)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    source = ["--input", str(rec), "--order", "2"] if command == "fit" else ["--model", str(model)]
+    code = main([command, *source, "--sampling-rate", "inf", "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
     assert not out.exists()
@@ -155,11 +163,11 @@ def test_fit_auto_order_refuses_a_scan_too_long_for_the_recording(tmp_path, caps
     assert not (tmp_path / "m.json").exists()
 
 
-def test_pdc_from_model_and_from_recording(tmp_path, capsys):
+def test_pdc_from_model_on_the_default_and_a_custom_grid(tmp_path, capsys):
     rec = _simulate(tmp_path, n=1500)
     model_path = tmp_path / "model.json"
-    main(["fit", "--input", str(rec), "--sampling-rate", "250",
-          "--order", "1", "--out", str(model_path)])
+    assert main(["fit", "--input", str(rec), "--sampling-rate", "250",
+                 "--order", "1", "--out", str(model_path)]) == 0
 
     spec_path = tmp_path / "spec.csv"
     assert main(["pdc", "--model", str(model_path), "--sampling-rate", "250",
@@ -169,9 +177,8 @@ def test_pdc_from_model_and_from_recording(tmp_path, capsys):
     assert spectrum.values.shape == (53, 2, 2)
 
     direct = tmp_path / "direct.csv"
-    assert main(["pdc", "--input", str(rec), "--sampling-rate", "250",
-                 "--order", "1", "--low", "4", "--high", "20", "--step", "1",
-                 "--out", str(direct)]) == 0
+    assert main(["pdc", "--model", str(model_path), "--sampling-rate", "250",
+                 "--low", "4", "--high", "20", "--step", "1", "--out", str(direct)]) == 0
     narrow = read_spectrum_csv(direct, sampling_rate_hz=250.0)
     assert narrow.grid.n_freqs == 17
     capsys.readouterr()
@@ -190,16 +197,17 @@ def test_mean_center_fits_and_transforms_the_centred_recording(tmp_path, capsys)
         250.0)), tmp_path / "want.csv")
 
     def run(out, command, *flags):
-        assert main([command, "--input", str(path), "--sampling-rate", "250", *flags,
+        assert main([command, *flags, "--sampling-rate", "250",
                      "--out", str(tmp_path / out)]) == 0
         return (tmp_path / out).read_bytes()
 
     want = (tmp_path / "want.json").read_bytes()
-    assert run("centred.json", "fit", "--order", "2", "--mean-center") == want
-    assert run("raw.json", "fit", "--order", "2") != want
-    assert run("centred.csv", "pdc", "--order", "2", "--mean-center") == (
+    fit = ["fit", "--input", str(path)]
+    assert run("centred.json", *fit, "--order", "2", "--mean-center") == want
+    assert run("raw.json", *fit, "--order", "2") != want
+    assert run("centred.csv", "pdc", "--model", str(tmp_path / "centred.json")) == (
         tmp_path / "want.csv").read_bytes()
-    run("auto.json", "fit", "--auto-order", "--p-scan-max", "6", "--mean-center")
+    run("auto.json", *fit, "--auto-order", "--p-scan-max", "6", "--mean-center")
     auto = read_model_json(tmp_path / "auto.json")
     assert auto.order_p == select_order(rec.centered(), 6).chosen_p
     capsys.readouterr()
@@ -207,9 +215,7 @@ def test_mean_center_fits_and_transforms_the_centred_recording(tmp_path, capsys)
 
 def test_bands_default_and_custom(tmp_path, capsys):
     rec = _simulate(tmp_path, n=1500)
-    spec_path = tmp_path / "spec.csv"
-    main(["pdc", "--input", str(rec), "--sampling-rate", "250",
-          "--order", "1", "--out", str(spec_path)])
+    spec_path = _fit_and_transform(tmp_path, rec)
 
     bands_path = tmp_path / "bands.json"
     assert main(["bands", "--spectrum", str(spec_path),
@@ -258,9 +264,7 @@ def test_pdc_refuses_a_model_with_a_nan_coefficient(tmp_path, capsys):
 
 def test_bands_refuses_a_spectrum_with_a_nan_cell(tmp_path, capsys):
     rec = _simulate(tmp_path, n=1500)
-    spec_path = tmp_path / "spec.csv"
-    main(["pdc", "--input", str(rec), "--sampling-rate", "250",
-          "--order", "1", "--out", str(spec_path)])
+    spec_path = _fit_and_transform(tmp_path, rec)
     lines = spec_path.read_text().splitlines()
     freq, source, target, _ = lines[5].split(",")
     lines[5] = f"{freq},{source},{target},nan"
@@ -507,54 +511,112 @@ def test_pipeline_with_no_usable_subject_is_pipeline_error(tmp_path, capsys):
 # -------------------------------------------------------------------- errors
 
 
-def test_missing_input_file_is_io_error(tmp_path, capsys):
-    code = main(["fit", "--input", str(tmp_path / "absent.csv"),
-                 "--sampling-rate", "250", "--order", "2",
-                 "--out", str(tmp_path / "m.json")])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith("pdckit: io-error:")
-    assert "absent.csv" in err
+# files every failure-contract row may read, beside rec.csv (`_simulate`) and big.csv
+# (rec.csv scaled by 1e200: finite samples whose residual products overflow)
+_CONTRACT_FILES = {
+    "bad.json": "{not json",
+    "flat.csv": "ch1,ch2\n" + "1.0,2.0\n" * 500,
+    "list.json": "[]\n",
+    "grouped.json": '{"sampling_rate_hz": 250.0, "freq_grid": 5}\n',
+    "screen_all.json": '{"sampling_rate_hz": 250.0, "amplitude_reject_threshold": 1e-9}\n',
+    "markers.csv": "0\n",
+    "no_rows.csv": "freq_hz,source,target,pdc\n",
+    "partial.csv": "freq_hz,source,target,pdc\n4.0,a,a,1.0\n4.0,a,b,0.5\n",
+    "no_data.csv": "pair,band,subject,value\n",
+    "twice.csv": "pair,band,subject,value\na->b,alpha,s1,0.1\na->b,alpha,s1,0.2\n",
+    "alpha.csv": "pair,band,subject,value\na->b,alpha,s1,0.1\n",
+    "theta.csv": "pair,band,subject,value\na->b,theta,s1,0.1\n",
+    "no_value.csv": "pair,band,subject\na->b,alpha,s1\n",
+}
+_FIT = ["fit", "--sampling-rate", "250", "--out", "{tmp}/m.json", "--input"]
+_PDC = ["pdc", "--sampling-rate", "250", "--out", "{tmp}/s.csv", "--model"]
+_BANDS = ["bands", "--out", "{tmp}/b.json", "--spectrum"]
+_COMPARE = ["compare", "--out", "{tmp}/t.csv", "--condition-a"]
+_PIPELINE = ["pipeline", "--condition-a", "{tmp}/rec.csv", "--condition-b", "{tmp}/rec.csv",
+             "--markers", "{tmp}/markers.csv", "--out", "{tmp}/report", "--config"]
+# invocation -> exit code and its one stderr line; None where argparse itself exits,
+# whose usage text is not the contract's line
+_FAILURES = {
+    "io-error": ([*_FIT, "{tmp}/absent.csv", "--order", "2"], 3,
+                 "io-error: No such file or directory: {tmp}/absent.csv"),
+    "estimation-error": ([*_FIT, "{tmp}/flat.csv", "--order", "2"], 4,
+                         "estimation-error: regressor matrix is rank deficient (1 < 4); "
+                         "channels may be collinear or constant"),
+    "pipeline-error": ([*_PIPELINE, "{tmp}/screen_all.json"], 6,
+                       "pipeline-error: no subject kept a usable segment in both conditions; "
+                       "attrition " + " ".join(
+                           f"{c}={{'segments_in': 1, 'screened_out': 1, 'failed_fit': 0, "
+                           "'used': 0, 'unstable_models': 0, 'degenerate_columns': 0}"
+                           for c in "ab")),
+    "unexpected-error": ([*_FIT, "{tmp}/rec.csv", "--order", "2"], 1,
+                         "unexpected-error: 'ch9'"),
+    "unfittable-order": ([*_FIT, "{tmp}/rec.csv", "--order", "400"], 2,
+                         "argument-error: order 400 breaks N - p >= M*p + 1 for N=800 samples "
+                         "and M=2 channels"),
+    "malformed-json": (["simulate", "--out", "{tmp}/r.csv", "--spec", "{tmp}/bad.json"], 2,
+                       "argument-error: {tmp}/bad.json:1: Expecting property name enclosed "
+                       "in double quotes"),
+    "fit-past-float-range": ([*_FIT, "{tmp}/big.csv", "--order", "2"], 2,
+                             "argument-error: residual_covariance must be finite"),
+    "auto-order-past-float-range": ([*_FIT, "{tmp}/big.csv", "--auto-order"], 2,
+                                    "argument-error: residual_covariance must be finite"),
+    "no-spectrum-rows": ([*_BANDS, "{tmp}/no_rows.csv"], 2,
+                         "argument-error: {tmp}/no_rows.csv: no spectrum rows"),
+    "incomplete-spectrum": ([*_BANDS, "{tmp}/partial.csv"], 2,
+                            "argument-error: {tmp}/partial.csv: incomplete spectrum table, "
+                            "missing (4.0, 'b', 'a')"),
+    "no-data-rows": ([*_COMPARE, "{tmp}/no_data.csv", "--condition-b", "{tmp}/alpha.csv"], 2,
+                     "argument-error: {tmp}/no_data.csv: no data rows"),
+    "duplicate-subject": ([*_COMPARE, "{tmp}/twice.csv", "--condition-b", "{tmp}/alpha.csv"], 2,
+                          "argument-error: {tmp}/twice.csv:3: duplicate subject 's1' for "
+                          "a->b/alpha"),
+    "different-keys": ([*_COMPARE, "{tmp}/alpha.csv", "--condition-b", "{tmp}/theta.csv"], 2,
+                       "argument-error: the two tables define different (pair, band) sets"),
+    "expected-columns": ([*_COMPARE, "{tmp}/no_value.csv", "--condition-b", "{tmp}/alpha.csv"],
+                         2, "argument-error: {tmp}/no_value.csv: expected columns "
+                            "['band', 'pair', 'subject', 'value']"),
+    "json-not-an-object": ([*_PDC, "{tmp}/list.json"], 2,
+                           "argument-error: {tmp}/list.json: model must be a JSON object"),
+    "group-not-an-object": ([*_PIPELINE, "{tmp}/grouped.json"], 2,
+                            "argument-error: {tmp}/grouped.json: freq_grid must be a JSON "
+                            "object"),
+    "band-of-two-parts": ([*_BANDS, "{tmp}/partial.csv", "--band", "x:1"], 2, None),
+    "band-edge-not-a-number": ([*_BANDS, "{tmp}/partial.csv", "--band", "x:a:b"], 2, None),
+    "order-0": ([*_FIT, "{tmp}/rec.csv", "--order", "0"], 2, None),
+    # pdc transforms a model file alone: fitting is `fit`'s
+    "pdc-input": ([*_PDC[:-1], "--input", "{tmp}/rec.csv"], 2, None),
+    "pdc-order": ([*_PDC, "{tmp}/m.json", "--order", "3"], 2, None),
+    "pdc-mean-center": ([*_PDC, "{tmp}/m.json", "--mean-center"], 2, None),
+}
 
 
-def test_malformed_json_is_argument_error(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code = main(["simulate", "--spec", str(bad), "--out", str(tmp_path / "r.csv")])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("pdckit: argument-error:")
-
-
-def test_unfittable_order_is_argument_error(tmp_path, capsys):
-    rec = _simulate(tmp_path, n=800)
-    code = main(["fit", "--input", str(rec), "--sampling-rate", "250",
-                 "--order", "400", "--out", str(tmp_path / "m.json")])
-    assert code == 2
+@pytest.mark.parametrize("case", list(_FAILURES))
+def test_each_failure_exits_with_its_code_and_one_stderr_line(tmp_path, capsys, monkeypatch,
+                                                             case):
+    rec = read_recording_csv(_simulate(tmp_path), sampling_rate_hz=250.0)
+    write_recording_csv(dataclasses.replace(rec, samples=rec.samples * 1e200),
+                        tmp_path / "big.csv")
+    for name, text in _CONTRACT_FILES.items():
+        (tmp_path / name).write_text(text)
     capsys.readouterr()
+    if case == "unexpected-error":
+        # no input reaches a KeyError, so one is a fault of the program, not an argument error
+        def broken(args):
+            raise KeyError("ch9")
 
-
-def test_a_key_error_in_a_handler_is_unexpected_error(tmp_path, capsys, monkeypatch):
-    # no input reaches a KeyError, so one is a fault of the program, not an argument error
-    def broken(args):
-        raise KeyError("ch9")
-
-    monkeypatch.setitem(cli._HANDLERS, "fit", broken)
-    code = main(["fit", "--input", str(tmp_path / "rec.csv"), "--sampling-rate", "250",
-                 "--order", "2", "--out", str(tmp_path / "m.json")])
-    assert code == 1
-    assert capsys.readouterr().err == "pdckit: unexpected-error: 'ch9'\n"
-
-
-def test_constant_recording_is_estimation_error(tmp_path, capsys):
-    path = tmp_path / "flat.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ch1", "ch2"])
-        writer.writerows([[1.0, 2.0]] * 500)
-    code = main(["fit", "--input", str(path), "--sampling-rate", "250",
-                 "--order", "2", "--out", str(tmp_path / "m.json")])
-    assert code == 4
-    assert capsys.readouterr().err.startswith("pdckit: estimation-error:")
+        monkeypatch.setitem(cli._HANDLERS, "fit", broken)
+    argv, code, line = _FAILURES[case]
+    try:
+        got = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    except SystemExit as exc:  # argparse's own exit
+        got = exc.code
+    assert got == code
+    err = capsys.readouterr().err
+    if line is not None:
+        assert err == f"pdckit: {line.replace('{tmp}', str(tmp_path))}\n"
+    # and no command wrote its output
+    assert not any((tmp_path / out).exists()
+                   for out in ("r.csv", "m.json", "s.csv", "b.json", "t.csv", "report"))
 
 
 def _reader_inputs(tmp_path):
@@ -1002,8 +1064,9 @@ def test_every_command_runs_without_scipy(tmp_path):
             ["fit", "--input", rec, *fs, "--auto-order", "--p-scan-max", "6", "--mean-center",
              "--out", str(out / "auto.json")],
             ["pdc", "--model", str(out / "model.json"), *fs, "--out", str(out / "spectrum.csv")],
-            ["pdc", "--input", rec, *fs, "--order", "1", "--mean-center",
-             "--out", str(out / "centred.csv")],
+            ["fit", "--input", rec, *fs, "--order", "1", "--mean-center",
+             "--out", str(out / "centred.json")],
+            ["pdc", "--model", str(out / "centred.json"), *fs, "--out", str(out / "centred.csv")],
             ["bands", "--spectrum", str(out / "spectrum.csv"), "--out", str(out / "bands.json")],
             [*pipeline, "--out", str(out / "report")],
             *(["compare", "--condition-a", str(tmp_path / f"{prefix}a.csv"),
@@ -1032,7 +1095,7 @@ def test_every_command_runs_without_scipy(tmp_path):
                                          if not line.lstrip().startswith(b'"timestamp_utc":')]
             for path in sorted(out.rglob("*")) if path.is_file()}
     assert outputs["blocked"] == outputs["importable"]
-    assert len(outputs["blocked"]) == 10
+    assert len(outputs["blocked"]) == 11
 
     def rows(name):
         text = b"\n".join(outputs["blocked"][name]).decode()

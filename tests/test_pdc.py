@@ -83,6 +83,29 @@ def test_grid_validation():
     assert single.n_freqs == 1
 
 
+def _spectrum(labels):
+    grid = FrequencyGrid.regular(4.0, 8.0, 1.0, 250.0)
+    return PdcSpectrum(values=np.full((5, 2, 2), 0.5), grid=grid, channel_labels=labels)
+
+
+@pytest.mark.parametrize("refuse, message", [
+    (lambda: PdcSpectrum(values=np.zeros((2, 2, 2)), channel_labels=("a", "b"),
+                         grid=FrequencyGrid.regular(4.0, 8.0, 1.0, 250.0)),
+     "values must have shape (5, 2, 2), got (2, 2, 2)"),
+    (lambda: BandAverages(bands={"alpha": np.eye(2)}, band_edges_hz={"theta": (4.0, 8.0)},
+                          channel_labels=("a", "b")),
+     "bands and band_edges_hz must share the same names"),
+    (lambda: average_over_segments([_spectrum(("a", "b")), _spectrum(("a", "c"))]),
+     "spectra differ in channel labels"),
+    (lambda: FrequencyGrid(freqs_hz=np.array([]), sampling_rate_hz=250.0),
+     "freqs_hz must be a non-empty 1-D array"),
+], ids=["spectrum-shape", "band-names", "segment-labels", "empty-grid"])
+def test_each_refusal_raises_its_message(refuse, message):
+    with pytest.raises(ValueError) as info:
+        refuse()
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("rate", [math.inf, math.nan, 0.0])
 def test_grid_and_transfer_reject_a_rate_that_is_not_finite_and_positive(rate):
     # at an infinite rate every g = f / rate would be 0, so each frequency would read

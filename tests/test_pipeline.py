@@ -42,7 +42,10 @@ from pdckit.pipeline import (
     ORDER_MODE_AUTO_AIC,
     SCOPE_JOINT,
     SCOPE_PER_PAIR,
+    AnalysisReport,
+    ConditionSummary,
     PipelineConfig,
+    _write_atomic,
 )
 from pdckit.stats import _pair_cell, format_pair
 
@@ -414,6 +417,27 @@ def test_an_epoch_whose_statistics_overflow_counts_as_screened_out(mean_center):
     a = report.condition_a
     assert (a.segments_in, a.screened_out, a.failed_fit, a.used) == (15, 4, 0, 11)
     assert report.subjects_used == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("power, attrition, subjects", [
+    (152, (15, 2, 0, 13), (0, 1, 2, 3, 4)),
+    (152.4, (15, 2, 0, 13), (0, 1, 2, 3, 4)),  # QR's certificate overflows: lstsq fits
+    (153, (15, 2, 3, 10), (1, 2, 3, 4)),  # the residual product overflows
+    (200, (15, 5, 0, 10), (1, 2, 3, 4)),  # the screen's squared deviations overflow
+], ids=["1e152", "1e152.4", "1e153", "1e200"])
+def test_a_subject_scaled_near_float_range_is_fitted_then_refused(power, attrition, subjects):
+    # the fit's bound lies below the screen's, so a scale-free screen would move such
+    # epochs from screened_out to failed_fit and use none of them; no numpy warning escapes
+    cond_a, cond_b = _cohorts(n_subjects=5)
+    starts = STARTS[:3]
+    cond_a = [(rec, starts) for rec, _ in cond_a]
+    cond_b = [(rec, starts) for rec, _ in cond_b]
+    rec = cond_a[0][0]
+    cond_a[0] = (Recording(rec.samples * 10.0 ** power, FS, rec.channel_labels), starts)
+    report = run_pipeline(default_config(FS), cond_a, cond_b)
+    a = report.condition_a
+    assert (a.segments_in, a.screened_out, a.failed_fit, a.used) == attrition
+    assert report.subjects_used == subjects
 
 
 # ------------------------------------------------------ metamorphic relations
@@ -837,6 +861,37 @@ def test_a_report_that_cannot_be_written_leaves_no_file(tmp_path):
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_report(broken, out)
     assert list(out.iterdir()) == []
+
+
+def _write_then_fail(tmp):
+    with open(tmp, "w") as fh:
+        fh.write("half a report")
+    raise OSError("No space left on device")
+
+
+_SUMMARY = {"n_subjects": 1, "segments_in": 3, "screened_out": 1, "failed_fit": 0, "used": 2,
+            "unstable_models": 0, "degenerate_columns": 0, "band_values": {}}
+
+
+@pytest.mark.parametrize("refuse, error, message", [
+    (lambda out: ConditionSummary(**{**_SUMMARY, "used": 1}), ValueError,
+     "attrition counts do not add up"),
+    (lambda out: AnalysisReport(
+        toolkit_version="0", config_echo={}, channel_pairs=(("a", "b"),), band_names=("alpha",),
+        subjects_used=(0,), condition_a=ConditionSummary(**_SUMMARY),
+        condition_b=ConditionSummary(**_SUMMARY), test_results={}, timestamp_utc=""),
+     ValueError, "test table does not cover the (pair, band) family exactly once"),
+    (lambda out: PipelineConfig(FS, channel_pairs=[]), ValueError,
+     "channel_pairs must be non-empty when given"),
+    # the temporary file the writer made is removed, and the target never appears
+    (lambda out: _write_atomic(str(out / "report.json"), _write_then_fail), OSError,
+     "No space left on device"),
+], ids=["attrition", "family", "no-pairs", "write-atomic"])
+def test_each_refusal_raises_its_message(tmp_path, refuse, error, message):
+    with pytest.raises(error) as info:
+        refuse(tmp_path)
+    assert str(info.value) == message
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=["022", "027", "077"])

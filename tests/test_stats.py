@@ -375,6 +375,26 @@ def test_compare_conditions_requires_matching_keys():
         compare_conditions(a, b_extra)
 
 
+_RESULT = {"statistic_w": 3.0, "n_effective": 5, "p_raw": 0.2, "p_adjusted": 0.4,
+           "significant": False, "direction": DIRECTION_A_GREATER}
+
+
+@pytest.mark.parametrize("refuse, message", [
+    (lambda: PairedTestResult(**{**_RESULT, "p_raw": 1.5}), "p_raw outside [0, 1]: 1.5"),
+    (lambda: PairedTestResult(**{**_RESULT, "p_adjusted": -0.1}),
+     "p_adjusted outside [0, 1]: -0.1"),
+    (lambda: PairedTestResult(**{**_RESULT, "p_adjusted": 0.1}), "adjusted p below raw p"),
+    (lambda: PairedTestResult(**{**_RESULT, "direction": "up"}), "unknown direction 'up'"),
+    (lambda: PairedTestResult(**_RESULT, untestable=True),
+     "untestable result must have n_effective = 0"),
+    (lambda: compare_conditions({}, {}), "no hypotheses to test"),
+], ids=["p-raw", "p-adjusted", "adjusted-below-raw", "direction", "untestable", "no-keys"])
+def test_each_refusal_raises_its_message(refuse, message):
+    with pytest.raises(ValueError) as info:
+        refuse()
+    assert str(info.value) == message
+
+
 def test_compare_conditions_keeps_untestable_keys_in_family():
     rng = np.random.default_rng(4)
     keys = [(("f", "t"), "theta"), (("f", "t"), "alpha"), (("f", "t"), "beta1")]

@@ -59,6 +59,20 @@ def test_spec_rejects_bad_seed_and_sizes():
         _spec([[[0.1, 0.0], [0.0, 0.1]]], sigma=np.eye(3))
 
 
+@pytest.mark.parametrize("coeffs, sigma, message", [
+    ([[0.1, 0.0], [0.0, 0.1]], None, "coeff_matrices must have shape (p, M, M), got (2, 2)"),
+    ([[[0.1, math.nan], [0.0, 0.1]]], None, "coeff_matrices must be finite"),
+    # semidefinite, so past the covariance rule, but a generator draws through Cholesky
+    (WHITE, [[1.0, 1.0], [1.0, 1.0]], "innovation_covariance must be positive definite"),
+], ids=["shape", "non-finite", "singular"])
+def test_each_refusal_raises_its_message(coeffs, sigma, message):
+    with pytest.raises(ValueError) as info:
+        GeneratorSpec(coeff_matrices=coeffs,
+                      innovation_covariance=np.eye(2) if sigma is None else sigma,
+                      n_samples=500, seed=0, sampling_rate_hz=250.0)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("fs", [math.inf, math.nan])
 def test_spec_rejects_a_sampling_rate_that_is_not_finite(fs):
     with pytest.raises(ValueError, match="sampling_rate_hz must be a finite positive number"):

@@ -130,9 +130,23 @@ def test_fit_refuses_a_residual_covariance_that_overflows():
     # the coefficients of samples near 1e200 stay finite, their residual product does not
     segment = _simulate([[[0.5, 0.0], [0.4, 0.5]]], 400, 3)
     scaled = _segment(segment.samples * 1e200)
-    with np.errstate(over="ignore"), pytest.raises(ValueError) as info:
+    with pytest.raises(ValueError) as info:  # and no numpy warning, which fails the test
         fit_var(scaled, 2)
     assert str(info.value) == "residual_covariance must be finite"
+
+
+@pytest.mark.parametrize("refuse, message", [
+    (lambda: VarModel(order_p=2, coeff_matrices=np.zeros((1, 2, 2)),
+                      residual_covariance=np.eye(2), n_samples_used=10,
+                      channel_labels=("a", "b")),
+     "coeff_matrices must have shape (2, 2, 2), got (1, 2, 2)"),
+    (lambda: max_order_bound(1, 4),
+     "order bound 3*sqrt(1)/4 is below 1; segment too short for 4 channels"),
+], ids=["model-shape", "order-bound"])
+def test_each_refusal_raises_its_message(refuse, message):
+    with pytest.raises(ValueError) as info:
+        refuse()
+    assert str(info.value) == message
 
 
 def test_fit_rejects_orders_without_enough_rows():
