@@ -1,8 +1,16 @@
 """Command-line interface.
 
 Subcommands cover the individual stages (simulate, fit, pdc, bands, compare)
-and the full two-condition pipeline. Failures exit nonzero with one
-machine-parseable line on stderr:
+and the full two-condition pipeline. `fit` and `pdc` read the protocol they
+apply from the config JSON file that `pipeline` reads (`--config`): `fit` the
+sampling rate, the order rule and centring, `pdc` the frequency grid. So each
+stage writes what the pipeline computes under the same config, and neither
+command has a protocol default of its own. (`--config` replaced `fit`'s
+`--sampling-rate`, `--order`, `--auto-order`, `--p-scan-max` and
+`--mean-center`, and `pdc`'s `--sampling-rate`, `--low`, `--high` and
+`--step`.)
+
+Failures exit nonzero with one machine-parseable line on stderr:
 
     pdckit: <category>: <message>
 
@@ -20,18 +28,17 @@ from ._io import _csv_rows, _label_cell, _number_cell
 from ._version import __version__
 from .errors import EstimationError, PipelineError
 from .pdc import (
-    FrequencyGrid,
     band_average,
     compute_pdc,
     read_spectrum_csv,
     write_band_averages_json,
     write_spectrum_csv,
 )
-from .pipeline import PipelineConfig, read_config_json, run_pipeline, write_report
+from .pipeline import _fit_order, read_config_json, run_pipeline, write_report
 from .signals import read_markers_csv, read_recording_csv, write_recording_csv
 from .stats import DEFAULT_ALPHA, _key_label, _pair_cell, compare_conditions, write_test_table_csv
 from .synth import generate, read_generator_spec_json
-from .var import fit_var, read_model_json, select_order, write_model_json
+from .var import fit_var, read_model_json, write_model_json
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -75,24 +82,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit one VAR model to a whole recording")
     p.add_argument("--input", required=True, help="recording CSV")
-    p.add_argument("--sampling-rate", type=float, required=True, help="Hz")
+    p.add_argument("--config", required=True,
+                   help="pipeline config JSON: sampling rate, order rule and centring")
     p.add_argument("--out", required=True, help="output model JSON")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--order", type=_positive_int, help="fixed model order")
-    group.add_argument("--auto-order", action="store_true",
-                       help="choose the order by AIC scan")
-    p.add_argument("--p-scan-max", type=_positive_int, default=PipelineConfig.p_scan_max,
-                   help="top of the AIC scan range (with --auto-order)")
-    p.add_argument("--mean-center", action="store_true",
-                   help="subtract per-channel means before fitting")
 
     p = sub.add_parser("pdc", help="coupling spectrum of a fitted model")
     p.add_argument("--model", required=True, help="model JSON, as `fit` writes it")
-    p.add_argument("--sampling-rate", type=float, required=True, help="Hz")
+    p.add_argument("--config", required=True, help="pipeline config JSON: frequency grid")
     p.add_argument("--out", required=True, help="output spectrum CSV")
-    p.add_argument("--low", type=float, default=PipelineConfig.freq_low_hz, help="grid start, Hz")
-    p.add_argument("--high", type=float, default=PipelineConfig.freq_high_hz, help="grid end, Hz")
-    p.add_argument("--step", type=float, default=PipelineConfig.freq_step_hz, help="grid step, Hz")
 
     p = sub.add_parser("bands", help="average a spectrum within frequency bands")
     p.add_argument("--spectrum", required=True, help="spectrum CSV")
@@ -133,22 +130,18 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    recording = read_recording_csv(args.input, sampling_rate_hz=args.sampling_rate)
-    segment = recording.centered() if args.mean_center else recording
-    if args.auto_order:
-        order = select_order(segment, args.p_scan_max).chosen_p
-    else:
-        order = args.order
-    model, _ = fit_var(segment, order)
+    config = read_config_json(args.config)
+    recording = read_recording_csv(args.input, sampling_rate_hz=config.sampling_rate_hz)
+    segment = recording.centered() if config.mean_center else recording
+    model, _ = fit_var(segment, _fit_order(config, segment))
     write_model_json(model, args.out)
     print(f"wrote {args.out} (order {model.order_p})")
     return EXIT_OK
 
 
 def _cmd_pdc(args) -> int:
-    model = read_model_json(args.model)
-    grid = FrequencyGrid.regular(args.low, args.high, args.step, args.sampling_rate)
-    spectrum = compute_pdc(model, grid)
+    grid = read_config_json(args.config).frequency_grid()
+    spectrum = compute_pdc(read_model_json(args.model), grid)
     write_spectrum_csv(spectrum, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK

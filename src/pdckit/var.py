@@ -368,6 +368,9 @@ def select_order(segment: Recording, p_scan_max: int) -> OrderSelection:
     ------
     ValueError
         Before any fit, if p_scan_max breaks either bound.
+    EstimationError
+        From the first candidate order whose regressor matrix is numerically
+        rank deficient (collinear channels or constant data).
     """
     _check_count("p_scan_max", p_scan_max)
     n = segment.n_samples

@@ -35,3 +35,23 @@ def random_stable_var(rng, m, p, radius=0.7, sigma=None):
         n_samples_used=225,
         channel_labels=tuple(f"ch{i + 1}" for i in range(m)),
     )
+
+
+def enumerated_signed_rank_p(diffs):
+    """Two-sided signed-rank p by brute force over all 2^n sign assignments.
+
+    Zero differences are dropped first. Ranks are tied to |d|; every sign
+    pattern is equally likely under the null, so the p-value is the mass of
+    patterns whose min(W+, W-) is at most the observed one.
+    """
+    # imported here: the scipy-free run of the CLI test loads this file too
+    from scipy.stats import rankdata
+
+    diffs = np.asarray(diffs, dtype=float)
+    diffs = diffs[diffs != 0.0]
+    ranks = rankdata(np.abs(diffs))
+    observed = min(ranks[diffs > 0].sum(), ranks[diffs < 0].sum())
+    n = diffs.size
+    masks = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    w_plus = masks @ ranks
+    return float(np.mean(np.minimum(w_plus, ranks.sum() - w_plus) <= observed + 1e-9))

@@ -5,10 +5,7 @@ status line per test is the machine-readable pass/fail record. Monte Carlo
 designs and seeds are frozen so reruns are deterministic.
 """
 
-import itertools
-
 import numpy as np
-from scipy.stats import rankdata
 
 from pdckit import (
     DEFAULT_BANDS,
@@ -32,7 +29,7 @@ from pdckit import (
 from pdckit.var import choose_order_from_aic
 from pdckit.pipeline import _resolve_pairs
 
-from conftest import random_stable_var
+from conftest import enumerated_signed_rank_p, random_stable_var
 
 
 GRID = FrequencyGrid.regular(4.0, 30.0, 0.5, 250.0)
@@ -165,18 +162,6 @@ def test_criterion_05_aic_dual_route():
              f"worst relative gap {worst:.2e}; identity-noise AIC {exact[0]}")
 
 
-def _enumerated_p(diffs):
-    """Two-sided exact p by brute force over all 2^n sign assignments."""
-    diffs = np.asarray(diffs, dtype=float)
-    ranks = rankdata(np.abs(diffs))
-    observed = min(np.sum(ranks[diffs > 0]), np.sum(ranks[diffs < 0]))
-    n = diffs.size
-    masks = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
-    w_plus = masks @ ranks
-    w_min = np.minimum(w_plus, ranks.sum() - w_plus)
-    return float(np.mean(w_min <= observed + 1e-9))
-
-
 def test_criterion_06_wilcoxon_exactness():
     rng = np.random.default_rng(66)
     worst = 0.0
@@ -186,7 +171,7 @@ def test_criterion_06_wilcoxon_exactness():
         sample = PairedSample(condition_a=tuple(diffs), condition_b=(0.0,) * n)
         outcome = wilcoxon_signed_rank(sample)
         assert outcome.n_effective == n
-        worst = max(worst, abs(outcome.p_raw - _enumerated_p(diffs)))
+        worst = max(worst, abs(outcome.p_raw - enumerated_signed_rank_p(diffs)))
     all_positive = PairedSample(condition_a=(1.0, 2.0, 3.0, 4.0, 5.0),
                                 condition_b=(0.0,) * 5)
     p5 = wilcoxon_signed_rank(all_positive).p_raw

@@ -4,8 +4,10 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +15,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pdckit import (
-    FrequencyGrid,
     GeneratorSpec,
-    PipelineConfig,
     compute_pdc,
     default_config,
     fit_var,
+    read_config_json,
     read_recording_csv,
     select_order,
     write_config_json,
@@ -30,6 +31,7 @@ from pdckit import (
 from pdckit import cli
 from pdckit.cli import _build_parser, main
 from pdckit.pdc import band_average, read_spectrum_csv
+from pdckit.pipeline import _fit_order
 from pdckit.var import read_model_json
 
 
@@ -54,12 +56,19 @@ def _simulate(tmp_path, name="rec.csv", **kw):
     return out
 
 
+def _config(tmp_path, name="config.json", **changes):
+    """A config file of the reference protocol at 250 Hz with `changes`; its path."""
+    path = tmp_path / name
+    write_config_json(dataclasses.replace(default_config(250.0), **changes), path)
+    return path
+
+
 def _fit_and_transform(tmp_path, rec):
-    """`fit --order 1` then `pdc --model` on the default grid; the spectrum's path."""
+    """`fit` at order 1 then `pdc` on the default grid; the spectrum's path."""
+    config = _config(tmp_path, fixed_order=1)
     model, spectrum = tmp_path / "model.json", tmp_path / "spec.csv"
-    assert main(["fit", "--input", str(rec), "--sampling-rate", "250", "--order", "1",
-                 "--out", str(model)]) == 0
-    assert main(["pdc", "--model", str(model), "--sampling-rate", "250",
+    assert main(["fit", "--input", str(rec), "--config", str(config), "--out", str(model)]) == 0
+    assert main(["pdc", "--model", str(model), "--config", str(config),
                  "--out", str(spectrum)]) == 0
     return spectrum
 
@@ -90,38 +99,6 @@ def test_simulate_seed_override_changes_output(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command", ["fit", "pdc"])
-def test_fit_and_pdc_reject_an_infinite_sampling_rate(tmp_path, capsys, command):
-    rec = _simulate(tmp_path)
-    model = tmp_path / "model.json"
-    assert main(["fit", "--input", str(rec), "--sampling-rate", "250",
-                 "--order", "2", "--out", str(model)]) == 0
-    capsys.readouterr()
-    out = tmp_path / "out"
-    source = ["--input", str(rec), "--order", "2"] if command == "fit" else ["--model", str(model)]
-    code = main([command, *source, "--sampling-rate", "inf", "--out", str(out)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert not out.exists()
-    assert err == ("pdckit: argument-error: sampling_rate_hz must be a finite positive "
-                   "number, got inf\n")
-
-
-@pytest.mark.parametrize("step", ["nan", "inf"])
-def test_pdc_rejects_a_grid_step_that_is_not_finite(tmp_path, capsys, step):
-    rec = _simulate(tmp_path)
-    model, out = tmp_path / "model.json", tmp_path / "s.csv"
-    assert main(["fit", "--input", str(rec), "--sampling-rate", "250", "--order", "2",
-                 "--out", str(model)]) == 0
-    capsys.readouterr()
-    code = main(["pdc", "--model", str(model), "--sampling-rate", "250", "--step", step,
-                 "--out", str(out)])
-    assert code == 2
-    assert not out.exists()
-    assert capsys.readouterr().err == (
-        f"pdckit: argument-error: step_hz must be a finite positive number, got {step}\n")
-
-
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
 def test_simulate_rejects_seed_outside_64_bits(tmp_path, capsys, seed):
     code = main(["simulate", "--spec", str(_gen_spec_file(tmp_path)),
@@ -132,22 +109,47 @@ def test_simulate_rejects_seed_outside_64_bits(tmp_path, capsys, seed):
     assert seed in err
 
 
-def test_fit_fixed_and_auto_order(tmp_path, capsys):
-    rec = _simulate(tmp_path, n=1500)
-    model_path = tmp_path / "model.json"
-    assert main(["fit", "--input", str(rec), "--sampling-rate", "250",
-                 "--order", "2", "--out", str(model_path)]) == 0
-    model = read_model_json(model_path)
-    assert model.order_p == 2
-    assert model.channel_labels == ("ch1", "ch2")
+# each config a `fit` then `pdc` run takes: both order modes, with and without
+# centring, and a grid other than the default, whose bands must each hold a frequency
+_STAGE_CONFIGS = {
+    "fixed": {"fixed_order": 2},
+    "fixed-raw": {"fixed_order": 2, "mean_center": False},
+    "auto": {"order_mode": "auto_aic", "p_scan_max": 6},
+    "auto-raw": {"order_mode": "auto_aic", "p_scan_max": 6, "mean_center": False},
+    "grid": {"fixed_order": 1, "freq_low_hz": 4.0, "freq_high_hz": 20.0, "freq_step_hz": 1.0,
+             "bands": {"theta": (4.0, 7.5), "alpha": (8.0, 12.5), "beta1": (13.0, 20.0)}},
+}
 
-    auto_path = tmp_path / "auto.json"
-    assert main(["fit", "--input", str(rec), "--sampling-rate", "250",
-                 "--auto-order", "--p-scan-max", "6", "--out", str(auto_path)]) == 0
-    auto = read_model_json(auto_path)
-    assert 1 <= auto.order_p <= 6
-    out = capsys.readouterr().out
-    assert "order" in out
+
+def test_fit_then_pdc_write_what_the_pipeline_route_writes(tmp_path, capsys):
+    # every channel shifted by +50, so centring changes the fitted model
+    plain = read_recording_csv(_simulate(tmp_path, n=1500), sampling_rate_hz=250.0)
+    path = tmp_path / "shifted.csv"
+    write_recording_csv(dataclasses.replace(plain, samples=plain.samples + 50.0), path)
+    rec = read_recording_csv(path, sampling_rate_hz=250.0)
+    models = {}
+    for name, changes in _STAGE_CONFIGS.items():
+        config = _config(tmp_path, f"{name}.json", **changes)
+        model_path, spectrum_path = tmp_path / f"{name}.model.json", tmp_path / f"{name}.csv"
+        assert main(["fit", "--input", str(path), "--config", str(config),
+                     "--out", str(model_path)]) == 0
+        assert main(["pdc", "--model", str(model_path), "--config", str(config),
+                     "--out", str(spectrum_path)]) == 0
+        # the route run_pipeline takes for one epoch under the same config
+        protocol = read_config_json(config)
+        segment = rec.centered() if protocol.mean_center else rec
+        model, _ = fit_var(segment, _fit_order(protocol, segment))
+        write_model_json(model, tmp_path / "want.json")
+        write_spectrum_csv(compute_pdc(model, protocol.frequency_grid()), tmp_path / "want.csv")
+        assert model_path.read_bytes() == (tmp_path / "want.json").read_bytes(), name
+        assert spectrum_path.read_bytes() == (tmp_path / "want.csv").read_bytes(), name
+        assert f"(order {model.order_p})" in capsys.readouterr().out
+        models[name] = model
+    assert models["fixed"].order_p == 2 and 1 <= models["auto"].order_p <= 6
+    assert models["auto"].order_p == select_order(rec.centered(), 6).chosen_p
+    assert not np.array_equal(models["fixed"].coeff_matrices, models["fixed-raw"].coeff_matrices)
+    assert read_spectrum_csv(tmp_path / "grid.csv").grid.freqs_hz.tolist() == list(range(4, 21))
+    assert read_spectrum_csv(tmp_path / "fixed.csv").grid.n_freqs == 53
 
 
 def test_fit_auto_order_refuses_a_scan_too_long_for_the_recording(tmp_path, capsys):
@@ -155,61 +157,41 @@ def test_fit_auto_order_refuses_a_scan_too_long_for_the_recording(tmp_path, caps
     # the 7 rows after the first 5 breaks N - p >= M*p + 1
     short = tmp_path / "short.csv"
     short.write_text("".join(_simulate(tmp_path).read_text().splitlines(keepends=True)[:13]))
-    code = main(["fit", "--input", str(short), "--sampling-rate", "250", "--auto-order",
-                 "--p-scan-max", "5", "--out", str(tmp_path / "m.json")])
+    config = _config(tmp_path, order_mode="auto_aic", p_scan_max=5)
+    code = main(["fit", "--input", str(short), "--config", str(config),
+                 "--out", str(tmp_path / "m.json")])
     assert code == 2
     assert capsys.readouterr().err == ("pdckit: argument-error: order 5 breaks N - p >= "
                                        "M*p + 1 for N=12 samples and M=2 channels\n")
     assert not (tmp_path / "m.json").exists()
 
 
-def test_pdc_from_model_on_the_default_and_a_custom_grid(tmp_path, capsys):
-    rec = _simulate(tmp_path, n=1500)
-    model_path = tmp_path / "model.json"
-    assert main(["fit", "--input", str(rec), "--sampling-rate", "250",
-                 "--order", "1", "--out", str(model_path)]) == 0
-
-    spec_path = tmp_path / "spec.csv"
-    assert main(["pdc", "--model", str(model_path), "--sampling-rate", "250",
-                 "--out", str(spec_path)]) == 0
-    spectrum = read_spectrum_csv(spec_path, sampling_rate_hz=250.0)
-    assert spectrum.grid.n_freqs == 53
-    assert spectrum.values.shape == (53, 2, 2)
-
-    direct = tmp_path / "direct.csv"
-    assert main(["pdc", "--model", str(model_path), "--sampling-rate", "250",
-                 "--low", "4", "--high", "20", "--step", "1", "--out", str(direct)]) == 0
-    narrow = read_spectrum_csv(direct, sampling_rate_hz=250.0)
-    assert narrow.grid.n_freqs == 17
-    capsys.readouterr()
+def _readme_walkthrough():
+    """The first `sh` block under README's "Command-line walkthrough": its heredoc
+    files (name -> text) and its `pdckit` lines, each split into an argv."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command-line walkthrough", 1)[1].split("```sh\n", 1)[1]
+    lines = iter(block.split("```", 1)[0].splitlines())
+    files, commands = {}, []
+    for line in lines:
+        heredoc = re.fullmatch(r"cat > (\S+) <<'EOF'", line)
+        if heredoc:
+            files[heredoc[1]] = "".join(f"{body}\n" for body in iter(lines.__next__, "EOF"))
+        elif line.startswith("pdckit "):
+            commands.append(shlex.split(line)[1:])
+        else:
+            assert not line.strip(), f"a walkthrough line this test does not run: {line!r}"
+    return files, commands
 
 
-def test_mean_center_fits_and_transforms_the_centred_recording(tmp_path, capsys):
-    # every channel shifted by +50, so centring changes the fitted model
-    plain = read_recording_csv(_simulate(tmp_path, n=1500), sampling_rate_hz=250.0)
-    path = tmp_path / "shifted.csv"
-    write_recording_csv(dataclasses.replace(plain, samples=plain.samples + 50.0), path)
-    rec = read_recording_csv(path, sampling_rate_hz=250.0)
-    centred, _ = fit_var(rec.centered(), 2)
-    write_model_json(centred, tmp_path / "want.json")
-    write_spectrum_csv(compute_pdc(centred, FrequencyGrid.regular(
-        PipelineConfig.freq_low_hz, PipelineConfig.freq_high_hz, PipelineConfig.freq_step_hz,
-        250.0)), tmp_path / "want.csv")
-
-    def run(out, command, *flags):
-        assert main([command, *flags, "--sampling-rate", "250",
-                     "--out", str(tmp_path / out)]) == 0
-        return (tmp_path / out).read_bytes()
-
-    want = (tmp_path / "want.json").read_bytes()
-    fit = ["fit", "--input", str(path)]
-    assert run("centred.json", *fit, "--order", "2", "--mean-center") == want
-    assert run("raw.json", *fit, "--order", "2") != want
-    assert run("centred.csv", "pdc", "--model", str(tmp_path / "centred.json")) == (
-        tmp_path / "want.csv").read_bytes()
-    run("auto.json", *fit, "--auto-order", "--p-scan-max", "6", "--mean-center")
-    auto = read_model_json(tmp_path / "auto.json")
-    assert auto.order_p == select_order(rec.centered(), 6).chosen_p
+def test_the_readme_walkthrough_runs(tmp_path, capsys, monkeypatch):
+    files, commands = _readme_walkthrough()
+    assert {"fit", "pdc"} <= {argv[0] for argv in commands}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
     capsys.readouterr()
 
 
@@ -246,15 +228,14 @@ def _band_table_csv(path, shift, subjects, scramble=False):
 
 
 def test_pdc_refuses_a_model_with_a_nan_coefficient(tmp_path, capsys):
-    rec = _simulate(tmp_path, n=1500)
+    _fit_and_transform(tmp_path, _simulate(tmp_path, n=1500))
     model_path = tmp_path / "model.json"
-    main(["fit", "--input", str(rec), "--sampling-rate", "250",
-          "--order", "1", "--out", str(model_path)])
     payload = json.loads(model_path.read_text())
     payload["coeff_matrices"][0][1][0] = float("nan")
     model_path.write_text(json.dumps(payload))
-    out = tmp_path / "spec.csv"
-    code = main(["pdc", "--model", str(model_path), "--sampling-rate", "250",
+    capsys.readouterr()
+    out = tmp_path / "nan.csv"
+    code = main(["pdc", "--model", str(model_path), "--config", str(tmp_path / "config.json"),
                  "--out", str(out)])
     assert code == 2
     assert not out.exists()
@@ -519,6 +500,12 @@ _CONTRACT_FILES = {
     "list.json": "[]\n",
     "grouped.json": '{"sampling_rate_hz": 250.0, "freq_grid": 5}\n',
     "screen_all.json": '{"sampling_rate_hz": 250.0, "amplitude_reject_threshold": 1e-9}\n',
+    "order2.json": '{"sampling_rate_hz": 250.0, "fixed_order": 2, "mean_center": false}\n',
+    "order400.json": '{"sampling_rate_hz": 250.0, "fixed_order": 400, "mean_center": false}\n',
+    "order0.json": '{"sampling_rate_hz": 250.0, "fixed_order": 0}\n',
+    "scan.json": '{"sampling_rate_hz": 250.0, "order_mode": "auto_aic", "mean_center": false}\n',
+    "infinite_rate.json": '{"sampling_rate_hz": Infinity}\n',
+    "nan_step.json": '{"sampling_rate_hz": 250.0, "freq_grid": {"step_hz": NaN}}\n',
     "markers.csv": "0\n",
     "no_rows.csv": "freq_hz,source,target,pdc\n",
     "partial.csv": "freq_hz,source,target,pdc\n4.0,a,a,1.0\n4.0,a,b,0.5\n",
@@ -528,8 +515,18 @@ _CONTRACT_FILES = {
     "theta.csv": "pair,band,subject,value\na->b,theta,s1,0.1\n",
     "no_value.csv": "pair,band,subject\na->b,alpha,s1\n",
 }
-_FIT = ["fit", "--sampling-rate", "250", "--out", "{tmp}/m.json", "--input"]
-_PDC = ["pdc", "--sampling-rate", "250", "--out", "{tmp}/s.csv", "--model"]
+
+
+def _fit(recording="rec.csv", config="order2.json"):
+    return ["fit", "--out", "{tmp}/m.json", "--input", "{tmp}/" + recording,
+            "--config", "{tmp}/" + config]
+
+
+def _pdc(model="m.json", config="order2.json"):
+    return ["pdc", "--out", "{tmp}/s.csv", "--model", "{tmp}/" + model,
+            "--config", "{tmp}/" + config]
+
+
 _BANDS = ["bands", "--out", "{tmp}/b.json", "--spectrum"]
 _COMPARE = ["compare", "--out", "{tmp}/t.csv", "--condition-a"]
 _PIPELINE = ["pipeline", "--condition-a", "{tmp}/rec.csv", "--condition-b", "{tmp}/rec.csv",
@@ -537,9 +534,9 @@ _PIPELINE = ["pipeline", "--condition-a", "{tmp}/rec.csv", "--condition-b", "{tm
 # invocation -> exit code and its one stderr line; None where argparse itself exits,
 # whose usage text is not the contract's line
 _FAILURES = {
-    "io-error": ([*_FIT, "{tmp}/absent.csv", "--order", "2"], 3,
+    "io-error": (_fit("absent.csv"), 3,
                  "io-error: No such file or directory: {tmp}/absent.csv"),
-    "estimation-error": ([*_FIT, "{tmp}/flat.csv", "--order", "2"], 4,
+    "estimation-error": (_fit("flat.csv"), 4,
                          "estimation-error: regressor matrix is rank deficient (1 < 4); "
                          "channels may be collinear or constant"),
     "pipeline-error": ([*_PIPELINE, "{tmp}/screen_all.json"], 6,
@@ -548,17 +545,16 @@ _FAILURES = {
                            f"{c}={{'segments_in': 1, 'screened_out': 1, 'failed_fit': 0, "
                            "'used': 0, 'unstable_models': 0, 'degenerate_columns': 0}"
                            for c in "ab")),
-    "unexpected-error": ([*_FIT, "{tmp}/rec.csv", "--order", "2"], 1,
-                         "unexpected-error: 'ch9'"),
-    "unfittable-order": ([*_FIT, "{tmp}/rec.csv", "--order", "400"], 2,
+    "unexpected-error": (_fit(), 1, "unexpected-error: 'ch9'"),
+    "unfittable-order": (_fit(config="order400.json"), 2,
                          "argument-error: order 400 breaks N - p >= M*p + 1 for N=800 samples "
                          "and M=2 channels"),
     "malformed-json": (["simulate", "--out", "{tmp}/r.csv", "--spec", "{tmp}/bad.json"], 2,
                        "argument-error: {tmp}/bad.json:1: Expecting property name enclosed "
                        "in double quotes"),
-    "fit-past-float-range": ([*_FIT, "{tmp}/big.csv", "--order", "2"], 2,
+    "fit-past-float-range": (_fit("big.csv"), 2,
                              "argument-error: residual_covariance must be finite"),
-    "auto-order-past-float-range": ([*_FIT, "{tmp}/big.csv", "--auto-order"], 2,
+    "auto-order-past-float-range": (_fit("big.csv", "scan.json"), 2,
                                     "argument-error: residual_covariance must be finite"),
     "no-spectrum-rows": ([*_BANDS, "{tmp}/no_rows.csv"], 2,
                          "argument-error: {tmp}/no_rows.csv: no spectrum rows"),
@@ -575,18 +571,41 @@ _FAILURES = {
     "expected-columns": ([*_COMPARE, "{tmp}/no_value.csv", "--condition-b", "{tmp}/alpha.csv"],
                          2, "argument-error: {tmp}/no_value.csv: expected columns "
                             "['band', 'pair', 'subject', 'value']"),
-    "json-not-an-object": ([*_PDC, "{tmp}/list.json"], 2,
+    "json-not-an-object": (_pdc("list.json"), 2,
                            "argument-error: {tmp}/list.json: model must be a JSON object"),
     "group-not-an-object": ([*_PIPELINE, "{tmp}/grouped.json"], 2,
                             "argument-error: {tmp}/grouped.json: freq_grid must be a JSON "
                             "object"),
+    # fit and pdc read the protocol from the config, which carries each bad value
+    "order-0": (_fit(config="order0.json"), 2,
+                "argument-error: {tmp}/order0.json: fixed_order must be an integer >= 1, got 0"),
+    "fit-infinite-rate": (_fit(config="infinite_rate.json"), 2,
+                          "argument-error: {tmp}/infinite_rate.json: sampling_rate_hz must be a "
+                          "finite number, got Infinity"),
+    "pdc-infinite-rate": (_pdc(config="infinite_rate.json"), 2,
+                          "argument-error: {tmp}/infinite_rate.json: sampling_rate_hz must be a "
+                          "finite number, got Infinity"),
+    "pdc-nan-step": (_pdc(config="nan_step.json"), 2,
+                     "argument-error: {tmp}/nan_step.json: freq_grid.step_hz must be a finite "
+                     "number, got NaN"),
     "band-of-two-parts": ([*_BANDS, "{tmp}/partial.csv", "--band", "x:1"], 2, None),
     "band-edge-not-a-number": ([*_BANDS, "{tmp}/partial.csv", "--band", "x:a:b"], 2, None),
-    "order-0": ([*_FIT, "{tmp}/rec.csv", "--order", "0"], 2, None),
     # pdc transforms a model file alone: fitting is `fit`'s
-    "pdc-input": ([*_PDC[:-1], "--input", "{tmp}/rec.csv"], 2, None),
-    "pdc-order": ([*_PDC, "{tmp}/m.json", "--order", "3"], 2, None),
-    "pdc-mean-center": ([*_PDC, "{tmp}/m.json", "--mean-center"], 2, None),
+    "pdc-input": ([*_pdc(), "--input", "{tmp}/rec.csv"], 2, None),
+    "pdc-order": ([*_pdc(), "--order", "3"], 2, None),
+    "pdc-mean-center": ([*_pdc(), "--mean-center"], 2, None),
+    # the protocol flags `--config` replaced
+    "fit-sampling-rate": ([*_fit(), "--sampling-rate", "250"], 2, None),
+    "fit-order": ([*_fit(), "--order", "2"], 2, None),
+    "fit-auto-order": ([*_fit(), "--auto-order"], 2, None),
+    "fit-p-scan-max": ([*_fit(), "--p-scan-max", "6"], 2, None),
+    "fit-mean-center": ([*_fit(), "--mean-center"], 2, None),
+    "fit-no-config": (_fit()[:-2], 2, None),
+    "pdc-sampling-rate": ([*_pdc(), "--sampling-rate", "250"], 2, None),
+    "pdc-low": ([*_pdc(), "--low", "4"], 2, None),
+    "pdc-high": ([*_pdc(), "--high", "20"], 2, None),
+    "pdc-step": ([*_pdc(), "--step", "1"], 2, None),
+    "pdc-no-config": (_pdc()[:-2], 2, None),
 }
 
 
@@ -623,26 +642,20 @@ def _reader_inputs(tmp_path):
     """Valid inputs for every file reader the CLI has: reader -> (file, argv that reads it)."""
     spec = _gen_spec_file(tmp_path)
     rec = _simulate(tmp_path)
-    model, spectrum = tmp_path / "model.json", tmp_path / "spectrum.csv"
-    assert main(["fit", "--input", str(rec), "--sampling-rate", "250", "--order", "1",
-                 "--out", str(model)]) == 0
-    assert main(["pdc", "--model", str(model), "--sampling-rate", "250",
-                 "--out", str(spectrum)]) == 0
+    spectrum = _fit_and_transform(tmp_path, rec)
+    model, config = tmp_path / "model.json", tmp_path / "config.json"
     a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
     _band_table_csv(a_path, 0.0, ["s1", "s2", "s3"])
     _band_table_csv(b_path, 0.1, ["s1", "s2", "s3"])
-    config, markers = tmp_path / "config.json", tmp_path / "markers.csv"
-    write_config_json(default_config(250.0), config)
+    markers = tmp_path / "markers.csv"
     markers.write_text("0\n900\n")
     out = str(tmp_path / "out")
     pipeline = ["pipeline", "--config", str(config), "--condition-a", str(rec),
                 "--condition-b", str(rec), "--markers", str(markers), "--out", out]
     return {
         "generator spec": (spec, ["simulate", "--spec", str(spec), "--out", out]),
-        "recording": (rec, ["fit", "--input", str(rec), "--sampling-rate", "250",
-                            "--order", "1", "--out", out]),
-        "model": (model, ["pdc", "--model", str(model), "--sampling-rate", "250",
-                          "--out", out]),
+        "recording": (rec, ["fit", "--input", str(rec), "--config", str(config), "--out", out]),
+        "model": (model, ["pdc", "--model", str(model), "--config", str(config), "--out", out]),
         "spectrum": (spectrum, ["bands", "--spectrum", str(spectrum), "--out", out]),
         "band table": (a_path, ["compare", "--condition-a", str(a_path),
                                 "--condition-b", str(b_path), "--out", out]),
@@ -933,7 +946,7 @@ def test_pdc_refuses_a_model_whose_labels_break_the_label_rule(tmp_path, capsys,
         "order": 1, "channel_labels": labels, "coeff_matrices": [[[0.3, 0.0], [0.4, 0.3]]],
         "residual_covariance": [[1.0, 0.0], [0.0, 1.0]], "n_samples_used": 100}))
     out = tmp_path / "spectrum.csv"
-    assert main(["pdc", "--model", str(model), "--sampling-rate", "250",
+    assert main(["pdc", "--model", str(model), "--config", str(_config(tmp_path)),
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"pdckit: argument-error: {model}: {message}\n"
     assert not out.exists()
@@ -976,8 +989,10 @@ def test_bands_refuses_a_spectrum_cell_that_is_not_a_channel_label(tmp_path, cap
 
 def test_bands_reads_back_a_spectrum_of_0_hz_alone(tmp_path, capsys):
     _, argv = _reader_inputs(tmp_path)["model"]  # pdc --model model.json ...
+    config = _config(tmp_path, "dc_config.json", freq_low_hz=0.0, freq_high_hz=0.0,
+                     bands={"dc": (0.0, 0.0)})
     spectrum, out = tmp_path / "dc.csv", tmp_path / "dc.json"
-    assert main([*argv[:-1], str(spectrum), "--low", "0", "--high", "0"]) == 0
+    assert main([*argv[:3], "--config", str(config), "--out", str(spectrum)]) == 0
     assert main(["bands", "--spectrum", str(spectrum), "--band", "dc:0:0",
                  "--out", str(out)]) == 0
     assert read_spectrum_csv(spectrum).grid.sampling_rate_hz == 1.0
@@ -986,17 +1001,10 @@ def test_bands_reads_back_a_spectrum_of_0_hz_alone(tmp_path, capsys):
 
 
 def test_parser_defaults_are_the_protocol_defaults():
-    config = default_config(250.0)
-    parse = _build_parser().parse_args
-    fit = parse(["fit", "--input", "r.csv", "--sampling-rate", "250", "--out", "m.json",
-                 "--auto-order"])
-    assert fit.p_scan_max == config.p_scan_max
-    pdc = parse(["pdc", "--model", "m.json", "--sampling-rate", "250", "--out", "s.csv"])
-    assert (pdc.low, pdc.high, pdc.step) == (config.freq_low_hz, config.freq_high_hz,
-                                             config.freq_step_hz)
-    compare = parse(["compare", "--condition-a", "a.csv", "--condition-b", "b.csv",
-                     "--out", "t.csv"])
-    assert compare.alpha == config.alpha
+    # fit and pdc take the protocol from a config file; compare's alpha is the config's
+    compare = _build_parser().parse_args(["compare", "--condition-a", "a.csv",
+                                          "--condition-b", "b.csv", "--out", "t.csv"])
+    assert compare.alpha == default_config(250.0).alpha
 
 
 def test_version_flag(capsys):
@@ -1056,17 +1064,20 @@ def test_every_command_runs_without_scipy(tmp_path):
     _tied_band_tables(tmp_path, rng, "a", shift=2)
     _tied_band_tables(tmp_path, rng, "b", shift=0)
 
+    raw = ["--config", str(_config(tmp_path, "raw.json", fixed_order=1, mean_center=False))]
+    auto = ["--config", str(_config(tmp_path, "auto.json", order_mode="auto_aic", p_scan_max=6))]
+    centred = ["--config", str(_config(tmp_path, "centred.json", fixed_order=1))]
+
     def commands(out):
-        rec, fs = str(out / "rec.csv"), ["--sampling-rate", "250"]
+        rec = str(out / "rec.csv")
         return [
             ["simulate", "--spec", str(spec), "--out", rec],
-            ["fit", "--input", rec, *fs, "--order", "1", "--out", str(out / "model.json")],
-            ["fit", "--input", rec, *fs, "--auto-order", "--p-scan-max", "6", "--mean-center",
-             "--out", str(out / "auto.json")],
-            ["pdc", "--model", str(out / "model.json"), *fs, "--out", str(out / "spectrum.csv")],
-            ["fit", "--input", rec, *fs, "--order", "1", "--mean-center",
-             "--out", str(out / "centred.json")],
-            ["pdc", "--model", str(out / "centred.json"), *fs, "--out", str(out / "centred.csv")],
+            ["fit", "--input", rec, *raw, "--out", str(out / "model.json")],
+            ["fit", "--input", rec, *auto, "--out", str(out / "auto.json")],
+            ["pdc", "--model", str(out / "model.json"), *raw, "--out", str(out / "spectrum.csv")],
+            ["fit", "--input", rec, *centred, "--out", str(out / "centred.json")],
+            ["pdc", "--model", str(out / "centred.json"), *centred,
+             "--out", str(out / "centred.csv")],
             ["bands", "--spectrum", str(out / "spectrum.csv"), "--out", str(out / "bands.json")],
             [*pipeline, "--out", str(out / "report")],
             *(["compare", "--condition-a", str(tmp_path / f"{prefix}a.csv"),

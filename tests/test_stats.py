@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import itertools
 import math
 import re
 
@@ -37,30 +36,11 @@ from pdckit.stats import (
     write_test_table_csv,
 )
 
+from conftest import enumerated_signed_rank_p
+
 
 def _sample(a, b):
     return PairedSample(condition_a=tuple(a), condition_b=tuple(b))
-
-
-def _enumerated_p(diffs):
-    """Two-sided signed-rank p by brute force over all sign assignments.
-
-    Ranks are tied to |d|; every one of the 2^n sign patterns is equally
-    likely under the null, so the p-value is the mass of patterns whose
-    min(W+, W-) is at most the observed one.
-    """
-    diffs = np.asarray(diffs, dtype=float)
-    diffs = diffs[diffs != 0.0]
-    n = diffs.size
-    ranks = rankdata(np.abs(diffs))
-    total = ranks.sum()
-    observed = min(ranks[diffs > 0].sum(), ranks[diffs < 0].sum())
-    hits = 0
-    for signs in itertools.product((0, 1), repeat=n):
-        w_plus = sum(r for r, s in zip(ranks, signs) if s)
-        if min(w_plus, total - w_plus) <= observed + 1e-9:
-            hits += 1
-    return hits / 2.0**n
 
 
 # -------------------------------------------------------------- paired input
@@ -114,7 +94,7 @@ def test_exact_path_matches_enumeration_for_small_n():
         n = int(rng.integers(4, 13))
         diffs = rng.normal(size=n)
         out = wilcoxon_signed_rank(_sample(diffs, np.zeros(n)))
-        assert out.p_raw == pytest.approx(_enumerated_p(diffs), abs=1e-12), (
+        assert out.p_raw == pytest.approx(enumerated_signed_rank_p(diffs), abs=1e-12), (
             f"trial {trial}: n={n}"
         )
 

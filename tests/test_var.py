@@ -585,6 +585,17 @@ def test_select_order_on_white_noise_stays_low_or_caps():
     assert near >= 190
 
 
+def test_select_order_raises_the_first_failing_candidates_estimation_error():
+    # channel b is 2 * channel a, so the scan's first candidate, order 1, already has a
+    # rank-1 design of 2 columns, and the scan raises that candidate's error
+    x = np.random.default_rng(5).normal(size=(200, 1))
+    seg = Recording(np.hstack([x, 2 * x]), 250.0, ("a", "b"))
+    with pytest.raises(EstimationError) as info:
+        select_order(seg, p_scan_max=5)
+    assert str(info.value) == ("regressor matrix is rank deficient (1 < 2); channels may be "
+                               "collinear or constant")
+
+
 def test_a_second_scan_of_the_default_depth_builds_no_new_mask():
     # the default scan fits 20 orders, each with its own upper-trapezoid mask
     seg = _simulate([[[0.3, 0.0], [0.4, 0.3]]], 225, 61_000)
