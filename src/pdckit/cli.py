@@ -5,10 +5,7 @@ and the full two-condition pipeline. `fit` and `pdc` read the protocol they
 apply from the config JSON file that `pipeline` reads (`--config`): `fit` the
 sampling rate, the order rule and centring, `pdc` the frequency grid. So each
 stage writes what the pipeline computes under the same config, and neither
-command has a protocol default of its own. (`--config` replaced `fit`'s
-`--sampling-rate`, `--order`, `--auto-order`, `--p-scan-max` and
-`--mean-center`, and `pdc`'s `--sampling-rate`, `--low`, `--high` and
-`--step`.)
+command has a protocol default of its own.
 
 Failures exit nonzero with one machine-parseable line on stderr:
 

@@ -81,8 +81,15 @@ class FrequencyGrid:
         past it by rounding only (< 1e-9 step) ends the grid at high_hz exactly."""
         _check_positive("step_hz", step_hz)
         _check_range(low_hz, high_hz, sampling_rate_hz)
-        count = math.floor((high_hz - low_hz) / step_hz + 1e-9) + 1
-        freqs = np.minimum(low_hz + step_hz * np.arange(count), high_hz)
+        n_steps = (high_hz - low_hz) / step_hz + 1e-9
+        try:
+            steps = np.arange(math.floor(n_steps) + 1)
+        except (OverflowError, MemoryError, ValueError):
+            # an infinite count, or more frequencies than numpy can allocate
+            raise ValueError(f"step_hz {step_hz} makes a grid of {n_steps + 1:.6g} frequencies "
+                             f"from {low_hz} to {high_hz} Hz, more than can be allocated"
+                             ) from None
+        freqs = np.minimum(low_hz + step_hz * steps, high_hz)
         return cls(freqs_hz=freqs, sampling_rate_hz=sampling_rate_hz)
 
     @property

@@ -8,11 +8,13 @@ from hypothesis import settings
 from pdckit import VarModel
 from pdckit.var import spectral_radius
 
-# HYPOTHESIS_PROFILE=ci makes property tests draw the same examples on every
-# run and print the blob that replays a failure
-settings.register_profile("ci", derandomize=True, print_blob=True, deadline=None)
-if os.environ.get("HYPOTHESIS_PROFILE"):
-    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
+# every property test runs without a deadline: an example's time varies with
+# the machine, and a slow one is not a failure. HYPOTHESIS_PROFILE=ci also draws
+# the same examples on every run and prints the blob that replays a failure
+settings.register_profile("pdckit", deadline=None)
+settings.register_profile("ci", settings.get_profile("pdckit"), derandomize=True,
+                          print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "pdckit"))
 
 
 def random_stable_var(rng, m, p, radius=0.7, sigma=None):

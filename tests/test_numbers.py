@@ -39,6 +39,8 @@ from conftest import random_stable_var
 
 FS = 250.0
 HUGE = 10**400  # an int no float can hold
+NON_FINITE = (math.inf, -math.inf, math.nan)
+RATE = "sampling_rate_hz must be a finite positive number"
 
 
 @pytest.mark.parametrize("value", [0, -3, 1.5, -1e308, np.float32(2.5), np.float16(-1),
@@ -83,6 +85,12 @@ def _model(**changes):
               "residual_covariance": np.eye(2), "n_samples_used": 10,
               "channel_labels": ("a", "b"), **changes}
     return VarModel(**values)
+
+
+def _rows(name, call, message, values=NON_FINITE):
+    """One refusal per value: ``call(value)`` raises ``<message>, got <value>``."""
+    return {f"{name} {value}": (lambda value=value: call(value), f"{message}, got {value}")
+            for value in values}
 
 
 # each call with an out-of-range number or setting -> the start of the ValueError it raises
@@ -168,6 +176,54 @@ _REFUSALS = {
         lambda: PipelineConfig(FS, mean_center="no"), "mean_center must be true or false, got 'no'"),
     "int mean_center": (
         lambda: PipelineConfig(FS, mean_center=1), "mean_center must be true or false, got 1"),
+    **_rows("recording rate", lambda rate: Recording(np.zeros((10, 2)), rate, ("a", "b")),
+            RATE),
+    **_rows("config rate", PipelineConfig, RATE, [math.inf]),
+    **_rows("spec rate", lambda rate: _spec(sampling_rate_hz=rate), RATE, [math.inf, math.nan]),
+    # at an infinite rate every f / rate would be 0, so each frequency would read the 0 Hz value
+    **_rows("grid rate", lambda rate: FrequencyGrid(np.array([4.0, 30.0]), rate), RATE,
+            [math.inf, math.nan, 0.0]),
+    **_rows("regular grid rate", lambda rate: FrequencyGrid.regular(4.0, 30.0, 0.5, rate), RATE,
+            [math.inf, math.nan, 0.0]),
+    **_rows("transfer rate", lambda rate: evaluate_transfer(_model(), 10.0, rate), RATE,
+            [math.inf, math.nan, 0.0]),
+    **_rows("epoch length", lambda length: extract_segments(_recording(), length, [0.0]),
+            "epoch_length_ms must be a finite positive number", [math.inf, math.nan]),
+    **_rows("config epoch length", lambda length: PipelineConfig(FS, epoch_length_ms=length),
+            "epoch_length_ms must be a finite positive number", [math.inf]),
+    **_rows("onset", lambda start: extract_segments(_recording(), 900.0, [0.0, start]),
+            "epoch start (ms) must be a finite number"),
+    # NaN compares false with everything, and an infinite step makes every frequency NaN
+    **_rows("grid step", lambda step: FrequencyGrid.regular(4.0, 30.0, step, FS),
+            "step_hz must be a finite positive number", [math.nan, math.inf]),
+    **_rows("config grid step", lambda step: PipelineConfig(FS, freq_step_hz=step),
+            "step_hz must be a finite positive number", [math.nan]),
+    # no score passes a NaN tolerance, so every epoch would be screened out
+    **_rows("drift tolerance", lambda tol: PipelineConfig(FS, stationarity_mean_drift_tol=tol),
+            "stationarity_mean_drift_tol must be a finite positive number", [math.nan]),
+    **_rows("variance tolerance",
+            lambda tol: PipelineConfig(FS, stationarity_variance_ratio_tol=tol),
+            "stationarity_variance_ratio_tol must be a finite positive number", [math.nan]),
+    # a finite positive step too fine for its grid to be built
+    **{f"grid step {step}": (lambda step=step: FrequencyGrid.regular(4.0, 30.0, step, FS),
+                             f"step_hz {step} makes a grid of {count} frequencies from 4.0 to "
+                             "30.0 Hz, more than can be allocated")
+       for step, count in [(5e-324, "inf"), (1e-12, "2.6e+13"), (1e-20, "2.6e+21")]},
+    **{f"band edges {edges}": (
+           lambda edges=edges: band_average(
+               compute_pdc(_model(), FrequencyGrid.regular(4.0, 30.0, 0.5, FS)), {"x": edges}),
+           f"band 'x' has invalid edges ({edges[0]}, {edges[1]}); edges must be finite, ")
+       for edges in [(4.0, math.inf), (-math.inf, 8.0), (math.nan, 8.0), (4.0, math.nan)]},
+    **{f"band name {name!r}": (
+           lambda name=name: _check_bands({name: (4.0, 8.0)}),
+           f"band name {name!r} must be a non-empty string without edge whitespace or '->'")
+       for name in ["", " a", "a ", "a->b"]},
+    "zero sample count": (lambda: _spec(n_samples=0), "n_samples must be an integer >= 1, got 0"),
+    "zero fit order": (lambda: fit_var(_recording(), 0), "order p must be an integer >= 1, got 0"),
+    "negative model row count": (
+        lambda: _model(n_samples_used=-5), "n_samples_used must be an integer >= 1, got -5"),
+    "zero Holm alpha": (
+        lambda: holm_bonferroni([0.5], alpha=0.0), "alpha must lie in (0, 1), got 0.0"),
 }
 
 

@@ -1,6 +1,5 @@
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -104,26 +103,6 @@ def test_each_refusal_raises_its_message(refuse, message):
     with pytest.raises(ValueError) as info:
         refuse()
     assert str(info.value) == message
-
-
-@pytest.mark.parametrize("rate", [math.inf, math.nan, 0.0])
-def test_grid_and_transfer_reject_a_rate_that_is_not_finite_and_positive(rate):
-    # at an infinite rate every g = f / rate would be 0, so each frequency would read
-    # the 0 Hz value
-    match = f"sampling_rate_hz must be a finite positive number, got {rate}"
-    with pytest.raises(ValueError, match=match):
-        FrequencyGrid(freqs_hz=np.array([4.0, 30.0]), sampling_rate_hz=rate)
-    with pytest.raises(ValueError, match=match):
-        FrequencyGrid.regular(4.0, 30.0, 0.5, sampling_rate_hz=rate)
-    with pytest.raises(ValueError, match=match):
-        evaluate_transfer(LOWER_VAR1, f_hz=10.0, sampling_rate_hz=rate)
-
-
-@pytest.mark.parametrize("step", [math.nan, math.inf])
-def test_regular_grid_rejects_a_step_that_is_not_finite(step):
-    # NaN compares false with everything, and an infinite step makes every frequency NaN
-    with pytest.raises(ValueError, match=f"step_hz must be a finite positive number, got {step}"):
-        FrequencyGrid.regular(4.0, 30.0, step, sampling_rate_hz=250.0)
 
 
 # ----------------------------------------------------------- transfer matrix
@@ -304,7 +283,7 @@ def _pdc_calls(draw):
     return models, grids, calls
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(case=_pdc_calls())
 def test_pdc_with_the_cached_phase_table_equals_the_uncached_transfer(case):
     models, grids, calls = case
@@ -393,15 +372,6 @@ def test_band_average_empty_band_names_the_band():
     grid = FrequencyGrid(freqs_hz=np.array([8.0, 12.5]), sampling_rate_hz=250.0)
     with pytest.raises(ValueError, match="theta"):
         band_average(_linear_spectrum(grid), {"theta": (4.0, 7.5)})
-
-
-@pytest.mark.parametrize("edges", [(4.0, math.inf), (-math.inf, 8.0), (math.nan, 8.0),
-                                   (4.0, math.nan)])
-def test_band_average_refuses_an_edge_that_is_not_finite(edges):
-    spectrum = compute_pdc(LOWER_VAR1, FrequencyGrid.regular(4.0, 30.0, 0.5, 250.0))
-    message = f"band 'x' has invalid edges ({edges[0]}, {edges[1]}); edges must be finite, "
-    with pytest.raises(ValueError, match=re.escape(message)):
-        band_average(spectrum, {"x": edges})
 
 
 @pytest.mark.parametrize("bands, edges, labels, message", [
@@ -553,17 +523,6 @@ def test_average_over_segments_requires_matching_grids():
 # ----------------------------------------------------------------------- io
 
 
-def test_spectrum_csv_round_trip(tmp_path):
-    grid = FrequencyGrid.regular(4.0, 30.0, 0.5, sampling_rate_hz=250.0)
-    spec = compute_pdc(LOWER_VAR1, grid)
-    path = tmp_path / "spec.csv"
-    write_spectrum_csv(spec, path)
-    back = read_spectrum_csv(path, sampling_rate_hz=250.0)
-    assert back.channel_labels == spec.channel_labels
-    assert_allclose(back.values, spec.values, rtol=0, atol=0)
-    assert_allclose(back.grid.freqs_hz, grid.freqs_hz)
-
-
 def test_spectrum_csv_reader_defaults_sampling_rate(tmp_path):
     grid = FrequencyGrid.regular(4.0, 30.0, 0.5, sampling_rate_hz=60.0)
     spec = compute_pdc(LOWER_VAR1, grid)
@@ -579,19 +538,6 @@ def test_spectrum_csv_rejects_a_duplicate_row(tmp_path):
     with pytest.raises(ValueError) as info:
         read_spectrum_csv(path)
     assert str(info.value) == f"{path}:3: duplicate row for 4.0 Hz, a->a"
-
-
-@pytest.mark.parametrize("row, message", [
-    ("abc,a,a,0.5", "freq_hz must be a finite number, got 'abc'"),
-    ("4.0,a,a,x", "pdc must be a finite number, got 'x'"),
-    ("4.0,a,a", "expected 4 values, got 3"),
-], ids=["freq", "pdc", "short-row"])
-def test_spectrum_csv_names_the_line_of_a_non_numeric_cell(tmp_path, row, message):
-    path = tmp_path / "spec.csv"
-    path.write_text(f"freq_hz,source,target,pdc\n4.0,a,a,0.5\n{row}\n")
-    with pytest.raises(ValueError) as info:
-        read_spectrum_csv(path)
-    assert str(info.value) == f"{path}:3: {message}"
 
 
 def test_spectrum_csv_names_the_file_of_a_rate_below_its_frequencies(tmp_path):

@@ -136,26 +136,6 @@ def test_config_validation():
         PipelineConfig(sampling_rate_hz=FS, stationarity_n_windows=1)
 
 
-@pytest.mark.parametrize("field", ["sampling_rate_hz", "epoch_length_ms"])
-def test_config_rejects_an_infinite_rate_or_epoch_length(field):
-    values = {"sampling_rate_hz": FS, field: math.inf}
-    with pytest.raises(ValueError, match=f"{field} must be a finite positive number, got inf"):
-        PipelineConfig(**values)
-
-
-def test_config_rejects_a_nan_grid_step():
-    with pytest.raises(ValueError, match="step_hz must be a finite positive number, got nan"):
-        PipelineConfig(sampling_rate_hz=FS, freq_step_hz=math.nan)
-
-
-@pytest.mark.parametrize("field", ["stationarity_mean_drift_tol",
-                                   "stationarity_variance_ratio_tol"])
-def test_config_rejects_a_nan_screening_tolerance(field):
-    # no score passes a NaN tolerance, so every epoch would be screened out
-    with pytest.raises(ValueError, match=f"{field} must be a finite positive number, got nan"):
-        PipelineConfig(sampling_rate_hz=FS, **{field: math.nan})
-
-
 @pytest.mark.parametrize("field, value, message", [
     ("bands", {"theta": (4.0, 7.5), "x": (4.0, math.inf)},
      "band 'x' has invalid edges (4.0, inf); edges must be finite, ordered and non-negative"),
@@ -177,21 +157,6 @@ def test_config_rejects_an_infinite_value_its_json_file_cannot_hold(tmp_path, fi
     write_config_json(cfg, tmp_path / "config.json")
     assert "Infinity" not in (tmp_path / "config.json").read_text()
     assert read_config_json(tmp_path / "config.json") == cfg
-
-
-def test_config_json_round_trip(tmp_path):
-    cfg = dataclasses.replace(
-        default_config(FS),
-        channel_pairs=(("F3", "T5"), ("T5", "F3")),
-        order_mode=ORDER_MODE_AUTO_AIC,
-        p_scan_max=12,
-        amplitude_reject_threshold=150.0,
-        mean_center=False,
-    )
-    path = tmp_path / "config.json"
-    write_config_json(cfg, path)
-    back = read_config_json(path)
-    assert back == cfg
 
 
 def test_config_json_defaults_and_unknown_keys(tmp_path):
@@ -586,18 +551,6 @@ def _montage_cohorts(n_subjects=2):
              for s in range(n_subjects)] for c in (0, 1)]
 
 
-@pytest.mark.parametrize("changes, bound", [
-    ({"order_mode": ORDER_MODE_AUTO_AIC, "p_scan_max": 20}, "order bound 11"),
-    ({"fixed_order": 60}, "N - p >= M*p + 1"),
-])
-def test_pipeline_rejects_infeasible_protocol_before_fitting(changes, bound):
-    # 900 ms at 250 Hz is 225 rows; a joint model over 4 channels caps the order
-    cfg = dataclasses.replace(default_config(FS), model_scope=SCOPE_JOINT, **changes)
-    cond_a, cond_b = _montage_cohorts()
-    with pytest.raises(ValueError, match=re.escape(bound)):
-        run_pipeline(cfg, cond_a, cond_b)
-
-
 # Protocols that cannot run, each known before any fitting: config changes
 # (PipelineConfig fields and top-level JSON keys alike), epoch onsets (ms, as
 # the markers file spells them), the condition-a subject whose recording is
@@ -611,6 +564,7 @@ UNWORKABLE = {
     "inf-onset": ({}, ["0", "inf"], None, "epoch start (ms) must be a finite number, got"),
     "no-onsets": ({}, [], None, "no subject has an epoch onset"),
     "20ms-epoch": ({"epoch_length_ms": 20.0, "fixed_order": 1}, ONSETS, None, "5 samples"),
+    # 900 ms at 250 Hz is 225 rows; a joint model over 4 channels caps the order
     "scan-bound": ({"order_mode": "auto_aic", "p_scan_max": 20, "model_scope": "joint"},
                    ONSETS, None, "order bound 11"),
     "fixed-order-rows": ({"fixed_order": 60, "model_scope": "joint"}, ONSETS, None,
@@ -927,7 +881,7 @@ PAIR_ITEMS = st.one_of(st.sampled_from(["F3", "F4", "a"]),
 _CONFIGS = itertools.count()
 
 
-@settings(max_examples=300, deadline=None,
+@settings(max_examples=300,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(pair=st.tuples(PAIR_ITEMS, PAIR_ITEMS))
 def test_a_configured_pair_is_one_the_pair_format_reads_back(tmp_path, pair):

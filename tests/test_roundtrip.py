@@ -35,7 +35,7 @@ from pdckit import (
 )
 from pdckit.pdc import write_band_averages_json
 
-SETTINGS = settings(max_examples=60, deadline=None,
+SETTINGS = settings(max_examples=60,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 # each example writes new files: truncating one an earlier example wrote can

@@ -19,7 +19,6 @@ from pdckit import (
     extract_segments,
     read_recording_csv,
     screen_stationarity,
-    write_recording_csv,
 )
 from pdckit.signals import read_markers_csv
 
@@ -49,12 +48,6 @@ def test_recording_rejects_bad_inputs():
     bad[3, 1] = np.nan
     with pytest.raises(ValueError):
         Recording(samples=bad, sampling_rate_hz=250.0, channel_labels=("a", "b"))
-
-
-@pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan])
-def test_containers_reject_a_sampling_rate_that_is_not_finite(rate):
-    with pytest.raises(ValueError, match="sampling_rate_hz must be a finite positive number"):
-        Recording(samples=np.zeros((10, 2)), sampling_rate_hz=rate, channel_labels=("a", "b"))
 
 
 @pytest.mark.parametrize("shape", [(0, 2), (10, 0), (0, 0)])
@@ -134,14 +127,6 @@ def test_extract_rejects_epochs_outside_recording():
     with pytest.raises(ValueError):
         extract_segments(rec, 4.0, [0.0])  # 1 sample per epoch is too short
     assert extract_segments(rec, 100.0, []) == []
-
-
-@pytest.mark.parametrize("length", [math.inf, math.nan])
-def test_extract_rejects_an_epoch_length_that_is_not_finite(length):
-    rec = _recording(np.zeros((100, 1)))
-    with pytest.raises(ValueError, match=f"epoch_length_ms must be a finite positive "
-                                         f"number, got {length}"):
-        extract_segments(rec, length, [0.0])
 
 
 # ----------------------------------------------------------------- screening
@@ -226,7 +211,7 @@ def _screen_reference(samples, n_windows):
     return means, variances, float(drift.max()), float(ratio.max())
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(n=st.integers(4, 300), m=st.integers(1, 4), n_windows=st.integers(2, 6),
        seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-6, 1.0, 1e6]),
        constant=st.booleans())
@@ -257,15 +242,6 @@ def test_screen_passes_white_noise_at_default_tolerances():
 
 
 # ----------------------------------------------------------------------- io
-
-
-def test_recording_csv_round_trip(tmp_path):
-    rec = _recording(np.random.default_rng(3).normal(size=(40, 3)), fs=128.0)
-    path = tmp_path / "rec.csv"
-    write_recording_csv(rec, path)
-    back = read_recording_csv(path, sampling_rate_hz=128.0)
-    assert back.channel_labels == rec.channel_labels
-    assert_array_equal(back.samples, rec.samples)
 
 
 @pytest.mark.parametrize("labels, message", [
@@ -334,41 +310,6 @@ def test_recording_csv_rejects_malformed_files(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError):
         read_recording_csv(path, sampling_rate_hz=100.0)
-
-
-@pytest.mark.parametrize("header, column", [("F3,,T5", 2), ("F3, ,T5", 2), (",F3", 1)])
-def test_recording_csv_rejects_an_empty_header_label(tmp_path, header, column):
-    path = tmp_path / "rec.csv"
-    path.write_text(f"{header}\n1,2,3\n")
-    with pytest.raises(ValueError) as info:
-        read_recording_csv(path, sampling_rate_hz=100.0)
-    assert str(info.value) == (f"{path}:1: column {column} has channel label '', which is not "
-                               f"{LABEL_RULE}")
-
-
-def test_recording_csv_names_a_repeated_header_label(tmp_path):
-    path = tmp_path / "rec.csv"
-    path.write_text("F3,T5, F3\n1,2,3\n")
-    with pytest.raises(ValueError) as info:
-        read_recording_csv(path, sampling_rate_hz=100.0)
-    assert str(info.value) == f"{path}:1: column 3 repeats channel label 'F3'"
-
-
-@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400", "-Infinity"])
-def test_recording_csv_names_the_line_of_a_non_finite_sample(tmp_path, cell):
-    path = tmp_path / "rec.csv"
-    path.write_text(f"a,b\n1,2\n\n3,{cell}\n4,5\n")
-    with pytest.raises(ValueError) as info:
-        read_recording_csv(path, sampling_rate_hz=100.0)
-    assert str(info.value) == f"{path}:4: b must be a finite number, got {cell!r}"
-
-
-def test_recording_csv_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
-    path = tmp_path / "rec.csv"
-    path.write_bytes(b"a,b\r\n1,2\r3,4\n5,\xff\n")
-    with pytest.raises(ValueError) as info:
-        read_recording_csv(path, sampling_rate_hz=100.0)
-    assert str(info.value) == f"{path}:4: not UTF-8 text (invalid start byte)"
 
 
 @pytest.mark.parametrize("text, line, cell", [
@@ -464,7 +405,7 @@ def _recording_files(draw):
         st.sampled_from(["", "\n", "\r\n", "\r"]))
 
 
-@settings(max_examples=400, deadline=None,
+@settings(max_examples=400,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_recording_files())
 @example(text="a,b\n1_0,2\n")
@@ -508,20 +449,3 @@ def test_markers_csv_reads_one_start_per_line(tmp_path):
     path.write_text("0\nabc\n")
     with pytest.raises(ValueError):
         read_markers_csv(path)
-
-
-@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN"])
-def test_markers_csv_rejects_non_finite_starts(tmp_path, text):
-    path = tmp_path / "markers.csv"
-    path.write_text(f"0\n900\n{text}\n")
-    with pytest.raises(ValueError) as info:
-        read_markers_csv(path)
-    assert str(info.value) == f"{path}:3: epoch start (ms) must be a finite number, got {text!r}"
-
-
-@pytest.mark.parametrize("start", [float("nan"), float("inf"), -float("inf")])
-def test_extract_rejects_non_finite_starts(start):
-    rec = _recording(np.zeros((1000, 2)))
-    with pytest.raises(ValueError) as info:
-        extract_segments(rec, 900.0, [0.0, start])
-    assert str(info.value) == f"epoch start (ms) must be a finite number, got {start}"

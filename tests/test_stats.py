@@ -8,7 +8,6 @@ import pytest
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
 from scipy.stats import norm, rankdata
 
 import pdckit.stats
@@ -308,15 +307,6 @@ def test_holm_reads_a_generator():
     assert holm_bonferroni(p for p in (0.04, 0.01)) == holm_bonferroni([0.04, 0.01])
 
 
-def test_holm_rejects_invalid_input():
-    with pytest.raises(ValueError):
-        holm_bonferroni([0.5, 1.5])
-    with pytest.raises(ValueError):
-        holm_bonferroni([])
-    with pytest.raises(ValueError):
-        holm_bonferroni([0.5], alpha=0.0)
-
-
 # --------------------------------------------------------- condition compare
 
 
@@ -368,7 +358,9 @@ _RESULT = {"statistic_w": 3.0, "n_effective": 5, "p_raw": 0.2, "p_adjusted": 0.4
     (lambda: PairedTestResult(**_RESULT, untestable=True),
      "untestable result must have n_effective = 0"),
     (lambda: compare_conditions({}, {}), "no hypotheses to test"),
-], ids=["p-raw", "p-adjusted", "adjusted-below-raw", "direction", "untestable", "no-keys"])
+    (lambda: holm_bonferroni([0.5, 1.5]), "p-values must lie in [0, 1]"),
+], ids=["p-raw", "p-adjusted", "adjusted-below-raw", "direction", "untestable", "no-keys",
+        "holm-p-above-1"])
 def test_each_refusal_raises_its_message(refuse, message):
     with pytest.raises(ValueError) as info:
         refuse()
@@ -594,7 +586,7 @@ def _outcome(compare, a, b):
                  for key, res in results.items()])
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(family=_families())
 def test_compare_conditions_matches_the_key_by_key_loop(family):
     a, b = family
@@ -612,7 +604,7 @@ def _fields(res, *skip):
             else getattr(res, f.name) for f in dataclasses.fields(res) if f.name not in skip}
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(family=_TESTED)
 def test_swapping_the_conditions_flips_only_the_directions(family):
     a, b = family
@@ -623,7 +615,7 @@ def test_swapping_the_conditions_flips_only_the_directions(family):
         assert swapped[key].direction == _FLIPPED[res.direction]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(family=_TESTED, seed=st.integers(0, 2**32 - 1))
 def test_results_do_not_depend_on_the_order_of_subjects_or_keys(family, seed):
     a, b = family
