@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands cover the individual stages (simulate, fit, pdc, bands, compare)
-and the full two-condition pipeline. `fit` and `pdc` read the protocol they
-apply from the config JSON file that `pipeline` reads (`--config`): `fit` the
-sampling rate, the order rule and centring, `pdc` the frequency grid. So each
-stage writes what the pipeline computes under the same config, and neither
-command has a protocol default of its own.
+and the full two-condition pipeline. Every command but `simulate` reads the
+protocol it applies from the config JSON file that `pipeline` reads
+(`--config`): `fit` the sampling rate, the order rule and centring, `pdc` the
+frequency grid, `bands` the sampling rate and the bands, `compare` the
+family-wise alpha. So each stage writes what the pipeline computes under the
+same config, and no command has a protocol default of its own.
 
 Failures exit nonzero with one machine-parseable line on stderr:
 
@@ -33,7 +34,7 @@ from .pdc import (
 )
 from .pipeline import _fit_order, read_config_json, run_pipeline, write_report
 from .signals import read_markers_csv, read_recording_csv, write_recording_csv
-from .stats import DEFAULT_ALPHA, _key_label, _pair_cell, compare_conditions, write_test_table_csv
+from .stats import _key_label, _pair_cell, compare_conditions, write_test_table_csv
 from .synth import generate, read_generator_spec_json
 from .var import fit_var, read_model_json, write_model_json
 
@@ -50,17 +51,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return value
-
-
-def _band_spec(text: str):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected name:low:high, got {text!r}")
-    name, low, high = parts
-    try:
-        return name, float(low), float(high)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"non-numeric band edges in {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,17 +80,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bands", help="average a spectrum within frequency bands")
     p.add_argument("--spectrum", required=True, help="spectrum CSV")
+    p.add_argument("--config", required=True,
+                   help="pipeline config JSON: sampling rate and bands")
     p.add_argument("--out", required=True, help="output band JSON")
-    p.add_argument("--band", action="append", type=_band_spec, metavar="NAME:LOW:HIGH",
-                   help="band definition; repeatable; default theta/alpha/beta1/beta2")
 
     p = sub.add_parser("compare", help="paired tests between two band-value tables")
     p.add_argument("--condition-a", required=True,
                    help="CSV with columns pair,band,subject,value")
     p.add_argument("--condition-b", required=True,
                    help="CSV with columns pair,band,subject,value")
+    p.add_argument("--config", required=True, help="pipeline config JSON: alpha")
     p.add_argument("--out", required=True, help="output test-table CSV")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="significance level")
 
     p = sub.add_parser("pipeline", help="full two-condition analysis")
     p.add_argument("--config", required=True, help="pipeline config JSON")
@@ -145,13 +135,9 @@ def _cmd_pdc(args) -> int:
 
 
 def _cmd_bands(args) -> int:
-    names = [name for name, _, _ in args.band or ()]
-    if len(set(names)) < len(names):
-        raise ValueError(f"--band names must be unique, got {names}")
-    spectrum = read_spectrum_csv(args.spectrum)
-    bands = {name: (low, high) for name, low, high in args.band} if args.band else None
-    averages = band_average(spectrum, bands)
-    write_band_averages_json(averages, args.out)
+    config = read_config_json(args.config)
+    spectrum = read_spectrum_csv(args.spectrum, config.sampling_rate_hz)
+    write_band_averages_json(band_average(spectrum, config.bands), args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -176,6 +162,7 @@ def _read_band_values_csv(path) -> dict:
 
 
 def _cmd_compare(args) -> int:
+    alpha = read_config_json(args.config).alpha
     table_a = _read_band_values_csv(args.condition_a)
     table_b = _read_band_values_csv(args.condition_b)
     if set(table_a) != set(table_b):
@@ -190,7 +177,7 @@ def _cmd_compare(args) -> int:
         ordered = sorted(subjects_a)
         values_a[key] = [subjects_a[s] for s in ordered]
         values_b[key] = [subjects_b[s] for s in ordered]
-    results = compare_conditions(values_a, values_b, alpha=args.alpha)
+    results = compare_conditions(values_a, values_b, alpha=alpha)
     write_test_table_csv(results, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK

@@ -344,12 +344,11 @@ def write_spectrum_csv(spectrum: PdcSpectrum, path) -> None:
         for target, pdc in zip(labels, column)))
 
 
-def read_spectrum_csv(path, sampling_rate_hz: float | None = None) -> PdcSpectrum:
+def read_spectrum_csv(path, sampling_rate_hz: float) -> PdcSpectrum:
     """Load a spectrum written by `write_spectrum_csv` from UTF-8 CSV.
 
-    When the sampling rate is not given, it defaults to twice the highest
-    frequency present (the minimal rate for which the grid is valid), or to
-    1 Hz for a table of 0 Hz alone. A cell that is not of its column's kind
+    The table holds no sampling rate, so the caller states the one its grid
+    was built at. A cell that is not of its column's kind
     (`_SPECTRUM_COLUMNS`), or a number out of range, is named by path:line.
     """
     cells: dict[tuple[float, str, str], float] = {}
@@ -379,11 +378,9 @@ def read_spectrum_csv(path, sampling_rate_hz: float | None = None) -> PdcSpectru
                     values[fi, i, j] = cells[(f_hz, source, target)]
     except KeyError as exc:
         raise ValueError(f"{path}: incomplete spectrum table, missing {exc}") from None
-    if sampling_rate_hz is None:
-        sampling_rate_hz = 2.0 * max(freqs) or 1.0
     try:
         grid = FrequencyGrid(freqs_hz=np.array(freqs), sampling_rate_hz=sampling_rate_hz)
-    except ValueError as exc:  # a given rate below twice the highest frequency
+    except ValueError as exc:  # a rate below twice the highest frequency
         raise ValueError(f"{path}: {exc}") from None
     return PdcSpectrum(values=values, grid=grid, channel_labels=labels)
 

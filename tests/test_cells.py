@@ -85,7 +85,7 @@ def _spectrum(draw, path):
 
 
 def _read_spectrum(path):
-    spectrum = read_spectrum_csv(path)
+    spectrum = read_spectrum_csv(path, 200.0)
     return (spectrum.channel_labels, spectrum.grid.freqs_hz.tobytes(),
             spectrum.values.tobytes())
 

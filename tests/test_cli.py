@@ -16,12 +16,14 @@ from hypothesis import strategies as st
 
 from pdckit import (
     GeneratorSpec,
+    band_average,
     compute_pdc,
     default_config,
     fit_var,
     read_config_json,
     read_recording_csv,
     select_order,
+    write_band_averages_json,
     write_config_json,
     write_generator_spec_json,
     write_model_json,
@@ -120,25 +122,35 @@ def test_fit_then_pdc_write_what_the_pipeline_route_writes(tmp_path, capsys):
     for name, changes in _STAGE_CONFIGS.items():
         config = _config(tmp_path, f"{name}.json", **changes)
         model_path, spectrum_path = tmp_path / f"{name}.model.json", tmp_path / f"{name}.csv"
+        bands_path = tmp_path / f"{name}.bands.json"
         assert main(["fit", "--input", str(path), "--config", str(config),
                      "--out", str(model_path)]) == 0
         assert main(["pdc", "--model", str(model_path), "--config", str(config),
                      "--out", str(spectrum_path)]) == 0
+        assert main(["bands", "--spectrum", str(spectrum_path), "--config", str(config),
+                     "--out", str(bands_path)]) == 0
         # the route run_pipeline takes for one epoch under the same config
         protocol = read_config_json(config)
         segment = rec.centered() if protocol.mean_center else rec
         model, _ = fit_var(segment, _fit_order(protocol, segment))
+        spectrum = compute_pdc(model, protocol.frequency_grid())
         write_model_json(model, tmp_path / "want.json")
-        write_spectrum_csv(compute_pdc(model, protocol.frequency_grid()), tmp_path / "want.csv")
+        write_spectrum_csv(spectrum, tmp_path / "want.csv")
+        write_band_averages_json(band_average(spectrum, protocol.bands),
+                                 tmp_path / "want.bands.json")
         assert model_path.read_bytes() == (tmp_path / "want.json").read_bytes(), name
         assert spectrum_path.read_bytes() == (tmp_path / "want.csv").read_bytes(), name
+        assert bands_path.read_bytes() == (tmp_path / "want.bands.json").read_bytes(), name
         assert f"(order {model.order_p})" in capsys.readouterr().out
         models[name] = model
     assert models["fixed"].order_p == 2 and 1 <= models["auto"].order_p <= 6
     assert models["auto"].order_p == select_order(rec.centered(), 6).chosen_p
     assert not np.array_equal(models["fixed"].coeff_matrices, models["fixed-raw"].coeff_matrices)
-    assert read_spectrum_csv(tmp_path / "grid.csv").grid.freqs_hz.tolist() == list(range(4, 21))
-    assert read_spectrum_csv(tmp_path / "fixed.csv").grid.n_freqs == 53
+    assert read_spectrum_csv(tmp_path / "grid.csv", 250.0).grid.freqs_hz.tolist() == list(
+        range(4, 21))
+    assert read_spectrum_csv(tmp_path / "fixed.csv", 250.0).grid.n_freqs == 53
+    assert set(json.loads((tmp_path / "grid.bands.json").read_text())["bands"]) == {
+        "theta", "alpha", "beta1"}
 
 
 def _readme_walkthrough():
@@ -170,21 +182,32 @@ def test_the_readme_walkthrough_runs(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_every_readme_command_parses():
+    # every `pdckit` line of every README `sh` block, `\` continuations joined,
+    # so a flag the parser no longer takes cannot stay in the docs
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = [shlex.split(line)[1:]
+                for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+                for line in block.replace("\\\n", " ").splitlines() if line.startswith("pdckit ")]
+    assert {argv[0] for argv in commands} == set(cli._HANDLERS)
+    parser = cli._build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: pdckit {shlex.join(argv)}")
+
+
 def test_bands_default_and_custom(tmp_path, capsys):
     rec = _simulate(tmp_path, n=1500)
     spec_path = _fit_and_transform(tmp_path, rec)
-
-    bands_path = tmp_path / "bands.json"
-    assert main(["bands", "--spectrum", str(spec_path),
-                 "--out", str(bands_path)]) == 0
-    payload = json.loads(bands_path.read_text())
-    assert set(payload["bands"]) == {"theta", "alpha", "beta1", "beta2"}
-
-    custom = tmp_path / "custom.json"
-    assert main(["bands", "--spectrum", str(spec_path), "--out", str(custom),
-                 "--band", "mid:10:20", "--band", "low:4:8"]) == 0
-    payload = json.loads(custom.read_text())
-    assert set(payload["bands"]) == {"mid", "low"}
+    custom = _config(tmp_path, "custom.json", bands={"mid": (10.0, 20.0), "low": (4.0, 8.0)})
+    for config, names in ((tmp_path / "config.json", {"theta", "alpha", "beta1", "beta2"}),
+                          (custom, {"mid", "low"})):
+        bands_path = tmp_path / "bands.json"
+        assert main(["bands", "--spectrum", str(spec_path), "--config", str(config),
+                     "--out", str(bands_path)]) == 0
+        assert set(json.loads(bands_path.read_text())["bands"]) == names
     capsys.readouterr()
 
 
@@ -209,12 +232,16 @@ def test_compare_pairs_subjects_by_id(tmp_path, capsys):
     b_path = tmp_path / "b.csv"
     _band_table_csv(b_path, 0.2, subjects, scramble=True)
     out = tmp_path / "table.csv"
-    assert main(["compare", "--condition-a", str(a_path),
-                 "--condition-b", str(b_path), "--out", str(out)]) == 0
-    with open(out, newline="") as fh:
-        rows = {r["band"]: r for r in csv.DictReader(fh)}
-    assert rows["theta"]["significant"] == "true"
-    assert rows["theta"]["direction"] == "b_greater"
+    # theta's Holm-adjusted p is 2 * 2/1024: significant at the reference alpha, not at 0.001
+    for alpha, significant in ((0.05, "true"), (0.001, "false")):
+        config = _config(tmp_path, alpha=alpha)
+        assert main(["compare", "--condition-a", str(a_path), "--condition-b", str(b_path),
+                     "--config", str(config), "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = {r["band"]: r for r in csv.DictReader(fh)}
+        assert rows["theta"]["p_adjusted"] == repr(2 * 2 / 1024)
+        assert rows["theta"]["significant"] == significant
+        assert rows["theta"]["direction"] == "b_greater"
     capsys.readouterr()
 
 
@@ -224,7 +251,7 @@ def test_compare_of_identical_tables_writes_untestable_rows(tmp_path, capsys):
     _band_table_csv(a_path, 0.0, ["s1", "s2", "s3"])
     out = tmp_path / "table.csv"
     assert main(["compare", "--condition-a", str(a_path), "--condition-b", str(a_path),
-                 "--out", str(out)]) == 0
+                 "--config", str(_config(tmp_path)), "--out", str(out)]) == 0
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [row["band"] for row in rows] == ["theta", "alpha"]
@@ -382,8 +409,16 @@ def _pipeline(config, recording="rec.csv"):
             "--config", "{tmp}/" + config]
 
 
-_BANDS = ["bands", "--out", "{tmp}/b.json", "--spectrum"]
-_COMPARE = ["compare", "--out", "{tmp}/t.csv", "--condition-a"]
+def _bands(spectrum, config="order2.json"):
+    return ["bands", "--out", "{tmp}/b.json", "--spectrum", "{tmp}/" + spectrum,
+            "--config", "{tmp}/" + config]
+
+
+def _compare(table_a, table_b, config="order2.json"):
+    return ["compare", "--out", "{tmp}/t.csv", "--condition-a", "{tmp}/" + table_a,
+            "--condition-b", "{tmp}/" + table_b, "--config", "{tmp}/" + config]
+
+
 _LABEL_RULE = "a non-empty string without edge whitespace or '->'"
 # invocation -> exit code and its one stderr line; None where argparse itself exits,
 # whose usage text is not the contract's line
@@ -410,21 +445,21 @@ _FAILURES = {
                              "argument-error: residual_covariance must be finite"),
     "auto-order-past-float-range": (_fit("big.csv", "scan.json"), 2,
                                     "argument-error: residual_covariance must be finite"),
-    "no-spectrum-rows": ([*_BANDS, "{tmp}/no_rows.csv"], 2,
+    "no-spectrum-rows": (_bands("no_rows.csv"), 2,
                          "argument-error: {tmp}/no_rows.csv: no spectrum rows"),
-    "incomplete-spectrum": ([*_BANDS, "{tmp}/partial.csv"], 2,
+    "incomplete-spectrum": (_bands("partial.csv"), 2,
                             "argument-error: {tmp}/partial.csv: incomplete spectrum table, "
                             "missing (4.0, 'b', 'a')"),
-    "no-data-rows": ([*_COMPARE, "{tmp}/no_data.csv", "--condition-b", "{tmp}/alpha.csv"], 2,
+    "no-data-rows": (_compare("no_data.csv", "alpha.csv"), 2,
                      "argument-error: {tmp}/no_data.csv: no data rows"),
-    "duplicate-subject": ([*_COMPARE, "{tmp}/twice.csv", "--condition-b", "{tmp}/alpha.csv"], 2,
+    "duplicate-subject": (_compare("twice.csv", "alpha.csv"), 2,
                           "argument-error: {tmp}/twice.csv:3: duplicate subject 's1' for "
                           "a->b/alpha"),
-    "different-keys": ([*_COMPARE, "{tmp}/alpha.csv", "--condition-b", "{tmp}/theta.csv"], 2,
+    "different-keys": (_compare("alpha.csv", "theta.csv"), 2,
                        "argument-error: the two tables define different (pair, band) sets"),
-    "expected-columns": ([*_COMPARE, "{tmp}/no_value.csv", "--condition-b", "{tmp}/alpha.csv"],
-                         2, "argument-error: {tmp}/no_value.csv: expected columns "
-                            "['band', 'pair', 'subject', 'value']"),
+    "expected-columns": (_compare("no_value.csv", "alpha.csv"), 2,
+                         "argument-error: {tmp}/no_value.csv: expected columns "
+                         "['band', 'pair', 'subject', 'value']"),
     "json-not-an-object": (_pdc("list.json"), 2,
                            "argument-error: {tmp}/list.json: model must be a JSON object"),
     "group-not-an-object": (_pipeline("grouped.json"), 2,
@@ -461,56 +496,44 @@ _FAILURES = {
     "model-labels": (_pdc("labels_model.json"), 2,
                      "argument-error: {tmp}/labels_model.json: column 2 has channel label 2, "
                      f"which is not {_LABEL_RULE}"),
-    "spectrum-nan-cell": ([*_BANDS, "{tmp}/nan_cell.csv"], 2,
+    "spectrum-nan-cell": (_bands("nan_cell.csv"), 2,
                           "argument-error: {tmp}/nan_cell.csv:2: pdc must be a finite number, "
                           "got 'nan'"),
-    "spectrum-pdc-above-1": ([*_BANDS, "{tmp}/above_one.csv"], 2,
+    "spectrum-pdc-above-1": (_bands("above_one.csv"), 2,
                              "argument-error: {tmp}/above_one.csv:2: PDC values must lie in "
                              "[0, 1], got 1.5"),
-    "spectrum-negative-freq": ([*_BANDS, "{tmp}/negative_freq.csv"], 2,
+    "spectrum-negative-freq": (_bands("negative_freq.csv"), 2,
                                "argument-error: {tmp}/negative_freq.csv:2: freq_hz must be >= 0, "
                                "got -4.0"),
-    "spectrum-label": ([*_BANDS, "{tmp}/padded_label.csv"], 2,
+    "spectrum-label": (_bands("padded_label.csv"), 2,
                        "argument-error: {tmp}/padded_label.csv:2: source must be "
                        f"{_LABEL_RULE}, got ' a'"),
-    "band-repeated": ([*_BANDS, "{tmp}/spectrum.csv", "--band", "x:4:8", "--band", "x:20:30"], 2,
-                      "argument-error: --band names must be unique, got ['x', 'x']"),
-    "band-infinite-edge": ([*_BANDS, "{tmp}/spectrum.csv", "--band", "x:4:inf"], 2,
-                           "argument-error: band 'x' has invalid edges (4.0, inf); edges must be "
-                           "finite, ordered and non-negative"),
-    "band-name": ([*_BANDS, "{tmp}/spectrum.csv", "--band", " a:4:8"], 2,
-                  f"argument-error: band name ' a' must be {_LABEL_RULE}"),
     "config-band-name": (_pipeline("band_name.json"), 2,
                          f"argument-error: {{tmp}}/band_name.json: band name 'a ' must be "
                          f"{_LABEL_RULE}"),
-    "different-subjects": ([*_COMPARE, "{tmp}/alpha.csv", "--condition-b", "{tmp}/s2.csv"], 2,
+    "different-subjects": (_compare("alpha.csv", "s2.csv"), 2,
                            "argument-error: subject sets differ for a->b/alpha"),
-    "empty-value": ([*_COMPARE, "{tmp}/empty_value.csv", "--condition-b", "{tmp}/alpha.csv"], 2,
+    "empty-value": (_compare("empty_value.csv", "alpha.csv"), 2,
                     "argument-error: {tmp}/empty_value.csv:2: value must be a finite number, "
                     "got ''"),
-    "pair-before-band": ([*_COMPARE, "{tmp}/pair_first.csv", "--condition-b", "{tmp}/alpha.csv"],
-                         2, "argument-error: {tmp}/pair_first.csv:2: pair must look like "
-                            f"'src->tgt' with two different labels, each {_LABEL_RULE}, "
-                            "got '->t'"),
-    "padded-subject": ([*_COMPARE, "{tmp}/padded_subject.csv", "--condition-b",
-                        "{tmp}/alpha.csv"], 2,
+    "pair-before-band": (_compare("pair_first.csv", "alpha.csv"), 2,
+                         "argument-error: {tmp}/pair_first.csv:2: pair must look like "
+                         f"'src->tgt' with two different labels, each {_LABEL_RULE}, "
+                         "got '->t'"),
+    "padded-subject": (_compare("padded_subject.csv", "alpha.csv"), 2,
                        "argument-error: {tmp}/padded_subject.csv:2: subject must be "
                        f"{_LABEL_RULE}, got ' s1'"),
-    "compare-alpha": ([*_COMPARE, "{tmp}/alpha.csv", "--condition-b", "{tmp}/alpha.csv",
-                       "--alpha", "1.5"], 2, "argument-error: alpha must lie in (0, 1), got 1.5"),
     "pipeline-non-finite-sample": (_pipeline("order2.json", "inf_sample.csv"), 2,
                                    "argument-error: {tmp}/inf_sample.csv:3: ch2 must be a finite "
                                    "number, got 'inf'"),
     "pipeline-unfittable-order": (_pipeline("order400.json"), 2,
                                   "argument-error: order 400 breaks N - p >= M*p + 1 for N=225 "
                                   "samples and M=2 channels"),
-    "band-of-two-parts": ([*_BANDS, "{tmp}/partial.csv", "--band", "x:1"], 2, None),
-    "band-edge-not-a-number": ([*_BANDS, "{tmp}/partial.csv", "--band", "x:a:b"], 2, None),
     # pdc transforms a model file alone: fitting is `fit`'s
     "pdc-input": ([*_pdc(), "--input", "{tmp}/rec.csv"], 2, None),
     "pdc-order": ([*_pdc(), "--order", "3"], 2, None),
     "pdc-mean-center": ([*_pdc(), "--mean-center"], 2, None),
-    # the protocol flags `--config` replaced
+    # the protocol flags `--config` replaced, and `--config` left out
     "fit-sampling-rate": ([*_fit(), "--sampling-rate", "250"], 2, None),
     "fit-order": ([*_fit(), "--order", "2"], 2, None),
     "fit-auto-order": ([*_fit(), "--auto-order"], 2, None),
@@ -522,6 +545,10 @@ _FAILURES = {
     "pdc-high": ([*_pdc(), "--high", "20"], 2, None),
     "pdc-step": ([*_pdc(), "--step", "1"], 2, None),
     "pdc-no-config": (_pdc()[:-2], 2, None),
+    "bands-band": ([*_bands("spectrum.csv"), "--band", "x:4:8"], 2, None),
+    "bands-no-config": (_bands("spectrum.csv")[:-2], 2, None),
+    "compare-alpha": ([*_compare("alpha.csv", "alpha.csv"), "--alpha", "0.01"], 2, None),
+    "compare-no-config": (_compare("alpha.csv", "alpha.csv")[:-2], 2, None),
     # argparse refuses a thread count below 1 before the command runs
     "pipeline-threads-0": ([*_pipeline("order2.json"), "--threads", "0"], 2, None),
 }
@@ -574,9 +601,11 @@ def _reader_inputs(tmp_path):
         "generator spec": (spec, ["simulate", "--spec", str(spec), "--out", out]),
         "recording": (rec, ["fit", "--input", str(rec), "--config", str(config), "--out", out]),
         "model": (model, ["pdc", "--model", str(model), "--config", str(config), "--out", out]),
-        "spectrum": (spectrum, ["bands", "--spectrum", str(spectrum), "--out", out]),
+        "spectrum": (spectrum, ["bands", "--spectrum", str(spectrum), "--config", str(config),
+                                "--out", out]),
         "band table": (a_path, ["compare", "--condition-a", str(a_path),
-                                "--condition-b", str(b_path), "--out", out]),
+                                "--condition-b", str(b_path), "--config", str(config),
+                                "--out", out]),
         "config": (config, pipeline),
         "markers": (markers, pipeline),
     }
@@ -668,7 +697,8 @@ def test_csv_tables_refuse_a_repeated_column(tmp_path, capsys, header, row, argv
     # compare reads condition a first, so the absent b table is never opened
     path = tmp_path / "table.csv"
     path.write_text(f"{header}\n{row}\n")
-    assert main([*argv, str(path), "--out", str(tmp_path / "out")]) == 2
+    assert main([*argv, str(path), "--config", str(_config(tmp_path)),
+                 "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
         f"pdckit: argument-error: {path}:1: column {header.split(',')[-1]!r} is repeated\n")
 
@@ -758,7 +788,7 @@ def _read_table(table, path):
                     for ((source, target), band), per_subject in
                     cli._read_band_values_csv(path).items()
                     for subject, value in per_subject.items()}
-        spectrum = read_spectrum_csv(path)
+        spectrum = read_spectrum_csv(path, 250.0)
     except ValueError as exc:
         return str(exc)
     labels = spectrum.channel_labels
@@ -793,9 +823,9 @@ def test_bands_reads_back_a_spectrum_of_0_hz_alone(tmp_path, capsys):
                      bands={"dc": (0.0, 0.0)})
     spectrum, out = tmp_path / "dc.csv", tmp_path / "dc.json"
     assert main([*argv[:3], "--config", str(config), "--out", str(spectrum)]) == 0
-    assert main(["bands", "--spectrum", str(spectrum), "--band", "dc:0:0",
+    assert main(["bands", "--spectrum", str(spectrum), "--config", str(config),
                  "--out", str(out)]) == 0
-    assert read_spectrum_csv(spectrum).grid.sampling_rate_hz == 1.0
+    assert read_spectrum_csv(spectrum, 250.0).grid.freqs_hz.tolist() == [0.0]
     assert json.loads(out.read_text())["band_edges_hz"] == {"dc": [0.0, 0.0]}
     capsys.readouterr()
 
@@ -871,10 +901,11 @@ def test_every_command_runs_without_scipy(tmp_path):
             ["fit", "--input", rec, *centred, "--out", str(out / "centred.json")],
             ["pdc", "--model", str(out / "centred.json"), *centred,
              "--out", str(out / "centred.csv")],
-            ["bands", "--spectrum", str(out / "spectrum.csv"), "--out", str(out / "bands.json")],
+            ["bands", "--spectrum", str(out / "spectrum.csv"), *raw,
+             "--out", str(out / "bands.json")],
             [*pipeline, "--out", str(out / "report")],
             *(["compare", "--condition-a", str(tmp_path / f"{prefix}a.csv"),
-               "--condition-b", str(tmp_path / f"{prefix}b.csv"),
+               "--condition-b", str(tmp_path / f"{prefix}b.csv"), *raw,
                "--out", str(out / f"{prefix}tests.csv")] for prefix in ("", "ragged_")),
         ]
 

@@ -523,20 +523,20 @@ def test_average_over_segments_requires_matching_grids():
 # ----------------------------------------------------------------------- io
 
 
-def test_spectrum_csv_reader_defaults_sampling_rate(tmp_path):
-    grid = FrequencyGrid.regular(4.0, 30.0, 0.5, sampling_rate_hz=60.0)
-    spec = compute_pdc(LOWER_VAR1, grid)
+def test_spectrum_csv_reader_takes_the_rate_it_is_given(tmp_path):
+    grid = FrequencyGrid.regular(4.0, 30.0, 0.5, sampling_rate_hz=250.0)
     path = tmp_path / "spec.csv"
-    write_spectrum_csv(spec, path)
-    back = read_spectrum_csv(path)
-    assert back.grid.sampling_rate_hz == 60.0  # twice the highest frequency
+    write_spectrum_csv(compute_pdc(LOWER_VAR1, grid), path)
+    assert read_spectrum_csv(path, 250.0).grid.sampling_rate_hz == 250.0
+    with pytest.raises(TypeError):  # the table holds no rate, so none is guessed
+        read_spectrum_csv(path)
 
 
 def test_spectrum_csv_rejects_a_duplicate_row(tmp_path):
     path = tmp_path / "spec.csv"
     path.write_text("freq_hz,source,target,pdc\n4.0,a,a,0.5\n4,a,a,0.9\n")
     with pytest.raises(ValueError) as info:
-        read_spectrum_csv(path)
+        read_spectrum_csv(path, 250.0)
     assert str(info.value) == f"{path}:3: duplicate row for 4.0 Hz, a->a"
 
 

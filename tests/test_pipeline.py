@@ -238,6 +238,9 @@ def test_config_json_default_text(tmp_path):
     ({"epoch_length_ms": 10**400}, "epoch_length_ms"),
     ({"channel_pairs": [["ch1", 2]]}, "channel_pairs"),
     ({"bands": {"theta": [4.0, "7.5"]}}, "bands"),
+    ({"bands": {"theta": [4.0]}}, "bands"),
+    ({"bands": {"theta": [4.0, math.inf]}}, "bands"),
+    ({"alpha": 1.5}, "alpha must lie in (0, 1), got 1.5"),
     # a dotted path is a key only inside its group
     ({"freq_grid.low_hz": 2.0}, "unknown config keys ['freq_grid.low_hz']"),
     ({"stationarity.n_windows": 4}, "unknown config keys ['stationarity.n_windows']"),
@@ -645,10 +648,12 @@ def test_a_cohort_of_one_channel_is_rejected_before_fitting(tmp_path, capsys, mo
 
 def test_config_reader_refuses_a_repeated_key_inside_a_group(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text('{"sampling_rate_hz": 250.0, "freq_grid": {"low_hz": 4.0, "low_hz": 6.0}}')
-    with pytest.raises(ValueError) as info:
-        read_config_json(path)
-    assert str(info.value) == f'{path}: key "low_hz" is repeated'
+    for group, key in (('"freq_grid": {"low_hz": 4.0, "low_hz": 6.0}', "low_hz"),
+                       ('"bands": {"x": [4.0, 8.0], "x": [20.0, 30.0]}', "x")):
+        path.write_text(f'{{"sampling_rate_hz": 250.0, {group}}}')
+        with pytest.raises(ValueError) as info:
+            read_config_json(path)
+        assert str(info.value) == f'{path}: key "{key}" is repeated'
 
 
 def test_pipeline_explicit_pair_subset():

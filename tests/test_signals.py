@@ -244,42 +244,28 @@ def test_screen_passes_white_noise_at_default_tolerances():
 # ----------------------------------------------------------------------- io
 
 
-@pytest.mark.parametrize("labels, message", [
-    ((" F3", "F4 "), f"column 1 has channel label ' F3', which is not {LABEL_RULE}"),
-    (("F3", "F3 "), f"column 2 has channel label 'F3 ', which is not {LABEL_RULE}"),
-    (("F3", ""), f"column 2 has channel label '', which is not {LABEL_RULE}"),
-    # a repeat found last, after 63 labels that each follow the rule
-    ((*(f"ch{i}" for i in range(1, 64)), "ch1"), "column 64 repeats channel label 'ch1'"),
-], ids=["labels0", "labels1", "labels2", "labels3"])
-def test_recording_refuses_padded_labels(labels, message):
-    # the reader strips header labels and rejects an empty one: the first
-    # pair would read back as ('F3', 'F4'), the second as a duplicate, so
-    # no recording, and thus no file the writer makes, holds such a label
-    with pytest.raises(ValueError) as info:
-        _recording(np.zeros((3, len(labels))), labels=labels)
-    assert str(info.value) == message
-
-
-_TWO_CHANNELS = {
+# each container built with one channel per label
+_CONTAINERS = {
     "Recording": lambda labels: Recording(
-        samples=np.zeros((3, 2)), sampling_rate_hz=250.0, channel_labels=labels),
+        samples=np.zeros((3, len(labels))), sampling_rate_hz=250.0, channel_labels=labels),
     "VarModel": lambda labels: VarModel(
-        order_p=1, coeff_matrices=np.zeros((1, 2, 2)), residual_covariance=np.eye(2),
-        n_samples_used=10, channel_labels=labels),
+        order_p=1, coeff_matrices=np.zeros((1, len(labels), len(labels))),
+        residual_covariance=np.eye(len(labels)), n_samples_used=10, channel_labels=labels),
     "PdcSpectrum": lambda labels: PdcSpectrum(
-        values=np.full((1, 2, 2), 0.5),
+        values=np.full((1, len(labels), len(labels)), 0.5),
         grid=FrequencyGrid(freqs_hz=np.array([4.0]), sampling_rate_hz=250.0),
         channel_labels=labels),
     "BandAverages": lambda labels: BandAverages(
-        bands={"alpha": np.full((2, 2), 0.5)}, band_edges_hz={"alpha": (8.0, 12.0)},
-        channel_labels=labels),
+        bands={"alpha": np.full((len(labels), len(labels)), 0.5)},
+        band_edges_hz={"alpha": (8.0, 12.0)}, channel_labels=labels),
     "GeneratorSpec": lambda labels: GeneratorSpec(
-        coeff_matrices=np.zeros((1, 2, 2)), innovation_covariance=np.eye(2), n_samples=10,
-        seed=0, sampling_rate_hz=250.0, channel_labels=labels),
+        coeff_matrices=np.zeros((1, len(labels), len(labels))),
+        innovation_covariance=np.eye(len(labels)), n_samples=10, seed=0,
+        sampling_rate_hz=250.0, channel_labels=labels),
 }
 
 
-@pytest.mark.parametrize("container", list(_TWO_CHANNELS))
+@pytest.mark.parametrize("container", list(_CONTAINERS))
 @pytest.mark.parametrize("labels, message", [
     (("", "b"), f"column 1 has channel label '', which is not {LABEL_RULE}"),
     ((" a", "b"), f"column 1 has channel label ' a', which is not {LABEL_RULE}"),
@@ -290,9 +276,11 @@ _TWO_CHANNELS = {
     (("a->b", "c"), f"column 1 has channel label 'a->b', which is not {LABEL_RULE}"),
     (("a", "b->c"), f"column 2 has channel label 'b->c', which is not {LABEL_RULE}"),
     ("ab", "channel labels must be a sequence of labels, got 'ab'"),  # not split into letters
+    # a repeat found last, after 63 labels that each follow the rule
+    ((*(f"ch{i}" for i in range(1, 64)), "ch1"), "column 64 repeats channel label 'ch1'"),
 ])
 def test_containers_follow_the_channel_label_rule(container, labels, message):
-    build = _TWO_CHANNELS[container]
+    build = _CONTAINERS[container]
     assert build(("a", "b")).channel_labels == ("a", "b")
     with pytest.raises(ValueError) as info:
         build(labels)
