@@ -53,6 +53,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+_CONFIG_HELP = ("pipeline config JSON, read and checked whole as `pipeline` reads it, so "
+                "sampling_rate_hz is required; this command uses {}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdckit",
@@ -69,19 +73,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit one VAR model to a whole recording")
     p.add_argument("--input", required=True, help="recording CSV")
-    p.add_argument("--config", required=True,
-                   help="pipeline config JSON: sampling rate, order rule and centring")
+    p.add_argument("--config", required=True, help=_CONFIG_HELP.format(
+        "sampling_rate_hz, order_mode, fixed_order, p_scan_max and mean_center"))
     p.add_argument("--out", required=True, help="output model JSON")
 
     p = sub.add_parser("pdc", help="coupling spectrum of a fitted model")
     p.add_argument("--model", required=True, help="model JSON, as `fit` writes it")
-    p.add_argument("--config", required=True, help="pipeline config JSON: frequency grid")
+    p.add_argument("--config", required=True,
+                   help=_CONFIG_HELP.format("sampling_rate_hz and freq_grid"))
     p.add_argument("--out", required=True, help="output spectrum CSV")
 
     p = sub.add_parser("bands", help="average a spectrum within frequency bands")
     p.add_argument("--spectrum", required=True, help="spectrum CSV")
     p.add_argument("--config", required=True,
-                   help="pipeline config JSON: sampling rate and bands")
+                   help=_CONFIG_HELP.format("sampling_rate_hz and bands"))
     p.add_argument("--out", required=True, help="output band JSON")
 
     p = sub.add_parser("compare", help="paired tests between two band-value tables")
@@ -89,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="CSV with columns pair,band,subject,value")
     p.add_argument("--condition-b", required=True,
                    help="CSV with columns pair,band,subject,value")
-    p.add_argument("--config", required=True, help="pipeline config JSON: alpha")
+    p.add_argument("--config", required=True, help=_CONFIG_HELP.format("alpha"))
     p.add_argument("--out", required=True, help="output test-table CSV")
 
     p = sub.add_parser("pipeline", help="full two-condition analysis")

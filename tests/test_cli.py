@@ -1,3 +1,5 @@
+import argparse
+import ast
 import csv
 import dataclasses
 import io
@@ -33,7 +35,7 @@ from pdckit import (
 from pdckit import cli
 from pdckit.cli import main
 from pdckit.pdc import read_spectrum_csv
-from pdckit.pipeline import _fit_order
+from pdckit.pipeline import _CONFIG_KEYS, _fit_order
 
 
 def _gen_spec_file(tmp_path, coeffs=None, n=800, seed=12, name="gen.json"):
@@ -153,11 +155,14 @@ def test_fit_then_pdc_write_what_the_pipeline_route_writes(tmp_path, capsys):
         "theta", "alpha", "beta1"}
 
 
+_TESTS = Path(__file__).parent
+_README = (_TESTS.parent / "README.md").read_text(encoding="utf-8")
+
+
 def _readme_walkthrough():
     """The first `sh` block under README's "Command-line walkthrough": its heredoc
     files (name -> text) and its `pdckit` lines, each split into an argv."""
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## Command-line walkthrough", 1)[1].split("```sh\n", 1)[1]
+    block = _README.split("## Command-line walkthrough", 1)[1].split("```sh\n", 1)[1]
     lines = iter(block.split("```", 1)[0].splitlines())
     files, commands = {}, []
     for line in lines:
@@ -185,9 +190,8 @@ def test_the_readme_walkthrough_runs(tmp_path, capsys, monkeypatch):
 def test_every_readme_command_parses():
     # every `pdckit` line of every README `sh` block, `\` continuations joined,
     # so a flag the parser no longer takes cannot stay in the docs
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     commands = [shlex.split(line)[1:]
-                for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+                for block in re.findall(r"```sh\n(.*?)```", _README, re.S)
                 for line in block.replace("\\\n", " ").splitlines() if line.startswith("pdckit ")]
     assert {argv[0] for argv in commands} == set(cli._HANDLERS)
     parser = cli._build_parser()
@@ -196,6 +200,30 @@ def test_every_readme_command_parses():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README line does not parse: pdckit {shlex.join(argv)}")
+
+
+def _top_level_names(path):
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_every_test_the_readme_names_is_defined():
+    # README names the owner of each rule; a renamed table or test must not leave
+    # a dead pointer. A case id in brackets is not checked, only its function
+    defined = {path.name: _top_level_names(path) for path in _TESTS.glob("*.py")}
+    everywhere = set().union(*defined.values())
+    pointers = re.findall(r"`tests/(\w+\.py)::(\w+)(?:\[[^`]*\])?`", _README)
+    bare = re.findall(r"`(test_\w+)(?:\[[^`]*\])?`", _README)
+    assert pointers and bare
+    for file, name in pointers:
+        assert name in defined.get(file, ()), f"README names tests/{file}::{name}"
+    for name in bare:
+        assert name in everywhere, f"README names {name}, which no file in tests/ defines"
 
 
 def test_bands_default_and_custom(tmp_path, capsys):
@@ -364,6 +392,7 @@ _CONTRACT_FILES = {
     "alpha.csv": "pair,band,subject,value\na->b,alpha,s1,0.1\n",
     "theta.csv": "pair,band,subject,value\na->b,theta,s1,0.1\n",
     "no_value.csv": "pair,band,subject\na->b,alpha,s1\n",
+    "alpha_only.json": '{"alpha": 0.01}\n',
     # 12 rows of 2 channels: p_scan_max 5 is within the order bound, but order 5 on
     # the 7 rows after the first 5 breaks N - p >= M*p + 1
     "short.csv": "ch1,ch2\n" + "".join(f"{k},{k % 3}\n" for k in range(12)),
@@ -379,9 +408,15 @@ _CONTRACT_FILES = {
     "labels_model.json": '{"order": 1, "channel_labels": ["ch1", 2], "coeff_matrices": [[[0.3, '
                          '0.0], [0.4, 0.3]]], "residual_covariance": [[1.0, 0.0], [0.0, 1.0]], '
                          '"n_samples_used": 100}\n',
+    "order1_model.json": '{"order": 1, "channel_labels": ["a", "b"], "coeff_matrices": [[[0.3, 0.0], '
+                         '[0.4, 0.3]]], "residual_covariance": [[1.0, 0.0], [0.0, 1.0]], '
+                         '"n_samples_used": 100}\n',
     "inf_sample.csv": "ch1,ch2\n1.0,2.0\n3.0,inf\n",
     "spectrum.csv": "freq_hz,source,target,pdc\n4.0,a,a,1.0\n",
     "nan_cell.csv": "freq_hz,source,target,pdc\n4.0,a,a,nan\n",
+    # one row in each default band
+    "band_spectrum.csv": "freq_hz,source,target,pdc\n6.0,a,a,1.0\n10.0,a,a,1.0\n15.0,a,a,1.0\n"
+                         "25.0,a,a,1.0\n",
     "above_one.csv": "freq_hz,source,target,pdc\n4.0,a,a,1.5\n",
     "negative_freq.csv": "freq_hz,source,target,pdc\n-4.0,a,a,1.0\n",
     "padded_label.csv": "freq_hz,source,target,pdc\n4.0, a,a,1.0\n",
@@ -549,6 +584,14 @@ _FAILURES = {
     "bands-no-config": (_bands("spectrum.csv")[:-2], 2, None),
     "compare-alpha": ([*_compare("alpha.csv", "alpha.csv"), "--alpha", "0.01"], 2, None),
     "compare-no-config": (_compare("alpha.csv", "alpha.csv")[:-2], 2, None),
+    # every stage reads and checks the whole config, the one home of the protocol,
+    # so a file without sampling_rate_hz is refused even where the stage uses no rate
+    **{f"{argv[0]}-config-without-rate": (argv, 2, "argument-error: {tmp}/alpha_only.json: "
+                                          "sampling_rate_hz is required")
+       for argv in (_fit(config="alpha_only.json"), _pdc("order1_model.json", "alpha_only.json"),
+                    _bands("band_spectrum.csv", "alpha_only.json"),
+                    _compare("alpha.csv", "alpha.csv", "alpha_only.json"),
+                    _pipeline("alpha_only.json"))},
     # argparse refuses a thread count below 1 before the command runs
     "pipeline-threads-0": ([*_pipeline("order2.json"), "--threads", "0"], 2, None),
 }
@@ -581,6 +624,19 @@ def test_each_failure_exits_with_its_code_and_one_stderr_line(tmp_path, capsys, 
     # and no command wrote its output
     assert not any((tmp_path / out).exists()
                    for out in ("r.csv", "m.json", "s.csv", "b.json", "t.csv", "report"))
+
+
+@pytest.mark.parametrize("command", ["fit", "pdc", "bands", "compare"])
+def test_config_help_says_the_whole_file_is_checked_and_names_real_keys(command):
+    # the `*-config-without-rate` rows pin the check the help describes; a renamed
+    # config key must not leave its old name in the help
+    commands = next(action.choices for action in cli._build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    text = next(action.help for action in commands[command]._actions
+                if action.option_strings == ["--config"])
+    assert "read and checked whole" in text and "sampling_rate_hz is required" in text
+    used = re.split(r", | and ", text.split("this command uses ", 1)[1])
+    assert set(used) <= {key.split(".")[0] for key in _CONFIG_KEYS}, used
 
 
 def _reader_inputs(tmp_path):

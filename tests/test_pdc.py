@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -283,8 +283,20 @@ def _pdc_calls(draw):
     return models, grids, calls
 
 
+def _masked_reference_case(vanishing):
+    """A random 3-channel VAR(2) on a 0 / 10 / 62.5 Hz grid at 250 Hz; with
+    ``vanishing``, column 0 is the unit lag-1 diagonal only and vanishes at 0 Hz."""
+    coeffs = np.random.default_rng(11).normal(scale=0.3, size=(2, 2, 3, 3))[int(vanishing)]
+    if vanishing:
+        coeffs[:, :, 0] = 0.0
+        coeffs[0, 0, 0] = 1.0
+    return [_model(coeffs, ("a", "b", "c"))], [(np.array([0.0, 10.0, 62.5]), 250.0)], [(0, 0)]
+
+
 @settings(max_examples=80)
 @given(case=_pdc_calls())
+@example(case=_masked_reference_case(vanishing=False))
+@example(case=_masked_reference_case(vanishing=True))
 def test_pdc_with_the_cached_phase_table_equals_the_uncached_transfer(case):
     models, grids, calls = case
     for model_index, grid_index in calls:
@@ -301,22 +313,6 @@ def test_pdc_with_the_cached_phase_table_equals_the_uncached_transfer(case):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 0.0
-
-
-def test_pdc_is_bit_identical_to_the_masked_reference_with_and_without_degenerate_columns():
-    grid = FrequencyGrid(freqs_hz=np.array([0.0, 10.0, 62.5]), sampling_rate_hz=250.0)
-    rng = np.random.default_rng(11)
-    for vanishing in (False, True):
-        coeffs = rng.normal(scale=0.3, size=(2, 3, 3))
-        if vanishing:  # column 0 is the unit lag-1 diagonal only: it vanishes at 0 Hz
-            coeffs[:, :, 0] = 0.0
-            coeffs[0, 0, 0] = 1.0
-        model = _model(coeffs, ("a", "b", "c"))
-        spectrum = compute_pdc(model, grid)
-        values, degenerate = _uncached_pdc(model.coeff_matrices, grid.freqs_hz, 250.0)
-        assert np.array_equal(spectrum.values, values)
-        assert spectrum.degenerate_columns == degenerate
-        assert bool(degenerate) == vanishing
 
 
 def test_pdc_rejects_grid_channel_mismatch():

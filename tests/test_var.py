@@ -253,62 +253,6 @@ def fit_inputs(draw):
     return x * 10.0 ** draw(st.integers(-6, 6)), p
 
 
-def test_fit_matches_lstsq_fallback_on_every_input():
-    """fit_var equals the lstsq fit: the same errors, and the same numbers to rounding.
-
-    Where fit_var runs lstsq itself, the results must be identical. Where
-    the QR path runs, any two backward-stable least-squares solvers may
-    differ by a small multiple of eps * kappa times the forward-error scale
-    of each output (Golub & Van Loan, 5.3): ``||x|| + kappa ||r|| / ||A||``
-    for the coefficients, ``||b||`` for the residuals, and
-    ``2 ||r|| ||b|| / rows`` for the covariance.
-    """
-    seen = Counter()
-
-    @settings(max_examples=150)
-    @given(fit_inputs())
-    @example((_CONSTANT, 1))
-    @example((_CONSTANT, 2))
-    @example((_ZERO, 1))
-    @example((_DUPLICATE, 1))
-    @example((_PAST_CAP, 1))
-    @example((_BELOW_CAP, 1))
-    def check(case):
-        samples, p = case
-        try:
-            expected = _lstsq_fit(samples, p)
-        except EstimationError:
-            expected = None
-        with mock.patch.object(np.linalg, "lstsq", wraps=_LSTSQ) as lstsq:
-            if expected is None:
-                with pytest.raises(EstimationError, match="rank deficient"):
-                    fit_var(_segment(samples), p)
-                assert lstsq.call_count == 1
-                seen["rank deficient"] += 1
-                return
-            model, residuals = fit_var(_segment(samples), p)
-        ref_model, ref_residuals = expected
-        coeffs, cov = ref_model.coeff_matrices, ref_model.residual_covariance
-        if lstsq.call_count:
-            seen["lstsq"] += 1
-            assert np.array_equal(model.coeff_matrices, coeffs)
-            assert np.array_equal(residuals, ref_residuals)
-            assert np.array_equal(model.residual_covariance, cov)
-            return
-        seen["qr"] += 1
-        design, target = build_design(samples, p)
-        kappa = _condition(samples, p)
-        tol = 64 * _EPS * kappa
-        norm = np.linalg.norm
-        r, b = norm(ref_residuals), norm(target)
-        assert norm(model.coeff_matrices - coeffs) <= tol * (norm(coeffs) + kappa * r / norm(design))
-        assert norm(residuals - ref_residuals) <= tol * b
-        assert norm(model.residual_covariance - cov) <= tol * 2 * r * b / design.shape[0]
-
-    check()
-    assert seen["qr"] and seen["lstsq"] and seen["rank deficient"], seen
-
-
 def test_fit_takes_qr_up_to_the_cap_and_lstsq_past_it():
     assert 1e4 < _condition(_PAST_CAP, 1) < 2e4
     assert 5e3 < _condition(_BELOW_CAP, 1) < 1e4
@@ -370,12 +314,31 @@ def test_joint_design_equals_the_per_lag_copy(n, m, data):
         assert np.array_equal(samples, before)
 
 
-@settings(max_examples=60)
-@given(fit_inputs())
-@example((_DUPLICATE, 1))
-@example((_ZERO, 1))
-def test_qr_top_rows_equal_the_r_mode_triangle(case):
-    samples, p = case
+def _fit_by_r_mode(samples, p):
+    """fit_var's coefficients, residuals and covariance as computed before its
+    kernels were rewritten: the per-lag design, ``np.linalg.qr(mode="r")``,
+    ``np.linalg.norm`` and the lstsq fallback; None for a rank-deficient design."""
+    m = samples.shape[1]
+    k = m * p
+    joint = _joint_design_by_lag(samples, p)
+    design, target = joint[:, :k], joint[:, k:]
+    r = np.linalg.qr(joint, mode="r")
+    try:
+        r_inv = np.linalg.inv(r[:k, :k])
+    except np.linalg.LinAlgError:
+        r_inv = None
+    if r_inv is not None and np.linalg.norm(r[:k, :k]) * np.linalg.norm(r_inv) <= 1e4:
+        coeffs_flat = r_inv @ r[:k, k:]
+    else:
+        coeffs_flat, _, rank, _ = _LSTSQ(design, target, rcond=None)
+        if rank < k:
+            return None
+    residuals = target - design @ coeffs_flat
+    coeffs = coeffs_flat.reshape(p, m, m).transpose(0, 2, 1)
+    return coeffs, residuals, residuals.T @ residuals / design.shape[0]
+
+
+def _assert_qr_top_rows_equal_the_r_mode_triangle(samples, p):
     k = samples.shape[1] * p
     joint = _joint_design(samples, p)
     for a in (joint, np.ascontiguousarray(joint)):  # column-major as the fit passes it, and row-major
@@ -389,33 +352,17 @@ def test_qr_top_rows_equal_the_r_mode_triangle(case):
         mask[0, 0] = False
 
 
-def _fit_by_r_mode(samples, p):
-    """fit_var's coefficients, residuals and covariance as computed before its
-    kernels were rewritten: the per-lag design, ``np.linalg.qr(mode="r")``,
-    ``np.linalg.norm`` and the lstsq fallback. Returns the branch taken and
-    the arrays, or None for a rank-deficient design."""
-    m = samples.shape[1]
-    k = m * p
-    joint = _joint_design_by_lag(samples, p)
-    design, target = joint[:, :k], joint[:, k:]
-    r = np.linalg.qr(joint, mode="r")
-    try:
-        r_inv = np.linalg.inv(r[:k, :k])
-    except np.linalg.LinAlgError:
-        r_inv = None
-    if r_inv is not None and np.linalg.norm(r[:k, :k]) * np.linalg.norm(r_inv) <= 1e4:
-        branch, coeffs_flat = "qr", r_inv @ r[:k, k:]
-    else:
-        coeffs_flat, _, rank, _ = _LSTSQ(design, target, rcond=None)
-        if rank < k:
-            return "rank deficient", None
-        branch = "lstsq"
-    residuals = target - design @ coeffs_flat
-    coeffs = coeffs_flat.reshape(p, m, m).transpose(0, 2, 1)
-    return branch, (coeffs, residuals, residuals.T @ residuals / design.shape[0])
+def test_fit_is_the_r_mode_fit_bit_for_bit_and_the_lstsq_fit_to_rounding():
+    """fit_var fails where the r-mode fit and the lstsq fit do, equals the
+    r-mode fit bit for bit, and equals the lstsq fit to rounding.
 
-
-def test_fit_is_bit_identical_to_the_r_mode_fit_and_fails_on_the_same_inputs():
+    Where fit_var runs lstsq itself, the lstsq results must be identical.
+    Where the QR path runs, any two backward-stable least-squares solvers may
+    differ by a small multiple of eps * kappa times the forward-error scale
+    of each output (Golub & Van Loan, 5.3): ``||x|| + kappa ||r|| / ||A||``
+    for the coefficients, ``||b||`` for the residuals, and
+    ``2 ||r|| ||b|| / rows`` for the covariance.
+    """
     seen = Counter()
 
     @settings(max_examples=150)
@@ -428,52 +375,46 @@ def test_fit_is_bit_identical_to_the_r_mode_fit_and_fails_on_the_same_inputs():
     @example((_BELOW_CAP, 1))
     def check(case):
         samples, p = case
-        branch, expected = _fit_by_r_mode(samples, p)
-        seen[branch] += 1
-        if expected is None:
-            with pytest.raises(EstimationError, match="rank deficient"):
-                fit_var(_segment(samples), p)
-            return
-        model, residuals = fit_var(_segment(samples), p)
+        _assert_qr_top_rows_equal_the_r_mode_triangle(samples, p)
+        expected = _fit_by_r_mode(samples, p)
+        try:
+            reference = _lstsq_fit(samples, p)
+        except EstimationError:
+            reference = None
+        with mock.patch.object(np.linalg, "lstsq", wraps=_LSTSQ) as lstsq:
+            if expected is None or reference is None:
+                with pytest.raises(EstimationError, match="rank deficient"):
+                    fit_var(_segment(samples), p)
+                assert expected is None and reference is None
+                assert lstsq.call_count == 1
+                seen["rank deficient"] += 1
+                return
+            model, residuals = fit_var(_segment(samples), p)
         got = (model.coeff_matrices, residuals, model.residual_covariance)
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        ref_model, ref_residuals = reference
+        coeffs, cov = ref_model.coeff_matrices, ref_model.residual_covariance
+        if lstsq.call_count:
+            seen["lstsq"] += 1
+            assert np.array_equal(model.coeff_matrices, coeffs)
+            assert np.array_equal(residuals, ref_residuals)
+            assert np.array_equal(model.residual_covariance, cov)
+            return
+        seen["qr"] += 1
+        design, target = build_design(samples, p)
+        kappa = _condition(samples, p)
+        tol = 64 * _EPS * kappa
+        norm = np.linalg.norm
+        r, b = norm(ref_residuals), norm(target)
+        assert norm(model.coeff_matrices - coeffs) <= tol * (norm(coeffs) + kappa * r / norm(design))
+        assert norm(residuals - ref_residuals) <= tol * b
+        assert norm(model.residual_covariance - cov) <= tol * 2 * r * b / design.shape[0]
 
     check()
     assert seen["qr"] and seen["lstsq"] and seen["rank deficient"], seen
 
 
 # ----------------------------------------------------------------------- aic
-
-
-def test_aic_identity_covariance_counts_parameters_only():
-    model = VarModel(
-        order_p=15,
-        coeff_matrices=np.zeros((15, 2, 2)),
-        residual_covariance=np.eye(2),
-        n_samples_used=210,
-        channel_labels=("a", "b"),
-    )
-    assert aic(model, 225) == 120.0  # ln det I = 0, 2 * 15 * 2^2
-
-
-def test_aic_matches_hand_value_on_diagonal_covariance():
-    model = VarModel(
-        order_p=2,
-        coeff_matrices=np.zeros((2, 2, 2)),
-        residual_covariance=np.diag([2.0, 0.5]),
-        n_samples_used=98,
-        channel_labels=("a", "b"),
-    )
-    # det = 1.0 so the fit term vanishes again; perturb to exercise it
-    assert aic(model, 100) == pytest.approx(16.0)
-    model2 = VarModel(
-        order_p=2,
-        coeff_matrices=np.zeros((2, 2, 2)),
-        residual_covariance=np.diag([2.0, 1.0]),
-        n_samples_used=98,
-        channel_labels=("a", "b"),
-    )
-    assert aic(model2, 100) == pytest.approx(100.0 * math.log(2.0) + 16.0)
 
 
 def test_aic_rejects_singular_covariance():
@@ -545,22 +486,6 @@ def test_choose_order_validates_input():
         choose_order_from_aic([], n=225, m=2)
     with pytest.raises(ValueError):
         choose_order_from_aic([(1, 1.0), (3, 2.0)], n=225, m=2)  # gap in orders
-
-
-def test_select_order_recovers_known_order_on_long_series():
-    truth = np.stack(
-        [
-            [[0.35, 0.10], [0.15, 0.30]],
-            [[-0.25, 0.05], [0.05, -0.20]],
-            [[0.15, -0.05], [0.10, 0.15]],
-            [[-0.25, 0.10], [0.05, -0.30]],
-        ]
-    )
-    hits = 0
-    for seed in range(40):
-        sel = select_order(_simulate(truth, 2000, 60_000 + seed), p_scan_max=8)
-        hits += sel.chosen_p == 4
-    assert hits >= 34
 
 
 def test_select_order_on_white_noise_stays_low_or_caps():
