@@ -33,10 +33,7 @@ _LABEL_RULE = "a non-empty string without edge whitespace or '->'"
 
 def _is_real(value) -> bool:
     """A real number, numpy's real scalars included, that is not a bool."""
-    # the exact-type test first: the hot path passes a float or an int, and an
-    # isinstance against the ABC costs several times as much
-    return type(value) in (float, int) or (isinstance(value, numbers.Real)
-                                           and not isinstance(value, bool))
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _is_finite_real(value) -> bool:

@@ -9,6 +9,7 @@ model is fitted to it.
 from __future__ import annotations
 
 import io
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -90,9 +91,7 @@ class Recording:
     def centered(self) -> "Recording":
         """Return the recording with each channel's mean subtracted; refused if not finite."""
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
-            # the sum over the count is np.mean's arithmetic
-            means = np.add.reduce(self.samples, axis=0) / self.n_samples
-            samples = self.samples - means
+            samples = self.samples - self.samples.mean(axis=0)
         return Recording(samples, self.sampling_rate_hz, self.channel_labels)
 
 
@@ -135,11 +134,12 @@ def extract_segments(recording: Recording, epoch_length_ms: float, epoch_starts_
     ------
     ValueError
         If the length is not finite and positive or is too short, or an onset is not
-        finite or its epoch does not lie fully inside the recording.
+        finite or its epoch does not lie fully inside the recording, or the length or
+        an onset is more samples than a float can hold.
     """
     _check_positive("epoch_length_ms", epoch_length_ms)
     fs = recording.sampling_rate_hz
-    n_rows = round(epoch_length_ms * fs / 1000.0)
+    n_rows = _samples("epoch length", epoch_length_ms, fs)
     if n_rows < 2:
         raise ValueError(
             f"epoch of {epoch_length_ms} ms at {fs} Hz yields {n_rows} samples; need at least 2"
@@ -148,7 +148,7 @@ def extract_segments(recording: Recording, epoch_length_ms: float, epoch_starts_
     for start_ms in epoch_starts_ms:
         if not _is_finite_real(start_ms):
             raise ValueError(f"epoch start (ms) must be a finite number, got {start_ms}")
-        start = round(float(start_ms) * fs / 1000.0)
+        start = _samples("epoch start", start_ms, fs)
         if start < 0 or start + n_rows > recording.n_samples:
             raise ValueError(
                 f"epoch starting at {start_ms} ms (sample {start}) does not fit in a "
@@ -157,6 +157,15 @@ def extract_segments(recording: Recording, epoch_length_ms: float, epoch_starts_
         segments.append(_unchecked(Recording, {  # rows of a checked recording, at least 2
             **vars(recording), "samples": recording.samples[start : start + n_rows]}))
     return segments
+
+
+def _samples(what: str, ms, fs: float) -> int:
+    """The whole number of samples nearest ``ms`` milliseconds at ``fs`` Hz, for a
+    finite ``ms``; refused, naming ``what``, where that number is past float range."""
+    samples = float(ms) * fs / 1000.0
+    if not math.isfinite(samples):
+        raise ValueError(f"{what} {ms} ms at {fs} Hz has a sample count past float range")
+    return round(samples)
 
 
 def _window_length(n_samples: int, n_windows: int) -> int:
@@ -205,12 +214,8 @@ def screen_stationarity(
 
     # a statistic past float range is inf or NaN, and the screen fails on it
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # np.mean and np.var(ddof=1) over axis 1, with their arithmetic: sums over
-        # counts, and the squared deviations from those means
-        means = np.add.reduce(windows, axis=1) / win_len                   # (n_windows, M)
-        deviations = windows - means[:, None, :]
-        np.multiply(deviations, deviations, out=deviations)
-        variances = np.add.reduce(deviations, axis=1) / (win_len - 1)     # (n_windows, M)
+        means = windows.mean(axis=1)                 # (n_windows, M)
+        variances = windows.var(axis=1, ddof=1)      # (n_windows, M)
         spread = np.maximum.reduce(means) - np.minimum.reduce(means)
         pooled_std = np.sqrt(np.add.reduce(variances) / n_windows)
         var_min = np.minimum.reduce(variances)

@@ -113,15 +113,14 @@ def generate(spec: GeneratorSpec) -> Recording:
     total = spec.burn_in + spec.n_samples
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     chol = np.linalg.cholesky(spec.innovation_covariance)
-    innovations = rng.standard_normal((total, m)) @ chol.T
+    history = np.zeros((p + total, m))  # p zero rows of initial state, then the samples
+    history[p:] = rng.standard_normal((total, m)) @ chol.T
 
     coeffs = spec.coeff_matrices
-    history = np.zeros((p + total, m))
-    for t in range(total):
-        x = innovations[t].copy()
+    for t in range(p, p + total):
+        x = history[t]  # the innovation, to which each lag term is added in place
         for r in range(p):
-            x += coeffs[r] @ history[p + t - 1 - r]
-        history[p + t] = x
+            x += coeffs[r] @ history[t - 1 - r]
     return Recording(
         samples=history[p + spec.burn_in:],
         sampling_rate_hz=spec.sampling_rate_hz,

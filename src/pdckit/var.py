@@ -391,18 +391,9 @@ def companion_matrix(coeff_matrices: np.ndarray) -> np.ndarray:
     """Companion form of the lag matrices: (M*p, M*p) block matrix."""
     coeffs = np.asarray(coeff_matrices, dtype=float)
     p, m, _ = coeffs.shape
-    comp = _companion_shift(m, p).copy()
+    comp = np.eye(m * p, k=-m)  # identity blocks below the first block row
     comp[:m] = coeffs.transpose(1, 0, 2).reshape(m, m * p)
     return comp
-
-
-@cache
-def _companion_shift(m: int, p: int) -> np.ndarray:
-    """Read-only (M*p, M*p) companion template: identity blocks below the first
-    block row, which the lag matrices fill."""
-    shift = np.eye(m * p, k=-m)
-    shift.flags.writeable = False
-    return shift
 
 
 def check_stability(model: VarModel) -> bool:

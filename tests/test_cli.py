@@ -187,6 +187,13 @@ def test_the_readme_walkthrough_runs(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("block", re.findall(r"```python\n(.*?)```", _README, re.S),
+                         ids=lambda block: block.split("\n", 1)[0])
+def test_each_readme_python_block_runs(tmp_path, monkeypatch, block):
+    monkeypatch.chdir(tmp_path)  # a block may write a file, as the config block does
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_every_readme_command_parses():
     # every `pdckit` line of every README `sh` block, `\` continuations joined,
     # so a flag the parser no longer takes cannot stay in the docs
@@ -385,6 +392,7 @@ _CONTRACT_FILES = {
     "infinite_rate.json": '{"sampling_rate_hz": Infinity}\n',
     "nan_step.json": '{"sampling_rate_hz": 250.0, "freq_grid": {"step_hz": NaN}}\n',
     "markers.csv": "0\n",
+    "huge_onset.csv": "0\n1e306\n",
     "no_rows.csv": "freq_hz,source,target,pdc\n",
     "partial.csv": "freq_hz,source,target,pdc\n4.0,a,a,1.0\n4.0,a,b,0.5\n",
     "no_data.csv": "pair,band,subject,value\n",
@@ -438,9 +446,9 @@ def _pdc(model="m.json", config="order2.json"):
             "--config", "{tmp}/" + config]
 
 
-def _pipeline(config, recording="rec.csv"):
+def _pipeline(config, recording="rec.csv", markers="markers.csv"):
     return ["pipeline", "--condition-a", "{tmp}/rec.csv", "--condition-b", "{tmp}/" + recording,
-            "--markers", "{tmp}/markers.csv", "--out", "{tmp}/report",
+            "--markers", "{tmp}/" + markers, "--out", "{tmp}/report",
             "--config", "{tmp}/" + config]
 
 
@@ -561,6 +569,10 @@ _FAILURES = {
     "pipeline-non-finite-sample": (_pipeline("order2.json", "inf_sample.csv"), 2,
                                    "argument-error: {tmp}/inf_sample.csv:3: ch2 must be a finite "
                                    "number, got 'inf'"),
+    "pipeline-onset-past-float-range": (_pipeline("order2.json", markers="huge_onset.csv"), 2,
+                                        "argument-error: condition a, subject 0: epoch start "
+                                        "1e+306 ms at 250.0 Hz has a sample count past float "
+                                        "range"),
     "pipeline-unfittable-order": (_pipeline("order400.json"), 2,
                                   "argument-error: order 400 breaks N - p >= M*p + 1 for N=225 "
                                   "samples and M=2 channels"),

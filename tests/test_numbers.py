@@ -127,6 +127,13 @@ _REFUSALS = {
     "onset beyond float range": (
         lambda: extract_segments(_recording(), 900.0, [HUGE]),
         f"epoch start (ms) must be a finite number, got {HUGE}"),
+    # finite, but more samples than a float can count
+    "epoch length past float range in samples": (
+        lambda: extract_segments(_recording(), 1e306, [0.0]),
+        "epoch length 1e+306 ms at 250.0 Hz has a sample count past float range"),
+    "onset past float range in samples": (
+        lambda: extract_segments(_recording(), 900.0, [0.0, -1e306]),
+        "epoch start -1e+306 ms at 250.0 Hz has a sample count past float range"),
     "string onset": (
         lambda: extract_segments(_recording(), 900.0, ["0"]),
         "epoch start (ms) must be a finite number, got 0"),

@@ -196,12 +196,16 @@ def test_screen_validates_window_count():
 
 
 def _screen_reference(samples, n_windows):
-    """The screen's windows, means, variances and scores through np.mean and
-    np.var(ddof=1), as `screen_stationarity` once computed them."""
+    """The screen's windows, means, variances and scores, with the arithmetic of
+    np.mean and np.var(ddof=1) written out: sums over counts, and the squared
+    deviations from those means. The screen calls numpy itself, so a reference
+    through numpy would check nothing; an attrition count is compared exactly,
+    and one ulp in a window statistic could flip a borderline epoch."""
     win = samples.shape[0] // n_windows
     windows = samples[: win * n_windows].reshape(n_windows, win, samples.shape[1])
-    means = windows.mean(axis=1)
-    variances = windows.var(axis=1, ddof=1)
+    means = np.add.reduce(windows, axis=1) / win
+    deviations = windows - means[:, None, :]
+    variances = np.add.reduce(deviations * deviations, axis=1) / (win - 1)
     spread = means.max(axis=0) - means.min(axis=0)
     pooled_std = np.sqrt(variances.mean(axis=0))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -229,7 +233,8 @@ def test_screen_means_and_variances_equal_numpy_mean_and_var(n, m, n_windows, se
     assert rep.per_window_variances == tuple(map(tuple, variances))
     assert all(type(v) is np.float64 for row in rep.per_window_means for v in row)
     assert (rep.mean_drift_score, rep.variance_ratio_score) == (drift, ratio)
-    assert np.array_equal(rec.centered().samples, x - x.mean(axis=0))
+    # centring subtracts np.mean's arithmetic too: the sum over the count
+    assert rec.centered().samples.tobytes() == (x - np.add.reduce(x, axis=0) / n).tobytes()
 
 
 def test_screen_passes_white_noise_at_default_tolerances():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pdckit import (
@@ -12,6 +14,8 @@ from pdckit import (
     screen_stationarity,
     write_generator_spec_json,
 )
+
+from conftest import random_stable_var
 
 
 def _spec(coeffs, sigma=None, n=500, seed=0, fs=250.0, **kw):
@@ -83,6 +87,36 @@ def test_generate_is_deterministic_per_seed():
     assert rec1.samples.shape == (500, 2)
     assert rec1.sampling_rate_hz == 250.0
     assert rec1.channel_labels == ("ch1", "ch2")
+
+
+def _generate_by_copy(spec):
+    """The samples of `generate` as its first version built them: each sample in a
+    copy of its innovation, written back after its lag terms. The benchmark's
+    recorded reference outputs rest on these bits."""
+    p, m = spec.order_p, spec.n_channels
+    total = spec.burn_in + spec.n_samples
+    rng = np.random.Generator(np.random.Philox(key=spec.seed))
+    innovations = rng.standard_normal((total, m)) @ np.linalg.cholesky(
+        spec.innovation_covariance).T
+    history = np.zeros((p + total, m))
+    for t in range(total):
+        x = innovations[t].copy()
+        for r in range(p):
+            x += spec.coeff_matrices[r] @ history[p + t - 1 - r]
+        history[p + t] = x
+    return history[p + spec.burn_in:]
+
+
+@settings(max_examples=60)
+@given(m=st.integers(1, 4), p=st.integers(1, 5), n=st.integers(1, 300),
+       burn_in=st.integers(0, 50), seed=st.integers(0, 2**64 - 1))
+def test_generate_is_the_per_sample_copy_loop_bit_for_bit(m, p, n, burn_in, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = random_stable_var(rng, m, p, radius=0.9).coeff_matrices
+    root = rng.normal(size=(m, m))
+    spec = GeneratorSpec(coeff_matrices=coeffs, innovation_covariance=root @ root.T + np.eye(m),
+                         n_samples=n, seed=seed, sampling_rate_hz=250.0, burn_in=burn_in)
+    assert generate(spec).samples.tobytes() == _generate_by_copy(spec).tobytes()
 
 
 def test_generate_white_noise_matches_innovation_covariance():

@@ -28,7 +28,6 @@ from pdckit import (
 from pdckit.var import (
     RULE_CAPPED_BY_BOUND,
     RULE_FIRST_LOCAL_MINIMUM,
-    _companion_shift,
     _joint_design,
     _qr_top_rows,
     _upper_trapezoid,
@@ -566,7 +565,7 @@ def test_companion_matrix_layout():
     assert_allclose(comp[2:, 2:], np.zeros((2, 2)))
 
 
-def test_companion_matrix_is_a_fresh_array_over_an_unchanged_template():
+def test_companion_matrix_is_a_fresh_writeable_array():
     coeffs = np.random.default_rng(3).normal(size=(3, 2, 2))
     expected = np.zeros((6, 6))
     expected[:2] = np.hstack(list(coeffs))
@@ -574,25 +573,8 @@ def test_companion_matrix_is_a_fresh_array_over_an_unchanged_template():
     comp = companion_matrix(coeffs)
     assert np.array_equal(comp, expected)
     assert comp.flags.writeable and comp.flags.owndata
-    comp[:] = 7.0  # a caller's write reaches neither the template nor the next result
+    comp[:] = 7.0  # a caller's write does not reach the next result
     assert np.array_equal(companion_matrix(coeffs), expected)
-    template = _companion_shift(2, 3)
-    assert np.array_equal(template[2:], expected[2:]) and not template[:2].any()
-    assert not template.flags.writeable
-    with pytest.raises(ValueError):
-        template[0, 0] = 1.0
-
-
-def test_every_companion_template_a_run_uses_stays_cached():
-    # an auto-order run on a long cohort checks models of about 20 distinct (M, p)
-    # shapes; a second pass over more shapes than that builds no template again
-    shapes = [(m, p) for m in (2, 4) for p in range(1, 13)]
-    for m, p in shapes:
-        companion_matrix(np.zeros((p, m, m)))
-    misses = _companion_shift.cache_info().misses
-    for m, p in shapes:
-        companion_matrix(np.zeros((p, m, m)))
-    assert _companion_shift.cache_info().misses == misses
 
 
 def test_spectral_radius_ar1_equals_coefficient():
