@@ -10,15 +10,12 @@ import numpy as np
 from pdckit import (
     DEFAULT_BANDS,
     FrequencyGrid,
-    GeneratorSpec,
     PairedSample,
-    VarModel,
     aic,
     compare_conditions,
     compute_pdc,
     default_config,
     fit_var,
-    generate,
     holm_bonferroni,
     max_order_bound,
     run_pipeline,
@@ -29,7 +26,13 @@ from pdckit import (
 from pdckit.var import choose_order_from_aic
 from pdckit.pipeline import _resolve_pairs
 
-from conftest import enumerated_signed_rank_p, random_stable_var
+from conftest import (
+    build_cohort,
+    build_model,
+    enumerated_signed_rank_p,
+    random_stable_var,
+    simulate,
+)
 
 
 GRID = FrequencyGrid.regular(4.0, 30.0, 0.5, 250.0)
@@ -38,16 +41,6 @@ GRID = FrequencyGrid.regular(4.0, 30.0, 0.5, 250.0)
 def _verdict(num, ok, detail):
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} {detail}")
     assert ok, f"criterion {num:02d}: {detail}"
-
-
-def _simulate(coeffs, n, seed, m=2):
-    return generate(GeneratorSpec(
-        coeff_matrices=np.asarray(coeffs, dtype=float),
-        innovation_covariance=np.eye(m),
-        n_samples=n,
-        seed=seed,
-        sampling_rate_hz=250.0,
-    ))
 
 
 def test_criterion_01_pdc_column_normalization():
@@ -80,7 +73,7 @@ def test_criterion_02_var3_coefficient_recovery():
     assert spectral_radius(CRIT2_TRUTH) < 1.0
     hits = 0
     for i in range(200):
-        rec = _simulate(CRIT2_TRUTH, 2000, 1000 + i)
+        rec = simulate(CRIT2_TRUTH, 2000, 1000 + i)
         model, _ = fit_var(rec, 3)
         hits += np.max(np.abs(model.coeff_matrices - CRIT2_TRUTH)) < 0.05
     _verdict(2, hits >= 190, f"elementwise +-0.05 recovery in {hits}/200 seeds")
@@ -99,7 +92,7 @@ def test_criterion_03_order_selection():
     assert spectral_radius(CRIT3_TRUTH) < 1.0
     hits = 0
     for i in range(200):
-        rec = _simulate(CRIT3_TRUTH, 2000, 5000 + i)
+        rec = simulate(CRIT3_TRUTH, 2000, 5000 + i)
         hits += select_order(rec, 10).chosen_p == 4
     # strictly decreasing AIC never has an interior minimum; the cap rule
     # must then return max_order_bound(225, 2) = 22 exactly
@@ -117,7 +110,7 @@ def test_criterion_04_directionality():
     forward = []
     reverse = []
     for i in range(100):
-        rec = _simulate(truth, 2000, 7000 + i)
+        rec = simulate(truth, 2000, 7000 + i)
         model, _ = fit_var(rec, 1)
         values = compute_pdc(model, GRID).values
         p21 = float(np.mean(values[:, 1, 0]))
@@ -139,24 +132,12 @@ def test_criterion_05_aic_dual_route():
         n = int(rng.integers(50, 5001))
         b = rng.normal(size=(m, m))
         sigma = b @ b.T + 0.1 * np.eye(m)
-        model = VarModel(
-            order_p=p,
-            coeff_matrices=np.zeros((p, m, m)),
-            residual_covariance=sigma,
-            n_samples_used=n,
-            channel_labels=tuple(f"ch{k + 1}" for k in range(m)),
-        )
+        model = build_model(np.zeros((p, m, m)), residual_covariance=sigma, n_samples_used=n)
         # independent route: log-determinant via Cholesky, not slogdet
         logdet = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(sigma)))))
         oracle = n * logdet + 2.0 * p * m * m
         worst = max(worst, abs(aic(model, n) - oracle) / abs(oracle))
-    identity = VarModel(
-        order_p=15,
-        coeff_matrices=np.zeros((15, 2, 2)),
-        residual_covariance=np.eye(2),
-        n_samples_used=225,
-        channel_labels=("ch1", "ch2"),
-    )
+    identity = build_model(np.zeros((15, 2, 2)))
     exact = [aic(identity, n) for n in (100, 225, 2000)]
     _verdict(5, worst <= 1e-9 and all(v == 120.0 for v in exact),
              f"worst relative gap {worst:.2e}; identity-noise AIC {exact[0]}")
@@ -227,17 +208,13 @@ def test_criterion_09_end_to_end_pipeline():
     n_subjects, n_epochs = 10, 12
     starts = [900.0 * k for k in range(n_epochs)]
 
-    def cohort(coeffs, base):
-        return [
-            (_simulate(coeffs, 225 * n_epochs, base + s, m=3), starts)
-            for s in range(n_subjects)
-        ]
-
     good = 0
     report = None
     for run in range(50):
         base = 777_000 + 1000 * run
-        report = run_pipeline(config, cohort(diag, base), cohort(coupled, base + 500))
+        report = run_pipeline(config, *(
+            build_cohort(coeffs, 225 * n_epochs, range(first, first + n_subjects), starts)
+            for coeffs, first in ((diag, base), (coupled, base + 500))))
         flagged = {k for k, r in report.test_results.items() if r.significant}
         injected = {(("ch1", "ch2"), b) for b in report.band_names}
         pure = {(p, b)

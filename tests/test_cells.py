@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 import pdckit._io
 from pdckit import (
     FrequencyGrid,
-    GeneratorSpec,
     PdcSpectrum,
     PipelineConfig,
     Recording,
@@ -37,15 +36,11 @@ from pdckit import (
 )
 from pdckit.cli import _read_band_values_csv
 
-from conftest import random_stable_var
+from conftest import COUPLED, build_spec, finite, fresh_path, random_stable_var
 
 # labels and numbers whose CSV cells are never quoted, so a file's cells are
 # its lines split at commas
 LABEL = st.text("abcdefgh", min_size=1, max_size=3)
-
-
-def finite(lo, hi):
-    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
 # the kind of a column -> (listed cells that break it, more such cells for the
@@ -139,9 +134,6 @@ READERS = {
     "markers": (_markers, lambda path: [start.hex() for start in read_markers_csv(path)]),
 }
 
-_FILES = itertools.count()
-
-
 @pytest.mark.parametrize("reader", READERS)
 @settings(max_examples=100,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -149,8 +141,7 @@ _FILES = itertools.count()
 def test_every_text_reader_refuses_a_bad_cell_naming_its_line_and_column(tmp_path, reader,
                                                                         data):
     write, read = READERS[reader]
-    # a new file per example: truncating an existing one is slow on some file systems
-    path = tmp_path / f"input{next(_FILES)}.csv"
+    path = fresh_path(tmp_path, "input.csv")
     values, cells = write(data.draw, path)
     if not data.draw(st.booleans(), label="bad cell"):
         assert read(path) == values  # bit for bit
@@ -186,10 +177,6 @@ def _read_spec(path):
             *_arrays(spec, "coeff_matrices", "innovation_covariance"))
 
 
-_SPEC = GeneratorSpec(coeff_matrices=np.array([[[0.3, 0.0], [0.4, 0.3]]]),
-                      innovation_covariance=np.eye(2), n_samples=5, seed=7,
-                      sampling_rate_hz=250.0, channel_labels=("F3", "F4"))
-
 # reader -> (write a small valid file, read it to values that compare with ==)
 BOM_READERS = {
     "recording": (lambda path: path.write_text("F3,F4\n1.5,-2\n3e-3,4\n"), _read_recording),
@@ -210,7 +197,9 @@ BOM_READERS = {
     "model": (lambda path: write_model_json(random_stable_var(np.random.default_rng(1), 2, 2),
                                             path),
               _read_model),
-    "generator spec": (lambda path: write_generator_spec_json(_SPEC, path), _read_spec),
+    "generator spec": (lambda path: write_generator_spec_json(
+                           build_spec(COUPLED, 5, 7, channel_labels=("F3", "F4")), path),
+                       _read_spec),
 }
 
 

@@ -17,7 +17,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pdckit import (
-    GeneratorSpec,
     band_average,
     compute_pdc,
     default_config,
@@ -37,24 +36,20 @@ from pdckit.cli import main
 from pdckit.pdc import read_spectrum_csv
 from pdckit.pipeline import _CONFIG_KEYS, _fit_order
 
+from conftest import COUPLED, QUIET, build_spec, fresh_path, simulate, stable_lines
 
-def _gen_spec_file(tmp_path, coeffs=None, n=800, seed=12, name="gen.json"):
-    coeffs = np.array([[[0.3, 0.0], [0.4, 0.3]]]) if coeffs is None else coeffs
-    spec = GeneratorSpec(
-        coeff_matrices=coeffs,
-        innovation_covariance=np.eye(coeffs.shape[1]),
-        n_samples=n,
-        seed=seed,
-        sampling_rate_hz=250.0,
-    )
-    path = tmp_path / name
-    write_generator_spec_json(spec, path)
+
+def _gen_spec_file(tmp_path, n=800, seed=12):
+    """A generator spec file of the coupled VAR(1); its path."""
+    path = tmp_path / "gen.json"
+    write_generator_spec_json(build_spec(COUPLED, n, seed), path)
     return path
 
 
-def _simulate(tmp_path, name="rec.csv", **kw):
+def _simulated_csv(tmp_path, **kw):
+    """The recording the `simulate` command writes from `_gen_spec_file`; its path."""
     spec = _gen_spec_file(tmp_path, **kw)
-    out = tmp_path / name
+    out = tmp_path / "rec.csv"
     assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 0
     return out
 
@@ -80,7 +75,7 @@ def _fit_and_transform(tmp_path, rec):
 
 
 def test_simulate_writes_deterministic_recording(tmp_path, capsys):
-    rec_path = _simulate(tmp_path)
+    rec_path = _simulated_csv(tmp_path)
     rec = read_recording_csv(rec_path, sampling_rate_hz=250.0)
     assert rec.samples.shape == (800, 2)
     first = rec_path.read_bytes()
@@ -116,7 +111,7 @@ _STAGE_CONFIGS = {
 
 def test_fit_then_pdc_write_what_the_pipeline_route_writes(tmp_path, capsys):
     # every channel shifted by +50, so centring changes the fitted model
-    plain = read_recording_csv(_simulate(tmp_path, n=1500), sampling_rate_hz=250.0)
+    plain = read_recording_csv(_simulated_csv(tmp_path, n=1500), sampling_rate_hz=250.0)
     path = tmp_path / "shifted.csv"
     write_recording_csv(dataclasses.replace(plain, samples=plain.samples + 50.0), path)
     rec = read_recording_csv(path, sampling_rate_hz=250.0)
@@ -234,7 +229,7 @@ def test_every_test_the_readme_names_is_defined():
 
 
 def test_bands_default_and_custom(tmp_path, capsys):
-    rec = _simulate(tmp_path, n=1500)
+    rec = _simulated_csv(tmp_path, n=1500)
     spec_path = _fit_and_transform(tmp_path, rec)
     custom = _config(tmp_path, "custom.json", bands={"mid": (10.0, 20.0), "low": (4.0, 8.0)})
     for config, names in ((tmp_path / "config.json", {"theta", "alpha", "beta1", "beta2"}),
@@ -298,8 +293,6 @@ def test_compare_of_identical_tables_writes_untestable_rows(tmp_path, capsys):
 
 def _pipeline_argv(tmp_path, config, coupled, quiet, n_subjects=10):
     """Write a config, markers and two cohorts; return the argv minus --out."""
-    from pdckit import generate, write_recording_csv
-
     config_path = tmp_path / "config.json"
     write_config_json(config, config_path)
     markers = tmp_path / "markers.csv"
@@ -308,15 +301,8 @@ def _pipeline_argv(tmp_path, config, coupled, quiet, n_subjects=10):
     paths = {"a": [], "b": []}
     for cond, coeffs, base in (("a", quiet, 0), ("b", coupled, 100)):
         for s in range(n_subjects):
-            rec = generate(GeneratorSpec(
-                coeff_matrices=coeffs,
-                innovation_covariance=np.eye(coeffs.shape[1]),
-                n_samples=225 * 6,
-                seed=55_000 + base + s,
-                sampling_rate_hz=250.0,
-            ))
             p = tmp_path / f"{cond}{s}.csv"
-            write_recording_csv(rec, p)
+            write_recording_csv(simulate(coeffs, 225 * 6, 55_000 + base + s), p)
             paths[cond].append(str(p))
     return ["pipeline", "--config", str(config_path),
             "--condition-a", *paths["a"], "--condition-b", *paths["b"],
@@ -324,9 +310,7 @@ def _pipeline_argv(tmp_path, config, coupled, quiet, n_subjects=10):
 
 
 def test_pipeline_command_end_to_end(tmp_path, capsys):
-    coupled = np.array([[[0.3, 0.0], [0.4, 0.3]]])
-    quiet = np.array([[[0.3, 0.0], [0.0, 0.3]]])
-    argv = _pipeline_argv(tmp_path, default_config(250.0), coupled, quiet)
+    argv = _pipeline_argv(tmp_path, default_config(250.0), COUPLED, QUIET)
 
     out_dir = tmp_path / "out"
     code = main([*argv, "--out", str(out_dir)])
@@ -341,9 +325,7 @@ def test_pipeline_command_end_to_end(tmp_path, capsys):
 def test_pipeline_threads_flag_is_accepted_and_ignored(tmp_path, capsys, monkeypatch):
     # the thread-count variable is no longer read, so a malformed value is harmless
     monkeypatch.setenv("PDC_TOOLKIT_THREADS", "abc")
-    coupled = np.array([[[0.3, 0.0], [0.4, 0.3]]])
-    quiet = np.array([[[0.3, 0.0], [0.0, 0.3]]])
-    argv = _pipeline_argv(tmp_path, default_config(250.0), coupled, quiet, n_subjects=4)
+    argv = _pipeline_argv(tmp_path, default_config(250.0), COUPLED, QUIET, n_subjects=4)
     assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
     assert main([*argv, "--out", str(tmp_path / "threads"), "--threads", "2"]) == 0
     plain = (tmp_path / "plain" / "test_table.csv").read_bytes()
@@ -368,16 +350,14 @@ def test_pipeline_output_does_not_depend_on_the_blas_thread_count(tmp_path, chan
                               env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        report = [line for line in (out / "report.json").read_bytes().splitlines()
-                  if not line.lstrip().startswith(b'"timestamp_utc":')]
-        outputs.append((report, (out / "test_table.csv").read_bytes()))
+        outputs.append((stable_lines(out / "report.json"), (out / "test_table.csv").read_bytes()))
     assert outputs[0] == outputs[1]
 
 
 # -------------------------------------------------------------------- errors
 
 
-# files every failure-contract row may read, beside rec.csv (`_simulate`) and big.csv
+# files every failure-contract row may read, beside rec.csv (`_simulated_csv`) and big.csv
 # (rec.csv scaled by 1e200: finite samples whose residual products overflow)
 _CONTRACT_FILES = {
     "bad.json": "{not json",
@@ -612,7 +592,7 @@ _FAILURES = {
 @pytest.mark.parametrize("case", list(_FAILURES))
 def test_each_failure_exits_with_its_code_and_one_stderr_line(tmp_path, capsys, monkeypatch,
                                                              case):
-    rec = read_recording_csv(_simulate(tmp_path), sampling_rate_hz=250.0)
+    rec = read_recording_csv(_simulated_csv(tmp_path), sampling_rate_hz=250.0)
     write_recording_csv(dataclasses.replace(rec, samples=rec.samples * 1e200),
                         tmp_path / "big.csv")
     for name, text in _CONTRACT_FILES.items():
@@ -654,7 +634,7 @@ def test_config_help_says_the_whole_file_is_checked_and_names_real_keys(command)
 def _reader_inputs(tmp_path):
     """Valid inputs for every file reader the CLI has: reader -> (file, argv that reads it)."""
     spec = _gen_spec_file(tmp_path)
-    rec = _simulate(tmp_path)
+    rec = _simulated_csv(tmp_path)
     spectrum = _fit_and_transform(tmp_path, rec)
     model, config = tmp_path / "model.json", tmp_path / "config.json"
     a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -871,8 +851,7 @@ def _read_table(table, path):
 @given(data=st.data())
 def test_table_readers_agree_with_a_plain_csv_reader(tmp_path, table, data):
     text = data.draw(_table_files(table), label="text")
-    # a new file per example: truncating an existing one is slow on some file systems
-    path = tmp_path / f"table{len(list(tmp_path.iterdir()))}.csv"
+    path = fresh_path(tmp_path, "table.csv")
     path.write_bytes(text.encode("utf-8"))
     expected = _read_table_reference(path, _TABLES[table][0])
     if not isinstance(expected, str):
@@ -948,9 +927,7 @@ def test_every_command_runs_without_scipy(tmp_path):
     # bytes, with scipy unimportable; and where scipy is importable, no command loads
     # it (scipy.special alone would take most of the CLI's start-up)
     spec = _gen_spec_file(tmp_path, n=500, seed=7)
-    quiet = np.array([[[0.3, 0.0], [0.0, 0.3]]])
-    coupled = np.array([[[0.3, 0.0], [0.4, 0.3]]])
-    pipeline = _pipeline_argv(tmp_path, default_config(250.0), coupled, quiet, n_subjects=4)
+    pipeline = _pipeline_argv(tmp_path, default_config(250.0), COUPLED, QUIET, n_subjects=4)
     rng = np.random.default_rng(30)
     _tied_band_tables(tmp_path, rng, "a", shift=2)
     _tied_band_tables(tmp_path, rng, "b", shift=0)
@@ -978,7 +955,10 @@ def test_every_command_runs_without_scipy(tmp_path):
         ]
 
     outputs = {}
-    for name, block in (("blocked", "sys.modules['scipy'] = None; "), ("importable", "")):
+    # the blocked run loads tests/conftest.py too: pytest loads it first wherever scipy
+    # is absent, so it must import no scipy at module level
+    blocked = f"sys.modules['scipy'] = None; sys.path.insert(0, {str(_TESTS)!r}); import conftest; "
+    for name, block in (("blocked", blocked), ("importable", "")):
         out = tmp_path / name
         out.mkdir()
         argvs = commands(out)
@@ -993,10 +973,8 @@ def test_every_command_runs_without_scipy(tmp_path):
         assert codes == [0] * len(argvs), proc.stderr
         assert scipy_modules == []
         # every file the commands wrote, report.json less the line of its run time
-        outputs[name] = {
-            str(path.relative_to(out)): [line for line in path.read_bytes().splitlines()
-                                         if not line.lstrip().startswith(b'"timestamp_utc":')]
-            for path in sorted(out.rglob("*")) if path.is_file()}
+        outputs[name] = {str(path.relative_to(out)): stable_lines(path)
+                         for path in sorted(out.rglob("*")) if path.is_file()}
     assert outputs["blocked"] == outputs["importable"]
     assert len(outputs["blocked"]) == 11
 

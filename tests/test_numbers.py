@@ -6,6 +6,7 @@ pytest turns warnings into errors here, so an accepted case also shows that
 no numpy overflow warning is raised on the way.
 """
 
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -15,10 +16,8 @@ import pytest
 
 from pdckit import (
     FrequencyGrid,
-    GeneratorSpec,
     PipelineConfig,
     Recording,
-    VarModel,
     aic,
     band_average,
     compare_conditions,
@@ -26,7 +25,6 @@ from pdckit import (
     evaluate_transfer,
     extract_segments,
     fit_var,
-    generate,
     holm_bonferroni,
     max_order_bound,
     screen_stationarity,
@@ -35,7 +33,7 @@ from pdckit import (
 from pdckit._io import _check_count, _is_finite_real
 from pdckit.pdc import _check_bands
 
-from conftest import random_stable_var
+from conftest import COUPLED, build_model, build_spec, random_stable_var, simulate
 
 FS = 250.0
 HUGE = 10**400  # an int no float can hold
@@ -68,23 +66,9 @@ def test_a_count_refuses_a_bool_a_float_a_non_number_and_a_small_int(value):
         _check_count("k", value, 2)
 
 
-def _recording(n=675, seed=4):
-    return generate(GeneratorSpec(coeff_matrices=np.array([[[0.3, 0.0], [0.4, 0.3]]]),
-                                  innovation_covariance=np.eye(2), n_samples=n, seed=seed,
-                                  sampling_rate_hz=FS))
-
-
-def _spec(**changes):
-    values = {"coeff_matrices": np.array([[[0.3]]]), "innovation_covariance": np.eye(1),
-              "n_samples": 10, "seed": 1, "sampling_rate_hz": FS, **changes}
-    return GeneratorSpec(**values)
-
-
-def _model(**changes):
-    values = {"order_p": 1, "coeff_matrices": np.zeros((1, 2, 2)),
-              "residual_covariance": np.eye(2), "n_samples_used": 10,
-              "channel_labels": ("a", "b"), **changes}
-    return VarModel(**values)
+# a two-channel recording and model for the calls whose other arguments are refused
+RECORDING = simulate(COUPLED, 675, 4)
+MODEL = build_model(np.zeros((1, 2, 2)), n_samples_used=10, channel_labels=("a", "b"))
 
 
 def _rows(name, call, message, values=NON_FINITE):
@@ -125,33 +109,37 @@ _REFUSALS = {
     "bool band edge": (
         lambda: _check_bands({"x": (True, 8.0)}), "band 'x' edges must be a pair of real numbers"),
     "onset beyond float range": (
-        lambda: extract_segments(_recording(), 900.0, [HUGE]),
+        lambda: extract_segments(RECORDING, 900.0, [HUGE]),
         f"epoch start (ms) must be a finite number, got {HUGE}"),
     # finite, but more samples than a float can count
     "epoch length past float range in samples": (
-        lambda: extract_segments(_recording(), 1e306, [0.0]),
+        lambda: extract_segments(RECORDING, 1e306, [0.0]),
         "epoch length 1e+306 ms at 250.0 Hz has a sample count past float range"),
     "onset past float range in samples": (
-        lambda: extract_segments(_recording(), 900.0, [0.0, -1e306]),
+        lambda: extract_segments(RECORDING, 900.0, [0.0, -1e306]),
         "epoch start -1e+306 ms at 250.0 Hz has a sample count past float range"),
     "string onset": (
-        lambda: extract_segments(_recording(), 900.0, ["0"]),
+        lambda: extract_segments(RECORDING, 900.0, ["0"]),
         "epoch start (ms) must be a finite number, got 0"),
     "float fit order": (
-        lambda: fit_var(_recording(), 2.0), "order p must be an integer >= 1, got 2.0"),
+        lambda: fit_var(RECORDING, 2.0), "order p must be an integer >= 1, got 2.0"),
     "float scan bound": (
-        lambda: select_order(_recording(), 2.5), "p_scan_max must be an integer >= 1, got 2.5"),
+        lambda: select_order(RECORDING, 2.5), "p_scan_max must be an integer >= 1, got 2.5"),
     "one screening window": (
-        lambda: screen_stationarity(_recording(), n_windows=1),
+        lambda: screen_stationarity(RECORDING, n_windows=1),
         "n_windows must be an integer >= 2, got 1"),
     "float sample count": (
-        lambda: _spec(n_samples=10.0), "n_samples must be an integer >= 1, got 10.0"),
-    "negative burn-in": (lambda: _spec(burn_in=-1), "burn_in must be an integer >= 0, got -1"),
+        lambda: build_spec([[[0.3]]], 10.0, 1), "n_samples must be an integer >= 1, got 10.0"),
+    "negative burn-in": (
+        lambda: build_spec([[[0.3]]], 10, 1, burn_in=-1),
+        "burn_in must be an integer >= 0, got -1"),
     "float model order": (
-        lambda: _model(order_p=1.0), "order_p must be an integer >= 1, got 1.0"),
+        lambda: dataclasses.replace(MODEL, order_p=1.0),
+        "order_p must be an integer >= 1, got 1.0"),
     "bool model row count": (
-        lambda: _model(n_samples_used=True), "n_samples_used must be an integer >= 1, got True"),
-    "zero AIC row count": (lambda: aic(_model(), 0), "n must be an integer >= 1, got 0"),
+        lambda: dataclasses.replace(MODEL, n_samples_used=True),
+        "n_samples_used must be an integer >= 1, got True"),
+    "zero AIC row count": (lambda: aic(MODEL, 0), "n must be an integer >= 1, got 0"),
     "float bound row count": (
         lambda: max_order_bound(100.0, 2), "n must be an integer >= 1, got 100.0"),
     "zero bound channel count": (
@@ -166,7 +154,7 @@ _REFUSALS = {
         lambda: FrequencyGrid.regular(0.0, True, 0.5, FS),
         "frequencies must lie in [0, 125.0] Hz, got [0.0, True]"),
     "bool transfer frequency": (
-        lambda: evaluate_transfer(_model(), False, FS),
+        lambda: evaluate_transfer(MODEL, False, FS),
         "frequencies must lie in [0, 125.0] Hz, got [False, False]"),
     "None grid start": (
         lambda: FrequencyGrid.regular(None, 30.0, 0.5, FS),
@@ -186,19 +174,20 @@ _REFUSALS = {
     **_rows("recording rate", lambda rate: Recording(np.zeros((10, 2)), rate, ("a", "b")),
             RATE),
     **_rows("config rate", PipelineConfig, RATE, [math.inf]),
-    **_rows("spec rate", lambda rate: _spec(sampling_rate_hz=rate), RATE, [math.inf, math.nan]),
+    **_rows("spec rate", lambda rate: build_spec([[[0.3]]], 10, 1, sampling_rate_hz=rate), RATE,
+            [math.inf, math.nan]),
     # at an infinite rate every f / rate would be 0, so each frequency would read the 0 Hz value
     **_rows("grid rate", lambda rate: FrequencyGrid(np.array([4.0, 30.0]), rate), RATE,
             [math.inf, math.nan, 0.0]),
     **_rows("regular grid rate", lambda rate: FrequencyGrid.regular(4.0, 30.0, 0.5, rate), RATE,
             [math.inf, math.nan, 0.0]),
-    **_rows("transfer rate", lambda rate: evaluate_transfer(_model(), 10.0, rate), RATE,
+    **_rows("transfer rate", lambda rate: evaluate_transfer(MODEL, 10.0, rate), RATE,
             [math.inf, math.nan, 0.0]),
-    **_rows("epoch length", lambda length: extract_segments(_recording(), length, [0.0]),
+    **_rows("epoch length", lambda length: extract_segments(RECORDING, length, [0.0]),
             "epoch_length_ms must be a finite positive number", [math.inf, math.nan]),
     **_rows("config epoch length", lambda length: PipelineConfig(FS, epoch_length_ms=length),
             "epoch_length_ms must be a finite positive number", [math.inf]),
-    **_rows("onset", lambda start: extract_segments(_recording(), 900.0, [0.0, start]),
+    **_rows("onset", lambda start: extract_segments(RECORDING, 900.0, [0.0, start]),
             "epoch start (ms) must be a finite number"),
     # NaN compares false with everything, and an infinite step makes every frequency NaN
     **_rows("grid step", lambda step: FrequencyGrid.regular(4.0, 30.0, step, FS),
@@ -218,17 +207,19 @@ _REFUSALS = {
        for step, count in [(5e-324, "inf"), (1e-12, "2.6e+13"), (1e-20, "2.6e+21")]},
     **{f"band edges {edges}": (
            lambda edges=edges: band_average(
-               compute_pdc(_model(), FrequencyGrid.regular(4.0, 30.0, 0.5, FS)), {"x": edges}),
+               compute_pdc(MODEL, FrequencyGrid.regular(4.0, 30.0, 0.5, FS)), {"x": edges}),
            f"band 'x' has invalid edges ({edges[0]}, {edges[1]}); edges must be finite, ")
        for edges in [(4.0, math.inf), (-math.inf, 8.0), (math.nan, 8.0), (4.0, math.nan)]},
     **{f"band name {name!r}": (
            lambda name=name: _check_bands({name: (4.0, 8.0)}),
            f"band name {name!r} must be a non-empty string without edge whitespace or '->'")
        for name in ["", " a", "a ", "a->b"]},
-    "zero sample count": (lambda: _spec(n_samples=0), "n_samples must be an integer >= 1, got 0"),
-    "zero fit order": (lambda: fit_var(_recording(), 0), "order p must be an integer >= 1, got 0"),
+    "zero sample count": (
+        lambda: build_spec([[[0.3]]], 0, 1), "n_samples must be an integer >= 1, got 0"),
+    "zero fit order": (lambda: fit_var(RECORDING, 0), "order p must be an integer >= 1, got 0"),
     "negative model row count": (
-        lambda: _model(n_samples_used=-5), "n_samples_used must be an integer >= 1, got -5"),
+        lambda: dataclasses.replace(MODEL, n_samples_used=-5),
+        "n_samples_used must be an integer >= 1, got -5"),
     "zero Holm alpha": (
         lambda: holm_bonferroni([0.5], alpha=0.0), "alpha must lie in (0, 1), got 0.0"),
 }
@@ -255,24 +246,23 @@ def test_band_edges_of_any_real_numpy_type_are_taken_as_floats(real):
                                   "2", None])
 def test_a_seed_is_an_unsigned_64_bit_integer(seed):
     with pytest.raises(ValueError) as info:
-        _spec(seed=seed)
+        build_spec([[[0.3]]], 10, seed)
     assert str(info.value) == f"seed must be an unsigned 64-bit integer, got {seed}"
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
 def test_a_numpy_seed_generates_the_samples_of_the_equal_int(seed):
-    samples = generate(_spec(seed=seed)).samples
+    samples = simulate([[[0.3]]], 10, seed).samples
     for numpy_int in (np.uint64, np.int64):
         if seed <= np.iinfo(numpy_int).max:
-            assert generate(_spec(seed=numpy_int(seed))).samples.tobytes() == samples.tobytes()
+            assert simulate([[[0.3]]], 10, numpy_int(seed)).samples.tobytes() == samples.tobytes()
 
 
 def test_numpy_counts_and_reals_are_taken():
-    recording = _recording()
-    model, _ = fit_var(recording, np.int64(2))
+    model, _ = fit_var(RECORDING, np.int64(2))
     assert model.order_p == 2
     assert PipelineConfig(np.float64(FS), fixed_order=np.int32(3)).fixed_order == 3
-    assert len(extract_segments(recording, np.float32(900.0), [np.int64(0)])) == 1
-    assert Recording(recording.samples, np.float32(FS), ("a", "b")).sampling_rate_hz == FS
+    assert len(extract_segments(RECORDING, np.float32(900.0), [np.int64(0)])) == 1
+    assert Recording(RECORDING.samples, np.float32(FS), ("a", "b")).sampling_rate_hz == FS
     assert PipelineConfig(FS, mean_center=np.False_).mean_center == False  # noqa: E712
     assert holm_bonferroni([0.01], alpha=np.float32(0.05)) == [(0.01, True)]

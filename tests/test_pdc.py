@@ -13,7 +13,6 @@ from pdckit import (
     FrequencyGrid,
     PdcSpectrum,
     PipelineConfig,
-    VarModel,
     average_over_segments,
     band_average,
     compute_pdc,
@@ -26,21 +25,10 @@ from pdckit.pdc import (
     write_spectrum_csv,
 )
 
-from conftest import random_stable_var
+from conftest import build_model, random_stable_var
 
 
-def _model(coeffs, fs_labels=("ch1", "ch2")):
-    coeffs = np.asarray(coeffs, dtype=float)
-    return VarModel(
-        order_p=coeffs.shape[0],
-        coeff_matrices=coeffs,
-        residual_covariance=np.eye(coeffs.shape[1]),
-        n_samples_used=225,
-        channel_labels=fs_labels[: coeffs.shape[1]],
-    )
-
-
-LOWER_VAR1 = _model([[[0.5, 0.0], [0.4, 0.5]]])
+LOWER_VAR1 = build_model([[[0.5, 0.0], [0.4, 0.5]]])
 
 
 # ----------------------------------------------------------------- the grid
@@ -123,7 +111,7 @@ def test_transfer_phase_rotation_var1():
 
 
 def test_transfer_sums_over_lags():
-    model = _model([[[0.3]], [[0.2]]], fs_labels=("x",))
+    model = build_model([[[0.3]], [[0.2]]], channel_labels=("x",))
     f, fs = 10.0, 100.0
     z1 = np.exp(-2j * np.pi * f / fs)
     expected = 1.0 - 0.3 * z1 - 0.2 * z1**2
@@ -158,7 +146,7 @@ def test_pdc_columns_have_unit_square_sum():
 
 def test_pdc_degenerate_column_is_zeroed_and_reported():
     # second column of A(f) vanishes at f=0: a12 = 0 everywhere, a22 = 1
-    model = _model([[[0.5, 0.0], [0.0, 1.0]]])
+    model = build_model([[[0.5, 0.0], [0.0, 1.0]]])
     grid = FrequencyGrid(freqs_hz=np.array([0.0, 10.0]), sampling_rate_hz=250.0)
     spec = compute_pdc(model, grid)
     assert spec.degenerate_columns == ((0, 1),)
@@ -170,7 +158,7 @@ def test_pdc_refuses_the_nan_of_a_transform_past_float_range():
     # three lags of 1e308 sum to inf, and inf over an infinite column norm is NaN
     grid = FrequencyGrid(freqs_hz=np.array([0.0, 10.0]), sampling_rate_hz=250.0)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
-        compute_pdc(_model(np.full((3, 2, 2), 1e308)), grid)
+        compute_pdc(build_model(np.full((3, 2, 2), 1e308)), grid)
     assert str(info.value) == "PDC values must lie in [0, 1]"
 
 
@@ -178,8 +166,8 @@ def test_pdc_is_scale_free_past_the_square_of_float_range():
     # squared entries of 1e160 overflow; the columns are rescaled, not divided by inf
     grid = FrequencyGrid(freqs_hz=np.array([10.0, 125.0]), sampling_rate_hz=250.0)
     lag = np.array([[[0.5, 0.2], [0.4, 0.5]]])
-    huge = compute_pdc(_model(lag * 1e160), grid)
-    assert_allclose(huge.values, compute_pdc(_model(lag * 1e150), grid).values,
+    huge = compute_pdc(build_model(lag * 1e160), grid)
+    assert_allclose(huge.values, compute_pdc(build_model(lag * 1e150), grid).values,
                     rtol=0, atol=1e-12)
     assert huge.degenerate_columns == ()
 
@@ -213,7 +201,8 @@ def test_pdc_matches_per_frequency_reference_on_random_models():
     for _ in range(60):
         m, p = int(rng.integers(2, 5)), int(rng.integers(1, 21))
         coeffs = rng.normal(scale=0.5 / math.sqrt(p), size=(p, m, m))
-        _assert_matches_per_frequency(_model(coeffs, ("a", "b", "c", "d")), grid)
+        _assert_matches_per_frequency(
+            build_model(coeffs, channel_labels=("a", "b", "c", "d")[:m]), grid)
 
 
 def test_pdc_matches_per_frequency_reference_with_a_vanishing_column():
@@ -222,7 +211,7 @@ def test_pdc_matches_per_frequency_reference_with_a_vanishing_column():
     coeffs = np.zeros((2, 3, 3))
     coeffs[0] = [[0.4, 0.0, 0.2], [0.0, 0.0, 0.0], [0.3, 0.0, -0.2]]
     coeffs[1, 1, 1] = -1.0
-    model = _model(coeffs, ("a", "b", "c"))
+    model = build_model(coeffs, channel_labels=("a", "b", "c"))
     grid = FrequencyGrid.regular(0.0, 125.0, 12.5, sampling_rate_hz=250.0)
     _assert_matches_per_frequency(model, grid)
     assert compute_pdc(model, grid).degenerate_columns == ((5, 1),)
@@ -231,8 +220,8 @@ def test_pdc_matches_per_frequency_reference_with_a_vanishing_column():
 def test_pdc_matches_per_frequency_reference_on_one_frequency():
     grid = FrequencyGrid(freqs_hz=np.array([10.0]), sampling_rate_hz=250.0)
     rng = np.random.default_rng(7)
-    _assert_matches_per_frequency(_model(rng.normal(scale=0.3, size=(5, 3, 3)),
-                                         ("a", "b", "c")), grid)
+    _assert_matches_per_frequency(build_model(rng.normal(scale=0.3, size=(5, 3, 3)),
+                                              channel_labels=("a", "b", "c")), grid)
     _assert_matches_per_frequency(LOWER_VAR1, grid)
 
 
@@ -277,7 +266,7 @@ def _pdc_calls(draw):
             # column 0 is the unit lag-1 diagonal only: it vanishes at 0 Hz
             coeffs[:, :, 0] = 0.0
             coeffs[0, 0, 0] = 1.0
-        models.append(_model(coeffs, ("a", "b", "c")))
+        models.append(build_model(coeffs, channel_labels=("a", "b", "c")[:m]))
     calls = draw(st.lists(st.tuples(st.integers(0, len(models) - 1),
                                     st.integers(0, len(grids) - 1)), min_size=1, max_size=12))
     return models, grids, calls
@@ -290,7 +279,8 @@ def _masked_reference_case(vanishing):
     if vanishing:
         coeffs[:, :, 0] = 0.0
         coeffs[0, 0, 0] = 1.0
-    return [_model(coeffs, ("a", "b", "c"))], [(np.array([0.0, 10.0, 62.5]), 250.0)], [(0, 0)]
+    return ([build_model(coeffs, channel_labels=("a", "b", "c"))],
+            [(np.array([0.0, 10.0, 62.5]), 250.0)], [(0, 0)])
 
 
 @settings(max_examples=80)

@@ -1,13 +1,11 @@
 import dataclasses
 import inspect
-import itertools
 import json
 import math
 import os
 import re
 import stat
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +17,6 @@ import pdckit.pdc
 import pdckit.pipeline
 import pdckit.var
 from pdckit import (
-    GeneratorSpec,
     PdcSpectrum,
     PipelineError,
     Recording,
@@ -27,7 +24,6 @@ from pdckit import (
     compute_pdc,
     default_config,
     fit_var,
-    generate,
     read_config_json,
     run_pipeline,
     report_to_dict,
@@ -49,31 +45,18 @@ from pdckit.pipeline import (
 )
 from pdckit.stats import _pair_cell, format_pair
 
+from conftest import COUPLED, QUIET, build_cohort, fresh_path, stable_lines
+
 FS = 250.0
 EPOCHS = 6
 STARTS = [900.0 * k for k in range(EPOCHS)]
 NSAMP = 225 * EPOCHS
 
-COUPLED = np.array([[[0.3, 0.0], [0.4, 0.3]]])
-INDEPENDENT = np.array([[[0.3, 0.0], [0.0, 0.3]]])
-
-
-def _subject(coeffs, seed, m=2, labels=None):
-    spec = GeneratorSpec(
-        coeff_matrices=np.asarray(coeffs, dtype=float),
-        innovation_covariance=np.eye(m),
-        n_samples=NSAMP,
-        seed=seed,
-        sampling_rate_hz=FS,
-        channel_labels=labels,
-    )
-    return (generate(spec), STARTS)
-
 
 def _cohorts(n_subjects=6, base=880_000):
-    cond_a = [_subject(INDEPENDENT, base + s) for s in range(n_subjects)]
-    cond_b = [_subject(COUPLED, base + 500 + s) for s in range(n_subjects)]
-    return cond_a, cond_b
+    """Condition a quiet, condition b coupled: ch1 drives ch2 in b alone."""
+    return tuple(build_cohort(coeffs, NSAMP, range(first, first + n_subjects), STARTS)
+                 for coeffs, first in ((QUIET, base), (COUPLED, base + 500)))
 
 
 # -------------------------------------------------------------------- config
@@ -419,8 +402,8 @@ def _three_channel_cohorts():
     coeffs_a = np.diag([0.3, 0.3, 0.3])[None]
     coeffs_b = coeffs_a.copy()
     coeffs_b[0, 1, 0] = 0.4
-    return [[_subject(coeffs, 893_000 + 100 * c + s, m=3) for s in range(N_META)]
-            for c, coeffs in enumerate((coeffs_a, coeffs_b))]
+    return [build_cohort(coeffs, NSAMP, range(first, first + N_META), STARTS)
+            for coeffs, first in ((coeffs_a, 893_000), (coeffs_b, 893_100))]
 
 
 def _mapped(cohort, recording=lambda rec: rec, starts=lambda onsets: onsets):
@@ -506,10 +489,7 @@ def test_shifting_the_onsets_with_the_recordings_changes_no_output_byte(three_ch
                          _mapped(cond_b, prepended, later))
     files = [write_report(run, tmp_path / name) for run, name in ((report, "a"), (other, "b"))]
     for kind in ("report", "test_table"):
-        first, second = ([line for line in Path(paths[kind]).read_bytes().splitlines()
-                          if not line.lstrip().startswith(b'"timestamp_utc":')]
-                         for paths in files)
-        assert first == second
+        assert stable_lines(files[0][kind]) == stable_lines(files[1][kind])
 
 
 def test_scaling_one_channel_changes_pdc(three_channel_run):
@@ -550,8 +530,8 @@ def test_pipeline_auto_order_and_joint_scope():
 def _montage_cohorts(n_subjects=2):
     labels = ("F3", "F4", "T5", "T6")
     coeffs = np.diag([0.3] * 4)[None]
-    return [[_subject(coeffs, 890_000 + 100 * c + s, m=4, labels=labels)
-             for s in range(n_subjects)] for c in (0, 1)]
+    return [build_cohort(coeffs, NSAMP, range(first, first + n_subjects), STARTS,
+                         channel_labels=labels) for first in (890_000, 890_100)]
 
 
 # Protocols that cannot run, each known before any fitting: config changes
@@ -623,8 +603,8 @@ def test_a_cohort_of_one_channel_is_rejected_before_fitting(tmp_path, capsys, mo
                                                            scope):
     fits = []
     monkeypatch.setattr(pdckit.pipeline, "fit_var", lambda *args: fits.append(args))
-    cohorts = [[_subject([[[0.3]]], 892_000 + 100 * c + s, m=1, labels=("Cz",))
-                for s in range(2)] for c in (0, 1)]
+    cohorts = [build_cohort([[[0.3]]], NSAMP, range(first, first + 2), STARTS,
+                            channel_labels=("Cz",)) for first in (892_000, 892_100)]
     named = ("no channel pair can be formed: a cohort needs at least two channels, "
              "the recordings have ['Cz']")
     with pytest.raises(ValueError) as info:
@@ -675,8 +655,8 @@ def test_pipeline_band_values_equal_a_direct_per_pair_computation(scope):
     pairs = (("T6", "F3"), ("F3", "T6"), ("F4", "F3"))
     coeffs = np.diag([0.3, 0.3, 0.3])[None]
     coeffs[0, 0, 1] = 0.4  # F3 drives T6
-    cohorts = [[_subject(coeffs, 893_000 + 100 * c + s, m=3, labels=labels) for s in range(2)]
-               for c in (0, 1)]
+    cohorts = [build_cohort(coeffs, NSAMP, range(first, first + 2), STARTS, channel_labels=labels)
+               for first in (893_000, 893_100)]
     # loose screen tolerances keep every epoch, so the means run over all of them
     cfg = dataclasses.replace(default_config(FS), channel_pairs=pairs, model_scope=scope,
                               stationarity_mean_drift_tol=100.0,
@@ -883,7 +863,6 @@ PAIR_ITEMS = st.one_of(st.sampled_from(["F3", "F4", "a"]),
                        st.sampled_from(["", " F3", "F3 ", "\tF4", "a->b", "->", "a->", "->b"]),
                        st.text(st.sampled_from("ab ->\t"), max_size=5),
                        st.integers(-1, 2), st.none(), st.booleans())
-_CONFIGS = itertools.count()
 
 
 @settings(max_examples=300,
@@ -906,7 +885,7 @@ def test_a_configured_pair_is_one_the_pair_format_reads_back(tmp_path, pair):
                             "whitespace or '->'")
         accepted = False
     assert accepted == reads_back
-    path = tmp_path / f"config{next(_CONFIGS)}.json"
+    path = fresh_path(tmp_path, "config.json")
     path.write_text(json.dumps({"sampling_rate_hz": FS, "channel_pairs": [list(pair)]}))
     try:
         accepted = read_config_json(path).channel_pairs == (pair,)

@@ -6,7 +6,6 @@ of the JSON and CSV writers for small fixed objects is pinned as well.
 """
 
 import dataclasses
-import itertools
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -35,27 +34,15 @@ from pdckit import (
 )
 from pdckit.pdc import write_band_averages_json
 
+from conftest import finite, fresh_path
+
 SETTINGS = settings(max_examples=60,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
-
-# each example writes new files: truncating one an earlier example wrote can
-# cost far more than the round trip itself on some file systems
-_EXAMPLES = itertools.count()
-
-
-def fresh_paths(tmp_path, suffix):
-    n = next(_EXAMPLES)
-    return tmp_path / f"a{n}{suffix}", tmp_path / f"b{n}{suffix}"
-
 
 # control characters and lone surrogates are not label text, and a label has
 # no edge whitespace and no '->': the containers refuse it (tests/test_signals.py)
 TEXT = st.text(st.characters(exclude_categories=("Cc", "Cs")), min_size=1,
                max_size=6).filter(lambda t: t == t.strip() and "->" not in t)
-
-
-def finite(lo, hi, **kw):
-    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
 
 
 def labels(min_size=1, max_size=4):
@@ -105,7 +92,7 @@ def configs(draw):
 @SETTINGS
 @given(cfg=configs())
 def test_config_json_round_trip_property(tmp_path, cfg):
-    first, second = fresh_paths(tmp_path, ".json")
+    first, second = fresh_path(tmp_path, "a.json"), fresh_path(tmp_path, "b.json")
     write_config_json(cfg, first)
     back = read_config_json(first)
     assert back == cfg
@@ -136,7 +123,7 @@ def models(draw):
 @SETTINGS
 @given(model=models())
 def test_model_json_round_trip_property(tmp_path, model):
-    first, second = fresh_paths(tmp_path, ".json")
+    first, second = fresh_path(tmp_path, "a.json"), fresh_path(tmp_path, "b.json")
     write_model_json(model, first)
     back = read_model_json(first)
     assert back.order_p == model.order_p
@@ -179,7 +166,7 @@ def generator_specs(draw):
 @SETTINGS
 @given(spec=generator_specs())
 def test_generator_spec_json_round_trip_property(tmp_path, spec):
-    first, second = fresh_paths(tmp_path, ".json")
+    first, second = fresh_path(tmp_path, "a.json"), fresh_path(tmp_path, "b.json")
     write_generator_spec_json(spec, first)
     back = read_generator_spec_json(first)
     for f in dataclasses.fields(GeneratorSpec):
@@ -210,7 +197,7 @@ def spectra(draw):
 @SETTINGS
 @given(spectrum=spectra())
 def test_spectrum_csv_round_trip_property(tmp_path, spectrum):
-    first, second = fresh_paths(tmp_path, ".csv")
+    first, second = fresh_path(tmp_path, "a.csv"), fresh_path(tmp_path, "b.csv")
     write_spectrum_csv(spectrum, first)
     back = read_spectrum_csv(first, sampling_rate_hz=spectrum.grid.sampling_rate_hz)
     assert back.channel_labels == spectrum.channel_labels
@@ -236,7 +223,7 @@ def recordings(draw):
 @SETTINGS
 @given(recording=recordings())
 def test_recording_csv_round_trip_property(tmp_path, recording):
-    first, second = fresh_paths(tmp_path, ".csv")
+    first, second = fresh_path(tmp_path, "a.csv"), fresh_path(tmp_path, "b.csv")
     write_recording_csv(recording, first)
     back = read_recording_csv(first, sampling_rate_hz=recording.sampling_rate_hz)
     assert back.channel_labels == recording.channel_labels

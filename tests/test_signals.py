@@ -22,15 +22,10 @@ from pdckit import (
 )
 from pdckit.signals import read_markers_csv
 
+from conftest import build_recording, fresh_path
+
 # the label rule, as every message that refuses a channel label words it
 LABEL_RULE = "a non-empty string without edge whitespace or '->'"
-
-
-def _recording(samples, fs=250.0, labels=None):
-    samples = np.asarray(samples, dtype=float)
-    if labels is None:
-        labels = tuple(f"ch{i + 1}" for i in range(samples.shape[1]))
-    return Recording(samples=samples, sampling_rate_hz=fs, channel_labels=labels)
 
 
 # ---------------------------------------------------------------- containers
@@ -57,7 +52,7 @@ def test_recording_refuses_a_matrix_without_rows_or_channels(shape):
         Recording(np.zeros(shape), 250.0, ("a", "b")[: shape[1]])
     # no channel subset can be empty either
     with pytest.raises(ValueError, match=re.escape(f"got shape {(10, 0)}")):
-        _recording(np.zeros((10, 2))).select_channels(())
+        build_recording(np.zeros((10, 2))).select_channels(())
 
 
 def test_segment_rejects_one_dimensional_input():
@@ -85,7 +80,7 @@ def test_select_channels_reorders_columns():
 
 
 def test_select_channels_refuses_a_repeated_label():
-    seg = _recording(np.zeros((10, 2)), labels=("F3", "F4"))
+    seg = build_recording(np.zeros((10, 2)), channel_labels=("F3", "F4"))
     with pytest.raises(ValueError) as info:
         seg.select_channels(("F3", "F3"))
     assert str(info.value) == "column 2 repeats channel label 'F3'"
@@ -96,7 +91,7 @@ def test_select_channels_refuses_a_repeated_label():
 
 def test_extract_contiguous_900ms_epochs():
     # 10 s at 250 Hz, 900 ms epochs: 225 rows each, offsets step by 225
-    rec = _recording(np.random.default_rng(0).normal(size=(2500, 2)))
+    rec = build_recording(np.random.default_rng(0).normal(size=(2500, 2)))
     starts = [900.0 * k for k in range(10)]
     segs = extract_segments(rec, 900.0, starts)
     assert len(segs) == 10
@@ -108,7 +103,7 @@ def test_extract_contiguous_900ms_epochs():
 
 
 def test_extract_rounds_fractional_sample_starts():
-    rec = _recording(np.arange(100.0)[:, None])
+    rec = build_recording(np.arange(100.0)[:, None])
     # 1 ms at 250 Hz is 0.25 samples; nearest-sample alignment
     (seg,) = extract_segments(rec, 100.0, [1.0])
     assert seg.samples[0, 0] == 0.0
@@ -117,7 +112,7 @@ def test_extract_rounds_fractional_sample_starts():
 
 
 def test_extract_rejects_epochs_outside_recording():
-    rec = _recording(np.zeros((100, 1)))
+    rec = build_recording(np.zeros((100, 1)))
     with pytest.raises(ValueError):
         extract_segments(rec, 100.0, [-4.0])
     with pytest.raises(ValueError):
@@ -132,20 +127,9 @@ def test_extract_rejects_epochs_outside_recording():
 # ----------------------------------------------------------------- screening
 
 
-def _segment(values):
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    return Recording(
-        samples=arr,
-        sampling_rate_hz=100.0,
-        channel_labels=tuple(f"ch{i + 1}" for i in range(arr.shape[1])),
-    )
-
-
 def test_screen_scores_match_hand_computation():
     # two windows of three samples, one channel
-    seg = _segment([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    seg = build_recording([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], 100.0)
     rep = screen_stationarity(seg, n_windows=2, mean_drift_tol=10.0, variance_ratio_tol=10.0)
     assert rep.per_window_means == ((1.0,), (4.0,))
     assert rep.per_window_variances == ((1.0,), (1.0,))
@@ -157,7 +141,7 @@ def test_screen_scores_match_hand_computation():
 
 def test_screen_drops_tail_remainder():
     # 7 samples, 3 windows: only the first 6 are used
-    seg = _segment([1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 99.0])
+    seg = build_recording([1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 99.0], 100.0)
     rep = screen_stationarity(seg, n_windows=3)
     assert rep.per_window_means == ((1.5,), (1.5,), (1.5,))
     assert rep.passed
@@ -167,32 +151,32 @@ def test_screen_flags_mean_step():
     rng = np.random.default_rng(7)
     base = rng.normal(size=(225, 1))
     stepped = base + np.where(np.arange(225) >= 150, 5.0, 0.0)[:, None]
-    assert screen_stationarity(_segment(base)).passed
-    assert not screen_stationarity(_segment(stepped)).passed
+    assert screen_stationarity(build_recording(base, 100.0)).passed
+    assert not screen_stationarity(build_recording(stepped, 100.0)).passed
 
 
 def test_screen_flags_variance_blowup():
     rng = np.random.default_rng(8)
     scale = np.where(np.arange(225) >= 150, 4.0, 1.0)[:, None]
-    seg = _segment(rng.normal(size=(225, 1)) * scale)
+    seg = build_recording(rng.normal(size=(225, 1)) * scale, 100.0)
     rep = screen_stationarity(seg)
     assert not rep.passed
     assert rep.variance_ratio_score > rep.variance_ratio_tol
 
 
 def test_screen_constant_segment_fails_on_variance():
-    rep = screen_stationarity(_segment(np.ones(30)))
+    rep = screen_stationarity(build_recording(np.ones(30), 100.0))
     assert not rep.passed
     assert rep.variance_ratio_score == np.inf
     assert rep.mean_drift_score == 0.0
 
 
 def test_screen_validates_window_count():
-    seg = _segment(np.arange(30.0))
+    seg = build_recording(np.arange(30.0), 100.0)
     with pytest.raises(ValueError):
         screen_stationarity(seg, n_windows=1)
     with pytest.raises(ValueError):
-        screen_stationarity(_segment(np.arange(4.0)), n_windows=3)
+        screen_stationarity(build_recording(np.arange(4.0), 100.0), n_windows=3)
 
 
 def _screen_reference(samples, n_windows):
@@ -225,7 +209,7 @@ def test_screen_means_and_variances_equal_numpy_mean_and_var(n, m, n_windows, se
     x = np.random.default_rng(seed).normal(loc=3.0, scale=scale, size=(n, m))
     if constant:  # a zero-variance channel takes the screen's infinite-ratio branch
         x[:, 0] = 2.0
-    rec = _recording(x)
+    rec = build_recording(x)
     means, variances, drift, ratio = _screen_reference(x, n_windows)
     rep = screen_stationarity(rec, n_windows=n_windows)
     # tuples of np.float64 compare bit for bit, -0.0 == 0.0 aside
@@ -242,7 +226,7 @@ def test_screen_passes_white_noise_at_default_tolerances():
     passed = 0
     for seed in range(1000):
         rng = np.random.default_rng(90_000 + seed)
-        passed += screen_stationarity(_segment(rng.normal(size=(225, 2)))).passed
+        passed += screen_stationarity(build_recording(rng.normal(size=(225, 2)), 100.0)).passed
     assert passed >= 950
 
 
@@ -367,16 +351,26 @@ ODD_CELLS = st.sampled_from([
 ])
 
 
+NUMBER_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                         st.integers(-10**20, 10**20).map(str))
+NUMBER_OR_ODD_CELLS = st.one_of(NUMBER_CELLS, ODD_CELLS)
+PADS = st.sampled_from(["", "", "", " ", "\t", "\xa0"])
+BLANK_LINES = st.sampled_from(["", "", " ", "\t"])
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+LAST_LINE_ENDS = st.sampled_from(["", "\n", "\r\n", "\r"])
+
+
 @st.composite
 def _cells(draw, odd):
-    number = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
-                       st.integers(-10**20, 10**20).map(str))
-    text = draw(st.one_of(number, ODD_CELLS) if odd else number)
-    pads = st.sampled_from(["", "", "", " ", "\t", "\xa0"])
-    text = draw(pads) + text + draw(pads)
+    text = draw(NUMBER_OR_ODD_CELLS if odd else NUMBER_CELLS)
+    text = draw(PADS) + text + draw(PADS)
     if draw(st.booleans()):
-        text = '"' + text.replace('"', '""') + '"' + draw(pads)
+        text = '"' + text.replace('"', '""') + '"' + draw(PADS)
     return text
+
+
+# built once: building a strategy per drawn cell took most of the property's time
+CELLS = {odd: _cells(odd) for odd in (False, True)}
 
 
 @st.composite
@@ -389,13 +383,12 @@ def _recording_files(draw):
     lines = [draw(st.sampled_from(["", "\ufeff"])) + ",".join("abc"[:width])]
     for _ in range(draw(st.integers(0, 6))):
         if draw(st.integers(0, 5)) == 0:
-            lines.append(draw(st.sampled_from(["", "", " ", "\t"])))
+            lines.append(draw(BLANK_LINES))
             continue
         n = draw(st.integers(1, width + 1)) if ragged else width
-        lines.append(",".join(draw(_cells(odd)) for _ in range(n)))
-    ends = st.sampled_from(["\n", "\r\n", "\r"])
-    return "".join(line + draw(ends) for line in lines[:-1]) + lines[-1] + draw(
-        st.sampled_from(["", "\n", "\r\n", "\r"]))
+        lines.append(",".join(draw(CELLS[odd]) for _ in range(n)))
+    return "".join(line + draw(LINE_ENDS) for line in lines[:-1]) + lines[-1] + draw(
+        LAST_LINE_ENDS)
 
 
 @settings(max_examples=400,
@@ -419,8 +412,7 @@ def _recording_files(draw):
 @example(text='"a\nb",c\n1,2\n"3\n",4\n5,y\n')
 @example(text="\ufeffa,b\n1,x\n")
 def test_recording_csv_reader_agrees_with_the_per_line_reader(tmp_path, text):
-    # a new file per example: truncating an existing one is slow on some file systems
-    path = tmp_path / f"rec{len(list(tmp_path.iterdir()))}.csv"
+    path = fresh_path(tmp_path, "rec.csv")
     path.write_bytes(text.encode("utf-8"))
     expected = _read_by_line_reference(path)
     try:

@@ -15,20 +15,7 @@ from pdckit import (
     write_generator_spec_json,
 )
 
-from conftest import random_stable_var
-
-
-def _spec(coeffs, sigma=None, n=500, seed=0, fs=250.0, **kw):
-    coeffs = np.asarray(coeffs, dtype=float)
-    m = coeffs.shape[1]
-    return GeneratorSpec(
-        coeff_matrices=coeffs,
-        innovation_covariance=np.eye(m) if sigma is None else np.asarray(sigma, float),
-        n_samples=n,
-        seed=seed,
-        sampling_rate_hz=fs,
-        **kw,
-    )
+from conftest import build_spec, random_stable_var, simulate
 
 
 WHITE = [[[0.0, 0.0], [0.0, 0.0]]]
@@ -39,15 +26,17 @@ WHITE = [[[0.0, 0.0], [0.0, 0.0]]]
 
 def test_spec_rejects_unstable_coefficients():
     with pytest.raises(ValueError):
-        _spec([[[1.0]]])
-    _spec([[[0.999]]])  # strictly inside the unit circle is fine
+        build_spec([[[1.0]]], 500, 0)
+    build_spec([[[0.999]]], 500, 0)  # strictly inside the unit circle is fine
 
 
 def test_spec_rejects_bad_covariance():
     with pytest.raises(ValueError):
-        _spec(WHITE, sigma=[[1.0, 0.5], [0.4, 1.0]])  # not symmetric
+        # not symmetric
+        build_spec(WHITE, 500, 0, innovation_covariance=[[1.0, 0.5], [0.4, 1.0]])
     with pytest.raises(ValueError):
-        _spec(WHITE, sigma=[[1.0, 2.0], [2.0, 1.0]])  # not positive definite
+        # not positive definite
+        build_spec(WHITE, 500, 0, innovation_covariance=[[1.0, 2.0], [2.0, 1.0]])
 
 
 @pytest.mark.parametrize("coeffs, sigma, message", [
@@ -66,22 +55,22 @@ def test_each_refusal_raises_its_message(coeffs, sigma, message):
 
 
 def test_spec_default_labels_and_burn_in():
-    spec = _spec(WHITE)
+    spec = build_spec(WHITE, 500, 0)
     assert spec.channel_labels == ("ch1", "ch2")
     assert spec.burn_in == 500
-    named = _spec(WHITE, channel_labels=("F3", "T5"))
+    named = build_spec(WHITE, 500, 0, channel_labels=("F3", "T5"))
     assert named.channel_labels == ("F3", "T5")
     with pytest.raises(ValueError):
-        _spec(WHITE, channel_labels=("F3",))
+        build_spec(WHITE, 500, 0, channel_labels=("F3",))
 
 
 # ---------------------------------------------------------------- generation
 
 
 def test_generate_is_deterministic_per_seed():
-    rec1 = generate(_spec(WHITE, seed=42))
-    rec2 = generate(_spec(WHITE, seed=42))
-    rec3 = generate(_spec(WHITE, seed=43))
+    rec1 = simulate(WHITE, 500, 42)
+    rec2 = simulate(WHITE, 500, 42)
+    rec3 = simulate(WHITE, 500, 43)
     assert_array_equal(rec1.samples, rec2.samples)
     assert np.any(rec1.samples != rec3.samples)
     assert rec1.samples.shape == (500, 2)
@@ -121,22 +110,14 @@ def test_generate_is_the_per_sample_copy_loop_bit_for_bit(m, p, n, burn_in, seed
 
 def test_generate_white_noise_matches_innovation_covariance():
     sigma = np.array([[1.0, 0.6], [0.6, 1.0]])
-    rec = generate(_spec(WHITE, sigma=sigma, n=60_000, seed=7))
+    rec = simulate(WHITE, 60_000, 7, innovation_covariance=sigma)
     sample_cov = np.cov(rec.samples.T)
     assert_allclose(sample_cov, sigma, atol=0.02)
 
 
 def test_generate_ar1_autocorrelation():
     # lag-1 autocorrelation of a strongly persistent AR(1) is its coefficient
-    rec = generate(
-        GeneratorSpec(
-            coeff_matrices=np.array([[[0.9]]]),
-            innovation_covariance=np.eye(1),
-            n_samples=20_000,
-            seed=11,
-            sampling_rate_hz=250.0,
-        )
-    )
+    rec = simulate([[[0.9]]], 20_000, 11)
     x = rec.samples[:, 0]
     x = x - x.mean()
     rho = float(np.dot(x[1:], x[:-1]) / np.dot(x, x))
@@ -146,17 +127,17 @@ def test_generate_ar1_autocorrelation():
 def test_generate_cross_coupling_shows_in_cross_covariance():
     # x2(t) = 0.4 x1(t-1) + noise: lagged cross-covariance is positive
     coeffs = np.array([[[0.0, 0.0], [0.4, 0.0]]])
-    rec = generate(_spec(coeffs, n=30_000, seed=3))
+    rec = simulate(coeffs, 30_000, 3)
     x1, x2 = rec.samples[:, 0], rec.samples[:, 1]
     lagged = float(np.mean(x1[:-1] * x2[1:]))
     assert lagged == pytest.approx(0.4, abs=0.05)
 
 
 def test_burn_in_changes_the_emitted_window():
-    base = generate(_spec(WHITE, seed=5, burn_in=500))
-    longer = generate(_spec(WHITE, seed=5, burn_in=501))
+    base = simulate(WHITE, 500, 5, burn_in=500)
+    longer = simulate(WHITE, 500, 5, burn_in=501)
     assert np.any(base.samples != longer.samples)
-    zero = generate(_spec(WHITE, seed=5, burn_in=0))
+    zero = simulate(WHITE, 500, 5, burn_in=0)
     assert zero.samples.shape == (500, 2)
 
 
@@ -164,7 +145,7 @@ def test_generated_epochs_pass_the_stationarity_screen():
     # stationary target after burn-in: the default screen passes nearly always
     passed = 0
     for seed in range(1000):
-        rec = generate(_spec(WHITE, n=225, seed=70_000 + seed))
+        rec = simulate(WHITE, 225, 70_000 + seed)
         passed += screen_stationarity(rec).passed
     assert passed >= 950
 
@@ -221,7 +202,7 @@ SPEC_KINDS = {
 def test_generator_spec_json_requires_integers(tmp_path, field, value):
     """Every key holds its JSON kind, integers included; unknown keys are refused."""
     path = tmp_path / "gen.json"
-    write_generator_spec_json(_spec(WHITE, n=100, seed=7), path)
+    write_generator_spec_json(build_spec(WHITE, 100, 7), path)
     path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
     if field in SPEC_KINDS:
         message = f"{path}: {field} must be {SPEC_KINDS[field]}, got {json.dumps(value)}"

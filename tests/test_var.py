@@ -20,7 +20,6 @@ from pdckit import (
     check_stability,
     choose_order_from_aic,
     fit_var,
-    generate,
     max_order_bound,
     screen_stationarity,
     select_order,
@@ -37,7 +36,7 @@ from pdckit.var import (
     write_model_json,
 )
 
-from conftest import random_stable_var
+from conftest import COUPLED, build_model, build_recording, random_stable_var, simulate
 
 
 def build_design(samples, p):
@@ -47,37 +46,13 @@ def build_design(samples, p):
     return joint[:, :k], joint[:, k:]
 
 
-def _segment(samples, fs=250.0):
-    samples = np.asarray(samples, dtype=float)
-    return Recording(
-        samples=samples,
-        sampling_rate_hz=fs,
-        channel_labels=tuple(f"ch{i + 1}" for i in range(samples.shape[1])),
-    )
-
-
-def _simulate(coeffs, n, seed, m=None):
-    coeffs = np.asarray(coeffs, dtype=float)
-    m = coeffs.shape[1] if m is None else m
-    rec = generate(
-        GeneratorSpec(
-            coeff_matrices=coeffs,
-            innovation_covariance=np.eye(m),
-            n_samples=n,
-            seed=seed,
-            sampling_rate_hz=250.0,
-        )
-    )
-    return _segment(rec.samples)
-
-
 # ------------------------------------------------------------------- fitting
 
 
 def test_fit_reproduces_exact_linear_recurrence():
     # noise-free AR(1): x(t) = 0.5 x(t-1) starting from 1, single channel
     x = 0.5 ** np.arange(30.0)
-    model, resid = fit_var(_segment(x[:, None]), 1)
+    model, resid = fit_var(build_recording(x[:, None]), 1)
     assert model.order_p == 1
     assert model.n_samples_used == 29
     assert_allclose(model.coeff_matrices[0], [[0.5]], atol=1e-12)
@@ -87,7 +62,7 @@ def test_fit_reproduces_exact_linear_recurrence():
 
 def test_fit_residual_covariance_uses_row_count_denominator():
     rng = np.random.default_rng(5)
-    seg = _segment(rng.normal(size=(100, 2)))
+    seg = build_recording(rng.normal(size=(100, 2)))
     model, resid = fit_var(seg, 3)
     assert model.n_samples_used == 97
     assert_allclose(model.residual_covariance, resid.T @ resid / 97.0, rtol=1e-12)
@@ -97,7 +72,7 @@ def test_fit_with_one_spare_row_accepts_a_large_singular_covariance():
     # 5 rows, 4 coefficients per equation: the 4x4 covariance has rank 1,
     # and its rounding scales with the data (about -1e-6 here)
     samples = 1e5 * np.random.default_rng(3).normal(size=(6, 4))
-    model, _ = fit_var(_segment(samples), 1)
+    model, _ = fit_var(build_recording(samples), 1)
     assert np.linalg.matrix_rank(model.residual_covariance) == 1
 
 
@@ -127,8 +102,8 @@ def test_models_and_generator_specs_share_one_covariance_rule(build, name):
 
 def test_fit_refuses_a_residual_covariance_that_overflows():
     # the coefficients of samples near 1e200 stay finite, their residual product does not
-    segment = _simulate([[[0.5, 0.0], [0.4, 0.5]]], 400, 3)
-    scaled = _segment(segment.samples * 1e200)
+    segment = simulate([[[0.5, 0.0], [0.4, 0.5]]], 400, 3)
+    scaled = build_recording(segment.samples * 1e200)
     with pytest.raises(ValueError) as info:  # and no numpy warning, which fails the test
         fit_var(scaled, 2)
     assert str(info.value) == "residual_covariance must be finite"
@@ -141,7 +116,7 @@ def test_fit_refuses_a_residual_covariance_that_overflows():
      "coeff_matrices must have shape (2, 2, 2), got (1, 2, 2)"),
     (lambda: max_order_bound(1, 4),
      "order bound 3*sqrt(1)/4 is below 1; segment too short for 4 channels"),
-    (lambda: fit_var(_segment(np.random.default_rng(0).normal(size=(10, 2))), 9),
+    (lambda: fit_var(build_recording(np.random.default_rng(0).normal(size=(10, 2))), 9),
      "order 9 breaks N - p >= M*p + 1 for N=10 samples and M=2 channels"),  # no regression rows
 ], ids=["model-shape", "order-bound", "fit-rows"])
 def test_each_refusal_raises_its_message(refuse, message):
@@ -173,7 +148,7 @@ def test_fit_recovers_var2_coefficients_within_standard_errors():
     truth = np.stack([a1, a2])
     hits = 0
     for seed in range(100):
-        seg = _simulate(truth, 3000, 40_000 + seed)
+        seg = simulate(truth, 3000, 40_000 + seed)
         model, _ = fit_var(seg, 2)
         design, _ = build_design(seg.samples, 2)
         gram_diag = np.diag(np.linalg.inv(design.T @ design))
@@ -188,7 +163,7 @@ def test_fit_white_noise_coefficients_shrink_with_sample_size():
     ok = 0
     for seed in range(1000):
         rng = np.random.default_rng(30_000 + seed)
-        model, _ = fit_var(_segment(rng.normal(size=(5000, 2))), 1)
+        model, _ = fit_var(build_recording(rng.normal(size=(5000, 2))), 1)
         ok += bool(np.abs(model.coeff_matrices).max() < 0.05)
     assert ok >= 990
 
@@ -209,8 +184,7 @@ def _lstsq_fit(samples, p):
     residuals = target - design @ coeffs_flat
     cov = residuals.T @ residuals / design.shape[0]
     coeffs = np.stack([coeffs_flat[i * m : (i + 1) * m].T for i in range(p)])
-    model = VarModel(order_p=p, coeff_matrices=coeffs, residual_covariance=cov,
-                     n_samples_used=design.shape[0], channel_labels=_segment(samples).channel_labels)
+    model = build_model(coeffs, residual_covariance=cov, n_samples_used=design.shape[0])
     return model, residuals
 
 
@@ -257,7 +231,7 @@ def test_fit_takes_qr_up_to_the_cap_and_lstsq_past_it():
     assert 5e3 < _condition(_BELOW_CAP, 1) < 1e4
     for samples, lstsq_calls in ((_PAST_CAP, 1), (_BELOW_CAP, 0)):
         with mock.patch.object(np.linalg, "lstsq", wraps=_LSTSQ) as lstsq:
-            fit_var(_segment(samples), 1)
+            fit_var(build_recording(samples), 1)
         assert lstsq.call_count == lstsq_calls
 
 
@@ -267,9 +241,9 @@ def test_fit_matches_lstsq_to_1e12_on_bench_shaped_models(m, p):
     rng = np.random.default_rng(40 + m)
     for seed in range(10):
         truth = random_stable_var(rng, m, 2, radius=0.9).coeff_matrices
-        samples = _simulate(truth, 225, 50_000 + seed).samples
+        samples = simulate(truth, 225, 50_000 + seed).samples
         with mock.patch.object(np.linalg, "lstsq", wraps=_LSTSQ) as lstsq:
-            model, residuals = fit_var(_segment(samples), p)
+            model, residuals = fit_var(build_recording(samples), p)
         assert lstsq.call_count == 0
         ref_model, ref_residuals = _lstsq_fit(samples, p)
         coeffs, cov = ref_model.coeff_matrices, ref_model.residual_covariance
@@ -383,12 +357,12 @@ def test_fit_is_the_r_mode_fit_bit_for_bit_and_the_lstsq_fit_to_rounding():
         with mock.patch.object(np.linalg, "lstsq", wraps=_LSTSQ) as lstsq:
             if expected is None or reference is None:
                 with pytest.raises(EstimationError, match="rank deficient"):
-                    fit_var(_segment(samples), p)
+                    fit_var(build_recording(samples), p)
                 assert expected is None and reference is None
                 assert lstsq.call_count == 1
                 seen["rank deficient"] += 1
                 return
-            model, residuals = fit_var(_segment(samples), p)
+            model, residuals = fit_var(build_recording(samples), p)
         got = (model.coeff_matrices, residuals, model.residual_covariance)
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
         ref_model, ref_residuals = reference
@@ -493,7 +467,7 @@ def test_select_order_on_white_noise_stays_low_or_caps():
     near = 0
     for seed in range(200):
         rng = np.random.default_rng(20_000 + seed)
-        sel = select_order(_segment(rng.normal(size=(2000, 2))), p_scan_max=6)
+        sel = select_order(build_recording(rng.normal(size=(2000, 2))), p_scan_max=6)
         values = dict(sel.aic_values)
         if sel.rule_applied == RULE_FIRST_LOCAL_MINIMUM:
             assert sel.chosen_p <= 5
@@ -516,7 +490,7 @@ def test_select_order_raises_the_first_failing_candidates_estimation_error():
 
 def test_a_second_scan_of_the_default_depth_builds_no_new_mask():
     # the default scan fits 20 orders, each with its own upper-trapezoid mask
-    seg = _simulate([[[0.3, 0.0], [0.4, 0.3]]], 225, 61_000)
+    seg = simulate(COUPLED, 225, 61_000)
     select_order(seg, p_scan_max=20)
     misses = _upper_trapezoid.cache_info().misses
     select_order(seg, p_scan_max=20)
@@ -524,7 +498,7 @@ def test_a_second_scan_of_the_default_depth_builds_no_new_mask():
 
 
 def test_select_order_respects_bound_by_default():
-    seg = _segment(np.random.default_rng(1).normal(size=(60, 2)))
+    seg = build_recording(np.random.default_rng(1).normal(size=(60, 2)))
     # bound for N=60, M=2: largest p with (2p)^2 < 540 is 11
     sel = select_order(seg, p_scan_max=8)
     assert sel.chosen_p <= 8
@@ -544,7 +518,7 @@ def test_select_order_checks_the_rows_of_its_whole_scan_before_any_fit(monkeypat
     assert p_scan_max == max_order_bound(n, m)
     fits = mock.Mock(wraps=fit_var)
     monkeypatch.setattr(var_module, "fit_var", fits)
-    seg = _segment(np.random.default_rng(3).normal(size=(n, m)))
+    seg = build_recording(np.random.default_rng(3).normal(size=(n, m)))
     with pytest.raises(ValueError, match=re.escape(
             f"order {p_scan_max} breaks N - p >= M*p + 1 for N={n} samples and M={m} channels")):
         select_order(seg, p_scan_max=p_scan_max)
