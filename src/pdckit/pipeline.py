@@ -37,7 +37,8 @@ from .pdc import (
 # not called here: this module averages stacked arrays itself. Both names stay
 # attributes of it because perfbench/spans.py wraps them under this module
 from .pdc import average_over_segments, band_average  # noqa: F401
-from .signals import _window_length, extract_segments, screen_stationarity
+from .signals import (_SCREEN_MEAN_DRIFT_TOL, _SCREEN_N_WINDOWS, _SCREEN_VARIANCE_RATIO_TOL,
+                      _window_length, extract_segments, screen_stationarity)
 from .stats import (DEFAULT_ALPHA, _pair_cell, _test_rows, compare_conditions, format_pair,
                     write_test_table_csv)
 from .var import _check_rows, _check_scan, check_stability, fit_var, select_order
@@ -97,9 +98,9 @@ class PipelineConfig:
     order_mode: str = ORDER_MODE_FIXED
     fixed_order: int = 15
     p_scan_max: int = 20
-    stationarity_n_windows: int = 3
-    stationarity_mean_drift_tol: float = 0.5
-    stationarity_variance_ratio_tol: float = 2.0
+    stationarity_n_windows: int = _SCREEN_N_WINDOWS
+    stationarity_mean_drift_tol: float = _SCREEN_MEAN_DRIFT_TOL
+    stationarity_variance_ratio_tol: float = _SCREEN_VARIANCE_RATIO_TOL
     alpha: float = DEFAULT_ALPHA
     amplitude_reject_threshold: float | None = None
     model_scope: str = SCOPE_PER_PAIR

@@ -177,11 +177,18 @@ def _window_length(n_samples: int, n_windows: int) -> int:
     return n_samples // n_windows
 
 
+# the screen of the reference protocol, which `PipelineConfig`'s stationarity_*
+# fields default to as well
+_SCREEN_N_WINDOWS = 3
+_SCREEN_MEAN_DRIFT_TOL = 0.5
+_SCREEN_VARIANCE_RATIO_TOL = 2.0
+
+
 def screen_stationarity(
     segment: Recording,
-    n_windows: int = 3,
-    mean_drift_tol: float = 0.5,
-    variance_ratio_tol: float = 2.0,
+    n_windows: int = _SCREEN_N_WINDOWS,
+    mean_drift_tol: float = _SCREEN_MEAN_DRIFT_TOL,
+    variance_ratio_tol: float = _SCREEN_VARIANCE_RATIO_TOL,
 ) -> StationarityReport:
     """Screen a segment for weak stationarity.
 

@@ -108,24 +108,39 @@ def generate(spec: GeneratorSpec) -> Recording:
     The first `burn_in` rows are discarded. Bit-identical output for equal
     specs.
     """
-    p = spec.order_p
-    m = spec.n_channels
-    total = spec.burn_in + spec.n_samples
-    rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    chol = np.linalg.cholesky(spec.innovation_covariance)
-    history = np.zeros((p + total, m))  # p zero rows of initial state, then the samples
-    history[p:] = rng.standard_normal((total, m)) @ chol.T
+    return _generate_stack([spec])[0]
 
-    coeffs = spec.coeff_matrices
+
+def _generate_stack(specs) -> list[Recording]:
+    """`generate` of each spec, in one recursion over all of them.
+
+    The specs must share order, channel count and burn_in + n_samples. Each
+    spec's innovations come from its own seed and Cholesky factor, and each lag
+    term is one (M, M) @ (M, 1) product of a stacked `np.matmul`, added in lag
+    order as for one spec, so every recording has the bits `generate` gives it.
+    """
+    shapes = {(spec.order_p, spec.n_channels, spec.burn_in + spec.n_samples) for spec in specs}
+    if len(shapes) != 1:
+        raise ValueError("stacked specs must share order, channel count and "
+                         f"burn_in + n_samples, got {sorted(shapes)}")
+    ((p, m, total),) = shapes
+    # time-major: p zero rows of initial state, then the samples, one (S, M, 1) stack per row
+    history = np.zeros((p + total, len(specs), m, 1))
+    for k, spec in enumerate(specs):
+        rng = np.random.Generator(np.random.Philox(key=spec.seed))
+        chol = np.linalg.cholesky(spec.innovation_covariance)
+        history[p:, k, :, 0] = rng.standard_normal((total, m)) @ chol.T
+    coeffs = np.stack([spec.coeff_matrices for spec in specs], axis=1)  # (p, S, M, M)
+
     for t in range(p, p + total):
-        x = history[t]  # the innovation, to which each lag term is added in place
+        x = history[t]  # the innovations, to which each lag term is added in place
         for r in range(p):
-            x += coeffs[r] @ history[t - 1 - r]
-    return Recording(
-        samples=history[p + spec.burn_in:],
+            x += np.matmul(coeffs[r], history[t - 1 - r])
+    return [Recording(
+        samples=np.ascontiguousarray(history[p + spec.burn_in:, k, :, 0]),
         sampling_rate_hz=spec.sampling_rate_hz,
         channel_labels=spec.channel_labels,
-    )
+    ) for k, spec in enumerate(specs)]
 
 
 # generator spec JSON keys, each the GeneratorSpec field it holds, in file order: not

@@ -1,10 +1,15 @@
 """Shared helpers for the test suite: the hypothesis profiles, and the one home
 of every synthetic input the tests build (specs, recordings, models, cohorts,
-the coupled and quiet VAR(1) lags, fresh per-example paths). A new test draws
-its inputs from here. scipy is not imported at module level: the scipy-free run
-of the CLI test loads this file too."""
+the coupled and quiet VAR(1) lags, fresh per-example paths) and of the file
+strategies: `csv_texts`, CSV text with the quirks a reader must take,
+`csv_records`, the plain `csv.reader` walk the readers' references build on,
+and `spectra`/`recordings`, valid containers to write. A new test draws its
+inputs from here. scipy is not imported at module level: the scipy-free run of
+the CLI test loads this file too."""
 
+import csv
 import itertools
+import math
 import os
 from pathlib import Path
 
@@ -12,7 +17,8 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from pdckit import GeneratorSpec, Recording, VarModel, generate
+from pdckit import FrequencyGrid, GeneratorSpec, PdcSpectrum, Recording, VarModel, generate
+from pdckit.synth import _generate_stack
 from pdckit.var import spectral_radius
 
 # every property test runs without a deadline: an example's time varies with
@@ -51,9 +57,14 @@ def simulate(coeffs, n_samples, seed, **fields):
     return generate(build_spec(coeffs, n_samples, seed, **fields))
 
 
+def simulate_many(coeffs, n_samples, seeds, **fields):
+    """`simulate` at each seed, drawn in one lockstep recursion: the same bits."""
+    return _generate_stack([build_spec(coeffs, n_samples, seed, **fields) for seed in seeds])
+
+
 def build_cohort(coeffs, n_samples, seeds, starts, **fields):
     """One (recording, epoch onsets) subject per seed, each simulated from `coeffs`."""
-    return [(simulate(coeffs, n_samples, seed, **fields), starts) for seed in seeds]
+    return [(recording, starts) for recording in simulate_many(coeffs, n_samples, seeds, **fields)]
 
 
 def build_recording(samples, sampling_rate_hz=250.0, channel_labels=None):
@@ -115,6 +126,76 @@ def stable_lines(path):
     (`timestamp_utc`): two runs of the same input agree on these."""
     return [line for line in Path(path).read_bytes().splitlines()
             if not line.lstrip().startswith(b'"timestamp_utc":')]
+
+
+@st.composite
+def spectra(draw, label, rates=finite(1.0, 5000.0)):
+    """A `PdcSpectrum` of 1-4 channels named by `label`, at a rate drawn from
+    `rates`, on 1-6 frequencies up to its Nyquist, with values in [0, 1]."""
+    names = tuple(draw(st.lists(label, min_size=1, max_size=4, unique=True)))
+    fs = draw(rates)
+    freqs = sorted(draw(st.lists(finite(0.0, fs / 2), min_size=1, max_size=6, unique=True)))
+    shape = (len(freqs), len(names), len(names))
+    n = math.prod(shape)
+    values = draw(st.lists(finite(0.0, 1.0), min_size=n, max_size=n))
+    return PdcSpectrum(np.array(values).reshape(shape), FrequencyGrid(np.array(freqs), fs), names)
+
+
+@st.composite
+def recordings(draw, label):
+    """A `Recording` of 1-4 channels named by `label` and 1-20 rows of finite samples."""
+    names = tuple(draw(st.lists(label, min_size=1, max_size=4, unique=True)))
+    n = draw(st.integers(1, 20)) * len(names)
+    values = draw(st.lists(finite(-1e12, 1e12), min_size=n, max_size=n))
+    return Recording(np.array(values).reshape(-1, len(names)),
+                     draw(finite(1e-3, 1e5, exclude_min=True)), names)
+
+
+# built once: building a strategy per drawn line took much of a property's time
+_BLANK_LINES = st.sampled_from(["", "", " ", "\t"])
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_texts(draw, header, rows, bom=False, pads=st.just("")):
+    """CSV text of `header` and `rows` (lists of cell text) with the quirks a
+    reader must take: a leading BOM now and then if `bom`; a blank or
+    whitespace-only line before a row or at the end; in one file of three, rows
+    one cell short or long; a cell holding a line break quoted, any other at
+    random, its quotes doubled and a pad from `pads` after the closing quote;
+    and \\n, \\r\\n or \\r line endings mixed within one file, the last line
+    ending in one of them or in none."""
+    ragged = draw(st.integers(0, 2)) == 0
+    lines = [(draw(st.sampled_from(["", "\ufeff"])) if bom else "") + ",".join(header)]
+    for row in [*rows, None]:
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(_BLANK_LINES))
+        if row is None:
+            break
+        if ragged and draw(st.integers(0, 3)) == 0:
+            row = row[:-1] if draw(st.booleans()) else [*row, row[-1]]
+        lines.append(",".join('"' + cell.replace('"', '""') + '"' + draw(pads)
+                              if "\n" in cell or draw(st.booleans()) else cell for cell in row))
+    return "".join(line + draw(_LINE_ENDS) for line in lines[:-1]) + lines[-1] + draw(
+        st.sampled_from(["", "\n", "\r\n", "\r"]))
+
+
+def csv_records(path):
+    """Walk a CSV file as a plain `csv.reader` reads it, less one leading BOM: yield
+    (last physical line, cells) of its header and of each later non-blank record. A
+    record not as wide as the header raises `ValueError` with the readers' message,
+    `path:line: expected N values, got K`."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        yield reader.line_num, header
+        for cells in reader:
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise ValueError(f"{path}:{reader.line_num}: expected {len(header)} values, "
+                                 f"got {len(cells)}")
+            yield reader.line_num, cells
 
 
 def enumerated_signed_rank_p(diffs):

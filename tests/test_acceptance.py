@@ -31,7 +31,7 @@ from conftest import (
     build_model,
     enumerated_signed_rank_p,
     random_stable_var,
-    simulate,
+    simulate_many,
 )
 
 
@@ -72,8 +72,7 @@ CRIT2_TRUTH = np.array([
 def test_criterion_02_var3_coefficient_recovery():
     assert spectral_radius(CRIT2_TRUTH) < 1.0
     hits = 0
-    for i in range(200):
-        rec = simulate(CRIT2_TRUTH, 2000, 1000 + i)
+    for rec in simulate_many(CRIT2_TRUTH, 2000, range(1000, 1200)):
         model, _ = fit_var(rec, 3)
         hits += np.max(np.abs(model.coeff_matrices - CRIT2_TRUTH)) < 0.05
     _verdict(2, hits >= 190, f"elementwise +-0.05 recovery in {hits}/200 seeds")
@@ -91,8 +90,7 @@ CRIT3_TRUTH = np.array([
 def test_criterion_03_order_selection():
     assert spectral_radius(CRIT3_TRUTH) < 1.0
     hits = 0
-    for i in range(200):
-        rec = simulate(CRIT3_TRUTH, 2000, 5000 + i)
+    for rec in simulate_many(CRIT3_TRUTH, 2000, range(5000, 5200)):
         hits += select_order(rec, 10).chosen_p == 4
     # strictly decreasing AIC never has an interior minimum; the cap rule
     # must then return max_order_bound(225, 2) = 22 exactly
@@ -109,8 +107,7 @@ def test_criterion_04_directionality():
     hits = 0
     forward = []
     reverse = []
-    for i in range(100):
-        rec = simulate(truth, 2000, 7000 + i)
+    for rec in simulate_many(truth, 2000, range(7000, 7100)):
         model, _ = fit_var(rec, 1)
         values = compute_pdc(model, GRID).values
         p21 = float(np.mean(values[:, 1, 0]))

@@ -21,7 +21,6 @@ from pdckit import (
     FrequencyGrid,
     PdcSpectrum,
     PipelineConfig,
-    Recording,
     read_config_json,
     read_generator_spec_json,
     read_markers_csv,
@@ -36,7 +35,8 @@ from pdckit import (
 )
 from pdckit.cli import _read_band_values_csv
 
-from conftest import COUPLED, build_spec, finite, fresh_path, random_stable_var
+from conftest import (COUPLED, build_spec, finite, fresh_path, random_stable_var, recordings,
+                      spectra)
 
 # labels and numbers whose CSV cells are never quoted, so a file's cells are
 # its lines split at commas
@@ -68,21 +68,18 @@ MARKERS_COLUMNS = [("epoch start (ms)", "number")]
 
 
 def _spectrum(draw, path):
-    names = draw(st.lists(LABEL, min_size=1, max_size=3, unique=True))
-    freqs = sorted(draw(st.lists(finite(0.0, 100.0), min_size=1, max_size=3, unique=True)))
-    m = len(names)
-    values = np.array(draw(st.lists(finite(0.0, 1.0), min_size=len(freqs) * m * m,
-                                    max_size=len(freqs) * m * m))).reshape(len(freqs), m, m)
-    write_spectrum_csv(PdcSpectrum(values, FrequencyGrid(np.array(freqs), 200.0), tuple(names)),
-                       path)
-    cells = [(line, SPECTRUM_COLUMNS) for line in range(2, len(freqs) * m * m + 2)]
-    return (tuple(names), np.array(freqs).tobytes(), values.tobytes()), cells
+    spectrum = draw(spectra(LABEL, rates=st.just(200.0)))
+    write_spectrum_csv(spectrum, path)
+    cells = [(line, SPECTRUM_COLUMNS) for line in range(2, spectrum.values.size + 2)]
+    return _spectrum_bits(spectrum), cells
 
 
 def _read_spectrum(path):
-    spectrum = read_spectrum_csv(path, 200.0)
-    return (spectrum.channel_labels, spectrum.grid.freqs_hz.tobytes(),
-            spectrum.values.tobytes())
+    return _spectrum_bits(read_spectrum_csv(path, 200.0))
+
+
+def _spectrum_bits(spectrum):
+    return spectrum.channel_labels, spectrum.grid.freqs_hz.tobytes(), spectrum.values.tobytes()
 
 
 def _band_table(draw, path):
@@ -105,13 +102,11 @@ def _hex(table):
 
 
 def _recording(draw, path):
-    names = draw(st.lists(LABEL, min_size=1, max_size=3, unique=True))
-    n = draw(st.integers(1, 4))
-    samples = np.array(draw(st.lists(finite(-1e12, 1e12), min_size=n * len(names),
-                                     max_size=n * len(names)))).reshape(n, len(names))
-    write_recording_csv(Recording(samples, 250.0, tuple(names)), path)
-    columns = [(name, "number") for name in names]
-    return (tuple(names), samples.tobytes()), [(line, columns) for line in range(2, n + 2)]
+    recording = draw(recordings(LABEL))
+    write_recording_csv(recording, path)
+    columns = [(name, "number") for name in recording.channel_labels]
+    cells = [(line, columns) for line in range(2, recording.n_samples + 2)]
+    return (recording.channel_labels, recording.samples.tobytes()), cells
 
 
 def _read_recording(path):

@@ -36,7 +36,8 @@ from pdckit.cli import main
 from pdckit.pdc import read_spectrum_csv
 from pdckit.pipeline import _CONFIG_KEYS, _fit_order
 
-from conftest import COUPLED, QUIET, build_spec, fresh_path, simulate, stable_lines
+from conftest import (COUPLED, QUIET, build_spec, csv_records, csv_texts, fresh_path, simulate,
+                      stable_lines)
 
 
 def _gen_spec_file(tmp_path, n=800, seed=12):
@@ -775,18 +776,13 @@ def _read_table_reference(path, columns):
     """The records a table reader must build on, by a plain `csv.reader`: one
     column -> cell dict per non-blank record, or the message naming the last
     physical line of the first record whose width is not the header's."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = []
-        for cells in reader:
-            if not cells:
-                continue
-            if len(cells) != len(header):
-                return f"{path}:{reader.line_num}: expected {len(header)} values, got {len(cells)}"
-            rows.append(dict(zip(header, cells)))
+    records = csv_records(path)
+    header = next(records)[1]
     assert sorted(header) == sorted(columns)
-    return rows
+    try:
+        return [dict(zip(header, cells)) for _, cells in records]
+    except ValueError as exc:
+        return str(exc)
 
 
 # each table's header and complete set of valid records: labels and subjects that
@@ -806,26 +802,14 @@ _TABLES = {
 @st.composite
 def _table_files(draw, table):
     """Table CSV text in a drawn column order: the table's records in a drawn
-    order with drawn values, blank lines, records one cell short or long, cells
-    quoted at random, and \n, \r\n or \r line endings mixed within one file."""
+    order with drawn values, with every quirk of `csv_texts` but a BOM and pads."""
     columns, records = _TABLES[table]
     header = draw(st.permutations(columns))
     number = columns[-1]  # pdc or value
     values = st.floats(0.0, 1.0) if table == "spectrum" else st.floats(-1e6, 1e6)
-    ragged = draw(st.integers(0, 2)) == 0
-    lines = [",".join(header)]
-    for record in draw(st.permutations(records)):
-        if draw(st.integers(0, 5)) == 0:
-            lines.append(draw(st.sampled_from(["", "", " "])))
-        cells = {**record, number: repr(draw(values))}
-        row = [cells[name] for name in header]
-        if ragged and draw(st.integers(0, 3)) == 0:
-            row = row[:-1] if draw(st.booleans()) else [*row, "0.5"]
-        lines.append(",".join(f'"{cell}"' if "\n" in cell or draw(st.integers(0, 3)) == 0
-                              else cell for cell in row))
-    ends = st.sampled_from(["\n", "\r\n", "\r"])
-    return "".join(line + draw(ends) for line in lines[:-1]) + lines[-1] + draw(
-        st.sampled_from(["", "\n", "\r\n", "\r"]))
+    rows = [[{**record, number: repr(draw(values))}[name] for name in header]
+            for record in draw(st.permutations(records))]
+    return draw(csv_texts(header, rows))
 
 
 def _read_table(table, path):

@@ -34,7 +34,7 @@ from pdckit import (
 )
 from pdckit.pdc import write_band_averages_json
 
-from conftest import finite, fresh_path
+from conftest import finite, fresh_path, recordings, spectra
 
 SETTINGS = settings(max_examples=60,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -179,23 +179,8 @@ def test_generator_spec_json_round_trip_property(tmp_path, spec):
     assert second.read_bytes() == first.read_bytes()
 
 
-@st.composite
-def spectra(draw):
-    names = draw(labels())
-    m = len(names)
-    fs = draw(finite(1.0, 5000.0))
-    freqs = sorted(draw(st.lists(finite(0.0, fs / 2), min_size=1, max_size=6, unique=True)))
-    n = len(freqs) * m * m
-    values = draw(st.lists(finite(0.0, 1.0), min_size=n, max_size=n))
-    return PdcSpectrum(
-        values=np.array(values).reshape(len(freqs), m, m),
-        grid=FrequencyGrid(freqs_hz=np.array(freqs), sampling_rate_hz=fs),
-        channel_labels=tuple(names),
-    )
-
-
 @SETTINGS
-@given(spectrum=spectra())
+@given(spectrum=spectra(TEXT))
 def test_spectrum_csv_round_trip_property(tmp_path, spectrum):
     first, second = fresh_path(tmp_path, "a.csv"), fresh_path(tmp_path, "b.csv")
     write_spectrum_csv(spectrum, first)
@@ -207,21 +192,8 @@ def test_spectrum_csv_round_trip_property(tmp_path, spectrum):
     assert second.read_bytes() == first.read_bytes()
 
 
-@st.composite
-def recordings(draw):
-    names = draw(labels())
-    n = draw(st.integers(1, 20))
-    values = draw(st.lists(finite(-1e12, 1e12), min_size=n * len(names),
-                           max_size=n * len(names)))
-    return Recording(
-        samples=np.array(values).reshape(n, len(names)),
-        sampling_rate_hz=draw(finite(1e-3, 1e5, exclude_min=True)),
-        channel_labels=tuple(names),
-    )
-
-
 @SETTINGS
-@given(recording=recordings())
+@given(recording=recordings(TEXT))
 def test_recording_csv_round_trip_property(tmp_path, recording):
     first, second = fresh_path(tmp_path, "a.csv"), fresh_path(tmp_path, "b.csv")
     write_recording_csv(recording, first)

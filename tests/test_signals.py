@@ -1,4 +1,3 @@
-import csv
 import math
 import re
 import warnings
@@ -22,7 +21,7 @@ from pdckit import (
 )
 from pdckit.signals import read_markers_csv
 
-from conftest import build_recording, fresh_path
+from conftest import build_recording, csv_records, csv_texts, fresh_path
 
 # the label rule, as every message that refuses a channel label words it
 LABEL_RULE = "a non-empty string without edge whitespace or '->'"
@@ -319,16 +318,11 @@ def test_recording_csv_header_only_file_raises_without_a_warning(tmp_path, body)
 def _read_by_line_reference(path):
     """The per-record reader the one-call parse must agree with: the samples, or the
     message naming the record's last physical line and the first bad cell's column."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:  # less one leading BOM
-        reader = csv.reader(fh)
-        labels = [label.strip() for label in next(reader)]
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            lineno = reader.line_num
-            if len(row) != len(labels):
-                return f"{path}:{lineno}: expected {len(labels)} values, got {len(row)}"
+    records = csv_records(path)
+    labels = [label.strip() for label in next(records)[1]]
+    rows = []
+    try:
+        for lineno, row in records:
             values = []
             for label, cell in zip(labels, row):
                 try:
@@ -338,6 +332,8 @@ def _read_by_line_reference(path):
                 if not math.isfinite(values[-1]):
                     return f"{path}:{lineno}: {label} must be a finite number, got {cell!r}"
             rows.append(values)
+    except ValueError as exc:  # a record not as wide as the header
+        return str(exc)
     if not rows:
         return f"{path}: recording has a header but no samples"
     return np.array(rows, dtype=float)
@@ -347,48 +343,27 @@ def _read_by_line_reference(path):
 ODD_CELLS = st.sampled_from([
     "1_0", "inf", "-inf", "nan", "1e400", "-1e400", "1e-400", "-0", "+1", "\u0661",
     "Infinity", "0x1p3", "1e", "abc", "", " ", '1"', '"1"2', '""', ' "1"', "0\x1c",
-    "\x1f1", "1\x85",
+    "1\x1d", "\x1e2", "\x1f1", "1\x85",
 ])
 
 
 NUMBER_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
                          st.integers(-10**20, 10**20).map(str))
-NUMBER_OR_ODD_CELLS = st.one_of(NUMBER_CELLS, ODD_CELLS)
 PADS = st.sampled_from(["", "", "", " ", "\t", "\xa0"])
-BLANK_LINES = st.sampled_from(["", "", " ", "\t"])
-LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
-LAST_LINE_ENDS = st.sampled_from(["", "\n", "\r\n", "\r"])
-
-
-@st.composite
-def _cells(draw, odd):
-    text = draw(NUMBER_OR_ODD_CELLS if odd else NUMBER_CELLS)
-    text = draw(PADS) + text + draw(PADS)
-    if draw(st.booleans()):
-        text = '"' + text.replace('"', '""') + '"' + draw(PADS)
-    return text
-
-
-# built once: building a strategy per drawn cell took most of the property's time
-CELLS = {odd: _cells(odd) for odd in (False, True)}
+# a number, or a number or odd cell, between two pads; built once, since building
+# a strategy per drawn cell took most of the property's time
+CELLS = {odd: st.tuples(PADS, st.one_of(NUMBER_CELLS, ODD_CELLS) if odd else NUMBER_CELLS,
+                        PADS).map("".join) for odd in (False, True)}
 
 
 @st.composite
 def _recording_files(draw):
-    """Recording CSV text, with or without a leading BOM: 1-3 columns, 0-6 lines that
-    may be ragged, blank or odd, and \\n, \\r\\n or \\r line endings mixed within one file."""
+    """Recording CSV text of 1-3 columns and 0-6 rows, odd cells in one file of
+    three, with every quirk of `csv_texts`, a BOM and pads after quotes among them."""
     width = draw(st.integers(1, 3))
-    odd = draw(st.integers(0, 2)) == 0
-    ragged = draw(st.integers(0, 2)) == 0
-    lines = [draw(st.sampled_from(["", "\ufeff"])) + ",".join("abc"[:width])]
-    for _ in range(draw(st.integers(0, 6))):
-        if draw(st.integers(0, 5)) == 0:
-            lines.append(draw(BLANK_LINES))
-            continue
-        n = draw(st.integers(1, width + 1)) if ragged else width
-        lines.append(",".join(draw(CELLS[odd]) for _ in range(n)))
-    return "".join(line + draw(LINE_ENDS) for line in lines[:-1]) + lines[-1] + draw(
-        LAST_LINE_ENDS)
+    cells = CELLS[draw(st.integers(0, 2)) == 0]
+    rows = [[draw(cells) for _ in range(width)] for _ in range(draw(st.integers(0, 6)))]
+    return draw(csv_texts("abc"[:width], rows, bom=True, pads=PADS))
 
 
 @settings(max_examples=400,

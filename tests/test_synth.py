@@ -14,8 +14,9 @@ from pdckit import (
     screen_stationarity,
     write_generator_spec_json,
 )
+from pdckit.synth import _generate_stack
 
-from conftest import build_spec, random_stable_var, simulate
+from conftest import build_spec, random_stable_var, simulate, simulate_many
 
 
 WHITE = [[[0.0, 0.0], [0.0, 0.0]]]
@@ -108,6 +109,28 @@ def test_generate_is_the_per_sample_copy_loop_bit_for_bit(m, p, n, burn_in, seed
     assert generate(spec).samples.tobytes() == _generate_by_copy(spec).tobytes()
 
 
+@settings(max_examples=60)
+@given(m=st.integers(1, 4), p=st.integers(1, 3), total=st.integers(1, 300),
+       seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8), data=st.data())
+def test_each_spec_of_a_lockstep_stack_gets_its_own_generate_bit_for_bit(m, p, total, seeds,
+                                                                         data):
+    specs = []
+    for seed in seeds:  # own lags, covariance, seed and burn-in split of the shared length
+        rng = np.random.default_rng(seed)
+        root = rng.normal(size=(m, m))
+        burn_in = data.draw(st.integers(0, total - 1), label="burn_in")
+        specs.append(GeneratorSpec(
+            coeff_matrices=random_stable_var(rng, m, p, radius=0.9).coeff_matrices,
+            innovation_covariance=root @ root.T + np.eye(m), n_samples=total - burn_in,
+            seed=seed, sampling_rate_hz=250.0, burn_in=burn_in))
+    for spec, recording in zip(specs, _generate_stack(specs), strict=True):
+        assert recording.samples.tobytes() == generate(spec).samples.tobytes()
+    # a spec of another order, width or length does not fit the stack
+    other = build_spec(np.zeros((p, m, m)), total + 1, 0, burn_in=0)
+    with pytest.raises(ValueError, match="stacked specs must share order"):
+        _generate_stack([*specs, other])
+
+
 def test_generate_white_noise_matches_innovation_covariance():
     sigma = np.array([[1.0, 0.6], [0.6, 1.0]])
     rec = simulate(WHITE, 60_000, 7, innovation_covariance=sigma)
@@ -143,10 +166,8 @@ def test_burn_in_changes_the_emitted_window():
 
 def test_generated_epochs_pass_the_stationarity_screen():
     # stationary target after burn-in: the default screen passes nearly always
-    passed = 0
-    for seed in range(1000):
-        rec = simulate(WHITE, 225, 70_000 + seed)
-        passed += screen_stationarity(rec).passed
+    passed = sum(screen_stationarity(rec).passed
+                 for rec in simulate_many(WHITE, 225, range(70_000, 71_000)))
     assert passed >= 950
 
 

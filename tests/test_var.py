@@ -36,7 +36,8 @@ from pdckit.var import (
     write_model_json,
 )
 
-from conftest import COUPLED, build_model, build_recording, random_stable_var, simulate
+from conftest import (COUPLED, build_model, build_recording, random_stable_var, simulate,
+                      simulate_many)
 
 
 def build_design(samples, p):
@@ -147,8 +148,7 @@ def test_fit_recovers_var2_coefficients_within_standard_errors():
     a2 = np.array([[-0.2, 0.05], [0.0, -0.15]])
     truth = np.stack([a1, a2])
     hits = 0
-    for seed in range(100):
-        seg = simulate(truth, 3000, 40_000 + seed)
+    for seg in simulate_many(truth, 3000, range(40_000, 40_100)):
         model, _ = fit_var(seg, 2)
         design, _ = build_design(seg.samples, 2)
         gram_diag = np.diag(np.linalg.inv(design.T @ design))
