@@ -300,7 +300,9 @@ def _check_feasible(config: PipelineConfig, n: int, groups: tuple) -> None:
 def _cut(config: PipelineConfig, labels: tuple, recording, starts) -> list:
     """One subject's epochs, after checking the recording matches the cohort."""
     if recording.channel_labels != labels:
-        raise ValueError("all recordings must share one channel set")
+        raise ValueError(f"channels {recording.channel_labels} do not match the first "
+                         f"recording's {labels}; all recordings must list the same channels "
+                         "in the same order")
     if recording.sampling_rate_hz != config.sampling_rate_hz:
         raise ValueError(
             f"recording sampled at {recording.sampling_rate_hz} Hz but config "

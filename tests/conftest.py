@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: the hypothesis profiles, and the one home
 of every synthetic input the tests build (specs, recordings, models, cohorts,
-the coupled and quiet VAR(1) lags, fresh per-example paths) and of the file
+the coupled and quiet VAR(1) lags, fresh per-example paths, and
+`pipeline_cases`, drawn cohorts and protocols for the pipeline) and of the file
 strategies: `csv_texts`, CSV text with the quirks a reader must take,
 `csv_records`, the plain `csv.reader` walk the readers' references build on,
 and `spectra`/`recordings`, valid containers to write. A new test draws its
@@ -14,19 +15,20 @@ import os
 from pathlib import Path
 
 import numpy as np
-from hypothesis import settings
+from hypothesis import assume, settings
 from hypothesis import strategies as st
 
-from pdckit import FrequencyGrid, GeneratorSpec, PdcSpectrum, Recording, VarModel, generate
+from pdckit import (ORDER_MODE_AUTO_AIC, ORDER_MODE_FIXED, SCOPE_JOINT, SCOPE_PER_PAIR,
+                    FrequencyGrid, GeneratorSpec, PdcSpectrum, PipelineConfig, Recording,
+                    VarModel, generate)
 from pdckit.synth import _generate_stack
 from pdckit.var import spectral_radius
 
 # every property test runs without a deadline: an example's time varies with
-# the machine, and a slow one is not a failure. HYPOTHESIS_PROFILE=ci also draws
-# the same examples on every run and prints the blob that replays a failure
-settings.register_profile("pdckit", deadline=None)
-settings.register_profile("ci", settings.get_profile("pdckit"), derandomize=True,
-                          print_blob=True)
+# the machine, and a slow one is not a failure. A failure prints the blob that
+# replays it; HYPOTHESIS_PROFILE=ci also draws the same examples on every run
+settings.register_profile("pdckit", deadline=None, print_blob=True)
+settings.register_profile("ci", settings.get_profile("pdckit"), derandomize=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "pdckit"))
 
 
@@ -126,6 +128,44 @@ def stable_lines(path):
     (`timestamp_utc`): two runs of the same input agree on these."""
     return [line for line in Path(path).read_bytes().splitlines()
             if not line.lstrip().startswith(b'"timestamp_utc":')]
+
+
+# screen tolerances loose enough that every epoch of a simulated cohort passes
+LOOSE_SCREEN = {"stationarity_mean_drift_tol": 100.0, "stationarity_variance_ratio_tol": 100.0}
+
+
+@st.composite
+def pipeline_cases(draw):
+    """(config, condition a, condition b) for `run_pipeline`: 2-4 channels, labels and
+    column order drawn; 3-6 subjects of 2-3 back-to-back 225-row epochs from a random
+    stable VAR(1), plus a drawn coupling in condition b; per-pair or joint scope, fixed
+    order 1-15 or AIC up to 2-6, all or some pairs, 1-4 bands, default or loose screen."""
+    labels = tuple(draw(st.lists(st.sampled_from(["F3", "F4", "Fz", "C3", "T6", "O1", "a", "1"]),
+                                 min_size=2, max_size=4, unique=True)))
+    lags = random_stable_var(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                             len(labels), 1).coeff_matrices
+    coupled = lags.copy()
+    target, source = draw(st.permutations(range(len(labels))))[:2]
+    coupled[0, target, source] += draw(finite(-0.5, 0.5))
+    assume(spectral_radius(coupled) < 0.95)
+    n, epochs = draw(st.integers(3, 6)), draw(st.integers(2, 3))
+    first = draw(st.integers(0, 2**31))
+    cohorts = [build_cohort(c, 225 * epochs, range(first + k * n, first + k * n + n),
+                            [900.0 * e for e in range(epochs)], channel_labels=labels)
+               for k, c in enumerate((lags, coupled))]
+    edges = draw(st.lists(st.tuples(st.integers(0, 52), st.integers(0, 52)).map(sorted),
+                          min_size=1, max_size=4))
+    pairs = st.lists(st.sampled_from(list(itertools.permutations(labels, 2))), min_size=1,
+                     unique=True)
+    # both order settings are drawn, so a test may switch the mode and keep a small scan
+    config = PipelineConfig(
+        250.0, channel_pairs=draw(st.none() | pairs),
+        bands={f"band{k}": (4.0 + low / 2, 4.0 + high / 2) for k, (low, high) in enumerate(edges)},
+        model_scope=draw(st.sampled_from([SCOPE_PER_PAIR, SCOPE_JOINT])),
+        order_mode=draw(st.sampled_from([ORDER_MODE_FIXED, ORDER_MODE_AUTO_AIC])),
+        fixed_order=draw(st.integers(1, 15)), p_scan_max=draw(st.integers(2, 6)),
+        **draw(st.sampled_from([{}, LOOSE_SCREEN])))
+    return (config, *cohorts)
 
 
 @st.composite

@@ -1,14 +1,16 @@
 import dataclasses
 import json
 import math
+import operator
 import os
 import re
 import stat
 from collections import Counter
+from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -22,10 +24,12 @@ from pdckit import (
     VarModel,
     compute_pdc,
     default_config,
+    extract_segments,
     fit_var,
     read_config_json,
     run_pipeline,
     report_to_dict,
+    select_order,
     write_config_json,
     write_recording_csv,
     write_report,
@@ -34,6 +38,7 @@ from pdckit import (
 from pdckit.cli import main
 from pdckit.pipeline import (
     ORDER_MODE_AUTO_AIC,
+    ORDER_MODE_FIXED,
     SCOPE_JOINT,
     SCOPE_PER_PAIR,
     AnalysisReport,
@@ -43,7 +48,8 @@ from pdckit.pipeline import (
 )
 from pdckit.stats import _pair_cell, format_pair
 
-from conftest import COUPLED, QUIET, build_cohort, fresh_path, stable_lines
+from conftest import (COUPLED, LOOSE_SCREEN, QUIET, build_cohort, fresh_path, pipeline_cases,
+                      stable_lines)
 
 FS = 250.0
 EPOCHS = 6
@@ -269,15 +275,6 @@ def test_pipeline_flags_injected_coupling():
             assert all(0.0 <= v <= 1.0 for v in values)
 
 
-def test_swapping_the_conditions_flips_only_the_test_directions():
-    cond_a, cond_b = _cohorts(n_subjects=4)
-    flipped = {"a_greater": "b_greater", "b_greater": "a_greater", "none": "none"}
-    forward = report_to_dict(run_pipeline(default_config(FS), cond_a, cond_b))["tests"]
-    swapped = report_to_dict(run_pipeline(default_config(FS), cond_b, cond_a))["tests"]
-    assert {row["direction"] for row in forward} == {"a_greater", "b_greater"}
-    assert swapped == [{**row, "direction": flipped[row["direction"]]} for row in forward]
-
-
 def test_the_band_rule_runs_once_per_config_build_and_once_per_run(monkeypatch):
     calls = []
     real = pdckit.pdc._check_bands
@@ -384,116 +381,159 @@ def test_a_subject_scaled_near_float_range_is_fitted_then_refused(power, attriti
 
 
 # ------------------------------------------------------ metamorphic relations
-# How the report must move when the cohort moves in a known way.
+# How the report must move when the cohort moves in a known way, on drawn cohorts
+# and protocols and on the fixed cohort below under the reference protocol.
 
-N_META = 5
-
-
-def _three_channel_cohorts():
-    """ch1 drives ch2 in condition b only; ch3 is on its own in both."""
-    coeffs_a = np.diag([0.3, 0.3, 0.3])[None]
-    coeffs_b = coeffs_a.copy()
-    coeffs_b[0, 1, 0] = 0.4
-    return [build_cohort(coeffs, NSAMP, range(first, first + N_META), STARTS)
-            for coeffs, first in ((coeffs_a, 893_000), (coeffs_b, 893_100))]
+# ch1 drives ch2 in condition b only; ch3 is on its own in both
+FIXED_CASE = (default_config(FS), *(
+    build_cohort(lags, NSAMP, range(first, first + 5), STARTS) for lags, first in (
+        (np.diag([0.3, 0.3, 0.3])[None], 893_000),
+        (np.array([[[0.3, 0.0, 0.0], [0.4, 0.3, 0.0], [0.0, 0.0, 0.3]]]), 893_100))))
 
 
-def _mapped(cohort, recording=lambda rec: rec, starts=lambda onsets: onsets):
-    return [(recording(rec), starts(onsets)) for rec, onsets in cohort]
+def _report(config, cond_a, cond_b):
+    """The case's report; a case that keeps no subject in both conditions is drawn again."""
+    try:
+        return run_pipeline(config, cond_a, cond_b)
+    except PipelineError:
+        reject()
 
 
-@pytest.fixture(scope="module")
-def three_channel_run():
-    cond_a, cond_b = _three_channel_cohorts()
-    report = run_pipeline(default_config(FS), cond_a, cond_b)
-    assert report.subjects_used == tuple(range(N_META))
-    return cond_a, cond_b, report
+def _values(report):
+    """Both conditions' band values, one row per key in sorted key order."""
+    return np.array([summary.band_values[key] for summary in (report.condition_a,
+                     report.condition_b) for key in sorted(summary.band_values)])
 
 
-def _assert_band_values_close(report, other, atol):
-    for cond in ("condition_a", "condition_b"):
-        values = getattr(report, cond).band_values
-        assert set(getattr(other, cond).band_values) == set(values)
-        for key, per_subject in values.items():
-            assert_allclose(getattr(other, cond).band_values[key], per_subject, rtol=0, atol=atol)
+def _rerun(case, recording, onsets=lambda starts: starts):
+    """The case's report with every recording and its onsets mapped."""
+    config, cond_a, cond_b = case
+    return run_pipeline(config, *([(recording(rec), onsets(starts)) for rec, starts in cohort]
+                                  for cohort in (cond_a, cond_b)))
 
 
-def test_permuting_the_subjects_leaves_every_test_result(three_channel_run):
-    cond_a, cond_b, report = three_channel_run
-    order = [3, 0, 4, 2, 1]
-    permuted = run_pipeline(default_config(FS), [cond_a[i] for i in order],
-                            [cond_b[i] for i in order])
+# an example runs the pipeline once or twice, 10-120 ms a run on a 2-vCPU
+# machine, and ten tests draw them, so each draws few; the weekly CI run draws new ones
+RELATION = settings(max_examples=3)
+
+
+@RELATION
+@given(case=pipeline_cases(), order=st.permutations(range(6)))
+@example(case=FIXED_CASE, order=[3, 0, 4, 2, 1, 5])
+def test_permuting_the_subjects_leaves_every_test_result(case, order):
+    config, cond_a, cond_b = case
+    report = _report(*case)
+    order = [i for i in order if i < len(cond_a)]
+    permuted = run_pipeline(config, [cond_a[i] for i in order], [cond_b[i] for i in order])
     assert repr(permuted.test_results) == repr(report.test_results)
     for cond in ("condition_a", "condition_b"):
-        values = getattr(report, cond).band_values
-        assert getattr(permuted, cond).band_values == {
-            key: tuple(per_subject[i] for i in order) for key, per_subject in values.items()}
+        by_subject = {key: dict(zip(report.subjects_used, values))
+                      for key, values in getattr(report, cond).band_values.items()}
+        assert getattr(permuted, cond).band_values == {key: tuple(
+            values[i] for i in order if i in values) for key, values in by_subject.items()}
 
 
 @pytest.mark.parametrize("scope", [SCOPE_PER_PAIR, SCOPE_JOINT])
-def test_permuting_the_channels_with_their_labels_keeps_every_key(three_channel_run, scope):
-    cond_a, cond_b, report = three_channel_run
-    cfg = dataclasses.replace(default_config(FS), model_scope=scope)
-    if scope == SCOPE_JOINT:
-        report = run_pipeline(cfg, cond_a, cond_b)
-    columns = [2, 0, 1]
-
-    def permuted(rec):
-        return Recording(samples=rec.samples[:, columns], sampling_rate_hz=FS,
-                         channel_labels=tuple(rec.channel_labels[i] for i in columns))
-
-    other = run_pipeline(cfg, _mapped(cond_a, permuted), _mapped(cond_b, permuted))
-    assert other.channel_pairs != report.channel_pairs  # the family's order moved
-    _assert_band_values_close(report, other, atol=1e-12)
-    assert set(other.test_results) == set(report.test_results)
-    for key, result in report.test_results.items():
-        moved = other.test_results[key]
-        assert (moved.p_raw, moved.significant, moved.direction) == \
-            (result.p_raw, result.significant, result.direction)
+@RELATION
+@given(case=pipeline_cases(), columns=st.permutations(range(4)))
+@example(case=FIXED_CASE, columns=[2, 0, 1, 3])
+def test_permuting_the_channels_with_their_labels_keeps_every_key(scope, case, columns):
+    config, cond_a, cond_b = case
+    case = (dataclasses.replace(config, model_scope=scope), cond_a, cond_b)
+    report = _report(*case)
+    columns = [i for i in columns if i < cond_a[0][0].n_channels]
+    other = _rerun(case, lambda rec: dataclasses.replace(rec, samples=rec.samples[:, columns],
+                   channel_labels=tuple(rec.channel_labels[i] for i in columns)))
+    assert_allclose(_values(other), _values(report), rtol=0, atol=1e-12)
+    verdict = operator.attrgetter("p_raw", "significant", "direction")
+    assert {key: verdict(result) for key, result in other.test_results.items()} == \
+        {key: verdict(result) for key, result in report.test_results.items()}
 
 
-def test_a_common_scale_keeps_every_test_row(three_channel_run):
-    cond_a, cond_b, report = three_channel_run
-    assert default_config(FS).amplitude_reject_threshold is None
-
-    def scaled(rec):
-        return dataclasses.replace(rec, samples=rec.samples * 1e3)
-
-    other = run_pipeline(default_config(FS), _mapped(cond_a, scaled), _mapped(cond_b, scaled))
-    _assert_band_values_close(report, other, atol=1e-12)
+@RELATION
+@given(case=pipeline_cases(), power=st.integers(-3, 3))
+@example(case=FIXED_CASE, power=3)
+def test_a_common_scale_keeps_every_test_row(case, power):
+    report = _report(*case)
+    other = _rerun(case, lambda rec: dataclasses.replace(rec, samples=rec.samples * 10.0 ** power))
+    assert_allclose(_values(other), _values(report), rtol=0, atol=1e-12)
     assert report_to_dict(other)["tests"] == report_to_dict(report)["tests"]
 
 
-def test_shifting_the_onsets_with_the_recordings_changes_no_output_byte(three_channel_run,
-                                                                       tmp_path):
-    cond_a, cond_b, report = three_channel_run
-    k = 7
-    rng = np.random.default_rng(17)
-
-    def prepended(rec):
-        lead = rng.normal(scale=5.0, size=(k, rec.n_channels))
-        return dataclasses.replace(rec, samples=np.vstack([lead, rec.samples]))
-
-    def later(onsets):
-        return [onset + 1000.0 * k / FS for onset in onsets]
-
-    other = run_pipeline(default_config(FS), _mapped(cond_a, prepended, later),
-                         _mapped(cond_b, prepended, later))
-    files = [write_report(run, tmp_path / name) for run, name in ((report, "a"), (other, "b"))]
+@settings(RELATION, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=pipeline_cases(), k=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+@example(case=FIXED_CASE, k=7, seed=17)
+def test_shifting_the_onsets_with_the_recordings_changes_no_output_byte(tmp_path, case, k,
+                                                                       seed):
+    # k rows prepended and every onset k rows later
+    report = _report(*case)
+    rng, shift_ms = np.random.default_rng(seed), 1000.0 * k / case[0].sampling_rate_hz
+    other = _rerun(case, lambda rec: dataclasses.replace(rec, samples=np.vstack(
+                       [rng.normal(scale=5.0, size=(k, rec.n_channels)), rec.samples])),
+                   lambda starts: [onset + shift_ms for onset in starts])
+    files = [write_report(run, fresh_path(tmp_path, "out")) for run in (report, other)]
     for kind in ("report", "test_table"):
         assert stable_lines(files[0][kind]) == stable_lines(files[1][kind])
 
 
-def test_scaling_one_channel_changes_pdc(three_channel_run):
+@RELATION
+@given(case=pipeline_cases())
+@example(case=FIXED_CASE)
+def test_swapping_the_conditions_flips_only_the_test_directions(case):
+    config, cond_a, cond_b = case
+    report = _report(*case)
+    flipped = {"a_greater": "b_greater", "b_greater": "a_greater", "none": "none"}
+    swapped = report_to_dict(run_pipeline(config, cond_b, cond_a))["tests"]
+    assert swapped == [{**row, "direction": flipped[row["direction"]]}
+                       for row in report_to_dict(report)["tests"]]
+
+
+@pytest.mark.parametrize("scope", [SCOPE_PER_PAIR, SCOPE_JOINT])
+@pytest.mark.parametrize("order_mode", [ORDER_MODE_FIXED, ORDER_MODE_AUTO_AIC])
+@RELATION
+@given(case=pipeline_cases())
+@example(case=FIXED_CASE)
+def test_every_band_value_is_the_direct_chain_over_its_epochs(scope, order_mode, case):
+    # the loose screen keeps every epoch, so the means run over all of them; the
+    # scan stops at 6 at most, as drawn, for the reference protocol's 20 is past the
+    # order bound of a joint 3-channel 225-row epoch
+    config, cond_a, cond_b = case
+    config = dataclasses.replace(config, model_scope=scope, order_mode=order_mode,
+                                 p_scan_max=min(config.p_scan_max, 6), **LOOSE_SCREEN)
+    report = run_pipeline(config, cond_a, cond_b)
+    labels = cond_a[0][0].channel_labels
+    assert report.channel_pairs == (config.channel_pairs or tuple(permutations(labels, 2)))
+    assert report.subjects_used == tuple(range(len(cond_a)))
+    grid = config.frequency_grid()
+    for cohort, summary in zip((cond_a, cond_b), (report.condition_a, report.condition_b)):
+        assert summary.used == summary.segments_in == sum(len(starts) for _, starts in cohort)
+        for subject, (recording, starts) in enumerate(cohort):
+            for source, target in report.channel_pairs:
+                # one model over the pair in the pair's own order, or over all channels
+                channels = labels if config.model_scope == SCOPE_JOINT else (source, target)
+                spectra = []
+                for seg in extract_segments(recording, config.epoch_length_ms, starts):
+                    seg = seg.centered().select_channels(channels)
+                    order = select_order(seg, config.p_scan_max).chosen_p \
+                        if config.order_mode == ORDER_MODE_AUTO_AIC else config.fixed_order
+                    spectra.append(compute_pdc(fit_var(seg, order)[0], grid).values)
+                mean = np.mean(spectra, axis=0)[:, channels.index(target), channels.index(source)]
+                for band, (low, high) in config.bands.items():
+                    in_band = mean[(grid.freqs_hz >= low) & (grid.freqs_hz <= high)].mean()
+                    got = summary.band_values[((source, target), band)][subject]
+                    assert got == pytest.approx(in_band, rel=1e-12, abs=1e-12)
+
+
+def test_scaling_one_channel_changes_pdc():
     # PDC normalizes each source's column over the targets in their own units,
     # so a gain on one channel is not a relation PDC keeps (gPDC would)
-    cond_a, cond_b, report = three_channel_run
-
-    def louder_ch2(rec):
-        return dataclasses.replace(rec, samples=rec.samples * np.array([1.0, 10.0, 1.0]))
-
-    other = run_pipeline(default_config(FS), _mapped(cond_a, louder_ch2),
-                         _mapped(cond_b, louder_ch2))
+    config, cond_a, cond_b = FIXED_CASE
+    report = run_pipeline(*FIXED_CASE)
+    assert report.subjects_used == tuple(range(5))
+    louder_ch2 = np.array([1.0, 10.0, 1.0])
+    other = run_pipeline(config, *([(dataclasses.replace(rec, samples=rec.samples * louder_ch2),
+                                     starts) for rec, starts in cohort]
+                                   for cohort in (cond_a, cond_b)))
     key = (("ch1", "ch2"), "alpha")
     moved = np.subtract(other.condition_b.band_values[key], report.condition_b.band_values[key])
     assert np.all(moved > 0.05)
@@ -503,20 +543,6 @@ def test_run_pipeline_has_no_threads_keyword():
     # subjects are processed one after another; the ignored keyword is gone
     with pytest.raises(TypeError):
         run_pipeline(default_config(FS), [], [], threads=1)
-
-
-def test_pipeline_auto_order_and_joint_scope():
-    cfg = dataclasses.replace(
-        default_config(FS),
-        order_mode=ORDER_MODE_AUTO_AIC,
-        p_scan_max=6,
-        model_scope=SCOPE_JOINT,
-    )
-    cond_a, cond_b = _cohorts(n_subjects=4, base=882_000)
-    report = run_pipeline(cfg, cond_a, cond_b)
-    assert report.config_echo["order_mode"] == "auto_aic"
-    assert report.config_echo["model_scope"] == "joint"
-    assert set(report.test_results)  # completes and covers the family
 
 
 def _montage_cohorts(n_subjects=2):
@@ -628,58 +654,6 @@ def test_config_reader_refuses_a_repeated_key_inside_a_group(tmp_path):
         assert str(info.value) == f'{path}: key "{key}" is repeated'
 
 
-def test_pipeline_explicit_pair_subset():
-    cfg = dataclasses.replace(default_config(FS), channel_pairs=(("ch1", "ch2"),))
-    cond_a, cond_b = _cohorts(n_subjects=4, base=883_000)
-    report = run_pipeline(cfg, cond_a, cond_b)
-    assert report.channel_pairs == (("ch1", "ch2"),)
-    assert len(report.test_results) == 4  # one pair, four bands
-    with pytest.raises(ValueError):
-        bad = dataclasses.replace(default_config(FS), channel_pairs=(("ch1", "nope"),))
-        run_pipeline(bad, cond_a, cond_b)
-
-
-@pytest.mark.parametrize("scope", [SCOPE_PER_PAIR, SCOPE_JOINT])
-def test_pipeline_band_values_equal_a_direct_per_pair_computation(scope):
-    # recording order T6, F3, F4: the pair T6/F3 sorts against it, and
-    # F3->T6 is T6->F3 reversed
-    labels = ("T6", "F3", "F4")
-    pairs = (("T6", "F3"), ("F3", "T6"), ("F4", "F3"))
-    coeffs = np.diag([0.3, 0.3, 0.3])[None]
-    coeffs[0, 0, 1] = 0.4  # F3 drives T6
-    cohorts = [build_cohort(coeffs, NSAMP, range(first, first + 2), STARTS, channel_labels=labels)
-               for first in (893_000, 893_100)]
-    # loose screen tolerances keep every epoch, so the means run over all of them
-    cfg = dataclasses.replace(default_config(FS), channel_pairs=pairs, model_scope=scope,
-                              stationarity_mean_drift_tol=100.0,
-                              stationarity_variance_ratio_tol=100.0)
-    report = run_pipeline(cfg, *cohorts)
-    assert report.channel_pairs == pairs
-    assert report.subjects_used == (0, 1)
-    grid = cfg.frequency_grid()
-    epoch = NSAMP // EPOCHS
-    for cohort, summary in zip(cohorts, (report.condition_a, report.condition_b)):
-        assert summary.used == summary.segments_in == 2 * EPOCHS
-        for subject, (recording, _) in enumerate(cohort):
-            for source, target in pairs:
-                # one model over the pair in the pair's own order, or over all channels
-                channels = labels if scope == SCOPE_JOINT else (source, target)
-                i, j = channels.index(target), channels.index(source)
-                spectra = []
-                for k in range(EPOCHS):
-                    seg = Recording(recording.samples[k * epoch:(k + 1) * epoch],
-                                    FS, labels).centered().select_channels(channels)
-                    model, _ = fit_var(seg, cfg.fixed_order)
-                    spectra.append(compute_pdc(model, grid).values)
-                mean = np.mean(spectra, axis=0)
-                for band, (low, high) in cfg.bands.items():
-                    in_band = mean[(grid.freqs_hz >= low) & (grid.freqs_hz <= high)].mean(axis=0)
-                    got = summary.band_values[((source, target), band)][subject]
-                    assert got == pytest.approx(in_band[i, j], rel=1e-12, abs=1e-12)
-                    # the entry is told apart from its transpose
-                    assert got != pytest.approx(in_band[j, i], rel=1e-6)
-
-
 def test_pipeline_amplitude_rejection_counts_as_screened_out():
     cond_a, cond_b = _cohorts(n_subjects=4, base=884_000)
     spiked_rec, starts = cond_a[0]
@@ -738,16 +712,21 @@ def test_pipeline_validates_cohort_shape():
         run_pipeline(default_config(FS), [], [])
     with pytest.raises(ValueError):
         run_pipeline(default_config(200.0), cond_a, cond_b)  # fs mismatch
-    relabeled = [
-        (
-            Recording(samples=rec.samples, sampling_rate_hz=FS,
-                      channel_labels=("x1", "x2")),
-            starts,
-        )
-        for rec, starts in cond_b
-    ]
-    with pytest.raises(ValueError):
-        run_pipeline(default_config(FS), cond_a, relabeled)
+    rec, starts = cond_a[1]
+    reordered = dataclasses.replace(rec, samples=rec.samples[:, ::-1],
+                                    channel_labels=("ch2", "ch1"))
+    relabeled = [(dataclasses.replace(rec, channel_labels=("x1", "x2")), starts)
+                 for rec, starts in cond_b]
+    differ = ("do not match the first recording's ('ch1', 'ch2'); all recordings must list the "
+              "same channels in the same order")
+    for pairs, cohorts, message in (
+            (None, ([cond_a[0], (reordered, starts)], cond_b[:2]),
+             f"condition a, subject 1: channels ('ch2', 'ch1') {differ}"),
+            (None, (cond_a, relabeled), f"condition b, subject 0: channels ('x1', 'x2') {differ}"),
+            ((("ch1", "nope"),), (cond_a, cond_b),
+             "configured channel 'nope' not in recording channels ['ch1', 'ch2']")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_pipeline(PipelineConfig(FS, channel_pairs=pairs), *cohorts)
 
 
 # ------------------------------------------------------------------- outputs
@@ -826,8 +805,8 @@ def test_each_refusal_raises_its_message(tmp_path, refuse, error, message):
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=["022", "027", "077"])
-def test_report_files_get_the_mode_open_gives_a_new_file(three_channel_run, tmp_path, umask):
-    report = three_channel_run[2]
+def test_report_files_get_the_mode_open_gives_a_new_file(tmp_path, umask):
+    report = run_pipeline(default_config(FS), *_cohorts(n_subjects=2))
     out = tmp_path / "out"
     old = os.umask(umask)
     try:
